@@ -7,53 +7,4 @@ between the two links and to channel estimation errors, through a
 closed-form error expression and a reproducible Monte Carlo simulator.
 """
 
-from .analytic import (
-    AnalyticPoint,
-    ber_closed_form,
-    ber_integral_oracle,
-    diversity_slope,
-    effective_snr,
-)
-from .channel import (
-    ChannelPair,
-    EstimatedChannelPair,
-    EstimationErrorModel,
-    decompose_model,
-    estimate_channel,
-    sample_awgn,
-    sample_channel,
-)
-from .montecarlo import (
-    BerEstimate,
-    SimPoint,
-    SweepResult,
-    SweepSpec,
-    merge,
-    run_point,
-    run_sweep,
-)
-from .numerics import (
-    RngStream,
-    integrate_half_pi,
-    q_function,
-    sample_circular_gaussian,
-    wilson_interval,
-)
-from .ostbc import (
-    BPSK,
-    QAM16,
-    QPSK,
-    AlamoutiBlock,
-    ImbalanceRatio,
-    Modulation,
-    alamouti_combine,
-    alamouti_encode,
-    detect,
-    modulate,
-    modulation_by_name,
-    ostbc4_combine,
-    ostbc4_encode,
-    transmit,
-)
-
 __version__ = "0.1.0"

@@ -27,9 +27,6 @@ from .numerics import integrate_half_pi
 
 __all__ = [
     "AnalyticPoint",
-    "MuPair",
-    "mu_pair",
-    "effective_snr",
     "ber_closed_form",
     "ber_integral_oracle",
     "diversity_slope",
@@ -52,43 +49,12 @@ class AnalyticPoint:
             object.__setattr__(self, name, v)
 
 
-@dataclass(frozen=True)
-class MuPair:
-    mu_M: float
-    mu_N: float
-
-
-def mu_pair(p: AnalyticPoint) -> MuPair:
-    common = 2.0 * (1.0 + p.r) / (p.a_sq * p.gamma)
-    return MuPair(
-        mu_M=math.sqrt(1.0 + common),
-        mu_N=math.sqrt(1.0 + common / p.r),
-    )
-
-
-def effective_snr(ch, r: float, gamma: float):
-    """Instantaneous combined SNR gamma/(1+r) (|h_B|^2 + r |h_R|^2)."""
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"r must be finite and > 0, got {r}")
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
-    hb = np.asarray(ch.h_B, dtype=complex)
-    hr = np.asarray(ch.h_R, dtype=complex)
-    out = (gamma / (1.0 + r)) * (
-        hb.real**2 + hb.imag**2 + r * (hr.real**2 + hr.imag**2)
-    )
-    return out if out.ndim else float(out)
-
-
 def ber_closed_form(p: AnalyticPoint) -> float:
     """Average bit error probability, evaluated via the stable product form."""
-    mu = mu_pair(p)
-    pe = (
-        0.5
-        * (1.0 - 1.0 / mu.mu_M)
-        * (1.0 - 1.0 / mu.mu_N)
-        * (1.0 + 1.0 / (mu.mu_M + mu.mu_N))
-    )
+    common = 2.0 * (1.0 + p.r) / (p.a_sq * p.gamma)
+    mu_m = math.sqrt(1.0 + common)
+    mu_n = math.sqrt(1.0 + common / p.r)
+    pe = 0.5 * (1.0 - 1.0 / mu_m) * (1.0 - 1.0 / mu_n) * (1.0 + 1.0 / (mu_m + mu_n))
     if not math.isfinite(pe):
         raise FloatingPointError(f"non-finite error probability for {p}")
     return pe

@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
-from . import analytic, channel, ostbc
+from . import analytic, ostbc
 from .numerics import RngStream, sample_circular_gaussian, wilson_interval
 
 __all__ = [
@@ -37,14 +37,12 @@ __all__ = [
     "run_sweep",
 ]
 
-SCHEMES = ("alamouti_2x1", "ostbc_4x2")
+SCHEMES = tuple(ostbc.CODES)
 
 DEFAULT_CHUNK_BLOCKS = 10_000
 DEFAULT_MIN_ERRORS = 100
 DEFAULT_MAX_BITS = 10**8
 CONFIDENCE = 0.95
-
-_SYMBOLS_PER_BLOCK = {"alamouti_2x1": 2, "ostbc_4x2": 3}
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,7 @@ class SimPoint:
 
     @property
     def bits_per_block(self) -> int:
-        return _SYMBOLS_PER_BLOCK[self.scheme] * self.mod.bits_per_symbol
+        return ostbc.CODES[self.scheme].n_symbols * self.mod.bits_per_symbol
 
 
 @dataclass(frozen=True)
@@ -132,54 +130,35 @@ def _chunk_blocks(point: SimPoint) -> int:
 def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int]:
     """Simulate one chunk; returns (bits, bit_errors).
 
-    Draw order is fixed per scheme: data bits, then channel gains, then
-    estimation errors (skipped entirely when beta == 0, where the
-    estimates equal the true gains), then noise.
+    Draw order is the same for every code: data bits, then the channels
+    (n_tx, n_rx, blocks), then the estimation errors of the same shape
+    (skipped entirely when beta == 0, where the estimates equal the true
+    channels), then the noise (n_rx, n_slots, blocks).
     """
+    code = ostbc.CODES[point.scheme]
     rng = RngStream(point.seed, chunk_index)
     n = _chunk_blocks(point)
     power = 10.0 ** (point.gamma_db / 10.0)
     imb = ostbc.ImbalanceRatio.from_db(point.r_db)
-    model = channel.decompose_model(point.beta)
-    amp = math.sqrt(power)
+    bps = point.mod.bits_per_symbol
 
-    if point.scheme == "alamouti_2x1":
-        tx_bits = rng.bits(2 * point.mod.bits_per_symbol * n)
-        syms = ostbc.modulate(tx_bits, point.mod)
-        block = ostbc.alamouti_encode(syms[0::2], syms[1::2])
-        ch = channel.sample_channel(rng, size=n)
-        if point.beta == 0.0:
-            est = channel.EstimatedChannelPair(hhat_B=ch.h_B, hhat_R=ch.h_R)
-        else:
-            est = channel.estimate_channel(rng, ch, model)
-        z = channel.sample_awgn(rng, 2 * n)
-        y = ostbc.transmit(block, ch, power, imb, (z[0::2], z[1::2]))
-        s0t, s1t = ostbc.alamouti_combine(y, est, imb)
-        gain = amp * ostbc.effective_gain(est.hhat_B, est.hhat_R, imb)
-        rx0 = ostbc.detect(s0t, gain, point.mod)
-        rx1 = ostbc.detect(s1t, gain, point.mod)
-        per_sym = tx_bits.reshape(2 * n, point.mod.bits_per_symbol)
-        errors = int((rx0 != per_sym[0::2].ravel()).sum())
-        errors += int((rx1 != per_sym[1::2].ravel()).sum())
-        return tx_bits.size, errors
-
-    tx_bits = rng.bits(3 * point.mod.bits_per_symbol * n)
-    syms = ostbc.modulate(tx_bits, point.mod)
-    code = ostbc.ostbc4_encode(syms[0::3], syms[1::3], syms[2::3])
-    h = sample_circular_gaussian(rng, 1.0, size=(4, 2, n))
+    tx_bits = rng.bits(code.n_symbols * bps * n)
+    syms = ostbc.modulate(tx_bits, point.mod).reshape(n, code.n_symbols).T
+    x = ostbc.encode(code, syms)
+    h = sample_circular_gaussian(rng, 1.0, size=(code.n_tx, code.n_rx, n))
     if point.beta == 0.0:
         est = h
     else:
-        est = h + sample_circular_gaussian(rng, point.beta, size=(4, 2, n))
-    noise = sample_circular_gaussian(rng, 1.0, size=(2, 4, n))
-    y = ostbc.ostbc4_transmit(code, h, power, imb, noise)
-    outputs = ostbc.ostbc4_combine(y, est, imb)
-    gain = amp * ostbc.ostbc4_effective_gain(est, imb)
-    per_sym = tx_bits.reshape(3 * n, point.mod.bits_per_symbol)
+        est = h + sample_circular_gaussian(rng, point.beta, size=h.shape)
+    noise = sample_circular_gaussian(rng, 1.0, size=(code.n_rx, code.n_slots, n))
+    y = ostbc.transmit(code, x, h, power, imb, noise)
+    s_tilde = ostbc.combine(code, y, est, imb)
+    gain = math.sqrt(power) * ostbc.effective_gain(code, est, imb)
+    per_sym = tx_bits.reshape(n, code.n_symbols, bps)
     errors = 0
-    for k, s_tilde in enumerate(outputs):
-        rx = ostbc.detect(s_tilde, gain, point.mod)
-        errors += int((rx != per_sym[k::3].ravel()).sum())
+    for k in range(code.n_symbols):
+        rx = ostbc.detect(s_tilde[k], gain, point.mod)
+        errors += int((rx != per_sym[:, k].ravel()).sum())
     return tx_bits.size, errors
 
 

@@ -52,10 +52,6 @@ class RngStream:
         key = np.array([seed, stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def clone(self) -> "RngStream":
-        """Fresh stream that replays this one from the beginning."""
-        return RngStream(self.seed, self.stream_id)
-
     def uniforms(self, size=None):
         """Uniform draws on [0, 1)."""
         return self._gen.random(size)

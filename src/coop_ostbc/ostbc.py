@@ -1,15 +1,21 @@
-"""Modulation mapping, distributed Alamouti coding, and the 4-antenna code.
+"""Modulation mapping and the distributed space-time codes, written as data.
 
-Codeword convention: rows index transmit antennas, columns index time
-slots. For the two-node Alamouti scheme row 0 is the base station (BS)
-antenna and row 1 the relay (RS) antenna. The per-node power split is
-carried by :class:`ImbalanceRatio`: the BS antenna transmits with
-amplitude weight w_B = sqrt(1/(1+r)) and the RS antenna with
+A :class:`SpaceTimeCode` lists the non-zero entries of its codeword X
+(rows index transmit antennas, columns index time slots) and the node,
+base station (BS) or relay (RS), that owns each antenna. One set of
+functions encodes, transmits, combines and scales for every code in
+:data:`CODES`.
+
+The per-node power split is carried by :class:`ImbalanceRatio`: the BS
+transmits with amplitude weight w_B = sqrt(1/(1+r)) and the RS with
 w_R = sqrt(r/(1+r)), where r is the linear RS-to-BS received-SNR ratio.
+A node with m antennas splits its weight equally, so each of its
+antennas has weight w_node / sqrt(m).
 
-All operations accept complex scalars or equally-shaped complex arrays
-(one entry per fading block); the Monte Carlo engine relies on the array
-form.
+Arrays may carry one trailing axis of fading blocks, which is the form
+the Monte Carlo engine uses: symbols (n_symbols, blocks), codewords
+(n_tx, n_slots, blocks), channels and their estimates (n_tx, n_rx,
+blocks), noise and received samples (n_rx, n_slots, blocks).
 """
 
 from __future__ import annotations
@@ -26,18 +32,14 @@ __all__ = [
     "QAM16",
     "modulation_by_name",
     "ImbalanceRatio",
-    "AlamoutiBlock",
+    "SpaceTimeCode",
+    "CODES",
     "modulate",
-    "alamouti_encode",
+    "encode",
     "transmit",
-    "alamouti_combine",
+    "combine",
     "effective_gain",
     "detect",
-    "ostbc4_weights",
-    "ostbc4_encode",
-    "ostbc4_transmit",
-    "ostbc4_combine",
-    "ostbc4_effective_gain",
 ]
 
 
@@ -131,26 +133,80 @@ class ImbalanceRatio:
         object.__setattr__(self, "w_R", math.sqrt(w_r_sq))
 
     @classmethod
-    def from_linear(cls, r: float) -> "ImbalanceRatio":
-        return cls(r)
-
-    @classmethod
     def from_db(cls, r_db: float) -> "ImbalanceRatio":
         return cls(10.0 ** (float(r_db) / 10.0))
 
 
-@dataclass
-class AlamoutiBlock:
-    """Two symbols and their 2x2 space-time codeword."""
+@dataclass(frozen=True)
+class SpaceTimeCode:
+    """An orthogonal space-time block code as a table of codeword entries.
 
-    s0: complex
-    s1: complex
+    Each entry ``(antenna, slot, symbol, conjugate, sign)`` places
+    ``sign * s[symbol]``, conjugated when ``conjugate`` is true, at
+    ``X[antenna, slot]``; every other entry of X is zero. ``nodes[i]``
+    names the node ("BS" or "RS") that owns antenna i. The rows of X are
+    orthogonal with the common norm sum_k |s_k|^2, which is what lets the
+    matched filter of :func:`combine` decouple the symbols.
+    """
+
+    name: str
+    entries: tuple
+    nodes: tuple
+    n_rx: int
 
     @property
-    def codeword(self) -> np.ndarray:
-        s0 = np.asarray(self.s0, dtype=complex)
-        s1 = np.asarray(self.s1, dtype=complex)
-        return np.array([[s0, -s1.conj()], [s1, s0.conj()]])
+    def n_tx(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def n_slots(self) -> int:
+        return 1 + max(entry[1] for entry in self.entries)
+
+    @property
+    def n_symbols(self) -> int:
+        return 1 + max(entry[2] for entry in self.entries)
+
+    def weights(self, imb: ImbalanceRatio) -> np.ndarray:
+        """Per-antenna amplitude weights: each node splits its weight equally."""
+        node_weight = {"BS": imb.w_B, "RS": imb.w_R}
+        return np.array(
+            [node_weight[n] * math.sqrt(1.0 / self.nodes.count(n)) for n in self.nodes]
+        )
+
+
+CODES = {
+    code.name: code
+    for code in (
+        # Rate 1, one antenna per node, one receive antenna:
+        #   [[ s0, -s1*],
+        #    [ s1,  s0*]]
+        SpaceTimeCode(
+            name="alamouti_2x1",
+            entries=(
+                (0, 0, 0, False, 1), (0, 1, 1, True, -1),
+                (1, 0, 1, False, 1), (1, 1, 0, True, 1),
+            ),
+            nodes=("BS", "RS"),
+            n_rx=1,
+        ),
+        # Rate 3/4, two antennas per node, two receive antennas:
+        #   [[ s0, -s1*, -s2*,  0  ],
+        #    [ s1,  s0*,  0,   -s2*],
+        #    [ s2,  0,    s0*,  s1*],
+        #    [ 0,   s2,  -s1,   s0 ]]
+        SpaceTimeCode(
+            name="ostbc_4x2",
+            entries=(
+                (0, 0, 0, False, 1), (0, 1, 1, True, -1), (0, 2, 2, True, -1),
+                (1, 0, 1, False, 1), (1, 1, 0, True, 1), (1, 3, 2, True, -1),
+                (2, 0, 2, False, 1), (2, 2, 0, True, 1), (2, 3, 1, True, 1),
+                (3, 1, 2, False, 1), (3, 2, 1, False, -1), (3, 3, 0, False, 1),
+            ),
+            nodes=("BS", "BS", "RS", "RS"),
+            n_rx=2,
+        ),
+    )
+}
 
 
 def modulate(bits, mod: Modulation) -> np.ndarray:
@@ -167,61 +223,73 @@ def modulate(bits, mod: Modulation) -> np.ndarray:
     return mod.points[idx]
 
 
-def alamouti_encode(s0, s1) -> AlamoutiBlock:
-    """Form the rate-1 two-antenna codeword [[s0, -s1*], [s1, s0*]]."""
-    return AlamoutiBlock(s0=s0, s1=s1)
+def _weighted(code: SpaceTimeCode, channels, imb: ImbalanceRatio) -> np.ndarray:
+    """w_i * h_ij for a channel array of shape (n_tx, n_rx[, blocks])."""
+    h = np.asarray(channels, dtype=complex)
+    return code.weights(imb).reshape((-1,) + (1,) * (h.ndim - 1)) * h
 
 
-def transmit(
-    block: AlamoutiBlock,
-    ch,
-    total_power: float,
-    imb: ImbalanceRatio,
-    noise,
-):
-    """Received samples (y_t0, y_t1) for one Alamouti block.
+def encode(code: SpaceTimeCode, symbols) -> np.ndarray:
+    """Codeword X of shape (n_tx, n_slots[, blocks]) from (n_symbols[, blocks]) symbols."""
+    s = np.asarray(symbols, dtype=complex)
+    if s.shape[:1] != (code.n_symbols,):
+        raise ValueError(f"{code.name} takes {code.n_symbols} symbols, got shape {s.shape}")
+    x = np.zeros((code.n_tx, code.n_slots) + s.shape[1:], dtype=complex)
+    for i, t, k, conjugate, sign in code.entries:
+        x[i, t] = sign * (s[k].conj() if conjugate else s[k])
+    return x
 
-    y_t0 = sqrt(P) (w_B h_B s0 + w_R h_R s1) + z0
-    y_t1 = sqrt(P) (-w_B h_B s1* + w_R h_R s0*) + z1
 
-    ``noise`` is a 2-sequence (z0, z1) of scalars or block-shaped arrays.
+def transmit(code: SpaceTimeCode, codeword, channels, total_power: float,
+             imb: ImbalanceRatio, noise):
+    """Received samples Y[j, t] = sqrt(P) sum_i w_i H[i, j] X[i, t] + noise[j, t].
+
+    The sum runs over the code's non-zero entries only.
     """
     total_power = float(total_power)
     if not (math.isfinite(total_power) and total_power >= 0.0):
         raise ValueError(f"total power must be finite and >= 0, got {total_power}")
-    amp = math.sqrt(total_power)
-    s0 = np.asarray(block.s0, dtype=complex)
-    s1 = np.asarray(block.s1, dtype=complex)
-    z0, z1 = noise[0], noise[1]
-    gb = imb.w_B * np.asarray(ch.h_B, dtype=complex)
-    gr = imb.w_R * np.asarray(ch.h_R, dtype=complex)
-    y0 = amp * (gb * s0 + gr * s1) + z0
-    y1 = amp * (-gb * s1.conj() + gr * s0.conj()) + z1
-    return np.array([y0, y1])
+    x = np.asarray(codeword, dtype=complex)
+    g = _weighted(code, channels, imb)
+    signal = np.zeros((code.n_rx, code.n_slots) + g.shape[2:], dtype=complex)
+    for i, t, *_ in code.entries:
+        signal[:, t] += g[i] * x[i, t]
+    return math.sqrt(total_power) * signal + np.asarray(noise, dtype=complex)
 
 
-def alamouti_combine(y, est, imb: ImbalanceRatio):
-    """Imbalance-aware Alamouti combining with the estimated channels.
+def combine(code: SpaceTimeCode, y, est, imb: ImbalanceRatio) -> np.ndarray:
+    """Matched-filter combining with the estimated channels over all rx antennas.
 
-    [s~0; s~1] = [[w_B hhat_B*, w_R hhat_R], [w_R hhat_R*, -w_B hhat_B]]
-                 . [y_t0; y_t1*]
+    s~_k = sum over the entries of s_k and over rx antennas j of
+    sign * conj(w_i est_ij) y_jt, or sign * w_i est_ij conj(y_jt) for a
+    conjugated entry. Returns shape (n_symbols[, blocks]). With perfect
+    estimates and no noise, s~_k = sqrt(P) * G * s_k with G from
+    :func:`effective_gain`.
     """
-    hb = np.asarray(est.hhat_B, dtype=complex)
-    hr = np.asarray(est.hhat_R, dtype=complex)
-    y0 = np.asarray(y[0], dtype=complex)
-    y1c = np.asarray(y[1], dtype=complex).conj()
-    s0t = imb.w_B * hb.conj() * y0 + imb.w_R * hr * y1c
-    s1t = imb.w_R * hr.conj() * y0 - imb.w_B * hb * y1c
-    return s0t, s1t
+    y = np.asarray(y, dtype=complex)
+    est = np.asarray(est, dtype=complex)
+    if (
+        est.shape[:2] != (code.n_tx, code.n_rx)
+        or y.shape[:2] != (code.n_rx, code.n_slots)
+        or est.shape[2:] != y.shape[2:]
+    ):
+        raise ValueError(f"dimension mismatch for {code.name}: y {y.shape}, est {est.shape}")
+    g = _weighted(code, est, imb)
+    g_conj, y_conj = g.conj(), y.conj()
+    per_rx = np.zeros((code.n_symbols,) + y.shape[:1] + y.shape[2:], dtype=complex)
+    for i, t, k, conjugate, sign in code.entries:
+        term = g[i] * y_conj[:, t] if conjugate else g_conj[i] * y[:, t]
+        per_rx[k] += sign * term
+    return per_rx.sum(axis=1)
 
 
-def effective_gain(gain_b, gain_r, imb: ImbalanceRatio):
-    """Combined channel gain w_B^2 |gain_b|^2 + w_R^2 |gain_r|^2."""
-    gb = np.asarray(gain_b, dtype=complex)
-    gr = np.asarray(gain_r, dtype=complex)
-    out = imb.w_B_sq * (gb.real**2 + gb.imag**2) + imb.w_R_sq * (
-        gr.real**2 + gr.imag**2
-    )
+def effective_gain(code: SpaceTimeCode, est, imb: ImbalanceRatio):
+    """Combined gain sum_ij w_i^2 |est[i, j]|^2 over all transmit-receive paths."""
+    est = np.asarray(est, dtype=complex)
+    if est.shape[:2] != (code.n_tx, code.n_rx):
+        raise ValueError(f"expected a {code.name} channel array, got shape {est.shape}")
+    per_antenna = (est.real**2 + est.imag**2).sum(axis=1)
+    out = np.einsum("i,i...->...", code.weights(imb) ** 2, per_antenna)
     return out if out.ndim else float(out)
 
 
@@ -242,98 +310,3 @@ def detect(s_tilde, effective_gain, mod: Modulation) -> np.ndarray:
     bps = mod.bits_per_symbol
     shifts = np.arange(bps - 1, -1, -1)
     return ((idx[:, None] >> shifts) & 1).astype(np.uint8).ravel()
-
-
-# --- 4-transmit-antenna code (two antennas per node, rate 3/4) ---------------
-#
-# Codeword, rows = antennas (0,1 at the BS; 2,3 at the RS), columns = slots:
-#
-#   [[ s0, -s1*, -s2*,  0  ],
-#    [ s1,  s0*,  0,   -s2*],
-#    [ s2,  0,    s0*,  s1*],
-#    [ 0,   s2,  -s1,   s0 ]]
-#
-# Rows are pairwise orthogonal with common norm |s0|^2+|s1|^2+|s2|^2, which
-# is what lets the matched-filter combiner below decouple the symbols.
-
-
-def ostbc4_weights(imb: ImbalanceRatio) -> np.ndarray:
-    """Per-antenna amplitude weights: each node splits its power equally."""
-    half = math.sqrt(0.5)
-    return np.array([imb.w_B * half, imb.w_B * half, imb.w_R * half, imb.w_R * half])
-
-
-def ostbc4_encode(s0, s1, s2) -> np.ndarray:
-    """Rate-3/4 orthogonal codeword for 4 transmit antennas.
-
-    Shape (4, 4) for scalar symbols, (4, 4, ...) for array symbols.
-    """
-    s0, s1, s2 = np.broadcast_arrays(
-        *(np.asarray(s, dtype=complex) for s in (s0, s1, s2))
-    )
-    z = np.zeros_like(s0)
-    return np.array(
-        [
-            [s0, -s1.conj(), -s2.conj(), z],
-            [s1, s0.conj(), z, -s2.conj()],
-            [s2, z, s0.conj(), s1.conj()],
-            [z, s2, -s1, s0],
-        ]
-    )
-
-
-def ostbc4_transmit(codeword, channel_matrix, total_power, imb: ImbalanceRatio, noise):
-    """Received matrix Y for the 4-antenna code.
-
-    Y[j, t] = sqrt(P) * sum_i w_i H[i, j] codeword[i, t] + noise[j, t],
-    with H of shape (4, n_rx[, blocks]) and noise/Y of shape
-    (n_rx, 4[, blocks]).
-    """
-    total_power = float(total_power)
-    if not (math.isfinite(total_power) and total_power >= 0.0):
-        raise ValueError(f"total power must be finite and >= 0, got {total_power}")
-    h = np.asarray(channel_matrix, dtype=complex)
-    c = np.asarray(codeword, dtype=complex)
-    if h.shape[0] != 4 or c.shape[:2] != (4, 4):
-        raise ValueError(
-            f"expected a (4, n_rx, ...) channel and (4, 4, ...) codeword, "
-            f"got {h.shape} and {c.shape}"
-        )
-    w = ostbc4_weights(imb)
-    y = math.sqrt(total_power) * np.einsum("i,ij...,it...->jt...", w, h, c)
-    return y + np.asarray(noise, dtype=complex)
-
-
-def ostbc4_combine(y, est, imb: ImbalanceRatio):
-    """Matched-filter combining for the 4-antenna code over all rx antennas.
-
-    ``y`` has shape (n_rx, 4[, blocks]) and ``est`` (the estimated channel
-    matrix) shape (4, n_rx[, blocks]). With perfect estimates and no noise
-    each output is sqrt(P) * G * s_k with G from
-    :func:`ostbc4_effective_gain`.
-    """
-    y = np.asarray(y, dtype=complex)
-    est = np.asarray(est, dtype=complex)
-    if est.shape[0] != 4 or y.ndim < 2 or y.shape[1] != 4:
-        raise ValueError(f"dimension mismatch: y {y.shape}, est {est.shape}")
-    if est.shape[1] != y.shape[0] or est.shape[2:] != y.shape[2:]:
-        raise ValueError(f"dimension mismatch: y {y.shape}, est {est.shape}")
-    w = ostbc4_weights(imb)
-    g = w.reshape((4,) + (1,) * (est.ndim - 1)) * est
-    r0, r1, r2, r3 = (y[:, t] for t in range(4))
-    g0, g1, g2, g3 = (g[i] for i in range(4))
-    s0t = (g0.conj() * r0 + g1 * r1.conj() + g2 * r2.conj() + g3.conj() * r3).sum(axis=0)
-    s1t = (g1.conj() * r0 - g0 * r1.conj() - g3.conj() * r2 + g2 * r3.conj()).sum(axis=0)
-    s2t = (g2.conj() * r0 + g3.conj() * r1 - g0 * r2.conj() - g1 * r3.conj()).sum(axis=0)
-    return s0t, s1t, s2t
-
-
-def ostbc4_effective_gain(est, imb: ImbalanceRatio):
-    """Combined gain sum_ij w_i^2 |est[i, j]|^2 over all 8 paths."""
-    est = np.asarray(est, dtype=complex)
-    if est.shape[0] != 4:
-        raise ValueError(f"expected a (4, n_rx, ...) channel matrix, got {est.shape}")
-    w_sq = ostbc4_weights(imb) ** 2
-    per_antenna = (est.real**2 + est.imag**2).sum(axis=1)
-    out = np.einsum("i,i...->...", w_sq, per_antenna)
-    return out if getattr(out, "ndim", 0) else float(out)

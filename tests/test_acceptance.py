@@ -26,21 +26,17 @@ from coop_ostbc.numerics import (
 )
 from coop_ostbc.ostbc import (
     BPSK,
+    CODES,
     QAM16,
     QPSK,
     ImbalanceRatio,
-    alamouti_combine,
-    alamouti_encode,
+    combine,
     detect,
     effective_gain,
+    encode,
     modulate,
-    ostbc4_combine,
-    ostbc4_effective_gain,
-    ostbc4_encode,
-    ostbc4_transmit,
     transmit,
 )
-from coop_ostbc.channel import ChannelPair, EstimatedChannelPair
 
 FAST_BUDGET_S = 1.0
 SIM_BUDGET_S = 300.0
@@ -188,25 +184,20 @@ def test_c08_four_antenna_code_health_and_steeper_slope():
         8, "4x2: exact zero-noise decode; simulated slope steeper than 2x1"
     ) as c:
         # Exact recovery over 1e4 random blocks, Fig.-3-style 16QAM.
+        code = CODES["ostbc_4x2"]
         rng = RngStream(80001)
         n = 10_000
         imb = ImbalanceRatio.from_db(5.0)
         power = 10.0 ** (1.4)
         bits = rng.bits(3 * QAM16.bits_per_symbol * n)
-        syms = modulate(bits, QAM16)
+        syms = modulate(bits, QAM16).reshape(n, 3).T
         h = sample_circular_gaussian(rng, 1.0, size=(4, 2, n))
-        y = ostbc4_transmit(
-            ostbc4_encode(syms[0::3], syms[1::3], syms[2::3]),
-            h,
-            power,
-            imb,
-            np.zeros((2, 4, n), complex),
-        )
-        outs = ostbc4_combine(y, h, imb)
-        gain = math.sqrt(power) * ostbc4_effective_gain(h, imb)
-        per_sym = bits.reshape(3 * n, QAM16.bits_per_symbol)
+        y = transmit(code, encode(code, syms), h, power, imb, np.zeros((2, 4, n), complex))
+        outs = combine(code, y, h, imb)
+        gain = math.sqrt(power) * effective_gain(code, h, imb)
+        per_sym = bits.reshape(n, 3, QAM16.bits_per_symbol)
         for k in range(3):
-            assert np.array_equal(detect(outs[k], gain, QAM16), per_sym[k::3].ravel())
+            assert np.array_equal(detect(outs[k], gain, QAM16), per_sym[:, k].ravel())
 
         # Slopes inside the 10-20 dB window, beta = 0, QPSK, balanced links.
         grid = (10.0, 12.0, 14.0)
@@ -279,35 +270,33 @@ def test_c10_property_battery():
     with _Criterion(
         10, "orthogonality, power conservation, linearity, 1e6-sample moments"
     ) as c:
-        # Codeword row orthogonality over random symbol draws.
+        # Codeword row orthogonality over random symbol draws, every code.
         rng = RngStream(100001)
-        s0 = sample_circular_gaussian(rng, 1.0, size=2000)
-        s1 = sample_circular_gaussian(rng, 1.0, size=2000)
-        cw = alamouti_encode(s0, s1).codeword
-        inner = cw[0, 0] * cw[1, 0].conj() + cw[0, 1] * cw[1, 1].conj()
-        assert np.max(np.abs(inner)) < 1e-12
+        for code in CODES.values():
+            cw = encode(code, sample_circular_gaussian(rng, 1.0, size=(code.n_symbols, 2000)))
+            inner = np.einsum("t...,t...->...", cw[0], cw[1].conj())
+            assert np.max(np.abs(inner)) < 1e-12
 
         # Power conservation across the imbalance range.
         for r in np.logspace(-2, 2, 25):
-            imb = ImbalanceRatio.from_linear(float(r))
+            imb = ImbalanceRatio(float(r))
             assert imb.w_B_sq + imb.w_R_sq == 1.0
             assert abs(imb.w_B**2 + imb.w_R**2 - 1.0) < 1e-15
 
         # Real-scale linearity of the combiner.
-        est = EstimatedChannelPair(0.3 - 1.1j, -0.7 + 0.2j)
-        imb = ImbalanceRatio.from_linear(2.0)
-        y = np.array([0.9 + 0.1j, -0.4 + 1.3j])
-        b0, b1 = alamouti_combine(y, est, imb)
-        a0, a1 = alamouti_combine(3.5 * y, est, imb)
-        assert a0 == pytest.approx(3.5 * b0, rel=1e-12)
-        assert a1 == pytest.approx(3.5 * b1, rel=1e-12)
+        code = CODES["alamouti_2x1"]
+        est = np.array([[0.3 - 1.1j], [-0.7 + 0.2j]])
+        imb = ImbalanceRatio(2.0)
+        y = np.array([[0.9 + 0.1j, -0.4 + 1.3j]])
+        b = combine(code, y, est, imb)
+        a = combine(code, 3.5 * y, est, imb)
+        assert np.allclose(a, 3.5 * b, rtol=1e-12, atol=0)
 
         # Perfect-CSI conditional scale equals the weighted branch sum.
-        ch = ChannelPair(1.2 - 0.3j, 0.5 + 0.8j)
-        yq = transmit(alamouti_encode(1.0, 0.0), ch, 1.0, imb, (0.0, 0.0))
-        s0t, _ = alamouti_combine(yq, EstimatedChannelPair(ch.h_B, ch.h_R), imb)
-        g = effective_gain(ch.h_B, ch.h_R, imb)
-        assert s0t == pytest.approx(g, rel=1e-12)
+        h = np.array([[1.2 - 0.3j], [0.5 + 0.8j]])
+        yq = transmit(code, encode(code, [1.0, 0.0]), h, 1.0, imb, np.zeros((1, 2)))
+        s0t, _ = combine(code, yq, h, imb)
+        assert s0t == pytest.approx(effective_gain(code, h, imb), rel=1e-12)
 
         # Moment checks at 1e6 samples, 4-sigma tolerances.
         x = sample_circular_gaussian(RngStream(100002), 1.0, size=10**6)

@@ -1,109 +1,87 @@
+"""The link, estimation-error and noise model as the simulator draws it.
+
+Each chunk draws the channels as CN(0, 1) entries of shape
+(n_tx, n_rx, blocks), their estimates as ``hhat = h + e`` with
+``e ~ CN(0, beta)`` of the same shape, and the noise as CN(0, 1) entries
+of shape (n_rx, n_slots, blocks), all through
+:func:`coop_ostbc.numerics.sample_circular_gaussian`.
+"""
+
 import numpy as np
 import pytest
 
-from coop_ostbc.channel import (
-    decompose_model,
-    estimate_channel,
-    sample_awgn,
-    sample_channel,
-)
-from coop_ostbc.numerics import RngStream
+from coop_ostbc.numerics import RngStream, sample_circular_gaussian
+from coop_ostbc.ostbc import CODES
 
 N_STAT = 10**6
 
 
+def sample_channel(rng, n, code=CODES["alamouti_2x1"]):
+    return sample_circular_gaussian(rng, 1.0, size=(code.n_tx, code.n_rx, n))
+
+
+def estimate(rng, h, beta):
+    return h + sample_circular_gaussian(rng, beta, size=h.shape)
+
+
 def test_link_gains_have_unit_power():
-    ch = sample_channel(RngStream(101), size=N_STAT)
-    assert 0.99 <= np.mean(np.abs(ch.h_B) ** 2) <= 1.01
-    assert 0.99 <= np.mean(np.abs(ch.h_R) ** 2) <= 1.01
+    h = sample_channel(RngStream(101), N_STAT)
+    assert np.all(np.abs(np.mean(np.abs(h) ** 2, axis=-1) - 1.0) <= 0.01)
 
 
 def test_link_gains_are_independent():
-    ch = sample_channel(RngStream(102), size=N_STAT)
-    assert abs(np.mean(ch.h_B * ch.h_R.conj())) < 0.005
+    h = sample_channel(RngStream(102), N_STAT)
+    assert abs(np.mean(h[0, 0] * h[1, 0].conj())) < 0.005
 
 
 def test_channel_sampling_is_deterministic():
-    a = sample_channel(RngStream(103, 4), size=1000)
-    b = sample_channel(RngStream(103, 4), size=1000)
-    assert np.array_equal(a.h_B, b.h_B)
-    assert np.array_equal(a.h_R, b.h_R)
+    a = sample_channel(RngStream(103, 4), 1000, CODES["ostbc_4x2"])
+    b = sample_channel(RngStream(103, 4), 1000, CODES["ostbc_4x2"])
+    assert np.array_equal(a, b)
 
 
 def test_perfect_estimation_is_exact():
+    # The simulator skips the error draw at beta = 0; a zero-variance draw
+    # would leave the estimates equal to the true gains as well.
     rng = RngStream(104)
-    ch = sample_channel(rng, size=1000)
-    est = estimate_channel(rng, ch, decompose_model(0.0))
-    assert np.array_equal(est.hhat_B, ch.h_B)
-    assert np.array_equal(est.hhat_R, ch.h_R)
+    h = sample_channel(rng, 1000)
+    assert np.array_equal(estimate(rng, h, 0.0), h)
 
 
 def test_estimate_variance_grows_by_beta():
     rng = RngStream(105)
-    ch = sample_channel(rng, size=N_STAT)
-    est = estimate_channel(rng, ch, decompose_model(1.0))
-    assert 1.98 <= np.mean(np.abs(est.hhat_B) ** 2) <= 2.02
+    h = sample_channel(rng, N_STAT)
+    est = estimate(rng, h, 1.0)
+    assert 1.98 <= np.mean(np.abs(est[0, 0]) ** 2) <= 2.02
 
 
 def test_estimate_keeps_unit_cross_correlation():
     # Additive independent error leaves E[h hhat*] = E|h|^2 = 1.
     rng = RngStream(106)
-    ch = sample_channel(rng, size=N_STAT)
-    est = estimate_channel(rng, ch, decompose_model(0.5))
-    assert abs(np.mean(ch.h_B * est.hhat_B.conj()) - 1.0) < 0.01
+    h = sample_channel(rng, N_STAT)
+    est = estimate(rng, h, 0.5)
+    assert abs(np.mean(h[0, 0] * est[0, 0].conj()) - 1.0) < 0.01
 
 
 @pytest.mark.parametrize("beta", [0.25, 0.5, 1.0])
 def test_regression_form_consistency(beta):
-    # The additive-error draw must reproduce E[h hhat*]/Var(hhat) = rho.
+    # The additive-error draw reproduces E[h hhat*]/Var(hhat) = 1/(1+beta),
+    # the regression coefficient of h on its estimate.
     rng = RngStream(107)
-    model = decompose_model(beta)
-    ch = sample_channel(rng, size=N_STAT)
-    est = estimate_channel(rng, ch, model)
-    ratio = np.mean(ch.h_B * est.hhat_B.conj()) / np.mean(np.abs(est.hhat_B) ** 2)
-    assert abs(ratio - model.rho) < 0.01
-
-
-def test_decompose_perfect_csi_limit():
-    m = decompose_model(0.0)
-    assert (m.rho, m.sigma_d_sq) == (1.0, 0.0)
-
-
-def test_decompose_at_beta_one():
-    m = decompose_model(1.0)
-    assert m.rho == 0.5
-    assert m.sigma_d_sq == 0.5
-
-
-def test_decompose_small_beta():
-    m = decompose_model(0.01)
-    assert m.rho == pytest.approx(0.99009900990099, rel=1e-12)
-    assert m.sigma_d_sq == pytest.approx(0.00990099009901, rel=1e-10)
-
-
-@pytest.mark.parametrize("beta", [0.0, 1e-6, 0.01, 0.3, 1.0, 9.0])
-def test_decompose_identity_is_exact(beta):
-    m = decompose_model(beta)
-    assert m.sigma_d_sq == 1.0 - m.rho
-
-
-def test_decompose_rejects_negative_beta():
-    with pytest.raises(ValueError):
-        decompose_model(-0.1)
+    h = sample_channel(rng, N_STAT)
+    est = estimate(rng, h, beta)
+    ratio = np.mean(h[0, 0] * est[0, 0].conj()) / np.mean(np.abs(est[0, 0]) ** 2)
+    assert abs(ratio - 1.0 / (1.0 + beta)) < 0.01
 
 
 def test_awgn_unit_variance_per_entry():
-    z = sample_awgn(RngStream(108), 2 * N_STAT).reshape(-1, 2)
-    assert 0.99 <= np.mean(np.abs(z[:, 0]) ** 2) <= 1.01
-    assert 0.99 <= np.mean(np.abs(z[:, 1]) ** 2) <= 1.01
-
-
-def test_awgn_rejects_empty_vector():
-    with pytest.raises(ValueError):
-        sample_awgn(RngStream(1), 0)
+    code = CODES["alamouti_2x1"]
+    z = sample_circular_gaussian(RngStream(108), 1.0, size=(code.n_rx, code.n_slots, N_STAT))
+    assert np.all(np.abs(np.mean(np.abs(z) ** 2, axis=-1) - 1.0) <= 0.01)
 
 
 def test_awgn_is_deterministic():
     assert np.array_equal(
-        sample_awgn(RngStream(109, 3), 256), sample_awgn(RngStream(109, 3), 256)
+        sample_circular_gaussian(RngStream(109, 3), 1.0, size=(2, 4, 32)),
+        sample_circular_gaussian(RngStream(109, 3), 1.0, size=(2, 4, 32)),
     )

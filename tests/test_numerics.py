@@ -96,13 +96,6 @@ def test_rng_distinct_streams_differ():
     assert not np.array_equal(a, b)
 
 
-def test_rng_clone_replays_from_start():
-    rng = RngStream(9, 2)
-    rng.uniforms(77)  # advance
-    fresh = rng.clone().uniforms(10)
-    assert np.array_equal(fresh, RngStream(9, 2).uniforms(10))
-
-
 def test_rng_rejects_out_of_range_ids():
     with pytest.raises(ValueError):
         RngStream(-1)

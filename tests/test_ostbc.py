@@ -3,27 +3,61 @@ import math
 import numpy as np
 import pytest
 
-from coop_ostbc.channel import ChannelPair, EstimatedChannelPair
 from coop_ostbc.numerics import RngStream, sample_circular_gaussian
 from coop_ostbc.ostbc import (
     BPSK,
+    CODES,
     QAM16,
     QPSK,
     ImbalanceRatio,
-    alamouti_combine,
-    alamouti_encode,
+    combine,
     detect,
     effective_gain,
+    encode,
     modulate,
     modulation_by_name,
-    ostbc4_combine,
-    ostbc4_effective_gain,
-    ostbc4_encode,
-    ostbc4_transmit,
     transmit,
 )
 
 ALL_MODS = (BPSK, QPSK, QAM16)
+A2 = CODES["alamouti_2x1"]
+O4 = CODES["ostbc_4x2"]
+
+
+def pair(h_b, h_r):
+    """2x1 channel array (n_tx=2, n_rx=1[, blocks]) from the BS and RS gains."""
+    return np.array([[h_b], [h_r]], dtype=complex)
+
+
+def alamouti_y(y0, y1):
+    """2x1 received array (n_rx=1, n_slots=2[, blocks]) from the two slots."""
+    return np.array([[y0, y1]], dtype=complex)
+
+
+def gram_error(code, s):
+    """Largest deviation of X X^H from |s|^2 I over the blocks of ``s``."""
+    x = encode(code, s)
+    gram = np.einsum("it...,jt...->ij...", x, x.conj())
+    energy = np.sum(np.abs(s) ** 2, axis=0)
+    eye = np.eye(code.n_tx).reshape((code.n_tx, code.n_tx) + (1,) * (s.ndim - 1))
+    return np.max(np.abs(gram - energy * eye))
+
+
+def assert_zero_noise_bit_exact(code, mod, seed, r_db, gamma_db):
+    """Noise-free blocks with perfect estimates decode to the sent bits."""
+    rng = RngStream(seed)
+    n = 10_000
+    imb = ImbalanceRatio.from_db(r_db)
+    p = 10.0 ** (gamma_db / 10.0)
+    bits = rng.bits(code.n_symbols * mod.bits_per_symbol * n)
+    syms = modulate(bits, mod).reshape(n, code.n_symbols).T
+    h = sample_circular_gaussian(rng, 1.0, size=(code.n_tx, code.n_rx, n))
+    noise = np.zeros((code.n_rx, code.n_slots, n), complex)
+    s_tilde = combine(code, transmit(code, encode(code, syms), h, p, imb, noise), h, imb)
+    gain = math.sqrt(p) * effective_gain(code, h, imb)
+    per_sym = bits.reshape(n, code.n_symbols, mod.bits_per_symbol)
+    for k in range(code.n_symbols):
+        assert np.array_equal(detect(s_tilde[k], gain, mod), per_sym[:, k].ravel())
 
 
 # --- modulation ---------------------------------------------------------------
@@ -100,7 +134,7 @@ def test_roundtrip_modulate_detect_all_labels():
 
 @pytest.mark.parametrize("r", [0.01, 0.1, 1.0, 3.7, 10.0, 100.0])
 def test_power_conservation(r):
-    imb = ImbalanceRatio.from_linear(r)
+    imb = ImbalanceRatio(r)
     assert imb.w_B_sq + imb.w_R_sq == 1.0
     assert abs(imb.w_B**2 + imb.w_R**2 - 1.0) < 1e-15
 
@@ -113,38 +147,50 @@ def test_balanced_split_at_zero_db():
 
 def test_imbalance_rejects_non_positive_ratio():
     with pytest.raises(ValueError):
-        ImbalanceRatio.from_linear(0.0)
+        ImbalanceRatio(0.0)
     with pytest.raises(ValueError):
-        ImbalanceRatio.from_linear(-2.0)
+        ImbalanceRatio(-2.0)
+
+
+@pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
+def test_antennas_split_their_node_power_equally(code):
+    imb = ImbalanceRatio(3.0)
+    w_sq = code.weights(imb) ** 2
+    nodes = np.array(code.nodes)
+    assert np.sum(w_sq[nodes == "BS"]) == pytest.approx(imb.w_B_sq, rel=1e-15)
+    assert np.sum(w_sq[nodes == "RS"]) == pytest.approx(imb.w_R_sq, rel=1e-15)
+    for node in ("BS", "RS"):
+        assert np.ptp(w_sq[nodes == node]) == 0.0
 
 
 # --- Alamouti block -----------------------------------------------------------
 
 
 def test_encode_basis_symbols():
-    assert np.array_equal(alamouti_encode(1, 0).codeword, np.array([[1, 0], [0, 1]]))
-    assert np.array_equal(alamouti_encode(0, 1).codeword, np.array([[0, -1], [1, 0]]))
+    assert np.array_equal(encode(A2, [1, 0]), np.array([[1, 0], [0, 1]]))
+    assert np.array_equal(encode(A2, [0, 1]), np.array([[0, -1], [1, 0]]))
 
 
 def test_encode_rows_orthogonal_hand_case():
-    cw = alamouti_encode(1 + 1j, 1 - 1j).codeword
+    cw = encode(A2, [1 + 1j, 1 - 1j])
     assert np.vdot(cw[1], cw[0]) == 0
 
 
 def test_encode_rows_orthogonal_random():
-    rng = RngStream(31)
-    s0 = sample_circular_gaussian(rng, 1.0, size=500)
-    s1 = sample_circular_gaussian(rng, 1.0, size=500)
-    cw = alamouti_encode(s0, s1).codeword
-    inner = cw[0, 0] * cw[1, 0].conj() + cw[0, 1] * cw[1, 1].conj()
-    assert np.max(np.abs(inner)) < 1e-12
+    s = sample_circular_gaussian(RngStream(31), 1.0, size=(2, 500))
+    assert gram_error(A2, s) < 1e-12
 
 
 def test_encode_column_energy():
-    cw = alamouti_encode(2 + 1j, 0.5 - 0.25j).codeword
+    cw = encode(A2, [2 + 1j, 0.5 - 0.25j])
     e = abs(2 + 1j) ** 2 + abs(0.5 - 0.25j) ** 2
     for t in range(2):
         assert np.sum(np.abs(cw[:, t]) ** 2) == pytest.approx(e, rel=1e-15)
+
+
+def test_encode_rejects_wrong_symbol_count():
+    with pytest.raises(ValueError):
+        encode(A2, [1.0, 0.0, 0.0])
 
 
 # --- transmit / combine -------------------------------------------------------
@@ -152,77 +198,72 @@ def test_encode_column_energy():
 
 def test_transmit_hand_example():
     # Balanced links, unit channels, P = 2, (s0, s1) = (1, 0) gives (1, 1).
-    y = transmit(
-        alamouti_encode(1.0, 0.0),
-        ChannelPair(1.0, 1.0),
-        2.0,
-        ImbalanceRatio.from_linear(1.0),
-        (0.0, 0.0),
-    )
-    assert y[0] == pytest.approx(1.0, rel=1e-15)
-    assert y[1] == pytest.approx(1.0, rel=1e-15)
+    y = transmit(A2, encode(A2, [1.0, 0.0]), pair(1.0, 1.0), 2.0, ImbalanceRatio(1.0),
+                 np.zeros((1, 2)))
+    assert y[0, 0] == pytest.approx(1.0, rel=1e-15)
+    assert y[0, 1] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_transmit_dead_relay_reduces_to_single_antenna():
-    imb = ImbalanceRatio.from_linear(2.0)
+    imb = ImbalanceRatio(2.0)
     p = 5.0
     s0, s1 = 0.6 + 0.3j, -0.2 + 0.9j
-    y = transmit(alamouti_encode(s0, s1), ChannelPair(1.5 - 0.5j, 0.0), p, imb, (0.0, 0.0))
+    y = transmit(A2, encode(A2, [s0, s1]), pair(1.5 - 0.5j, 0.0), p, imb, np.zeros((1, 2)))
     scale = math.sqrt(p / (1.0 + imb.r)) * (1.5 - 0.5j)
-    assert y[0] == pytest.approx(scale * s0, rel=1e-12)
-    assert y[1] == pytest.approx(-scale * np.conj(s1), rel=1e-12)
+    assert y[0, 0] == pytest.approx(scale * s0, rel=1e-12)
+    assert y[0, 1] == pytest.approx(-scale * np.conj(s1), rel=1e-12)
 
 
 def test_transmit_zero_power_passes_noise_through():
-    noise = (0.3 + 0.1j, -0.2 - 0.7j)
-    y = transmit(
-        alamouti_encode(1.0, 1.0),
-        ChannelPair(1.0, 1.0),
-        0.0,
-        ImbalanceRatio.from_linear(1.0),
-        noise,
-    )
-    assert y[0] == noise[0]
-    assert y[1] == noise[1]
+    noise = alamouti_y(0.3 + 0.1j, -0.2 - 0.7j)
+    y = transmit(A2, encode(A2, [1.0, 1.0]), pair(1.0, 1.0), 0.0, ImbalanceRatio(1.0), noise)
+    assert np.array_equal(y, noise)
 
 
 def test_combine_hand_example():
-    imb = ImbalanceRatio.from_linear(1.0)
+    imb = ImbalanceRatio(1.0)
     s0 = (1 + 1j) / math.sqrt(2)
     s1 = (1 - 1j) / math.sqrt(2)
-    ch = ChannelPair(1.0, 1.0j)
-    y = transmit(alamouti_encode(s0, s1), ch, 1.0, imb, (0.0, 0.0))
-    s0t, s1t = alamouti_combine(y, EstimatedChannelPair(ch.h_B, ch.h_R), imb)
-    g = effective_gain(ch.h_B, ch.h_R, imb)
+    h = pair(1.0, 1.0j)
+    y = transmit(A2, encode(A2, [s0, s1]), h, 1.0, imb, np.zeros((1, 2)))
+    s0t, s1t = combine(A2, y, h, imb)
+    g = effective_gain(A2, h, imb)
     assert g == pytest.approx(1.0, rel=1e-15)
     assert s0t / g == pytest.approx(s0, rel=1e-12)
     assert s1t / g == pytest.approx(s1, rel=1e-12)
 
 
 def test_combine_zero_estimates_give_zero():
-    s0t, s1t = alamouti_combine(
-        (1.0 + 2.0j, 3.0 - 1.0j),
-        EstimatedChannelPair(0.0, 0.0),
-        ImbalanceRatio.from_linear(1.0),
-    )
+    s0t, s1t = combine(A2, alamouti_y(1.0 + 2.0j, 3.0 - 1.0j), pair(0.0, 0.0),
+                       ImbalanceRatio(1.0))
     assert s0t == 0 and s1t == 0
+
+
+def test_combine_is_the_imbalance_aware_alamouti_matrix():
+    # [s~0; s~1] = [[w_B hb*, w_R hr], [w_R hr*, -w_B hb]] . [y0; y1*]
+    rng = RngStream(39)
+    hb, hr = sample_circular_gaussian(rng, 1.0, size=2)
+    y0, y1 = sample_circular_gaussian(rng, 1.0, size=2)
+    imb = ImbalanceRatio(0.3)
+    matrix = np.array(
+        [[imb.w_B * np.conj(hb), imb.w_R * hr], [imb.w_R * np.conj(hr), -imb.w_B * hb]]
+    )
+    expected = matrix @ np.array([y0, np.conj(y1)])
+    got = combine(A2, alamouti_y(y0, y1), pair(hb, hr), imb)
+    assert np.allclose(got, expected, rtol=1e-14, atol=0)
 
 
 def test_combine_recovers_symbols_with_perfect_csi():
     rng = RngStream(32)
     n = 10_000
-    imb = ImbalanceRatio.from_linear(4.2)
+    imb = ImbalanceRatio(4.2)
     p = 3.0
-    s0 = sample_circular_gaussian(rng, 1.0, size=n)
-    s1 = sample_circular_gaussian(rng, 1.0, size=n)
-    hb = sample_circular_gaussian(rng, 1.0, size=n)
-    hr = sample_circular_gaussian(rng, 1.0, size=n)
-    ch = ChannelPair(hb, hr)
-    y = transmit(alamouti_encode(s0, s1), ch, p, imb, (np.zeros(n), np.zeros(n)))
-    s0t, s1t = alamouti_combine(y, EstimatedChannelPair(hb, hr), imb)
-    g = math.sqrt(p) * effective_gain(hb, hr, imb)
-    assert np.max(np.abs(s0t / g - s0)) < 1e-12
-    assert np.max(np.abs(s1t / g - s1)) < 1e-12
+    s = sample_circular_gaussian(rng, 1.0, size=(2, n))
+    h = sample_circular_gaussian(rng, 1.0, size=(2, 1, n))
+    y = transmit(A2, encode(A2, s), h, p, imb, np.zeros((1, 2, n)))
+    s_tilde = combine(A2, y, h, imb)
+    g = math.sqrt(p) * effective_gain(A2, h, imb)
+    assert np.max(np.abs(s_tilde / g - s)) < 1e-12
 
 
 def test_combine_is_linear_in_received_vector():
@@ -230,32 +271,25 @@ def test_combine_is_linear_in_received_vector():
     # linear over the reals in y and complex-linear in that product input
     # (a complex scale on raw y cannot commute through the conjugation).
     rng = RngStream(33)
-    est = EstimatedChannelPair(
-        sample_circular_gaussian(rng, 1.0), sample_circular_gaussian(rng, 1.0)
-    )
-    imb = ImbalanceRatio.from_linear(0.5)
-    y = np.array([0.4 - 0.2j, -1.1 + 0.8j])
-    b0, b1 = alamouti_combine(y, est, imb)
+    est = sample_circular_gaussian(rng, 1.0, size=(2, 1))
+    imb = ImbalanceRatio(0.5)
+    y = alamouti_y(0.4 - 0.2j, -1.1 + 0.8j)
+    b = combine(A2, y, est, imb)
 
     for alpha in (2.5, -0.3):
-        a0, a1 = alamouti_combine(alpha * y, est, imb)
-        assert a0 == pytest.approx(alpha * b0, rel=1e-12)
-        assert a1 == pytest.approx(alpha * b1, rel=1e-12)
+        assert np.allclose(combine(A2, alpha * y, est, imb), alpha * b, rtol=1e-12, atol=0)
 
     alpha = 1.7 - 2.2j
-    a0, a1 = alamouti_combine((alpha * y[0], np.conj(alpha) * y[1]), est, imb)
-    assert a0 == pytest.approx(alpha * b0, rel=1e-12)
-    assert a1 == pytest.approx(alpha * b1, rel=1e-12)
+    scaled = alamouti_y(alpha * y[0, 0], np.conj(alpha) * y[0, 1])
+    assert np.allclose(combine(A2, scaled, est, imb), alpha * b, rtol=1e-12, atol=0)
 
 
 def test_effective_gain_matches_weighted_branch_sum():
-    rng = RngStream(34)
-    hb = sample_circular_gaussian(rng, 1.0, size=1000)
-    hr = sample_circular_gaussian(rng, 1.0, size=1000)
+    h = sample_circular_gaussian(RngStream(34), 1.0, size=(2, 1, 1000))
+    hb, hr = h[0, 0], h[1, 0]
     for r in (0.2, 1.0, 10.0):
-        imb = ImbalanceRatio.from_linear(r)
         expected = np.abs(hb) ** 2 / (1.0 + r) + r * np.abs(hr) ** 2 / (1.0 + r)
-        assert np.max(np.abs(effective_gain(hb, hr, imb) - expected)) < 1e-12
+        assert np.max(np.abs(effective_gain(A2, h, ImbalanceRatio(r)) - expected)) < 1e-12
 
 
 # --- detection ----------------------------------------------------------------
@@ -293,101 +327,75 @@ def test_detect_rejects_non_positive_gain():
 
 @pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
 def test_zero_noise_perfect_csi_is_bit_exact_2x1(mod):
-    rng = RngStream(35)
-    n = 10_000
-    imb = ImbalanceRatio.from_db(3.7)
-    p = 10.0 ** (12.0 / 10.0)
-    bits = rng.bits(2 * mod.bits_per_symbol * n)
-    syms = modulate(bits, mod)
-    ch = ChannelPair(
-        sample_circular_gaussian(rng, 1.0, size=n),
-        sample_circular_gaussian(rng, 1.0, size=n),
-    )
-    y = transmit(alamouti_encode(syms[0::2], syms[1::2]), ch, p, imb, (0.0, 0.0))
-    s0t, s1t = alamouti_combine(y, EstimatedChannelPair(ch.h_B, ch.h_R), imb)
-    gain = math.sqrt(p) * effective_gain(ch.h_B, ch.h_R, imb)
-    per_sym = bits.reshape(2 * n, mod.bits_per_symbol)
-    assert np.array_equal(detect(s0t, gain, mod), per_sym[0::2].ravel())
-    assert np.array_equal(detect(s1t, gain, mod), per_sym[1::2].ravel())
+    assert_zero_noise_bit_exact(A2, mod, seed=35, r_db=3.7, gamma_db=12.0)
 
 
 # --- 4-antenna code -----------------------------------------------------------
 
 
 def test_ostbc4_basis_codeword_is_orthogonal():
-    cw = ostbc4_encode(1.0, 0.0, 0.0)
-    gram = cw @ cw.conj().T
-    assert np.allclose(gram, np.eye(4), atol=1e-15)
+    cw = encode(O4, [1.0, 0.0, 0.0])
+    assert np.allclose(cw @ cw.conj().T, np.eye(4), atol=1e-15)
 
 
 def test_ostbc4_defining_property_random():
-    rng = RngStream(36)
-    for _ in range(100):
-        s = sample_circular_gaussian(rng, 1.0, size=3)
-        cw = ostbc4_encode(*s)
-        gram = cw @ cw.conj().T
-        assert np.allclose(gram, np.sum(np.abs(s) ** 2) * np.eye(4), atol=1e-12)
+    s = sample_circular_gaussian(RngStream(36), 1.0, size=(3, 100))
+    assert gram_error(O4, s) < 1e-12
 
 
 def test_ostbc4_zero_input_gives_zero_matrix():
-    assert np.all(ostbc4_encode(0.0, 0.0, 0.0) == 0)
+    assert np.all(encode(O4, [0.0, 0.0, 0.0]) == 0)
 
 
 def test_ostbc4_single_path_gain():
-    imb = ImbalanceRatio.from_linear(1.0)
+    imb = ImbalanceRatio(1.0)
     h = np.zeros((4, 2), dtype=complex)
     h[0, 0] = 1.0
     s = (0.3 + 0.4j, -0.8 + 0.1j, 0.5 - 0.5j)
-    y = ostbc4_transmit(ostbc4_encode(*s), h, 1.0, imb, np.zeros((2, 4), complex))
-    outs = ostbc4_combine(y, h, imb)
+    y = transmit(O4, encode(O4, s), h, 1.0, imb, np.zeros((2, 4), complex))
+    outs = combine(O4, y, h, imb)
     for k in range(3):
         assert outs[k] == pytest.approx(imb.w_B_sq / 2.0 * s[k], rel=1e-12)
 
 
 def test_ostbc4_zero_channels_give_zero_output():
-    h = np.zeros((4, 2), dtype=complex)
-    y = np.zeros((2, 4), dtype=complex)
-    outs = ostbc4_combine(y, h, ImbalanceRatio.from_linear(2.0))
-    assert all(np.all(o == 0) for o in outs)
+    outs = combine(O4, np.zeros((2, 4), complex), np.zeros((4, 2), complex), ImbalanceRatio(2.0))
+    assert np.all(outs == 0)
 
 
 def test_ostbc4_dimension_mismatch_raises():
-    imb = ImbalanceRatio.from_linear(1.0)
+    imb = ImbalanceRatio(1.0)
     with pytest.raises(ValueError):
-        ostbc4_combine(np.zeros((2, 3), complex), np.zeros((4, 2), complex), imb)
+        combine(O4, np.zeros((2, 3), complex), np.zeros((4, 2), complex), imb)
     with pytest.raises(ValueError):
-        ostbc4_combine(np.zeros((2, 4), complex), np.zeros((3, 2), complex), imb)
+        combine(O4, np.zeros((2, 4), complex), np.zeros((3, 2), complex), imb)
     with pytest.raises(ValueError):
-        ostbc4_combine(np.zeros((2, 4), complex), np.zeros((4, 3), complex), imb)
+        combine(O4, np.zeros((2, 4), complex), np.zeros((4, 3), complex), imb)
 
 
 @pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
 def test_zero_noise_perfect_csi_is_bit_exact_4x2(mod):
-    rng = RngStream(37)
-    n = 10_000
-    imb = ImbalanceRatio.from_db(-2.5)
-    p = 10.0 ** (8.0 / 10.0)
-    bits = rng.bits(3 * mod.bits_per_symbol * n)
-    syms = modulate(bits, mod)
-    h = sample_circular_gaussian(rng, 1.0, size=(4, 2, n))
-    y = ostbc4_transmit(
-        ostbc4_encode(syms[0::3], syms[1::3], syms[2::3]),
-        h,
-        p,
-        imb,
-        np.zeros((2, 4, n), complex),
-    )
-    outs = ostbc4_combine(y, h, imb)
-    gain = math.sqrt(p) * ostbc4_effective_gain(h, imb)
-    per_sym = bits.reshape(3 * n, mod.bits_per_symbol)
-    for k in range(3):
-        assert np.array_equal(detect(outs[k], gain, mod), per_sym[k::3].ravel())
+    assert_zero_noise_bit_exact(O4, mod, seed=37, r_db=-2.5, gamma_db=8.0)
 
 
 def test_ostbc4_effective_gain_sums_weighted_paths():
-    rng = RngStream(38)
-    h = sample_circular_gaussian(rng, 1.0, size=(4, 2))
-    imb = ImbalanceRatio.from_linear(3.0)
+    h = sample_circular_gaussian(RngStream(38), 1.0, size=(4, 2))
+    imb = ImbalanceRatio(3.0)
     w_sq = np.array([imb.w_B_sq / 2] * 2 + [imb.w_R_sq / 2] * 2)
     expected = float(np.sum(w_sq[:, None] * np.abs(h) ** 2))
-    assert ostbc4_effective_gain(h, imb) == pytest.approx(expected, rel=1e-12)
+    assert effective_gain(O4, h, imb) == pytest.approx(expected, rel=1e-12)
+
+
+# --- every code in the table --------------------------------------------------
+
+
+@pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
+def test_codeword_rows_are_orthogonal(code):
+    s = sample_circular_gaussian(RngStream(40), 1.0, size=(code.n_symbols, 200))
+    assert gram_error(code, s) < 1e-12
+
+
+@pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
+@pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
+def test_zero_noise_perfect_csi_is_bit_exact(code, mod):
+    assert_zero_noise_bit_exact(code, mod, seed=41, r_db=10.0, gamma_db=3.0)
