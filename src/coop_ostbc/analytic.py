@@ -51,10 +51,18 @@ class AnalyticPoint:
 
 def ber_closed_form(p: AnalyticPoint) -> float:
     """Average bit error probability, evaluated via the stable product form."""
-    common = 2.0 * (1.0 + p.r) / (p.a_sq * p.gamma)
-    mu_m = math.sqrt(1.0 + common)
-    mu_n = math.sqrt(1.0 + common / p.r)
-    pe = 0.5 * (1.0 - 1.0 / mu_m) * (1.0 - 1.0 / mu_n) * (1.0 + 1.0 / (mu_m + mu_n))
+    c_m = 2.0 * (1.0 + p.r) / (p.a_sq * p.gamma)
+    c_n = c_m / p.r
+    mu_m = math.sqrt(1.0 + c_m)
+    mu_n = math.sqrt(1.0 + c_n)
+    # 1 - 1/mu written as c / (mu (mu + 1)), with mu^2 = 1 + c: the
+    # subtraction would cancel catastrophically as mu -> 1 at high SNR.
+    pe = (
+        0.5
+        * (c_m / (mu_m * (mu_m + 1.0)))
+        * (c_n / (mu_n * (mu_n + 1.0)))
+        * (1.0 + 1.0 / (mu_m + mu_n))
+    )
     if not math.isfinite(pe):
         raise FloatingPointError(f"non-finite error probability for {p}")
     return pe

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -61,6 +62,28 @@ def test_closed_form_extreme_imbalance_collapses_to_one_branch():
     pe = ber_closed_form(AnalyticPoint(A_SQ_BPSK, 1e8, 10.0))
     single = 0.5 * (1.0 - math.sqrt(10.0 / 11.0))
     assert pe == pytest.approx(single, abs=1e-7)
+
+
+def mp_closed_form(a_sq, r, gamma):
+    """The product form in 50-digit arithmetic, from the exact float inputs."""
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    a_sq, r, gamma = mp.mpf(a_sq), mp.mpf(r), mp.mpf(gamma)
+    common = 2 * (1 + r) / (a_sq * gamma)
+    mu_m = mp.sqrt(1 + common)
+    mu_n = mp.sqrt(1 + common / r)
+    return (1 - 1 / mu_m) * (1 - 1 / mu_n) * (1 + 1 / (mu_m + mu_n)) / 2
+
+
+@pytest.mark.parametrize("a_sq", [A_SQ_BPSK, A_SQ_QPSK])
+@pytest.mark.parametrize("r", [0.01, 1.0, 10.0])
+def test_closed_form_matches_50_digit_reference_up_to_300_db(a_sq, r):
+    for gamma_db in range(0, 301, 10):
+        gamma = 10.0 ** (gamma_db / 10.0)
+        pe = ber_closed_form(AnalyticPoint(a_sq, r, gamma))
+        assert 0.0 < pe < 0.5
+        ref = mp_closed_form(a_sq, r, gamma)
+        assert abs(pe / ref - 1) <= 2e-15, gamma_db
 
 
 @pytest.mark.parametrize("a_sq", [A_SQ_BPSK, A_SQ_QPSK])
