@@ -32,6 +32,7 @@ from .montecarlo import (
     DEFAULT_MIN_ERRORS,
     SweepSpec,
     analytic_ber,
+    has_closed_form,
     run_sweep,
     sweep_cells,
 )
@@ -59,7 +60,18 @@ CSV_HEADER = [
 ]
 
 WORKERS_ENV = "COOP_OSTBC_WORKERS"
-ANALYTIC_MODULATIONS = ("BPSK", "QPSK")
+SPEC_KEYS = (
+    "schemes",
+    "modulations",
+    "gamma_db",
+    "r_db",
+    "beta",
+    "seed",
+    "min_errors",
+    "max_bits",
+    "workers",
+    "output",
+)
 GAP_TARGET_BER = 1e-2
 GAP_R_DB = (0.0, 10.0)
 SLOPE_GAMMA_DB = (40.0, 45.0, 50.0)
@@ -130,30 +142,46 @@ def _resolve_workers(args, filedata: dict) -> int:
     return 1
 
 
-def _build_spec(args, require_gamma: bool = True) -> SweepSpec:
-    """Merge JSON file and flags (flags win) into a validated SweepSpec."""
+def _build_spec(args) -> SweepSpec:
+    """Merge JSON file and flags (flags win) into a validated SweepSpec.
+
+    Every check runs here, before any cell is simulated, and fails as a
+    usage error.
+    """
     filedata = _load_spec_file(args.spec) if args.spec else {}
+    unknown = sorted(set(filedata) - set(SPEC_KEYS))
+    if unknown:
+        raise UsageError(
+            f"unknown key(s) {', '.join(unknown)} in {args.spec}; "
+            f"expected {', '.join(SPEC_KEYS)}"
+        )
 
     def pick(flag_value, key, default):
         if flag_value is not None:
             return flag_value
         return filedata.get(key, default)
 
+    def grid(flag_value, key, default) -> list[float]:
+        values = pick(flag_value, key, default)
+        if isinstance(values, list):
+            try:
+                return [float(v) for v in values]
+            except (TypeError, ValueError):
+                pass
+        raise UsageError(f"{key} must be a list of numbers, got {values!r}")
+
     schemes = pick(args.scheme, "schemes", ["alamouti_2x1"])
     modulations = pick(args.modulation, "modulations", ["QPSK"])
-    gamma_db = [float(g) for g in pick(args.gamma_db, "gamma_db", [])]
-    r_db = [float(r) for r in pick(args.r_db, "r_db", [0.0])]
-    beta = [float(b) for b in pick(args.beta, "beta", [0.0])]
-    seed = int(pick(args.seed, "seed", 1))
-    min_errors = int(pick(args.min_errors, "min_errors", DEFAULT_MIN_ERRORS))
-    max_bits = int(pick(args.max_bits, "max_bits", DEFAULT_MAX_BITS))
+    gamma_db = grid(args.gamma_db, "gamma_db", [])
+    r_db = grid(args.r_db, "r_db", [0.0])
+    beta = grid(args.beta, "beta", [0.0])
     output = pick(args.output, "output", None)
 
     if isinstance(schemes, str):
         schemes = [schemes]
     if isinstance(modulations, str):
         modulations = [modulations]
-    if require_gamma and not gamma_db:
+    if not gamma_db:
         raise UsageError("no SNR grid given; set --gamma-db or 'gamma_db' in the spec file")
     if gamma_db != sorted(gamma_db) or len(set(gamma_db)) != len(gamma_db):
         print(
@@ -167,14 +195,31 @@ def _build_spec(args, require_gamma: bool = True) -> SweepSpec:
             gamma_db=tuple(gamma_db),
             r_db=tuple(r_db),
             beta=tuple(beta),
-            seed=seed,
-            min_errors=min_errors,
-            max_bits=max_bits,
+            seed=int(pick(args.seed, "seed", 1)),
+            min_errors=int(pick(args.min_errors, "min_errors", DEFAULT_MIN_ERRORS)),
+            max_bits=int(pick(args.max_bits, "max_bits", DEFAULT_MAX_BITS)),
             workers=_resolve_workers(args, filedata),
             output_path=output,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
+
+
+def _require_closed_form(spec: SweepSpec, quantifier) -> None:
+    """Usage error unless the closed form covers every scheme and modulation.
+
+    ``quantifier`` says over which betas of the grid: ``all`` for a grid
+    of closed-form values, ``any`` for a comparison against them.
+    """
+    for scheme in spec.schemes:
+        for mod_name in spec.modulations:
+            mod = modulation_by_name(mod_name)
+            if not quantifier(has_closed_form(scheme, mod, b) for b in spec.beta):
+                betas = ", ".join(_fmt(b) for b in spec.beta)
+                raise UsageError(
+                    f"no closed form for {scheme} {mod.name} at beta {betas}; "
+                    "use 'simulate' for it"
+                )
 
 
 def _write_csv(path: str | None, rows: list[list[str]]) -> None:
@@ -200,27 +245,9 @@ def _write_csv(path: str | None, rows: list[list[str]]) -> None:
 # --- analytic ----------------------------------------------------------------
 
 
-def _check_analytic_grid(spec: SweepSpec) -> None:
-    bad_mods = [m for m in spec.modulations if m.upper() not in ANALYTIC_MODULATIONS]
-    if bad_mods:
-        raise UsageError(
-            f"no closed form for {', '.join(bad_mods)}; use 'simulate' for it"
-        )
-    if any(b != 0.0 for b in spec.beta):
-        raise UsageError(
-            "no closed form under channel estimation errors (beta > 0); "
-            "use 'simulate' for that regime"
-        )
-    if any(s != "alamouti_2x1" for s in spec.schemes):
-        raise UsageError(
-            "the closed form covers the alamouti_2x1 scheme only; "
-            "use 'simulate' for ostbc_4x2"
-        )
-
-
 def cmd_analytic(args) -> int:
     spec = _build_spec(args)
-    _check_analytic_grid(spec)
+    _require_closed_form(spec, all)
     rows = []
     for scheme, mod_name, r_db, beta, gamma_db in sweep_cells(spec):
         mod = modulation_by_name(mod_name)
@@ -382,16 +409,7 @@ def build_validation_report(result) -> ValidationReport:
 
 def cmd_validate(args) -> int:
     spec = _build_spec(args)
-    bad_mods = [m for m in spec.modulations if m.upper() not in ANALYTIC_MODULATIONS]
-    if bad_mods:
-        raise UsageError(
-            f"validate compares against the closed form; {', '.join(bad_mods)} "
-            "has none (use 'simulate')"
-        )
-    if 0.0 not in spec.beta:
-        raise UsageError("validate needs beta = 0 rows to compare with the closed form")
-    if any(s != "alamouti_2x1" for s in spec.schemes):
-        raise UsageError("validate covers the alamouti_2x1 scheme only")
+    _require_closed_form(spec, any)
     result = run_sweep(spec)
     report = build_validation_report(result)
     _write_csv(spec.output_path, _result_rows(result))

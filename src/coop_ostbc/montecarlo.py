@@ -31,6 +31,7 @@ __all__ = [
     "merge",
     "run_point",
     "derive_seed",
+    "has_closed_form",
     "SweepSpec",
     "SweepRow",
     "SweepResult",
@@ -231,6 +232,13 @@ class SweepSpec:
             if not values:
                 raise ValueError(f"{name} must be non-empty")
             object.__setattr__(self, name, values)
+        for name in ("gamma_db", "r_db", "beta"):
+            if not all(math.isfinite(float(v)) for v in getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {list(getattr(self, name))}")
+        if min(self.beta) < 0.0:
+            raise ValueError(f"beta must be >= 0, got {list(self.beta)}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(
             self, "gamma_db", tuple(sorted(set(float(g) for g in self.gamma_db)))
         )
@@ -272,10 +280,26 @@ def sweep_cells(spec: SweepSpec):
     return sorted(cells)
 
 
+def has_closed_form(scheme: str, mod: ostbc.Modulation, beta: float) -> bool:
+    """Whether the closed form covers a cell.
+
+    It is derived for one transmit antenna at each node and one receive
+    antenna, a modulation with an ``a_constant`` (BPSK, QPSK) and perfect
+    channel estimates.
+    """
+    code = ostbc.CODES[scheme]
+    return (
+        code.nodes == ("BS", "RS")
+        and code.n_rx == 1
+        and mod.a_constant is not None
+        and beta == 0.0
+    )
+
+
 def analytic_ber(scheme: str, mod: ostbc.Modulation, r_db: float, beta: float,
                  gamma_db: float) -> float | None:
-    """Closed-form BER where it exists: 2x1 scheme, BPSK/QPSK, beta == 0."""
-    if scheme != "alamouti_2x1" or beta != 0.0 or mod.a_constant is None:
+    """Closed-form BER where :func:`has_closed_form` holds, else None."""
+    if not has_closed_form(scheme, mod, beta):
         return None
     point = analytic.AnalyticPoint(
         a_sq=mod.a_constant**2,

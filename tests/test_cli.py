@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from coop_ostbc import cli
+from coop_ostbc import cli, montecarlo
 
 
 def read_csv(path):
@@ -165,6 +165,61 @@ def test_bad_workers_env_is_a_usage_error(tmp_path, monkeypatch, capsys):
 def test_unknown_scheme_is_usage_error(capsys):
     rc = run(["simulate", "--scheme", "mimo_9x9", "--gamma-db", "0"])
     assert rc == 1
+
+
+# --- spec validation --------------------------------------------------------------
+
+
+@pytest.fixture
+def no_compute(monkeypatch):
+    """Fail the test if any chunk is simulated."""
+
+    def chunk(*args):
+        raise AssertionError("a chunk was simulated")
+
+    monkeypatch.setattr(montecarlo, "_simulate_chunk", chunk)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"modulation": "BPSK", "gamma_db": [4]}, "unknown key(s) modulation"),
+        ({"gamma_db": "abc"}, "gamma_db must be a list of numbers"),
+        ({"gamma_db": [4], "r_db": 10}, "r_db must be a list of numbers"),
+        ({"gamma_db": [float("nan")]}, "gamma_db must be finite"),
+        ({"gamma_db": [4], "r_db": [float("inf")]}, "r_db must be finite"),
+        ({"gamma_db": [4], "beta": [float("nan")]}, "beta must be finite"),
+        ({"gamma_db": [4], "workers": 0}, "workers must be >= 1"),
+    ],
+    ids=["unknown-key", "string-grid", "scalar-grid", "nan-gamma", "inf-r", "nan-beta",
+         "zero-workers"],
+)
+def test_bad_spec_file_is_usage_error_before_any_compute(tmp_path, capsys, no_compute,
+                                                         spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run(["simulate", "--spec", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--gamma-db", "nan"],
+        ["--gamma-db", "4", "--r-db", "inf"],
+        ["--gamma-db", "4", "--beta", "nan"],
+        ["--gamma-db", "4", "--workers", "0"],
+    ],
+    ids=["nan-gamma", "inf-r", "nan-beta", "zero-workers"],
+)
+def test_bad_flag_value_is_usage_error_before_any_compute(no_compute, flags):
+    assert run(["simulate"] + flags) == 1
+
+
+@pytest.mark.parametrize("command", ["analytic", "validate"])
+def test_closed_form_commands_reject_ostbc_4x2(capsys, command):
+    assert run([command, "--scheme", "ostbc_4x2", "--gamma-db", "0,5"]) == 1
+    assert "simulate" in capsys.readouterr().err
 
 
 # --- validate -------------------------------------------------------------------
