@@ -60,18 +60,8 @@ CSV_HEADER = [
 ]
 
 WORKERS_ENV = "COOP_OSTBC_WORKERS"
-SPEC_KEYS = (
-    "schemes",
-    "modulations",
-    "gamma_db",
-    "r_db",
-    "beta",
-    "seed",
-    "min_errors",
-    "max_bits",
-    "workers",
-    "output",
-)
+SPEC_KEYS = ("schemes", "modulations", "gamma_db", "r_db", "beta", "seed",
+             "min_errors", "max_bits", "workers", "output")
 GAP_TARGET_BER = 1e-2
 GAP_R_DB = (0.0, 10.0)
 SLOPE_GAMMA_DB = (40.0, 45.0, 50.0)
@@ -128,11 +118,18 @@ def _load_spec_file(path: str) -> dict:
     return data
 
 
+def _integer(value, key: str) -> int:
+    """An integral spec value; a fractional number is refused, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise UsageError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _resolve_workers(args, filedata: dict) -> int:
     if args.workers is not None:
         return args.workers
     if "workers" in filedata:
-        return int(filedata["workers"])
+        return _integer(filedata["workers"], "workers")
     env = os.environ.get(WORKERS_ENV)
     if env is not None:
         try:
@@ -195,9 +192,10 @@ def _build_spec(args) -> SweepSpec:
             gamma_db=tuple(gamma_db),
             r_db=tuple(r_db),
             beta=tuple(beta),
-            seed=int(pick(args.seed, "seed", 1)),
-            min_errors=int(pick(args.min_errors, "min_errors", DEFAULT_MIN_ERRORS)),
-            max_bits=int(pick(args.max_bits, "max_bits", DEFAULT_MAX_BITS)),
+            seed=_integer(pick(args.seed, "seed", 1), "seed"),
+            min_errors=_integer(pick(args.min_errors, "min_errors", DEFAULT_MIN_ERRORS),
+                                "min_errors"),
+            max_bits=_integer(pick(args.max_bits, "max_bits", DEFAULT_MAX_BITS), "max_bits"),
             workers=_resolve_workers(args, filedata),
             output_path=output,
         )

@@ -239,6 +239,8 @@ class SweepSpec:
             raise ValueError(f"beta must be >= 0, got {list(self.beta)}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.min_errors < 1:
+            raise ValueError(f"min_errors must be >= 1, got {self.min_errors}")
         object.__setattr__(
             self, "gamma_db", tuple(sorted(set(float(g) for g in self.gamma_db)))
         )
@@ -246,7 +248,12 @@ class SweepSpec:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}; expected {SCHEMES}")
         for m in self.modulations:
-            ostbc.modulation_by_name(m)
+            bps = ostbc.modulation_by_name(m).bits_per_symbol
+            if self.max_bits < bps:
+                raise ValueError(
+                    f"max_bits must be at least one {m} symbol ({bps} bits), "
+                    f"got {self.max_bits}"
+                )
 
 
 @dataclass(frozen=True)

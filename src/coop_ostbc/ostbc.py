@@ -279,7 +279,8 @@ def combine(code: SpaceTimeCode, y, est, imb: ImbalanceRatio) -> np.ndarray:
     per_rx = np.zeros((code.n_symbols,) + y.shape[:1] + y.shape[2:], dtype=complex)
     for i, t, k, conjugate, sign in code.entries:
         term = g[i] * y_conj[:, t] if conjugate else g_conj[i] * y[:, t]
-        per_rx[k] += sign * term
+        accumulate = np.add if sign > 0 else np.subtract
+        accumulate(per_rx[k], term, out=per_rx[k])
     return per_rx.sum(axis=1)
 
 

@@ -190,9 +190,11 @@ def no_compute(monkeypatch):
         ({"gamma_db": [4], "r_db": [float("inf")]}, "r_db must be finite"),
         ({"gamma_db": [4], "beta": [float("nan")]}, "beta must be finite"),
         ({"gamma_db": [4], "workers": 0}, "workers must be >= 1"),
+        ({"gamma_db": [4], "seed": 1.7}, "seed must be an integer"),
+        ({"gamma_db": [4], "workers": 2.5}, "workers must be an integer"),
     ],
     ids=["unknown-key", "string-grid", "scalar-grid", "nan-gamma", "inf-r", "nan-beta",
-         "zero-workers"],
+         "zero-workers", "fractional-seed", "fractional-workers"],
 )
 def test_bad_spec_file_is_usage_error_before_any_compute(tmp_path, capsys, no_compute,
                                                          spec, message):
@@ -209,8 +211,11 @@ def test_bad_spec_file_is_usage_error_before_any_compute(tmp_path, capsys, no_co
         ["--gamma-db", "4", "--r-db", "inf"],
         ["--gamma-db", "4", "--beta", "nan"],
         ["--gamma-db", "4", "--workers", "0"],
+        ["--gamma-db", "4", "--min-errors", "0"],
+        ["--gamma-db", "4", "--modulation", "BPSK,QAM16", "--max-bits", "2"],
     ],
-    ids=["nan-gamma", "inf-r", "nan-beta", "zero-workers"],
+    ids=["nan-gamma", "inf-r", "nan-beta", "zero-workers", "zero-min-errors",
+         "max-bits-below-a-symbol"],
 )
 def test_bad_flag_value_is_usage_error_before_any_compute(no_compute, flags):
     assert run(["simulate"] + flags) == 1
