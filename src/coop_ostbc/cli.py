@@ -345,7 +345,10 @@ class ValidationReport:
                     f"r={GAP_R_DB[0]:g} dB and r={GAP_R_DB[1]:g} dB: {gap:.2f} dB"
                 )
         for (mod, r_db), slope in sorted(self.slopes.items()):
-            lines.append(f"{mod} r={r_db:g} dB: high-SNR diversity slope {slope:.3f}")
+            lines.append(
+                f"{mod} r={r_db:g} dB: analytic high-SNR diversity slope "
+                f"({SLOPE_GAMMA_DB[0]:g}-{SLOPE_GAMMA_DB[-1]:g} dB) {slope:.3f}"
+            )
         return "\n".join(lines)
 
 
@@ -519,11 +522,12 @@ def _add_grid_options(sub, include_sim: bool) -> None:
     if include_sim:
         sub.add_argument("--min-errors", type=int, help="stop after this many bit errors")
         sub.add_argument("--max-bits", type=int, help="hard cap on simulated bits")
-    sub.add_argument(
-        "--workers",
-        type=int,
-        help=f"concurrent chunk workers (default ${WORKERS_ENV} or 1)",
-    )
+        sub.add_argument(
+            "--workers",
+            type=int,
+            help="grid cells simulated at a time, each running its chunks serially "
+            f"(default ${WORKERS_ENV} or 1)",
+        )
 
 
 def _build_parser() -> _Parser:
@@ -534,7 +538,10 @@ def _build_parser() -> _Parser:
         "analytic", help="closed-form BER grid (BPSK/QPSK, beta = 0)"
     )
     _add_grid_options(p_analytic, include_sim=False)
-    p_analytic.set_defaults(func=cmd_analytic, min_errors=None, max_bits=None)
+    # A fixed worker count: analytic simulates nothing, so it reads neither
+    # the spec's "workers" nor the environment.
+    p_analytic.set_defaults(func=cmd_analytic, min_errors=None, max_bits=None,
+                            workers=1)
 
     p_sim = commands.add_parser("simulate", help="Monte Carlo BER grid")
     _add_grid_options(p_sim, include_sim=True)

@@ -2,15 +2,16 @@
 
 Work is split into fixed-size chunks of fading blocks. Chunk ``k`` of a
 point draws everything it needs from ``RngStream(point.seed, k)``, so the
-random plan is a pure function of the point: results are bit-identical
-for any worker count and chunks can run concurrently without shared
-state. A point stops after the first chunk at which the cumulative error
-count reaches ``min_errors`` or the cumulative bit count reaches
-``max_bits``, scanning chunks in index order.
+random plan is a pure function of the point. A point runs its chunks
+serially in index order and stops after the first chunk at which the
+cumulative error count reaches ``min_errors`` or the cumulative bit count
+reaches ``max_bits``.
 
 Sweeps derive one seed per grid cell from the sweep seed and the cell
 parameters, so a cell's estimate does not depend on which other cells
-are present in the grid.
+are present in the grid. A sweep runs its cells ``workers`` at a time on
+one thread pool; each cell is a pure function of its seed, so the results
+are bit-identical for any worker count. A one-cell sweep uses one thread.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "SCHEMES",
     "SimPoint",
     "BerEstimate",
-    "merge",
     "run_point",
     "derive_seed",
     "has_closed_form",
@@ -58,7 +58,6 @@ class SimPoint:
     seed: int
     min_errors: int = DEFAULT_MIN_ERRORS
     max_bits: int = DEFAULT_MAX_BITS
-    chunk_blocks: int = DEFAULT_CHUNK_BLOCKS
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -74,8 +73,6 @@ class SimPoint:
                 f"max_bits must be at least one symbol ({self.mod.bits_per_symbol} "
                 f"bits), got {self.max_bits}"
             )
-        if self.chunk_blocks < 1:
-            raise ValueError(f"chunk_blocks must be >= 1, got {self.chunk_blocks}")
 
     @property
     def bits_per_block(self) -> int:
@@ -105,27 +102,10 @@ class BerEstimate:
         lo, hi = wilson_interval(errors, bits, CONFIDENCE)
         return cls(bits, errors, errors / bits, lo, hi, seed, streams_used)
 
-    @classmethod
-    def zero(cls) -> "BerEstimate":
-        """Identity element for :func:`merge`."""
-        return cls(0, 0, 0.0, 0.0, 1.0, 0, 0)
-
-
-def merge(a: BerEstimate, b: BerEstimate) -> BerEstimate:
-    """Pool two partial estimates of the same point (associative, commutative)."""
-    if a.bits and b.bits and a.seed != b.seed:
-        raise ValueError(
-            f"refusing to merge estimates from different seeds ({a.seed}, {b.seed})"
-        )
-    seed = a.seed if a.bits else b.seed
-    return BerEstimate.from_counts(
-        a.bits + b.bits, a.errors + b.errors, seed, a.streams_used + b.streams_used
-    )
-
 
 def _chunk_blocks(point: SimPoint) -> int:
     needed = -(-point.max_bits // point.bits_per_block)  # ceil division
-    return min(point.chunk_blocks, needed)
+    return min(DEFAULT_CHUNK_BLOCKS, needed)
 
 
 def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int]:
@@ -163,44 +143,14 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int]:
     return tx_bits.size, errors
 
 
-def run_point(point: SimPoint, workers: int = 1) -> BerEstimate:
-    """Estimate the BER of one point with the adaptive stopping rule.
-
-    The stopping chunk is found by scanning cumulative counts in chunk
-    order, so the result is identical for every ``workers`` value; extra
-    chunks a parallel wave may have computed past the stopping chunk are
-    discarded.
-    """
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-    bits = 0
-    errors = 0
-    streams = 0
-
-    def done() -> bool:
-        return errors >= point.min_errors or bits >= point.max_bits
-
-    if workers == 1:
-        while not done():
-            b, e = _simulate_chunk(point, streams)
-            bits += b
-            errors += e
-            streams += 1
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            next_chunk = 0
-            while not done():
-                wave = range(next_chunk, next_chunk + workers)
-                results = list(pool.map(lambda k: _simulate_chunk(point, k), wave))
-                next_chunk += workers
-                for b, e in results:
-                    bits += b
-                    errors += e
-                    streams += 1
-                    if done():
-                        break
+def run_point(point: SimPoint) -> BerEstimate:
+    """Estimate the BER of one point with the adaptive stopping rule."""
+    bits = errors = streams = 0
+    while errors < point.min_errors and bits < point.max_bits:
+        b, e = _simulate_chunk(point, streams)
+        bits += b
+        errors += e
+        streams += 1
     return BerEstimate.from_counts(bits, errors, point.seed, streams)
 
 
@@ -316,16 +266,16 @@ def analytic_ber(scheme: str, mod: ostbc.Modulation, r_db: float, beta: float,
     return analytic.ber_closed_form(point)
 
 
-def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
-    """Run every grid cell and pair it with the analytic value where defined."""
-    if workers is None:
-        workers = spec.workers
-    rows = []
-    for scheme, mod_name, r_db, beta, gamma_db in sweep_cells(spec):
-        mod = ostbc.modulation_by_name(mod_name)
-        point = SimPoint(
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Run every grid cell and pair it with the analytic value where defined.
+
+    Cells run ``spec.workers`` at a time; the rows come back in
+    :func:`sweep_cells` order whatever order the cells finish in.
+    """
+    points = [
+        SimPoint(
             scheme=scheme,
-            mod=mod,
+            mod=ostbc.modulation_by_name(mod_name),
             gamma_db=gamma_db,
             r_db=r_db,
             beta=beta,
@@ -333,15 +283,20 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
             min_errors=spec.min_errors,
             max_bits=spec.max_bits,
         )
-        rows.append(
-            SweepRow(
-                scheme=scheme,
-                modulation=mod_name,
-                r_db=r_db,
-                beta=beta,
-                gamma_db=gamma_db,
-                ber_analytic=analytic_ber(scheme, mod, r_db, beta, gamma_db),
-                estimate=run_point(point, workers),
-            )
+        for scheme, mod_name, r_db, beta, gamma_db in sweep_cells(spec)
+    ]
+    with ThreadPoolExecutor(max_workers=spec.workers) as pool:
+        estimates = list(pool.map(run_point, points))
+    rows = [
+        SweepRow(
+            scheme=p.scheme,
+            modulation=p.mod.name,
+            r_db=p.r_db,
+            beta=p.beta,
+            gamma_db=p.gamma_db,
+            ber_analytic=analytic_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db),
+            estimate=estimate,
         )
+        for p, estimate in zip(points, estimates)
+    ]
     return SweepResult(spec=spec, rows=tuple(rows))

@@ -162,6 +162,13 @@ def test_bad_workers_env_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert cli.WORKERS_ENV in capsys.readouterr().err
 
 
+def test_analytic_does_not_read_workers_env(monkeypatch, capsys):
+    monkeypatch.setenv(cli.WORKERS_ENV, "many")
+    assert run(["analytic", "--gamma-db", "0"]) == 0
+    assert run(["simulate", "--gamma-db", "0"]) == 1
+    assert cli.WORKERS_ENV in capsys.readouterr().err
+
+
 def test_unknown_scheme_is_usage_error(capsys):
     rc = run(["simulate", "--scheme", "mimo_9x9", "--gamma-db", "0"])
     assert rc == 1
@@ -254,7 +261,7 @@ def test_validate_reports_coverage_and_gap(tmp_path, capsys):
     assert "coverage:" in text
     assert "SNR gap at BER 0.01" in text
     assert "not computable" not in text
-    assert "diversity slope" in text
+    assert "analytic high-SNR diversity slope (40-50 dB)" in text
     rows = read_csv(out)
     assert len(rows) == 2 * len(range(0, 25, 2))
 

@@ -5,11 +5,9 @@ import pytest
 
 from coop_ostbc.analytic import AnalyticPoint, ber_closed_form, diversity_slope
 from coop_ostbc.montecarlo import (
-    BerEstimate,
     SimPoint,
     SweepSpec,
     derive_seed,
-    merge,
     run_point,
     run_sweep,
     sweep_cells,
@@ -46,38 +44,12 @@ def test_estimation_errors_dominate_at_high_snr():
     assert noisy_csi.ber > 10.0 * clean.ber
 
 
-def test_merge_identity_element():
-    a = BerEstimate.from_counts(10_000, 37, seed=5, streams_used=2)
-    assert merge(a, BerEstimate.zero()) == a
-    assert merge(BerEstimate.zero(), a) == a
-
-
-def test_merge_sums_counts_and_is_associative():
-    a = BerEstimate.from_counts(1000, 10, seed=5, streams_used=1)
-    b = BerEstimate.from_counts(4000, 11, seed=5, streams_used=2)
-    c = BerEstimate.from_counts(2500, 3, seed=5, streams_used=1)
-    ab = merge(a, b)
-    assert ab.errors == 21 and ab.bits == 5000
-    assert ab.ber == pytest.approx(21 / 5000)
-    assert ab.ci_lo <= ab.ber <= ab.ci_hi
-    assert merge(merge(a, b), c) == merge(a, merge(b, c))
-    assert merge(a, b) == merge(b, a)
-
-
-def test_merge_rejects_mixed_seeds():
-    a = BerEstimate.from_counts(1000, 10, seed=5, streams_used=1)
-    b = BerEstimate.from_counts(1000, 10, seed=6, streams_used=1)
-    with pytest.raises(ValueError):
-        merge(a, b)
-
-
 def test_run_point_is_deterministic_and_worker_invariant():
+    # A point runs its chunks serially, so it has no worker count; the
+    # worker invariance of whole sweeps is checked through the CLI
+    # (test_golden, test_simulate_workers_do_not_change_bytes, c09).
     point = SimPoint("alamouti_2x1", QPSK, 8.0, 3.0, 0.02, seed=2004, min_errors=150)
-    first = run_point(point, workers=1)
-    again = run_point(point, workers=1)
-    wide = run_point(point, workers=4)
-    assert first == again
-    assert first == wide
+    assert run_point(point) == run_point(point)
 
 
 def test_run_point_respects_max_bits():
@@ -231,8 +203,7 @@ def test_empirical_diversity_slope_matches_analysis():
                 seed=2008,
                 min_errors=100,
                 max_bits=4 * 10**7,
-            ),
-            workers=2,
+            )
         )
         assert est.errors > 0
         points.append((10.0 ** (gamma_db / 10.0), est.ber))
