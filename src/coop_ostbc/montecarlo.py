@@ -22,6 +22,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from . import analytic, ostbc
 from .numerics import RngStream, sample_circular_gaussian, wilson_interval
 
@@ -115,6 +117,11 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int]:
     (n_tx, n_rx, blocks), then the estimation errors of the same shape
     (skipped entirely when beta == 0, where the estimates equal the true
     channels), then the noise (n_rx, n_slots, blocks).
+
+    The data bits run block by block, symbol by symbol, MSB first. One
+    :func:`ostbc.detect` call on the combiner output laid out as (blocks,
+    n_symbols) returns the decisions in that same order, so the errors are
+    one comparison against the transmitted bits.
     """
     code = ostbc.CODES[point.scheme]
     rng = RngStream(point.seed, chunk_index)
@@ -135,12 +142,8 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int]:
     y = ostbc.transmit(code, x, h, power, imb, noise)
     s_tilde = ostbc.combine(code, y, est, imb)
     gain = math.sqrt(power) * ostbc.effective_gain(code, est, imb)
-    per_sym = tx_bits.reshape(n, code.n_symbols, bps)
-    errors = 0
-    for k in range(code.n_symbols):
-        rx = ostbc.detect(s_tilde[k], gain, point.mod)
-        errors += int((rx != per_sym[:, k].ravel()).sum())
-    return tx_bits.size, errors
+    rx_bits = ostbc.detect(s_tilde.T, gain[:, None], point.mod)
+    return tx_bits.size, int(np.count_nonzero(rx_bits != tx_bits))
 
 
 def run_point(point: SimPoint) -> BerEstimate:

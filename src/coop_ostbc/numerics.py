@@ -58,16 +58,31 @@ class RngStream:
 
     def bits(self, n: int) -> np.ndarray:
         """n equiprobable bits as a uint8 array."""
-        return (self._gen.random(int(n)) < 0.5).astype(np.uint8)
+        return (self._gen.random(int(n)) < 0.5).view(np.uint8)
 
     def normal_pairs(self, size=None):
-        """Two independent N(0,1) arrays via one Box-Muller transform."""
-        u1 = self._gen.random(size)
-        u2 = self._gen.random(size)
+        """Two independent N(0,1) arrays via one Box-Muller transform.
+
+        With radius sqrt(-2 log(1 - u1)) and angle 2 pi u2 from two uniform
+        draws, the pair is (radius cos(angle), radius sin(angle)). The
+        transform runs in place on the two uniform buffers; ``size=None``
+        gives two floats.
+        """
+        u1 = np.asarray(self._gen.random(size))
+        u2 = np.asarray(self._gen.random(size))
         # 1 - u1 lies in (0, 1], so the log is finite.
-        rad = np.sqrt(-2.0 * np.log1p(-u1))
-        ang = (2.0 * math.pi) * u2
-        return rad * np.cos(ang), rad * np.sin(ang)
+        rad = np.negative(u1, out=u1)
+        np.log1p(rad, out=rad)
+        np.multiply(rad, -2.0, out=rad)
+        np.sqrt(rad, out=rad)
+        ang = np.multiply(u2, 2.0 * math.pi, out=u2)
+        x = np.cos(ang)
+        y = np.sin(ang, out=ang)
+        x *= rad
+        y *= rad
+        if size is None:
+            return float(x), float(y)
+        return x, y
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -126,9 +141,11 @@ def sample_circular_gaussian(rng: RngStream, variance: float, size=None):
         raise ValueError(f"variance must be finite and >= 0, got {variance}")
     re, im = rng.normal_pairs(size)
     scale = math.sqrt(variance / 2.0)
-    out = scale * (re + 1j * im)
     if size is None:
-        return complex(out)
+        return complex(scale * re, scale * im)
+    out = np.empty(re.shape, dtype=complex)
+    np.multiply(re, scale, out=out.real)
+    np.multiply(im, scale, out=out.imag)
     return out
 
 

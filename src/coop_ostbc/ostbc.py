@@ -276,12 +276,19 @@ def combine(code: SpaceTimeCode, y, est, imb: ImbalanceRatio) -> np.ndarray:
         raise ValueError(f"dimension mismatch for {code.name}: y {y.shape}, est {est.shape}")
     g = _weighted(code, est, imb)
     g_conj, y_conj = g.conj(), y.conj()
-    per_rx = np.zeros((code.n_symbols,) + y.shape[:1] + y.shape[2:], dtype=complex)
+    per_rx = np.empty((code.n_symbols,) + y.shape[:1] + y.shape[2:], dtype=complex)
+    started = set()
     for i, t, k, conjugate, sign in code.entries:
-        term = g[i] * y_conj[:, t] if conjugate else g_conj[i] * y[:, t]
-        accumulate = np.add if sign > 0 else np.subtract
-        accumulate(per_rx[k], term, out=per_rx[k])
-    return per_rx.sum(axis=1)
+        a, b = (g[i], y_conj[:, t]) if conjugate else (g_conj[i], y[:, t])
+        if k in started:
+            accumulate = np.add if sign > 0 else np.subtract
+            accumulate(per_rx[k], a * b, out=per_rx[k])
+        else:  # the first entry of s_k is written, not added to zeros
+            started.add(k)
+            np.multiply(a, b, out=per_rx[k])
+            if sign < 0:
+                np.negative(per_rx[k], out=per_rx[k])
+    return per_rx[:, 0] if code.n_rx == 1 else per_rx.sum(axis=1)
 
 
 def effective_gain(code: SpaceTimeCode, est, imb: ImbalanceRatio):
@@ -294,20 +301,46 @@ def effective_gain(code: SpaceTimeCode, est, imb: ImbalanceRatio):
     return out if out.ndim else float(out)
 
 
+_QAM16_LEVELS = np.unique(_CONSTELLATIONS["QAM16"].real)  # (-3, -1, 1, 3) / sqrt(10)
+_QAM16_EDGE = 0.5 * (_QAM16_LEVELS[2] + _QAM16_LEVELS[3])
+
+
+def _slice_qam16(zr, zi):
+    # Gray 4-PAM on each axis: the high bit is the sign, the low bit marks
+    # the two inner levels.
+    return zr > 0.0, abs(zr) < _QAM16_EDGE, zi > 0.0, abs(zi) < _QAM16_EDGE
+
+
+# Per-bit decisions, MSB first, from the real and imaginary parts of the
+# normalized symbol. Each comparison is strict on the side that keeps the
+# smaller bit label when the point lies exactly on a decision edge.
+_SLICERS = {
+    "BPSK": lambda zr, zi: (zr < 0.0,),
+    "QPSK": lambda zr, zi: (zr < 0.0, zi < 0.0),
+    "QAM16": _slice_qam16,
+}
+
+
 def detect(s_tilde, effective_gain, mod: Modulation) -> np.ndarray:
     """Nearest-point decision on s_tilde / effective_gain, back to bits.
 
-    Ties on decision boundaries resolve deterministically toward the
-    lexicographically smallest bit label. Returns a flat uint8 bit
-    vector, ``bits_per_symbol`` bits per input symbol, MSB first.
+    Every constellation is a product of Gray-labelled levels on the real
+    and imaginary axes, so the nearest point is found one axis at a time by
+    comparing against the midpoints between adjacent levels: BPSK on the
+    real axis, QPSK on each axis, QAM16 as Gray 4-PAM on each axis. A
+    symbol exactly on a decision edge goes to the smallest bit label, the
+    point a search over all points taking the first minimum would pick.
+
+    ``s_tilde`` and ``effective_gain`` may have any shapes that broadcast
+    together. Returns a flat uint8 bit vector, ``bits_per_symbol`` bits per
+    symbol, MSB first, with the symbols in C order of the broadcast shape.
     """
     g = np.asarray(effective_gain, dtype=float)
     if not np.all(g > 0.0):
         raise ValueError("effective gain must be positive")
-    z = np.atleast_1d(np.asarray(s_tilde, dtype=complex) / g)
-    diff = z[:, None] - mod.points[None, :]
-    # argmin takes the first minimum, i.e. the smallest bit label.
-    idx = np.argmin(diff.real**2 + diff.imag**2, axis=1)
-    bps = mod.bits_per_symbol
-    shifts = np.arange(bps - 1, -1, -1)
-    return ((idx[:, None] >> shifts) & 1).astype(np.uint8).ravel()
+    s = np.asarray(s_tilde, dtype=complex)
+    # numpy divides a complex by a real as a product with the reciprocal,
+    # so this is s_tilde / g bit for bit.
+    inv = 1.0 / g
+    bits = _SLICERS[mod.name](s.real * inv, s.imag * inv)
+    return np.stack(bits, axis=-1).view(np.uint8).ravel()

@@ -103,6 +103,44 @@ def test_rng_rejects_out_of_range_ids():
         RngStream(0, 1 << 64)
 
 
+def textbook_box_muller(seed, stream_id, size):
+    """r cos(theta), r sin(theta) from a fresh stream's first two uniform draws."""
+    rng = RngStream(seed, stream_id)
+    u1 = rng.uniforms(size)
+    u2 = rng.uniforms(size)
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    theta = 2.0 * math.pi * u2
+    return r * np.cos(theta), r * np.sin(theta)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.atleast_1d(a).view(np.uint64), np.atleast_1d(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("size", [None, 7, (4, 2, 1000)])
+def test_normal_pairs_are_the_textbook_transform_bit_for_bit(size):
+    x, y = RngStream(77, 3).normal_pairs(size)
+    want_x, want_y = textbook_box_muller(77, 3, size)
+    assert same_bits(x, want_x) and same_bits(y, want_y)
+
+
+@pytest.mark.parametrize("size", [None, 7, (4, 2, 1000)])
+@pytest.mark.parametrize("variance", [1.0, 0.05, 4.0])
+def test_circular_gaussian_is_the_textbook_draw_bit_for_bit(size, variance):
+    got = sample_circular_gaussian(RngStream(78, 9), variance, size)
+    r_cos, r_sin = textbook_box_muller(78, 9, size)
+    want = math.sqrt(variance / 2.0) * (r_cos + 1j * r_sin)
+    if size is None:
+        assert isinstance(got, complex)
+    assert same_bits(got, want)
+
+
+def test_rng_bits_are_uniform_draws_below_one_half():
+    bits = RngStream(79, 2).bits(10_001)
+    assert bits.dtype == np.uint8
+    assert np.array_equal(bits, RngStream(79, 2).uniforms(10_001) < 0.5)
+
+
 def test_circular_gaussian_zero_variance_is_exactly_zero():
     assert sample_circular_gaussian(RngStream(1), 0.0) == 0j
     arr = sample_circular_gaussian(RngStream(1), 0.0, size=100)

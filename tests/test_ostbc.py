@@ -307,6 +307,46 @@ def test_detect_tie_breaks_to_smallest_label():
     assert np.array_equal(detect(0.9 + 0.0j, 1.0, QPSK), np.array([0, 0], dtype=np.uint8))
 
 
+def nearest_point_bits(z, mod):
+    """Reference detector: distance to every point, first minimum wins, as bits."""
+    z = np.asarray(z, dtype=complex).ravel()
+    diff = z[:, None] - mod.points[None, :]
+    idx = np.argmin(diff.real**2 + diff.imag**2, axis=1)
+    shifts = np.arange(mod.bits_per_symbol - 1, -1, -1)
+    return ((idx[:, None] >> shifts) & 1).astype(np.uint8).ravel()
+
+
+def axis_values(levels):
+    """Levels, the edges midway between them, points just off each edge, and beyond.
+
+    "Just off" is 1e-9: the reference's squared distances cannot resolve
+    one float beside the edge at 0 (5e-324) and would call it a tie.
+    """
+    levels = np.unique(levels)
+    edges = (levels[:-1] + levels[1:]) / 2
+    near = np.concatenate([edges - 1e-9, edges + 1e-9])
+    outside = np.array([-1.5, 1.5]) * np.max(np.abs(levels)) + np.array([-1.0, 1.0])
+    return np.concatenate([levels, edges, near, outside])
+
+
+@pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
+def test_detect_matches_nearest_point_on_points_edges_and_crossings(mod):
+    z = axis_values(mod.points.real)[:, None] + 1j * axis_values(mod.points.imag)[None, :]
+    assert np.array_equal(detect(z, 1.0, mod), nearest_point_bits(z, mod))
+
+
+@pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
+def test_detect_matches_nearest_point_on_random_symbols(mod):
+    rng = RngStream(41, mod.bits_per_symbol)
+    for _ in range(4):
+        s = sample_circular_gaussian(rng, 2.0, size=(50_000, 3))
+        gain = 0.1 + rng.uniforms(50_000)
+        got = detect(s, gain[:, None], mod)
+        assert np.array_equal(got, nearest_point_bits(s / gain[:, None], mod))
+    for s, gain in zip(sample_circular_gaussian(rng, 2.0, size=20), rng.uniforms(20)):
+        assert np.array_equal(detect(s, gain, mod), nearest_point_bits(s / gain, mod))
+
+
 def test_detect_fixed_points_qam16():
     for i, point in enumerate(QAM16.points):
         bits = detect(point, 1.0, QAM16)
@@ -323,6 +363,9 @@ def test_detect_applies_gain_normalization():
 def test_detect_rejects_non_positive_gain():
     with pytest.raises(ValueError):
         detect(1.0 + 0j, 0.0, BPSK)
+    for gain in (-1.0, float("nan"), np.array([1.0, 0.0])):
+        with pytest.raises(ValueError):
+            detect(np.array([1.0 + 0j, 1.0j]), gain, QAM16)
 
 
 @pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
