@@ -301,8 +301,8 @@ def effective_gain(code: SpaceTimeCode, est, imb: ImbalanceRatio):
     return out if out.ndim else float(out)
 
 
-_QAM16_LEVELS = np.unique(_CONSTELLATIONS["QAM16"].real)  # (-3, -1, 1, 3) / sqrt(10)
-_QAM16_EDGE = 0.5 * (_QAM16_LEVELS[2] + _QAM16_LEVELS[3])
+# Midway between the QAM16 axis levels 1/sqrt(10) and 3/sqrt(10).
+_QAM16_EDGE = 2.0 / math.sqrt(10.0)
 
 
 def _slice_qam16(zr, zi):
