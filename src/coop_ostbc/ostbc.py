@@ -304,20 +304,17 @@ def effective_gain(code: SpaceTimeCode, est, imb: ImbalanceRatio):
 # Midway between the QAM16 axis levels 1/sqrt(10) and 3/sqrt(10).
 _QAM16_EDGE = 2.0 / math.sqrt(10.0)
 
-
-def _slice_qam16(zr, zi):
-    # Gray 4-PAM on each axis: the high bit is the sign, the low bit marks
-    # the two inner levels.
-    return zr > 0.0, abs(zr) < _QAM16_EDGE, zi > 0.0, abs(zi) < _QAM16_EDGE
-
-
 # Per-bit decisions, MSB first, from the real and imaginary parts of the
-# normalized symbol. Each comparison is strict on the side that keeps the
-# smaller bit label when the point lies exactly on a decision edge.
+# normalized symbol; QAM16 is Gray 4-PAM on each axis, whose high bit is the
+# sign and whose low bit marks the two inner levels. Each comparison is
+# strict on the side that keeps the smaller bit label when the symbol lies
+# exactly on a decision edge.
 _SLICERS = {
     "BPSK": lambda zr, zi: (zr < 0.0,),
     "QPSK": lambda zr, zi: (zr < 0.0, zi < 0.0),
-    "QAM16": _slice_qam16,
+    "QAM16": lambda zr, zi: (
+        zr > 0.0, abs(zr) < _QAM16_EDGE, zi > 0.0, abs(zi) < _QAM16_EDGE
+    ),
 }
 
 
