@@ -7,11 +7,12 @@ Subcommands
     plotdata   split a result CSV into per-curve two-column files
 
 Sweeps are configured from a JSON file (--spec) and/or flags; flags
-override the file. All dB-to-linear conversions happen here at the
-boundary; the library itself works in linear units. The imbalance
-convention is r = (RS-UE SNR) / (BS-UE SNR), so r > 1 means the relay
-link is the stronger one; the error-rate analysis is symmetric under
-r <-> 1/r.
+override the file. A grid cell is a ``montecarlo.SimPoint``, which holds
+the SNR and the imbalance in dB; the simulator and ``analytic_ber``
+convert them to linear units, and ``analytic.AnalyticPoint`` takes
+linear units. The imbalance convention is r = (RS-UE SNR) / (BS-UE SNR),
+so r > 1 means the relay link is the stronger one; the error-rate
+analysis is symmetric under r <-> 1/r.
 
 Exit codes: 0 success, 1 usage error, 2 runtime/numeric error, 3 I/O error.
 """
@@ -19,28 +20,28 @@ Exit codes: 0 success, 1 usage error, 2 runtime/numeric error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import analytic
 from .montecarlo import (
     DEFAULT_MAX_BITS,
     DEFAULT_MIN_ERRORS,
+    BerEstimate,
+    SimPoint,
     SweepSpec,
     analytic_ber,
     has_closed_form,
     run_sweep,
-    sweep_cells,
 )
 from .ostbc import modulation_by_name
 
 __all__ = [
     "CSV_HEADER",
-    "ValidationReport",
     "main",
 ]
 
@@ -139,8 +140,10 @@ def _resolve_workers(args, filedata: dict) -> int:
     return 1
 
 
-def _build_spec(args) -> SweepSpec:
+def _build_spec(args) -> tuple[SweepSpec, str | None]:
     """Merge JSON file and flags (flags win) into a validated SweepSpec.
+
+    Returns the spec and the CSV output path (None for stdout).
 
     Every check runs here, before any cell is simulated, and fails as a
     usage error.
@@ -186,7 +189,7 @@ def _build_spec(args) -> SweepSpec:
             file=sys.stderr,
         )
     try:
-        return SweepSpec(
+        spec = SweepSpec(
             schemes=tuple(schemes),
             modulations=tuple(modulations),
             gamma_db=tuple(gamma_db),
@@ -197,10 +200,10 @@ def _build_spec(args) -> SweepSpec:
                                 "min_errors"),
             max_bits=_integer(pick(args.max_bits, "max_bits", DEFAULT_MAX_BITS), "max_bits"),
             workers=_resolve_workers(args, filedata),
-            output_path=output,
         )
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
+    return spec, output
 
 
 def _require_closed_form(spec: SweepSpec, quantifier) -> None:
@@ -220,136 +223,50 @@ def _require_closed_form(spec: SweepSpec, quantifier) -> None:
                 )
 
 
-def _write_csv(path: str | None, rows: list[list[str]]) -> None:
-    """Write header + rows; on failure remove the partial file."""
-    if path is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
-        return
+def _row(point: SimPoint, estimate: BerEstimate | None = None) -> list[str]:
+    """One CSV row; without an estimate the six simulation columns stay empty."""
+    pe = analytic_ber(point.scheme, point.mod, point.r_db, point.beta, point.gamma_db)
+    row = [point.scheme, point.mod.name, _fmt(point.r_db), _fmt(point.beta),
+           _fmt(point.gamma_db), _fmt_prob(pe)]
+    if estimate is None:
+        return row + [""] * 6
+    return row + [_fmt_prob(estimate.ber), _fmt_prob(estimate.ci_lo),
+                  _fmt_prob(estimate.ci_hi), str(estimate.bits), str(estimate.errors),
+                  str(point.seed)]
+
+
+def _write_csv(path: str | None, rows) -> None:
+    """Write header + rows to ``path`` or stdout; on failure remove the partial file."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with (contextlib.nullcontext(sys.stdout) if path is None
+              else open(path, "w", encoding="utf-8", newline="")) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_HEADER)
             writer.writerows(rows)
     except OSError:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
+        if path is not None:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise
 
 
-# --- analytic ----------------------------------------------------------------
+# --- analytic and simulate ---------------------------------------------------
 
 
 def cmd_analytic(args) -> int:
-    spec = _build_spec(args)
+    spec, output = _build_spec(args)
     _require_closed_form(spec, all)
-    rows = []
-    for scheme, mod_name, r_db, beta, gamma_db in sweep_cells(spec):
-        mod = modulation_by_name(mod_name)
-        pe = analytic_ber(scheme, mod, r_db, beta, gamma_db)
-        rows.append(
-            [
-                scheme,
-                mod_name,
-                _fmt(r_db),
-                _fmt(beta),
-                _fmt(gamma_db),
-                _fmt_prob(pe),
-                "",
-                "",
-                "",
-                "",
-                "",
-                "",
-            ]
-        )
-    _write_csv(spec.output_path, rows)
+    _write_csv(output, [_row(p) for p in spec.points])
     return 0
 
 
-# --- simulate ----------------------------------------------------------------
-
-
-def _result_rows(result) -> list[list[str]]:
-    rows = []
-    for row in result.rows:
-        est = row.estimate
-        rows.append(
-            [
-                row.scheme,
-                row.modulation,
-                _fmt(row.r_db),
-                _fmt(row.beta),
-                _fmt(row.gamma_db),
-                _fmt_prob(row.ber_analytic),
-                _fmt_prob(est.ber),
-                _fmt_prob(est.ci_lo),
-                _fmt_prob(est.ci_hi),
-                str(est.bits),
-                str(est.errors),
-                str(est.seed),
-            ]
-        )
-    return rows
-
-
 def cmd_simulate(args) -> int:
-    spec = _build_spec(args)
-    result = run_sweep(spec)
-    _write_csv(spec.output_path, _result_rows(result))
+    spec, output = _build_spec(args)
+    _write_csv(output, list(map(_row, spec.points, run_sweep(spec))))
     return 0
 
 
 # --- validate ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Per-point coverage of the closed form plus figure-level summaries."""
-
-    rows: tuple  # SweepRow
-    flags: tuple  # bool per row with an analytic value
-    coverage: float
-    gaps_db: dict  # modulation -> gap in dB at the target BER, or None
-    slopes: dict  # (modulation, r_db) -> fitted high-SNR slope
-
-    def render_text(self) -> str:
-        lines = ["point-by-point check (analytic value inside the simulated 95% CI):"]
-        flag_iter = iter(self.flags)
-        for row in self.rows:
-            if row.ber_analytic is None:
-                continue
-            est = row.estimate
-            ok = next(flag_iter)
-            lines.append(
-                f"  {row.modulation:>5s} r={row.r_db:g}dB snr={row.gamma_db:g}dB  "
-                f"analytic={row.ber_analytic:.3e}  sim={est.ber:.3e} "
-                f"[{est.ci_lo:.3e}, {est.ci_hi:.3e}]  "
-                f"{'pass' if ok else 'FAIL'}"
-            )
-        lines.append(f"coverage: {self.coverage:.3f}")
-        for mod, gap in sorted(self.gaps_db.items()):
-            target = f"{GAP_TARGET_BER:g}"
-            if gap is None:
-                lines.append(
-                    f"{mod}: SNR gap at BER {target} between "
-                    f"r={GAP_R_DB[0]:g} dB and r={GAP_R_DB[1]:g} dB: not computable "
-                    "on this grid"
-                )
-            else:
-                lines.append(
-                    f"{mod}: SNR gap at BER {target} between "
-                    f"r={GAP_R_DB[0]:g} dB and r={GAP_R_DB[1]:g} dB: {gap:.2f} dB"
-                )
-        for (mod, r_db), slope in sorted(self.slopes.items()):
-            lines.append(
-                f"{mod} r={r_db:g} dB: analytic high-SNR diversity slope "
-                f"({SLOPE_GAMMA_DB[0]:g}-{SLOPE_GAMMA_DB[-1]:g} dB) {slope:.3f}"
-            )
-        return "\n".join(lines)
 
 
 def snr_db_at_ber(mod_name: str, r_db: float, target: float, gamma_db_grid) -> float | None:
@@ -378,43 +295,52 @@ def imbalance_gap_db(mod_name: str, gamma_db_grid) -> float | None:
     return skew - base
 
 
-def build_validation_report(result) -> ValidationReport:
+def validation_report(spec: SweepSpec, estimates) -> str:
+    """Coverage of the closed form point by point, plus figure-level summaries."""
+    lines = ["point-by-point check (analytic value inside the simulated 95% CI):"]
     flags = []
-    for row in result.rows:
-        if row.ber_analytic is None:
+    for p, est in zip(spec.points, estimates):
+        pe = analytic_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db)
+        if pe is None:
             continue
-        est = row.estimate
-        flags.append(est.ci_lo <= row.ber_analytic <= est.ci_hi)
+        ok = est.ci_lo <= pe <= est.ci_hi
+        flags.append(ok)
+        lines.append(
+            f"  {p.mod.name:>5s} r={p.r_db:g}dB snr={p.gamma_db:g}dB  "
+            f"analytic={pe:.3e}  sim={est.ber:.3e} "
+            f"[{est.ci_lo:.3e}, {est.ci_hi:.3e}]  "
+            f"{'pass' if ok else 'FAIL'}"
+        )
     coverage = sum(flags) / len(flags) if flags else float("nan")
-    gaps = {
-        mod: imbalance_gap_db(modulation_by_name(mod).name, result.spec.gamma_db)
-        for mod in result.spec.modulations
-    }
-    slopes = {}
-    for mod_name in result.spec.modulations:
+    lines.append(f"coverage: {coverage:.3f}")
+    for mod_name in sorted({p.mod.name for p in spec.points}):
+        gap = imbalance_gap_db(mod_name, spec.gamma_db)
+        value = "not computable on this grid" if gap is None else f"{gap:.2f} dB"
+        lines.append(
+            f"{mod_name}: SNR gap at BER {GAP_TARGET_BER:g} between "
+            f"r={GAP_R_DB[0]:g} dB and r={GAP_R_DB[1]:g} dB: {value}"
+        )
+    for mod_name, r_db in sorted({(p.mod.name, p.r_db) for p in spec.points}):
         mod = modulation_by_name(mod_name)
-        for r_db in result.spec.r_db:
-            pts = [
-                (10.0 ** (g / 10.0), analytic_ber("alamouti_2x1", mod, r_db, 0.0, g))
-                for g in SLOPE_GAMMA_DB
-            ]
-            slopes[(mod.name, r_db)] = analytic.diversity_slope(pts)
-    return ValidationReport(
-        rows=result.rows,
-        flags=tuple(flags),
-        coverage=coverage,
-        gaps_db=gaps,
-        slopes=slopes,
-    )
+        pts = [
+            (10.0 ** (g / 10.0), analytic_ber("alamouti_2x1", mod, r_db, 0.0, g))
+            for g in SLOPE_GAMMA_DB
+        ]
+        lines.append(
+            f"{mod_name} r={r_db:g} dB: analytic high-SNR diversity slope "
+            f"({SLOPE_GAMMA_DB[0]:g}-{SLOPE_GAMMA_DB[-1]:g} dB) "
+            f"{analytic.diversity_slope(pts):.3f}"
+        )
+    return "\n".join(lines)
 
 
 def cmd_validate(args) -> int:
-    spec = _build_spec(args)
+    spec, output = _build_spec(args)
     _require_closed_form(spec, any)
-    result = run_sweep(spec)
-    report = build_validation_report(result)
-    _write_csv(spec.output_path, _result_rows(result))
-    print(report.render_text())
+    estimates = run_sweep(spec)
+    report = validation_report(spec, estimates)
+    _write_csv(output, list(map(_row, spec.points, estimates)))
+    print(report)
     return 0
 
 

@@ -7,11 +7,14 @@ serially in index order and stops after the first chunk at which the
 cumulative error count reaches ``min_errors`` or the cumulative bit count
 reaches ``max_bits``.
 
-Sweeps derive one seed per grid cell from the sweep seed and the cell
-parameters, so a cell's estimate does not depend on which other cells
-are present in the grid. A sweep runs its cells ``workers`` at a time on
-one thread pool; each cell is a pure function of its seed, so the results
-are bit-identical for any worker count. A one-cell sweep uses one thread.
+A :class:`SweepSpec` builds its deduplicated cells once, as the
+:class:`SimPoint` tuple ``spec.points`` in report order, and that tuple
+is the only description of a cell from spec to CSV row. Each cell's seed
+is derived from the sweep seed and the cell parameters, so a cell's
+estimate does not depend on which other cells are present in the grid.
+A sweep runs its cells ``workers`` at a time on one thread pool; each
+cell is a pure function of its seed, so the estimates are bit-identical
+for any worker count. A one-cell sweep uses one thread.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -35,8 +38,6 @@ __all__ = [
     "derive_seed",
     "has_closed_form",
     "SweepSpec",
-    "SweepRow",
-    "SweepResult",
     "run_sweep",
 ]
 
@@ -48,9 +49,20 @@ DEFAULT_MAX_BITS = 10**8
 CONFIDENCE = 0.95
 
 
+def _db_to_linear(db: float) -> float:
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class SimPoint:
-    """One Monte Carlo cell: scheme, modulation, SNR, imbalance, beta, seed."""
+    """One Monte Carlo cell: scheme, modulation, SNR, imbalance, beta, seed.
+
+    ``gamma_db`` and ``r_db`` are in dB; the chain converts them to linear
+    units, so each must have a finite, positive linear value.
+    """
 
     scheme: str
     mod: ostbc.Modulation
@@ -66,6 +78,12 @@ class SimPoint:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected {SCHEMES}")
         if not isinstance(self.mod, ostbc.Modulation):
             raise ValueError(f"mod must be a Modulation, got {self.mod!r}")
+        for name in ("gamma_db", "r_db"):
+            db = getattr(self, name)
+            if not 0.0 < _db_to_linear(db) < math.inf:
+                raise ValueError(
+                    f"{name} must be finite in dB and in linear units, got {db}"
+                )
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if self.min_errors < 1:
@@ -90,19 +108,14 @@ class BerEstimate:
     ber: float
     ci_lo: float
     ci_hi: float
-    seed: int
     streams_used: int
 
     @classmethod
-    def from_counts(
-        cls, bits: int, errors: int, seed: int, streams_used: int
-    ) -> "BerEstimate":
+    def from_counts(cls, bits: int, errors: int, streams_used: int) -> "BerEstimate":
         if errors > bits:
             raise ValueError(f"errors ({errors}) cannot exceed bits ({bits})")
-        if bits == 0:
-            return cls(0, 0, 0.0, 0.0, 1.0, seed, streams_used)
         lo, hi = wilson_interval(errors, bits, CONFIDENCE)
-        return cls(bits, errors, errors / bits, lo, hi, seed, streams_used)
+        return cls(bits, errors, errors / bits, lo, hi, streams_used)
 
 
 def _chunk_blocks(point: SimPoint) -> int:
@@ -154,7 +167,7 @@ def run_point(point: SimPoint) -> BerEstimate:
         bits += b
         errors += e
         streams += 1
-    return BerEstimate.from_counts(bits, errors, point.seed, streams)
+    return BerEstimate.from_counts(bits, errors, streams)
 
 
 def derive_seed(master_seed: int, *fields) -> int:
@@ -166,7 +179,14 @@ def derive_seed(master_seed: int, *fields) -> int:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid of points to estimate, plus stopping and seeding parameters."""
+    """Grid of cells to estimate, plus stopping and seeding parameters.
+
+    ``points`` holds the grid's deduplicated cells as :class:`SimPoint`
+    values sorted by (scheme, modulation, r_db, beta, gamma_db), each with
+    its seed derived from ``seed`` and those five fields. The spec itself
+    checks only the grid: non-empty axes and ``workers >= 1``; every cell
+    check is :class:`SimPoint`'s.
+    """
 
     schemes: tuple
     modulations: tuple
@@ -177,7 +197,7 @@ class SweepSpec:
     min_errors: int = DEFAULT_MIN_ERRORS
     max_bits: int = DEFAULT_MAX_BITS
     workers: int = 1
-    output_path: str | None = None
+    points: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("schemes", "modulations", "gamma_db", "r_db", "beta"):
@@ -185,59 +205,37 @@ class SweepSpec:
             if not values:
                 raise ValueError(f"{name} must be non-empty")
             object.__setattr__(self, name, values)
-        for name in ("gamma_db", "r_db", "beta"):
-            if not all(math.isfinite(float(v)) for v in getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {list(getattr(self, name))}")
-        if min(self.beta) < 0.0:
-            raise ValueError(f"beta must be >= 0, got {list(self.beta)}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.min_errors < 1:
-            raise ValueError(f"min_errors must be >= 1, got {self.min_errors}")
         object.__setattr__(
             self, "gamma_db", tuple(sorted(set(float(g) for g in self.gamma_db)))
         )
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ValueError(f"unknown scheme {s!r}; expected {SCHEMES}")
-        for m in self.modulations:
-            bps = ostbc.modulation_by_name(m).bits_per_symbol
-            if self.max_bits < bps:
-                raise ValueError(
-                    f"max_bits must be at least one {m} symbol ({bps} bits), "
-                    f"got {self.max_bits}"
-                )
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    scheme: str
-    modulation: str
-    r_db: float
-    beta: float
-    gamma_db: float
-    ber_analytic: float | None
-    estimate: BerEstimate
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    spec: SweepSpec
-    rows: tuple
-
-
-def sweep_cells(spec: SweepSpec):
-    """Deduplicated grid cells in deterministic report order."""
-    cells = set(
-        product(
-            spec.schemes,
-            (ostbc.modulation_by_name(m).name for m in spec.modulations),
-            (float(r) for r in spec.r_db),
-            (float(b) for b in spec.beta),
-            spec.gamma_db,
+        cells = dict.fromkeys(  # deduplicated, in grid order
+            product(
+                self.schemes,
+                (ostbc.modulation_by_name(m).name for m in self.modulations),
+                (float(r) for r in self.r_db),
+                (float(b) for b in self.beta),
+                self.gamma_db,
+            )
         )
-    )
-    return sorted(cells)
+        points = [
+            SimPoint(
+                scheme=scheme,
+                mod=ostbc.modulation_by_name(mod_name),
+                gamma_db=gamma_db,
+                r_db=r_db,
+                beta=beta,
+                seed=derive_seed(self.seed, scheme, mod_name, r_db, beta, gamma_db),
+                min_errors=self.min_errors,
+                max_bits=self.max_bits,
+            )
+            for scheme, mod_name, r_db, beta, gamma_db in cells
+        ]
+        # Sorted only after every cell has passed its checks, so a bad value is
+        # reported by SimPoint, not by a failed comparison during the sort.
+        points.sort(key=lambda p: (p.scheme, p.mod.name, p.r_db, p.beta, p.gamma_db))
+        object.__setattr__(self, "points", tuple(points))
 
 
 def has_closed_form(scheme: str, mod: ostbc.Modulation, beta: float) -> bool:
@@ -269,37 +267,11 @@ def analytic_ber(scheme: str, mod: ostbc.Modulation, r_db: float, beta: float,
     return analytic.ber_closed_form(point)
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Run every grid cell and pair it with the analytic value where defined.
+def run_sweep(spec: SweepSpec) -> list[BerEstimate]:
+    """Estimate every cell of ``spec``, ``spec.workers`` cells at a time.
 
-    Cells run ``spec.workers`` at a time; the rows come back in
-    :func:`sweep_cells` order whatever order the cells finish in.
+    The estimates come back in ``spec.points`` order whatever order the
+    cells finish in.
     """
-    points = [
-        SimPoint(
-            scheme=scheme,
-            mod=ostbc.modulation_by_name(mod_name),
-            gamma_db=gamma_db,
-            r_db=r_db,
-            beta=beta,
-            seed=derive_seed(spec.seed, scheme, mod_name, r_db, beta, gamma_db),
-            min_errors=spec.min_errors,
-            max_bits=spec.max_bits,
-        )
-        for scheme, mod_name, r_db, beta, gamma_db in sweep_cells(spec)
-    ]
     with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-        estimates = list(pool.map(run_point, points))
-    rows = [
-        SweepRow(
-            scheme=p.scheme,
-            modulation=p.mod.name,
-            r_db=p.r_db,
-            beta=p.beta,
-            gamma_db=p.gamma_db,
-            ber_analytic=analytic_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db),
-            estimate=estimate,
-        )
-        for p, estimate in zip(points, estimates)
-    ]
-    return SweepResult(spec=spec, rows=tuple(rows))
+        return list(pool.map(run_point, spec.points))

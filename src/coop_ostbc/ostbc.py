@@ -99,7 +99,7 @@ _MODULATIONS = {m.name: m for m in (BPSK, QPSK, QAM16)}
 
 def modulation_by_name(name: str) -> Modulation:
     try:
-        return _MODULATIONS[name.upper()]
+        return _MODULATIONS[str(name).upper()]
     except KeyError:
         raise ValueError(
             f"unknown modulation {name!r}; expected one of {sorted(_MODULATIONS)}"
@@ -251,10 +251,17 @@ def transmit(code: SpaceTimeCode, codeword, channels, total_power: float,
         raise ValueError(f"total power must be finite and >= 0, got {total_power}")
     x = np.asarray(codeword, dtype=complex)
     g = _weighted(code, channels, imb)
-    signal = np.zeros((code.n_rx, code.n_slots) + g.shape[2:], dtype=complex)
+    signal = np.empty((code.n_rx, code.n_slots) + g.shape[2:], dtype=complex)
+    started = set()
     for i, t, *_ in code.entries:
-        signal[:, t] += g[i] * x[i, t]
-    return math.sqrt(total_power) * signal + np.asarray(noise, dtype=complex)
+        if t in started:
+            signal[:, t] += g[i] * x[i, t]
+        else:  # the first entry of a slot is written, not added to zeros
+            started.add(t)
+            np.multiply(g[i], x[i, t], out=signal[:, t])
+    signal *= math.sqrt(total_power)
+    signal += np.asarray(noise, dtype=complex)
+    return signal
 
 
 def combine(code: SpaceTimeCode, y, est, imb: ImbalanceRatio) -> np.ndarray:

@@ -17,7 +17,7 @@ from coop_ostbc.analytic import (
     ber_integral_oracle,
     diversity_slope,
 )
-from coop_ostbc.montecarlo import SimPoint, run_point, run_sweep, SweepSpec
+from coop_ostbc.montecarlo import SimPoint, SweepSpec, analytic_ber, run_point, run_sweep
 from coop_ostbc.numerics import (
     RngStream,
     q_function,
@@ -144,14 +144,14 @@ def test_c06_simulation_reproduces_analytic_curves():
             seed=60003,
             min_errors=200,
         )
-        rows = run_sweep(spec).rows
         hits = sum(
             1
-            for row in rows
-            if row.estimate.ci_lo <= row.ber_analytic <= row.estimate.ci_hi
+            for p, est in zip(spec.points, run_sweep(spec))
+            if est.ci_lo <= analytic_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db)
+            <= est.ci_hi
         )
-        coverage = hits / len(rows)
-        c.detail = f"coverage {hits}/{len(rows)} = {coverage:.3f}"
+        coverage = hits / len(spec.points)
+        c.detail = f"coverage {hits}/{len(spec.points)} = {coverage:.3f}"
         assert coverage >= 0.9
     assert c.elapsed < SIM_BUDGET_S
 

@@ -166,6 +166,12 @@ def test_point_rejects_non_positive_fields():
         AnalyticPoint(1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         AnalyticPoint(1.0, 1.0, float("inf"))
+    with pytest.raises(ValueError):
+        AnalyticPoint(1.0, 1.0, float("nan"))
+    with pytest.raises(ValueError):  # gamma_db = -3300 underflows to 0
+        AnalyticPoint(1.0, 1.0, 10.0 ** (-3300 / 10.0))
+    with pytest.raises(ValueError):  # r_db = -4000 underflows to 0
+        AnalyticPoint(1.0, 10.0 ** (-4000 / 10.0), 1.0)
 
 
 def test_slope_on_exact_quadratic_decay():

@@ -174,6 +174,22 @@ def test_unknown_scheme_is_usage_error(capsys):
     assert rc == 1
 
 
+def test_analytic_and_simulate_share_the_row_format(tmp_path):
+    grid = ["--modulation", "BPSK,QPSK", "--r-db", "0,10", "--gamma-db", "0,6", "--beta", "0"]
+    a, s = tmp_path / "a.csv", tmp_path / "s.csv"
+    assert run(["analytic"] + grid + ["--output", str(a)]) == 0
+    assert run(["simulate"] + grid + ["--seed", "3", "--min-errors", "20",
+                                      "--max-bits", "20000", "--output", str(s)]) == 0
+    analytic_rows = list(csv.reader(a.open(newline="")))
+    sim_rows = list(csv.reader(s.open(newline="")))
+    assert len(analytic_rows) == len(sim_rows) == 1 + 2 * 2 * 2
+    assert [r[:6] for r in analytic_rows] == [r[:6] for r in sim_rows]
+    for row in analytic_rows[1:]:
+        assert row[6:] == [""] * 6
+    for row in sim_rows[1:]:
+        assert all(row[6:])
+
+
 # --- spec validation --------------------------------------------------------------
 
 
@@ -196,11 +212,16 @@ def no_compute(monkeypatch):
         ({"gamma_db": [float("nan")]}, "gamma_db must be finite"),
         ({"gamma_db": [4], "r_db": [float("inf")]}, "r_db must be finite"),
         ({"gamma_db": [4], "beta": [float("nan")]}, "beta must be finite"),
+        ({"gamma_db": [3100]}, "gamma_db must be finite"),
+        ({"gamma_db": [4], "r_db": [-4000]}, "r_db must be finite"),
+        ({"gamma_db": [4], "modulations": [5]}, "unknown modulation 5"),
+        ({"gamma_db": [4], "schemes": ["alamouti_2x1", 5]}, "unknown scheme 5"),
         ({"gamma_db": [4], "workers": 0}, "workers must be >= 1"),
         ({"gamma_db": [4], "seed": 1.7}, "seed must be an integer"),
         ({"gamma_db": [4], "workers": 2.5}, "workers must be an integer"),
     ],
     ids=["unknown-key", "string-grid", "scalar-grid", "nan-gamma", "inf-r", "nan-beta",
+         "overflowing-gamma", "underflowing-r", "number-modulation", "number-scheme",
          "zero-workers", "fractional-seed", "fractional-workers"],
 )
 def test_bad_spec_file_is_usage_error_before_any_compute(tmp_path, capsys, no_compute,
@@ -220,12 +241,27 @@ def test_bad_spec_file_is_usage_error_before_any_compute(tmp_path, capsys, no_co
         ["--gamma-db", "4", "--workers", "0"],
         ["--gamma-db", "4", "--min-errors", "0"],
         ["--gamma-db", "4", "--modulation", "BPSK,QAM16", "--max-bits", "2"],
+        ["--gamma-db", "3100"],
+        ["--gamma-db", "-3300"],
+        ["--gamma-db", "4", "--r-db", "4000"],
+        ["--gamma-db", "4", "--r-db", "-4000"],
     ],
     ids=["nan-gamma", "inf-r", "nan-beta", "zero-workers", "zero-min-errors",
-         "max-bits-below-a-symbol"],
+         "max-bits-below-a-symbol", "overflowing-gamma", "underflowing-gamma",
+         "overflowing-r", "underflowing-r"],
 )
 def test_bad_flag_value_is_usage_error_before_any_compute(no_compute, flags):
     assert run(["simulate"] + flags) == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--gamma-db", "-3300"], ["--gamma-db", "4", "--r-db", "4000"]],
+    ids=["underflowing-gamma", "overflowing-r"],
+)
+def test_analytic_rejects_db_out_of_float_range(capsys, flags):
+    assert run(["analytic"] + flags) == 1
+    assert "must be finite in dB and in linear units" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analytic", "validate"])
@@ -286,6 +322,15 @@ def test_validate_gap_not_computable_on_narrow_grid(capsys):
     )
     assert rc == 0
     assert "not computable" in capsys.readouterr().out
+
+
+def test_validate_prints_one_gap_line_per_modulation(capsys):
+    rc = run(["validate", "--modulation", "qpsk,QPSK", "--gamma-db", "0,2", "--r-db", "0",
+              "--seed", "4", "--min-errors", "30", "--max-bits", "100000"])
+    assert rc == 0
+    gap_lines = [ln for ln in capsys.readouterr().out.splitlines() if "SNR gap" in ln]
+    assert len(gap_lines) == 1
+    assert gap_lines[0].startswith("QPSK: ")
 
 
 def test_validate_requires_perfect_csi_rows(capsys):

@@ -7,10 +7,10 @@ from coop_ostbc.analytic import AnalyticPoint, ber_closed_form, diversity_slope
 from coop_ostbc.montecarlo import (
     SimPoint,
     SweepSpec,
+    analytic_ber,
     derive_seed,
     run_point,
     run_sweep,
-    sweep_cells,
 )
 from coop_ostbc.ostbc import BPSK, QAM16, QPSK
 
@@ -73,6 +73,14 @@ def test_sim_point_validation():
         SimPoint("alamouti_2x1", QPSK, 0.0, 0.0, 0.0, seed=1, min_errors=0)
     with pytest.raises(ValueError):
         SimPoint("alamouti_2x1", QPSK, 0.0, 0.0, 0.0, seed=1, max_bits=1)
+    # 10**(3100/10) overflows a float and 10**(-3300/10) underflows to 0;
+    # either would fail mid-chunk, so the cell refuses them up front.
+    for name in ("gamma_db", "r_db"):
+        for db in (math.nan, math.inf, -math.inf, 3100.0, -3300.0):
+            kwargs = {"gamma_db": 4.0, "r_db": 0.0, name: db}
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SimPoint("alamouti_2x1", QPSK, beta=0.0, seed=1, **kwargs)
+    SimPoint("alamouti_2x1", QPSK, 3000.0, -3000.0, 0.0, seed=1)
 
 
 def test_single_cell_sweep_equals_run_point():
@@ -85,9 +93,8 @@ def test_single_cell_sweep_equals_run_point():
         seed=77,
         min_errors=120,
     )
-    result = run_sweep(spec)
-    assert len(result.rows) == 1
-    row = result.rows[0]
+    estimates = run_sweep(spec)
+    assert len(estimates) == 1
     point = SimPoint(
         "alamouti_2x1",
         QPSK,
@@ -97,8 +104,11 @@ def test_single_cell_sweep_equals_run_point():
         seed=derive_seed(77, "alamouti_2x1", "QPSK", 5.0, 0.0, 6.0),
         min_errors=120,
     )
-    assert row.estimate == run_point(point)
-    assert row.ber_analytic == pytest.approx(analytic(1.0, 5.0, 6.0), rel=1e-15)
+    assert spec.points == (point,)
+    assert estimates[0] == run_point(point)
+    ber_analytic = analytic_ber(point.scheme, point.mod, point.r_db, point.beta,
+                                point.gamma_db)
+    assert ber_analytic == pytest.approx(analytic(1.0, 5.0, 6.0), rel=1e-15)
 
 
 def test_sweep_cells_dedupes_and_sorts():
@@ -110,10 +120,12 @@ def test_sweep_cells_dedupes_and_sorts():
         beta=(0.0,),
         seed=1,
     )
-    cells = sweep_cells(spec)
+    cells = [(p.scheme, p.mod.name, p.r_db, p.beta, p.gamma_db) for p in spec.points]
     assert len(cells) == 2 * 2 * 2
-    assert cells == sorted(cells)
+    assert cells == sorted(set(cells))
     assert spec.gamma_db == (0.0, 4.0)
+    for p in spec.points:
+        assert p.seed == derive_seed(1, p.scheme, p.mod.name, p.r_db, p.beta, p.gamma_db)
 
 
 def test_sweep_attaches_analytic_only_where_defined():
@@ -127,11 +139,13 @@ def test_sweep_attaches_analytic_only_where_defined():
         min_errors=20,
         max_bits=50_000,
     )
-    result = run_sweep(spec)
-    by_key = {(r.modulation, r.beta): r for r in result.rows}
-    assert by_key[("QPSK", 0.0)].ber_analytic is not None
-    assert by_key[("QPSK", 0.05)].ber_analytic is None
-    assert by_key[("QAM16", 0.0)].ber_analytic is None
+    by_key = {
+        (p.mod.name, p.beta): analytic_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db)
+        for p in spec.points
+    }
+    assert by_key[("QPSK", 0.0)] is not None
+    assert by_key[("QPSK", 0.05)] is None
+    assert by_key[("QAM16", 0.0)] is None
 
 
 def test_sweep_result_independent_of_grid_composition():
@@ -144,9 +158,9 @@ def test_sweep_result_independent_of_grid_composition():
         min_errors=60,
     )
     alone = run_sweep(SweepSpec(gamma_db=(5.0,), **base))
-    joined = run_sweep(SweepSpec(gamma_db=(2.0, 5.0), **base))
-    target = [r for r in joined.rows if r.gamma_db == 5.0]
-    assert target[0].estimate == alone.rows[0].estimate
+    joined_spec = SweepSpec(gamma_db=(2.0, 5.0), **base)
+    joined = dict(zip((p.gamma_db for p in joined_spec.points), run_sweep(joined_spec)))
+    assert joined[5.0] == alone[0]
 
 
 def test_sweep_spec_rejects_empty_axes():
@@ -161,6 +175,25 @@ def test_sweep_spec_rejects_empty_axes():
         )
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"schemes": ("mimo_8x8",)}, "unknown scheme"),
+        ({"beta": (-0.5,)}, "beta must be finite and >= 0"),
+        ({"gamma_db": (math.nan,)}, "gamma_db must be finite"),
+        ({"r_db": (4000.0,)}, "r_db must be finite"),
+        ({"min_errors": 0}, "min_errors must be >= 1"),
+        ({"max_bits": 1}, "max_bits must be at least one symbol"),
+    ],
+    ids=["scheme", "beta", "gamma", "r", "min-errors", "max-bits"],
+)
+def test_sweep_spec_checks_cells_through_sim_point(override, message):
+    base = dict(schemes=("alamouti_2x1",), modulations=("QPSK",), gamma_db=(1.0,),
+                r_db=(0.0,), beta=(0.0,), seed=1)
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(**dict(base, **override))
+
+
 def test_ber_not_significantly_increasing_in_snr():
     spec = SweepSpec(
         schemes=("alamouti_2x1",),
@@ -171,9 +204,9 @@ def test_ber_not_significantly_increasing_in_snr():
         seed=2006,
         min_errors=300,
     )
-    rows = run_sweep(spec).rows
-    for lo_snr, hi_snr in zip(rows, rows[1:]):
-        assert hi_snr.estimate.ci_lo <= lo_snr.estimate.ci_hi
+    estimates = run_sweep(spec)
+    for lo_snr, hi_snr in zip(estimates, estimates[1:]):
+        assert hi_snr.ci_lo <= lo_snr.ci_hi
 
 
 def test_ber_not_significantly_decreasing_in_beta():
@@ -220,11 +253,10 @@ def test_confidence_intervals_cover_closed_form():
         seed=2009,
         min_errors=200,
     )
-    rows = run_sweep(spec).rows
     hits = sum(
         1
-        for row in rows
-        if row.estimate.ci_lo <= row.ber_analytic <= row.estimate.ci_hi
+        for p, est in zip(spec.points, run_sweep(spec))
+        if est.ci_lo <= analytic(2.0, p.r_db, p.gamma_db) <= est.ci_hi
     )
     assert hits >= 10  # 11 cells, 95% intervals
 
