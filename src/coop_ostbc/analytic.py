@@ -11,9 +11,15 @@ linear imbalance r and total SNR gamma, the average bit error probability
 
 with a^2 = 2 for BPSK and a^2 = 1 for QPSK. The product form is
 continuous at r = 1, symmetric in r <-> 1/r, and strictly inside
-(0, 1/2). An independent check, :func:`ber_integral_oracle`, evaluates
-the same quantity by averaging the finite-range form of the Gaussian
-tail over both fading densities and integrating numerically.
+(0, 1/2); its float rounds to 0 or 1/2 only where the exact value lies
+within rounding of them. The factors are carried as a mantissa and a
+power of two, so no intermediate overflows anywhere in the float range.
+
+An independent check, :func:`ber_integral_oracle`, covers any code in
+``ostbc.CODES``: it averages the finite-range form of the Gaussian tail
+over the code's weighted fading paths, with the weights from
+``SpaceTimeCode.weights``, and integrates numerically. For
+``alamouti_2x1`` it evaluates the same quantity as the closed form.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import integrate_half_pi
+from .ostbc import SpaceTimeCode
 
 __all__ = [
     "AnalyticPoint",
@@ -49,44 +56,66 @@ class AnalyticPoint:
             object.__setattr__(self, name, v)
 
 
-def ber_closed_form(p: AnalyticPoint) -> float:
-    """Average bit error probability, evaluated via the stable product form."""
-    c_m = 2.0 * (1.0 + p.r) / (p.a_sq * p.gamma)
-    c_n = c_m / p.r
-    mu_m = math.sqrt(1.0 + c_m)
-    mu_n = math.sqrt(1.0 + c_n)
+# Past 2**110 a factor 1 - 1/mu rounds to 1; below 2**-110 it is c/2.
+_FACTOR_EXP = 110
+
+
+def _factor(q: float, e: int):
+    """(mantissa, exponent, mu) of the factor 1 - 1/mu, mu = sqrt(1 + c), c = q 2**e."""
+    if e > _FACTOR_EXP:
+        return 0.5, 1, math.inf
+    if e < -_FACTOR_EXP:  # mu rounds to 1
+        m, x = math.frexp(q)
+        return m, x + e - 1, 1.0
+    c = math.ldexp(q, e)
+    mu = math.sqrt(1.0 + c)
     # 1 - 1/mu written as c / (mu (mu + 1)), with mu^2 = 1 + c: the
     # subtraction would cancel catastrophically as mu -> 1 at high SNR.
-    pe = (
-        0.5
-        * (c_m / (mu_m * (mu_m + 1.0)))
-        * (c_n / (mu_n * (mu_n + 1.0)))
-        * (1.0 + 1.0 / (mu_m + mu_n))
-    )
-    if not math.isfinite(pe):
-        raise FloatingPointError(f"non-finite error probability for {p}")
-    return pe
+    m, x = math.frexp(c / (mu * (mu + 1.0)))
+    return m, x, mu
 
 
-def ber_integral_oracle(p: AnalyticPoint, nodes: int = 64) -> float:
-    """Independent quadrature evaluation of the averaged error probability.
+def ber_closed_form(p: AnalyticPoint) -> float:
+    """Average bit error probability, evaluated via the stable product form.
 
-    Averaging the finite-range Gaussian-tail integrand over the two
-    exponential branch-gain densities leaves
+    c_m = 2(1+r)/(a^2 gamma) and c_n = c_m/r are formed as mantissas and
+    powers of two, which round exactly as the plain float expressions do
+    wherever those stay normal. A c past 2**110 gives the limit factor 1,
+    which is the factor rounded to a float, and a c below 2**-110 the
+    factor c/2. The product is scaled back once at the end, so no step
+    overflows and only the result can round into the subnormal range.
+    """
+    m1, e1 = math.frexp(1.0 + p.r)
+    ma, ea = math.frexp(p.a_sq)
+    mg, eg = math.frexp(p.gamma)
+    mr, er = math.frexp(p.r)
+    q_m = m1 / (ma * mg)
+    e_m = 1 + e1 - ea - eg
+    f_m, x_m, mu_m = _factor(q_m, e_m)
+    f_n, x_n, mu_n = _factor(q_m / mr, e_m - er)
+    return math.ldexp(0.5 * f_m * f_n * (1.0 + 1.0 / (mu_m + mu_n)), x_m + x_n)
 
-        Pe = (1/pi) Int_0^{pi/2} 1/(1 + M/sin^2 t) * 1/(1 + N/sin^2 t) dt
 
-    with M = a^2 gamma / (2 (1+r)) and N = r M. This form has no special
-    case at r = 1 and serves as the cross-check on the closed form.
+def ber_integral_oracle(code: SpaceTimeCode, p: AnalyticPoint, nodes: int = 64) -> float:
+    """Quadrature of the averaged error probability of ``code`` with perfect CSI.
+
+    With w = code.weights(r), the combined gain is a sum of n_tx n_rx
+    independent unit exponentials, weight w_i^2 on each of antenna i's
+    n_rx paths. Averaging the finite-range (Craig) form of the Gaussian
+    tail over them leaves the MGF form (Simon & Alouini)
+
+        Pe = (1/pi) Int_0^{pi/2} prod_i (1 + a^2 gamma w_i^2 / (2 sin^2 t))^(-n_rx) dt.
+
+    It has no special case at r = 1, and for ``alamouti_2x1`` it is the
+    cross-check on the closed form.
     """
     if nodes < 16:
         raise ValueError(f"oracle needs at least 16 nodes, got {nodes}")
-    m = p.a_sq * p.gamma / (2.0 * (1.0 + p.r))
-    n = m * p.r
+    path_snr = p.a_sq * p.gamma * code.weights(p.r)[:, None] ** 2 / 2.0
 
     def integrand(theta):
-        s2 = np.sin(theta) ** 2
-        return 1.0 / ((1.0 + m / s2) * (1.0 + n / s2))
+        factors = 1.0 / (1.0 + path_snr / np.sin(theta) ** 2)
+        return np.prod(factors, axis=0) ** code.n_rx
 
     return integrate_half_pi(integrand, nodes) / math.pi
 

@@ -85,6 +85,11 @@ def _fmt_prob(p: float | None) -> str:
     return "" if p is None else f"{p:.12e}"
 
 
+def _parse_name_list(text: str) -> list[str]:
+    """Comma-separated names, blanks dropped."""
+    return [t.strip() for t in text.split(",") if t.strip()]
+
+
 def _parse_float_list(text: str) -> list[float]:
     """Comma-separated floats; a start:stop:step token expands inclusively."""
     values: list[float] = []
@@ -421,14 +426,10 @@ def cmd_plotdata(args) -> int:
 def _add_grid_options(sub, include_sim: bool) -> None:
     sub.add_argument("--spec", help="JSON sweep spec; flags override its values")
     sub.add_argument(
-        "--scheme",
-        type=lambda s: [t.strip() for t in s.split(",") if t.strip()],
-        help="comma list: alamouti_2x1, ostbc_4x2",
+        "--scheme", type=_parse_name_list, help="comma list: alamouti_2x1, ostbc_4x2"
     )
     sub.add_argument(
-        "--modulation",
-        type=lambda s: [t.strip() for t in s.split(",") if t.strip()],
-        help="comma list: BPSK, QPSK, QAM16",
+        "--modulation", type=_parse_name_list, help="comma list: BPSK, QPSK, QAM16"
     )
     sub.add_argument(
         "--gamma-db",

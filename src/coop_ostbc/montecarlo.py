@@ -139,8 +139,8 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int]:
     code = ostbc.CODES[point.scheme]
     rng = RngStream(point.seed, chunk_index)
     n = _chunk_blocks(point)
-    power = 10.0 ** (point.gamma_db / 10.0)
-    imb = ostbc.ImbalanceRatio.from_db(point.r_db)
+    power = _db_to_linear(point.gamma_db)
+    w = code.weights(_db_to_linear(point.r_db))
     bps = point.mod.bits_per_symbol
 
     tx_bits = rng.bits(code.n_symbols * bps * n)
@@ -152,9 +152,9 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int]:
     else:
         est = h + sample_circular_gaussian(rng, point.beta, size=h.shape)
     noise = sample_circular_gaussian(rng, 1.0, size=(code.n_rx, code.n_slots, n))
-    y = ostbc.transmit(code, x, h, power, imb, noise)
-    s_tilde = ostbc.combine(code, y, est, imb)
-    gain = math.sqrt(power) * ostbc.effective_gain(code, est, imb)
+    y = ostbc.transmit(code, x, h, power, w, noise)
+    s_tilde = ostbc.combine(code, y, est, w)
+    gain = math.sqrt(power) * ostbc.effective_gain(code, est, w)
     rx_bits = ostbc.detect(s_tilde.T, gain[:, None], point.mod)
     return tx_bits.size, int(np.count_nonzero(rx_bits != tx_bits))
 
@@ -261,8 +261,8 @@ def analytic_ber(scheme: str, mod: ostbc.Modulation, r_db: float, beta: float,
         return None
     point = analytic.AnalyticPoint(
         a_sq=mod.a_constant**2,
-        r=10.0 ** (r_db / 10.0),
-        gamma=10.0 ** (gamma_db / 10.0),
+        r=_db_to_linear(r_db),
+        gamma=_db_to_linear(gamma_db),
     )
     return analytic.ber_closed_form(point)
 

@@ -1,4 +1,4 @@
-"""Deterministic scalar numerics shared by the whole package.
+"""Deterministic numerics shared by the whole package.
 
 Probabilities are plain floats in [0, 1]. All randomness flows through
 ``RngStream`` so that every sample sequence is reproducible from a
@@ -16,13 +16,11 @@ import numpy as np
 
 __all__ = [
     "RngStream",
-    "q_function",
     "integrate_half_pi",
     "sample_circular_gaussian",
     "wilson_interval",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 _UINT64_MAX = (1 << 64) - 1
 
 
@@ -52,24 +50,19 @@ class RngStream:
         key = np.array([seed, stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def uniforms(self, size=None):
-        """Uniform draws on [0, 1)."""
-        return self._gen.random(size)
-
     def bits(self, n: int) -> np.ndarray:
         """n equiprobable bits as a uint8 array."""
         return (self._gen.random(int(n)) < 0.5).view(np.uint8)
 
-    def normal_pairs(self, size=None):
+    def normal_pairs(self, size):
         """Two independent N(0,1) arrays via one Box-Muller transform.
 
         With radius sqrt(-2 log(1 - u1)) and angle 2 pi u2 from two uniform
         draws, the pair is (radius cos(angle), radius sin(angle)). The
-        transform runs in place on the two uniform buffers; ``size=None``
-        gives two floats.
+        transform runs in place on the two uniform buffers.
         """
-        u1 = np.asarray(self._gen.random(size))
-        u2 = np.asarray(self._gen.random(size))
+        u1 = self._gen.random(size)
+        u2 = self._gen.random(size)
         # 1 - u1 lies in (0, 1], so the log is finite.
         rad = np.negative(u1, out=u1)
         np.log1p(rad, out=rad)
@@ -80,25 +73,10 @@ class RngStream:
         y = np.sin(ang, out=ang)
         x *= rad
         y *= rad
-        if size is None:
-            return float(x), float(y)
         return x, y
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-def q_function(x: float) -> float:
-    """Upper-tail probability of the standard normal.
-
-    Evaluated through the complementary error function,
-    Q(x) = erfc(x / sqrt(2)) / 2, which is accurate over the full range
-    and extends to negative x through erfc's own reflection.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"q_function requires finite input, got {x}")
-    return 0.5 * math.erfc(x / _SQRT2)
 
 
 @lru_cache(maxsize=16)
@@ -112,37 +90,30 @@ def _leggauss_half_pi(nodes: int):
 def integrate_half_pi(f: Callable, nodes: int = 64) -> float:
     """Gauss-Legendre estimate of the integral of f over [0, pi/2].
 
-    ``f`` may be vectorized over a numpy array of angles or accept one
-    scalar at a time. Deterministic for a given node count.
+    ``f`` is called once, on the numpy array of all node angles.
+    Deterministic for a given node count.
     """
     nodes = int(nodes)
     if nodes < 2:
         raise ValueError(f"need at least 2 quadrature nodes, got {nodes}")
     theta, weights = _leggauss_half_pi(nodes)
-    try:
-        vals = np.asarray(f(theta), dtype=float)
-        if vals.shape != theta.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(t)) for t in theta])
+    vals = np.asarray(f(theta), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("integrand returned a non-finite value")
     return float(np.dot(weights, vals))
 
 
-def sample_circular_gaussian(rng: RngStream, variance: float, size=None):
-    """Circularly-symmetric complex Gaussian draw(s) of the given variance.
+def sample_circular_gaussian(rng: RngStream, variance: float, size):
+    """Circularly-symmetric complex Gaussian draws of the given variance.
 
-    Real and imaginary parts are independent N(0, variance/2). Returns a
-    complex scalar when ``size`` is None, else a complex array.
+    Real and imaginary parts are independent N(0, variance/2); returns a
+    complex array of shape ``size``.
     """
     variance = float(variance)
     if not (math.isfinite(variance) and variance >= 0.0):
         raise ValueError(f"variance must be finite and >= 0, got {variance}")
     re, im = rng.normal_pairs(size)
     scale = math.sqrt(variance / 2.0)
-    if size is None:
-        return complex(scale * re, scale * im)
     out = np.empty(re.shape, dtype=complex)
     np.multiply(re, scale, out=out.real)
     np.multiply(im, scale, out=out.imag)

@@ -6,11 +6,13 @@ base station (BS) or relay (RS), that owns each antenna. One set of
 functions encodes, transmits, combines and scales for every code in
 :data:`CODES`.
 
-The per-node power split is carried by :class:`ImbalanceRatio`: the BS
-transmits with amplitude weight w_B = sqrt(1/(1+r)) and the RS with
-w_R = sqrt(r/(1+r)), where r is the linear RS-to-BS received-SNR ratio.
-A node with m antennas splits its weight equally, so each of its
-antennas has weight w_node / sqrt(m).
+The per-node power split comes from :meth:`SpaceTimeCode.weights`, the
+one place that turns the linear RS-to-BS received-SNR ratio r into
+weights: the BS transmits with amplitude weight w_B = sqrt(1/(1+r)) and
+the RS with w_R = sqrt(r/(1+r)). A node with m antennas splits its
+weight equally, so each of its antennas has weight w_node / sqrt(m).
+:func:`transmit`, :func:`combine` and :func:`effective_gain` take that
+weight array ``w``.
 
 Arrays may carry one trailing axis of fading blocks, which is the form
 the Monte Carlo engine uses: symbols (n_symbols, blocks), codewords
@@ -21,7 +23,7 @@ blocks), noise and received samples (n_rx, n_slots, blocks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +33,6 @@ __all__ = [
     "QPSK",
     "QAM16",
     "modulation_by_name",
-    "ImbalanceRatio",
     "SpaceTimeCode",
     "CODES",
     "modulate",
@@ -107,37 +108,6 @@ def modulation_by_name(name: str) -> Modulation:
 
 
 @dataclass(frozen=True)
-class ImbalanceRatio:
-    """Linear RS-to-BS SNR ratio r and the derived power weights.
-
-    w_B_sq + w_R_sq == 1 exactly (total-power conservation); the
-    amplitude weights are their square roots.
-    """
-
-    r: float
-    w_B: float = field(init=False)
-    w_R: float = field(init=False)
-    w_B_sq: float = field(init=False)
-    w_R_sq: float = field(init=False)
-
-    def __post_init__(self):
-        r = float(self.r)
-        if not (math.isfinite(r) and r > 0.0):
-            raise ValueError(f"imbalance ratio must be finite and > 0, got {r}")
-        w_b_sq = 1.0 / (1.0 + r)
-        w_r_sq = 1.0 - w_b_sq
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "w_B_sq", w_b_sq)
-        object.__setattr__(self, "w_R_sq", w_r_sq)
-        object.__setattr__(self, "w_B", math.sqrt(w_b_sq))
-        object.__setattr__(self, "w_R", math.sqrt(w_r_sq))
-
-    @classmethod
-    def from_db(cls, r_db: float) -> "ImbalanceRatio":
-        return cls(10.0 ** (float(r_db) / 10.0))
-
-
-@dataclass(frozen=True)
 class SpaceTimeCode:
     """An orthogonal space-time block code as a table of codeword entries.
 
@@ -166,9 +136,14 @@ class SpaceTimeCode:
     def n_symbols(self) -> int:
         return 1 + max(entry[2] for entry in self.entries)
 
-    def weights(self, imb: ImbalanceRatio) -> np.ndarray:
-        """Per-antenna amplitude weights: each node splits its weight equally."""
-        node_weight = {"BS": imb.w_B, "RS": imb.w_R}
+    def weights(self, r: float) -> np.ndarray:
+        """Per-antenna amplitude weights for the linear imbalance r.
+
+        w_B^2 = 1/(1+r) and w_R^2 = 1 - w_B^2, so the node powers add up
+        to one; each node splits its weight equally over its antennas.
+        """
+        w_b_sq = 1.0 / (1.0 + r)
+        node_weight = {"BS": math.sqrt(w_b_sq), "RS": math.sqrt(1.0 - w_b_sq)}
         return np.array(
             [node_weight[n] * math.sqrt(1.0 / self.nodes.count(n)) for n in self.nodes]
         )
@@ -223,10 +198,10 @@ def modulate(bits, mod: Modulation) -> np.ndarray:
     return mod.points[idx]
 
 
-def _weighted(code: SpaceTimeCode, channels, imb: ImbalanceRatio) -> np.ndarray:
+def _weighted(channels, w) -> np.ndarray:
     """w_i * h_ij for a channel array of shape (n_tx, n_rx[, blocks])."""
     h = np.asarray(channels, dtype=complex)
-    return code.weights(imb).reshape((-1,) + (1,) * (h.ndim - 1)) * h
+    return w.reshape((-1,) + (1,) * (h.ndim - 1)) * h
 
 
 def encode(code: SpaceTimeCode, symbols) -> np.ndarray:
@@ -240,17 +215,17 @@ def encode(code: SpaceTimeCode, symbols) -> np.ndarray:
     return x
 
 
-def transmit(code: SpaceTimeCode, codeword, channels, total_power: float,
-             imb: ImbalanceRatio, noise):
+def transmit(code: SpaceTimeCode, codeword, channels, total_power: float, w, noise):
     """Received samples Y[j, t] = sqrt(P) sum_i w_i H[i, j] X[i, t] + noise[j, t].
 
-    The sum runs over the code's non-zero entries only.
+    The sum runs over the code's non-zero entries only; ``w`` is
+    ``code.weights(r)``.
     """
     total_power = float(total_power)
     if not (math.isfinite(total_power) and total_power >= 0.0):
         raise ValueError(f"total power must be finite and >= 0, got {total_power}")
     x = np.asarray(codeword, dtype=complex)
-    g = _weighted(code, channels, imb)
+    g = _weighted(channels, w)
     signal = np.empty((code.n_rx, code.n_slots) + g.shape[2:], dtype=complex)
     started = set()
     for i, t, *_ in code.entries:
@@ -264,7 +239,7 @@ def transmit(code: SpaceTimeCode, codeword, channels, total_power: float,
     return signal
 
 
-def combine(code: SpaceTimeCode, y, est, imb: ImbalanceRatio) -> np.ndarray:
+def combine(code: SpaceTimeCode, y, est, w) -> np.ndarray:
     """Matched-filter combining with the estimated channels over all rx antennas.
 
     s~_k = sum over the entries of s_k and over rx antennas j of
@@ -281,7 +256,7 @@ def combine(code: SpaceTimeCode, y, est, imb: ImbalanceRatio) -> np.ndarray:
         or est.shape[2:] != y.shape[2:]
     ):
         raise ValueError(f"dimension mismatch for {code.name}: y {y.shape}, est {est.shape}")
-    g = _weighted(code, est, imb)
+    g = _weighted(est, w)
     g_conj, y_conj = g.conj(), y.conj()
     per_rx = np.empty((code.n_symbols,) + y.shape[:1] + y.shape[2:], dtype=complex)
     started = set()
@@ -298,13 +273,13 @@ def combine(code: SpaceTimeCode, y, est, imb: ImbalanceRatio) -> np.ndarray:
     return per_rx[:, 0] if code.n_rx == 1 else per_rx.sum(axis=1)
 
 
-def effective_gain(code: SpaceTimeCode, est, imb: ImbalanceRatio):
+def effective_gain(code: SpaceTimeCode, est, w):
     """Combined gain sum_ij w_i^2 |est[i, j]|^2 over all transmit-receive paths."""
     est = np.asarray(est, dtype=complex)
     if est.shape[:2] != (code.n_tx, code.n_rx):
         raise ValueError(f"expected a {code.name} channel array, got shape {est.shape}")
     per_antenna = (est.real**2 + est.imag**2).sum(axis=1)
-    out = np.einsum("i,i...->...", code.weights(imb) ** 2, per_antenna)
+    out = np.einsum("i,i...->...", w**2, per_antenna)
     return out if out.ndim else float(out)
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import mpmath
 import numpy as np
@@ -10,10 +11,11 @@ from coop_ostbc.analytic import (
     ber_integral_oracle,
     diversity_slope,
 )
-from coop_ostbc.ostbc import CODES, ImbalanceRatio, effective_gain
+from coop_ostbc.ostbc import BPSK, CODES, QPSK, effective_gain
 
 A_SQ_BPSK = 2.0
 A_SQ_QPSK = 1.0
+A2 = CODES["alamouti_2x1"]
 
 
 def mrc_two_branch(gamma_total: float) -> float:
@@ -28,7 +30,7 @@ def effective_snr(h_b, h_r, r, gamma):
     """Instantaneous combined SNR gamma G of the 2x1 code,
     gamma/(1+r) (|h_B|^2 + r |h_R|^2)."""
     h = np.array([[h_b], [h_r]], dtype=complex)
-    return gamma * effective_gain(CODES["alamouti_2x1"], h, ImbalanceRatio(r))
+    return gamma * effective_gain(A2, h, A2.weights(r))
 
 
 def test_effective_snr_balanced_unit_channels():
@@ -65,14 +67,21 @@ def test_closed_form_extreme_imbalance_collapses_to_one_branch():
 
 
 def mp_closed_form(a_sq, r, gamma):
-    """The product form in 50-digit arithmetic, from the exact float inputs."""
+    """The product form in 50-digit arithmetic, from the exact float inputs.
+
+    Each factor 1 - 1/mu is written c / (mu (mu + 1)), so the reference
+    keeps its 50 digits however small c is.
+    """
     mp = mpmath.mp.clone()
     mp.dps = 50
     a_sq, r, gamma = mp.mpf(a_sq), mp.mpf(r), mp.mpf(gamma)
-    common = 2 * (1 + r) / (a_sq * gamma)
-    mu_m = mp.sqrt(1 + common)
-    mu_n = mp.sqrt(1 + common / r)
-    return (1 - 1 / mu_m) * (1 - 1 / mu_n) * (1 + 1 / (mu_m + mu_n)) / 2
+    c_m = 2 * (1 + r) / (a_sq * gamma)
+    c_n = c_m / r
+    mu_m = mp.sqrt(1 + c_m)
+    mu_n = mp.sqrt(1 + c_n)
+    return (
+        c_m / (mu_m * (mu_m + 1)) * c_n / (mu_n * (mu_n + 1)) * (1 + 1 / (mu_m + mu_n)) / 2
+    )
 
 
 @pytest.mark.parametrize("a_sq", [A_SQ_BPSK, A_SQ_QPSK])
@@ -86,12 +95,32 @@ def test_closed_form_matches_50_digit_reference_up_to_300_db(a_sq, r):
         assert abs(pe / ref - 1) <= 2e-15, gamma_db
 
 
+# dB values from the bottom of the accepted range (-3236 dB is the smallest
+# subnormal, 5e-324) to the top of the float range.
+EXTREME_DB = (-3236.0, -3200.0, -3000.0, -300.0, 0.0, 300.0, 3000.0, 3080.0)
+
+
+@pytest.mark.parametrize("mod", [BPSK, QPSK], ids=lambda m: m.name)
+def test_closed_form_matches_50_digit_reference_over_the_float_range(mod):
+    # The CLI's a^2 (2.0000000000000004 for BPSK) at the CLI's float gamma
+    # and r. A result below the normal range carries at most the precision
+    # of a subnormal, so one unit of 2**-1074 is allowed on top; every
+    # normal result stays within 2e-15.
+    a_sq = mod.a_constant**2
+    for gamma_db, r_db in product(EXTREME_DB, repeat=2):
+        gamma, r = 10.0 ** (gamma_db / 10.0), 10.0 ** (r_db / 10.0)
+        pe = ber_closed_form(AnalyticPoint(a_sq, r, gamma))
+        ref = mp_closed_form(a_sq, r, gamma)
+        assert math.isfinite(pe) and 0.0 <= pe <= 0.5, (gamma_db, r_db)
+        assert abs(pe - ref) <= 2e-15 * ref + 2.0**-1074, (gamma_db, r_db)
+
+
 @pytest.mark.parametrize("a_sq", [A_SQ_BPSK, A_SQ_QPSK])
 @pytest.mark.parametrize("r", [0.1, 1.0, 10.0])
 @pytest.mark.parametrize("gamma", [1.0, 10.0, 100.0])
 def test_quadrature_oracle_matches_closed_form(a_sq, r, gamma):
     p = AnalyticPoint(a_sq, r, gamma)
-    assert ber_integral_oracle(p, 64) == pytest.approx(
+    assert ber_integral_oracle(A2, p, 64) == pytest.approx(
         ber_closed_form(p), rel=1e-10
     )
 
@@ -101,14 +130,39 @@ def test_oracle_is_finite_and_continuous_at_balanced_ratio():
     # and the integral are both regular there.
     for r in (1.0, 1.0 + 1e-9, 1.0 - 1e-9):
         p = AnalyticPoint(A_SQ_QPSK, r, 20.0)
-        assert ber_integral_oracle(p, 64) == pytest.approx(
+        assert ber_integral_oracle(A2, p, 64) == pytest.approx(
             ber_closed_form(p), rel=1e-10
         )
 
 
 def test_oracle_rejects_too_few_nodes():
     with pytest.raises(ValueError):
-        ber_integral_oracle(AnalyticPoint(1.0, 1.0, 1.0), nodes=8)
+        ber_integral_oracle(A2, AnalyticPoint(1.0, 1.0, 1.0), nodes=8)
+
+
+def mrc_rayleigh(branches: int, g: float) -> float:
+    """L-branch maximal-ratio combining over i.i.d. Rayleigh branches of mean SNR g
+    (Proakis): ((1-mu)/2)^L sum_k C(L-1+k, k) ((1+mu)/2)^k, mu = sqrt(g/(1+g)),
+    with 1 - mu written as 1/((1+g)(1+mu))."""
+    mu = math.sqrt(g / (1.0 + g))
+    lo = 0.5 / ((1.0 + g) * (1.0 + mu))
+    hi = 0.5 * (1.0 + mu)
+    return lo**branches * sum(math.comb(branches - 1 + k, k) * hi**k for k in range(branches))
+
+
+@pytest.mark.parametrize(
+    "scheme, branches, per_branch", [("alamouti_2x1", 2, 4.0), ("ostbc_4x2", 8, 8.0)]
+)
+@pytest.mark.parametrize("a_sq", [A_SQ_BPSK, A_SQ_QPSK])
+def test_oracle_at_balance_is_mrc_over_all_paths(scheme, branches, per_branch, a_sq):
+    # At r = 1 every one of the n_tx n_rx paths carries w_i^2 = 1/n_tx, so the
+    # code is L-branch MRC with per-branch SNR a^2 gamma / (2 n_tx).
+    for gamma_db in range(0, 31, 2):
+        gamma = 10.0 ** (gamma_db / 10.0)
+        got = ber_integral_oracle(CODES[scheme], AnalyticPoint(a_sq, 1.0, gamma))
+        assert got == pytest.approx(
+            mrc_rayleigh(branches, a_sq * gamma / per_branch), rel=1e-12
+        ), gamma_db
 
 
 @pytest.mark.parametrize("r", [1.0, 10.0])

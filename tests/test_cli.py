@@ -256,12 +256,40 @@ def test_bad_flag_value_is_usage_error_before_any_compute(no_compute, flags):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--gamma-db", "-3300"], ["--gamma-db", "4", "--r-db", "4000"]],
-    ids=["underflowing-gamma", "overflowing-r"],
+    [
+        ["--gamma-db", "-3300"],
+        ["--gamma-db", "4", "--r-db", "4000"],
+        ["--gamma-db", "4", "--r-db", "-3240"],
+    ],
+    ids=["underflowing-gamma", "overflowing-r", "underflowing-r"],
 )
 def test_analytic_rejects_db_out_of_float_range(capsys, flags):
     assert run(["analytic"] + flags) == 1
     assert "must be finite in dB and in linear units" in capsys.readouterr().err
+
+
+# From the bottom of the accepted range (-3236 dB is the smallest subnormal,
+# 5e-324) to the top of the float range.
+EXTREME_DB = "-3236,-3200,-3000,-300,0,300,3000,3080"
+
+
+def test_analytic_covers_the_whole_accepted_db_range(tmp_path):
+    out = tmp_path / "extreme.csv"
+    argv = ["analytic", "--modulation", "BPSK,QPSK", f"--gamma-db={EXTREME_DB}",
+            f"--r-db={EXTREME_DB}", "--output", str(out)]
+    assert run(argv) == 0
+    rows = read_csv(out)
+    assert len(rows) == 2 * 8 * 8
+    assert all(0.0 <= float(row["ber_analytic"]) <= 0.5 for row in rows)
+
+
+def test_simulate_fills_the_closed_form_at_extreme_imbalance(tmp_path):
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--modulation", "BPSK", "--gamma-db", "0", "--r-db", "3080",
+            "--max-bits", "1000", "--output", str(out)]
+    assert run(argv) == 0
+    (row,) = read_csv(out)
+    assert 0.0 < float(row["ber_analytic"]) < 0.5
 
 
 @pytest.mark.parametrize("command", ["analytic", "validate"])

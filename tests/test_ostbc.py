@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from coop_ostbc.montecarlo import SimPoint
 from coop_ostbc.numerics import RngStream, sample_circular_gaussian
 from coop_ostbc.ostbc import (
     BPSK,
     CODES,
     QAM16,
     QPSK,
-    ImbalanceRatio,
     combine,
     detect,
     effective_gain,
@@ -34,6 +34,11 @@ def alamouti_y(y0, y1):
     return np.array([[y0, y1]], dtype=complex)
 
 
+def split(r):
+    """(w_B, w_R) of the 2x1 code, the BS and RS amplitude weights."""
+    return tuple(A2.weights(r))
+
+
 def gram_error(code, s):
     """Largest deviation of X X^H from |s|^2 I over the blocks of ``s``."""
     x = encode(code, s)
@@ -47,14 +52,14 @@ def assert_zero_noise_bit_exact(code, mod, seed, r_db, gamma_db):
     """Noise-free blocks with perfect estimates decode to the sent bits."""
     rng = RngStream(seed)
     n = 10_000
-    imb = ImbalanceRatio.from_db(r_db)
+    w = code.weights(10.0 ** (r_db / 10.0))
     p = 10.0 ** (gamma_db / 10.0)
     bits = rng.bits(code.n_symbols * mod.bits_per_symbol * n)
     syms = modulate(bits, mod).reshape(n, code.n_symbols).T
     h = sample_circular_gaussian(rng, 1.0, size=(code.n_tx, code.n_rx, n))
     noise = np.zeros((code.n_rx, code.n_slots, n), complex)
-    s_tilde = combine(code, transmit(code, encode(code, syms), h, p, imb, noise), h, imb)
-    gain = math.sqrt(p) * effective_gain(code, h, imb)
+    s_tilde = combine(code, transmit(code, encode(code, syms), h, p, w, noise), h, w)
+    gain = math.sqrt(p) * effective_gain(code, h, w)
     per_sym = bits.reshape(n, code.n_symbols, mod.bits_per_symbol)
     for k in range(code.n_symbols):
         assert np.array_equal(detect(s_tilde[k], gain, mod), per_sym[:, k].ravel())
@@ -134,31 +139,33 @@ def test_roundtrip_modulate_detect_all_labels():
 
 @pytest.mark.parametrize("r", [0.01, 0.1, 1.0, 3.7, 10.0, 100.0])
 def test_power_conservation(r):
-    imb = ImbalanceRatio(r)
-    assert imb.w_B_sq + imb.w_R_sq == 1.0
-    assert abs(imb.w_B**2 + imb.w_R**2 - 1.0) < 1e-15
+    for code in CODES.values():
+        assert abs(np.sum(code.weights(r) ** 2) - 1.0) < 1e-15
+    w_b, w_r = split(r)
+    assert w_b**2 == pytest.approx(1.0 / (1.0 + r), rel=1e-15)
+    assert w_r**2 == pytest.approx(r / (1.0 + r), rel=1e-15)
 
 
 def test_balanced_split_at_zero_db():
-    imb = ImbalanceRatio.from_db(0.0)
-    assert imb.w_B == pytest.approx(imb.w_R, abs=0)
-    assert imb.r == 1.0
+    w_b, w_r = split(10.0 ** (0.0 / 10.0))
+    assert w_b == w_r == math.sqrt(0.5)
 
 
 def test_imbalance_rejects_non_positive_ratio():
-    with pytest.raises(ValueError):
-        ImbalanceRatio(0.0)
-    with pytest.raises(ValueError):
-        ImbalanceRatio(-2.0)
+    # The ratio reaches the weights only through a SimPoint, which refuses an
+    # r_db whose linear value is not finite and > 0.
+    for r_db in (-4000.0, 4000.0, float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="r_db"):
+            SimPoint("alamouti_2x1", QPSK, 10.0, r_db, 0.0, seed=1)
 
 
 @pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
 def test_antennas_split_their_node_power_equally(code):
-    imb = ImbalanceRatio(3.0)
-    w_sq = code.weights(imb) ** 2
+    w_b, w_r = split(3.0)
+    w_sq = code.weights(3.0) ** 2
     nodes = np.array(code.nodes)
-    assert np.sum(w_sq[nodes == "BS"]) == pytest.approx(imb.w_B_sq, rel=1e-15)
-    assert np.sum(w_sq[nodes == "RS"]) == pytest.approx(imb.w_R_sq, rel=1e-15)
+    assert np.sum(w_sq[nodes == "BS"]) == pytest.approx(w_b**2, rel=1e-15)
+    assert np.sum(w_sq[nodes == "RS"]) == pytest.approx(w_r**2, rel=1e-15)
     for node in ("BS", "RS"):
         assert np.ptp(w_sq[nodes == node]) == 0.0
 
@@ -198,36 +205,37 @@ def test_encode_rejects_wrong_symbol_count():
 
 def test_transmit_hand_example():
     # Balanced links, unit channels, P = 2, (s0, s1) = (1, 0) gives (1, 1).
-    y = transmit(A2, encode(A2, [1.0, 0.0]), pair(1.0, 1.0), 2.0, ImbalanceRatio(1.0),
+    y = transmit(A2, encode(A2, [1.0, 0.0]), pair(1.0, 1.0), 2.0, A2.weights(1.0),
                  np.zeros((1, 2)))
     assert y[0, 0] == pytest.approx(1.0, rel=1e-15)
     assert y[0, 1] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_transmit_dead_relay_reduces_to_single_antenna():
-    imb = ImbalanceRatio(2.0)
+    r = 2.0
     p = 5.0
     s0, s1 = 0.6 + 0.3j, -0.2 + 0.9j
-    y = transmit(A2, encode(A2, [s0, s1]), pair(1.5 - 0.5j, 0.0), p, imb, np.zeros((1, 2)))
-    scale = math.sqrt(p / (1.0 + imb.r)) * (1.5 - 0.5j)
+    y = transmit(A2, encode(A2, [s0, s1]), pair(1.5 - 0.5j, 0.0), p, A2.weights(r),
+                 np.zeros((1, 2)))
+    scale = math.sqrt(p / (1.0 + r)) * (1.5 - 0.5j)
     assert y[0, 0] == pytest.approx(scale * s0, rel=1e-12)
     assert y[0, 1] == pytest.approx(-scale * np.conj(s1), rel=1e-12)
 
 
 def test_transmit_zero_power_passes_noise_through():
     noise = alamouti_y(0.3 + 0.1j, -0.2 - 0.7j)
-    y = transmit(A2, encode(A2, [1.0, 1.0]), pair(1.0, 1.0), 0.0, ImbalanceRatio(1.0), noise)
+    y = transmit(A2, encode(A2, [1.0, 1.0]), pair(1.0, 1.0), 0.0, A2.weights(1.0), noise)
     assert np.array_equal(y, noise)
 
 
 def test_combine_hand_example():
-    imb = ImbalanceRatio(1.0)
+    w = A2.weights(1.0)
     s0 = (1 + 1j) / math.sqrt(2)
     s1 = (1 - 1j) / math.sqrt(2)
     h = pair(1.0, 1.0j)
-    y = transmit(A2, encode(A2, [s0, s1]), h, 1.0, imb, np.zeros((1, 2)))
-    s0t, s1t = combine(A2, y, h, imb)
-    g = effective_gain(A2, h, imb)
+    y = transmit(A2, encode(A2, [s0, s1]), h, 1.0, w, np.zeros((1, 2)))
+    s0t, s1t = combine(A2, y, h, w)
+    g = effective_gain(A2, h, w)
     assert g == pytest.approx(1.0, rel=1e-15)
     assert s0t / g == pytest.approx(s0, rel=1e-12)
     assert s1t / g == pytest.approx(s1, rel=1e-12)
@@ -235,7 +243,7 @@ def test_combine_hand_example():
 
 def test_combine_zero_estimates_give_zero():
     s0t, s1t = combine(A2, alamouti_y(1.0 + 2.0j, 3.0 - 1.0j), pair(0.0, 0.0),
-                       ImbalanceRatio(1.0))
+                       A2.weights(1.0))
     assert s0t == 0 and s1t == 0
 
 
@@ -244,25 +252,25 @@ def test_combine_is_the_imbalance_aware_alamouti_matrix():
     rng = RngStream(39)
     hb, hr = sample_circular_gaussian(rng, 1.0, size=2)
     y0, y1 = sample_circular_gaussian(rng, 1.0, size=2)
-    imb = ImbalanceRatio(0.3)
+    w_b, w_r = split(0.3)
     matrix = np.array(
-        [[imb.w_B * np.conj(hb), imb.w_R * hr], [imb.w_R * np.conj(hr), -imb.w_B * hb]]
+        [[w_b * np.conj(hb), w_r * hr], [w_r * np.conj(hr), -w_b * hb]]
     )
     expected = matrix @ np.array([y0, np.conj(y1)])
-    got = combine(A2, alamouti_y(y0, y1), pair(hb, hr), imb)
+    got = combine(A2, alamouti_y(y0, y1), pair(hb, hr), A2.weights(0.3))
     assert np.allclose(got, expected, rtol=1e-14, atol=0)
 
 
 def test_combine_recovers_symbols_with_perfect_csi():
     rng = RngStream(32)
     n = 10_000
-    imb = ImbalanceRatio(4.2)
+    w = A2.weights(4.2)
     p = 3.0
     s = sample_circular_gaussian(rng, 1.0, size=(2, n))
     h = sample_circular_gaussian(rng, 1.0, size=(2, 1, n))
-    y = transmit(A2, encode(A2, s), h, p, imb, np.zeros((1, 2, n)))
-    s_tilde = combine(A2, y, h, imb)
-    g = math.sqrt(p) * effective_gain(A2, h, imb)
+    y = transmit(A2, encode(A2, s), h, p, w, np.zeros((1, 2, n)))
+    s_tilde = combine(A2, y, h, w)
+    g = math.sqrt(p) * effective_gain(A2, h, w)
     assert np.max(np.abs(s_tilde / g - s)) < 1e-12
 
 
@@ -272,16 +280,16 @@ def test_combine_is_linear_in_received_vector():
     # (a complex scale on raw y cannot commute through the conjugation).
     rng = RngStream(33)
     est = sample_circular_gaussian(rng, 1.0, size=(2, 1))
-    imb = ImbalanceRatio(0.5)
+    w = A2.weights(0.5)
     y = alamouti_y(0.4 - 0.2j, -1.1 + 0.8j)
-    b = combine(A2, y, est, imb)
+    b = combine(A2, y, est, w)
 
     for alpha in (2.5, -0.3):
-        assert np.allclose(combine(A2, alpha * y, est, imb), alpha * b, rtol=1e-12, atol=0)
+        assert np.allclose(combine(A2, alpha * y, est, w), alpha * b, rtol=1e-12, atol=0)
 
     alpha = 1.7 - 2.2j
     scaled = alamouti_y(alpha * y[0, 0], np.conj(alpha) * y[0, 1])
-    assert np.allclose(combine(A2, scaled, est, imb), alpha * b, rtol=1e-12, atol=0)
+    assert np.allclose(combine(A2, scaled, est, w), alpha * b, rtol=1e-12, atol=0)
 
 
 def test_effective_gain_matches_weighted_branch_sum():
@@ -289,7 +297,7 @@ def test_effective_gain_matches_weighted_branch_sum():
     hb, hr = h[0, 0], h[1, 0]
     for r in (0.2, 1.0, 10.0):
         expected = np.abs(hb) ** 2 / (1.0 + r) + r * np.abs(hr) ** 2 / (1.0 + r)
-        assert np.max(np.abs(effective_gain(A2, h, ImbalanceRatio(r)) - expected)) < 1e-12
+        assert np.max(np.abs(effective_gain(A2, h, A2.weights(r)) - expected)) < 1e-12
 
 
 # --- detection ----------------------------------------------------------------
@@ -338,12 +346,13 @@ def test_detect_matches_nearest_point_on_points_edges_and_crossings(mod):
 @pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
 def test_detect_matches_nearest_point_on_random_symbols(mod):
     rng = RngStream(41, mod.bits_per_symbol)
+    uniforms = np.random.Generator(np.random.Philox(key=[42, mod.bits_per_symbol]))
     for _ in range(4):
         s = sample_circular_gaussian(rng, 2.0, size=(50_000, 3))
-        gain = 0.1 + rng.uniforms(50_000)
+        gain = 0.1 + uniforms.random(50_000)
         got = detect(s, gain[:, None], mod)
         assert np.array_equal(got, nearest_point_bits(s / gain[:, None], mod))
-    for s, gain in zip(sample_circular_gaussian(rng, 2.0, size=20), rng.uniforms(20)):
+    for s, gain in zip(sample_circular_gaussian(rng, 2.0, size=20), uniforms.random(20)):
         assert np.array_equal(detect(s, gain, mod), nearest_point_bits(s / gain, mod))
 
 
@@ -391,29 +400,29 @@ def test_ostbc4_zero_input_gives_zero_matrix():
 
 
 def test_ostbc4_single_path_gain():
-    imb = ImbalanceRatio(1.0)
+    w = O4.weights(1.0)
     h = np.zeros((4, 2), dtype=complex)
     h[0, 0] = 1.0
     s = (0.3 + 0.4j, -0.8 + 0.1j, 0.5 - 0.5j)
-    y = transmit(O4, encode(O4, s), h, 1.0, imb, np.zeros((2, 4), complex))
-    outs = combine(O4, y, h, imb)
-    for k in range(3):
-        assert outs[k] == pytest.approx(imb.w_B_sq / 2.0 * s[k], rel=1e-12)
+    y = transmit(O4, encode(O4, s), h, 1.0, w, np.zeros((2, 4), complex))
+    outs = combine(O4, y, h, w)
+    for k in range(3):  # w_B^2 = 1/2 at r = 1, split over the BS's two antennas
+        assert outs[k] == pytest.approx(0.25 * s[k], rel=1e-12)
 
 
 def test_ostbc4_zero_channels_give_zero_output():
-    outs = combine(O4, np.zeros((2, 4), complex), np.zeros((4, 2), complex), ImbalanceRatio(2.0))
+    outs = combine(O4, np.zeros((2, 4), complex), np.zeros((4, 2), complex), O4.weights(2.0))
     assert np.all(outs == 0)
 
 
 def test_ostbc4_dimension_mismatch_raises():
-    imb = ImbalanceRatio(1.0)
+    w = O4.weights(1.0)
     with pytest.raises(ValueError):
-        combine(O4, np.zeros((2, 3), complex), np.zeros((4, 2), complex), imb)
+        combine(O4, np.zeros((2, 3), complex), np.zeros((4, 2), complex), w)
     with pytest.raises(ValueError):
-        combine(O4, np.zeros((2, 4), complex), np.zeros((3, 2), complex), imb)
+        combine(O4, np.zeros((2, 4), complex), np.zeros((3, 2), complex), w)
     with pytest.raises(ValueError):
-        combine(O4, np.zeros((2, 4), complex), np.zeros((4, 3), complex), imb)
+        combine(O4, np.zeros((2, 4), complex), np.zeros((4, 3), complex), w)
 
 
 @pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
@@ -423,10 +432,10 @@ def test_zero_noise_perfect_csi_is_bit_exact_4x2(mod):
 
 def test_ostbc4_effective_gain_sums_weighted_paths():
     h = sample_circular_gaussian(RngStream(38), 1.0, size=(4, 2))
-    imb = ImbalanceRatio(3.0)
-    w_sq = np.array([imb.w_B_sq / 2] * 2 + [imb.w_R_sq / 2] * 2)
+    r = 3.0
+    w_sq = np.array([1.0 / (1.0 + r) / 2] * 2 + [r / (1.0 + r) / 2] * 2)
     expected = float(np.sum(w_sq[:, None] * np.abs(h) ** 2))
-    assert effective_gain(O4, h, imb) == pytest.approx(expected, rel=1e-12)
+    assert effective_gain(O4, h, O4.weights(r)) == pytest.approx(expected, rel=1e-12)
 
 
 # --- every code in the table --------------------------------------------------
