@@ -7,12 +7,12 @@ Subcommands
     plotdata   split a result CSV into per-curve two-column files
 
 Sweeps are configured from a JSON file (--spec) and/or flags; flags
-override the file. A grid cell is a ``montecarlo.SimPoint``, which holds
-the SNR and the imbalance in dB; the simulator and ``analytic_ber``
-convert them to linear units, and ``analytic.AnalyticPoint`` takes
-linear units. The imbalance convention is r = (RS-UE SNR) / (BS-UE SNR),
-so r > 1 means the relay link is the stronger one; the error-rate
-analysis is symmetric under r <-> 1/r.
+override the file. ``montecarlo.sweep_points`` turns them into the grid
+cells, ``SimPoint`` values that hold the SNR and the imbalance in dB;
+the simulator and ``analytic_ber`` convert them to linear units, and
+``analytic.AnalyticPoint`` takes linear units. The imbalance convention
+is r = (RS-UE SNR) / (BS-UE SNR), so r > 1 means the relay link is the
+stronger one; the error-rate analysis is symmetric under r <-> 1/r.
 
 Exit codes: 0 success, 1 usage error, 2 runtime/numeric error, 3 I/O error.
 """
@@ -25,6 +25,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 
 from . import analytic
@@ -33,10 +34,9 @@ from .montecarlo import (
     DEFAULT_MIN_ERRORS,
     BerEstimate,
     SimPoint,
-    SweepSpec,
     analytic_ber,
-    has_closed_form,
     run_sweep,
+    sweep_points,
 )
 from .ostbc import modulation_by_name
 
@@ -60,7 +60,6 @@ CSV_HEADER = [
     "seed",
 ]
 
-WORKERS_ENV = "COOP_OSTBC_WORKERS"
 SPEC_KEYS = ("schemes", "modulations", "gamma_db", "r_db", "beta", "seed",
              "min_errors", "max_bits", "workers", "output")
 GAP_TARGET_BER = 1e-2
@@ -73,6 +72,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # No option starts with a minus and a digit, so "-10,0", "-10:0:5" and
+        # "-1e1" are values; argparse's own pattern takes only plain numbers.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
 
@@ -128,46 +133,39 @@ def _integer(value, key: str) -> int:
     """An integral spec value; a fractional number is refused, not truncated."""
     if isinstance(value, float) and not value.is_integer():
         raise UsageError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
 
 
-def _resolve_workers(args, filedata: dict) -> int:
-    if args.workers is not None:
-        return args.workers
-    if "workers" in filedata:
-        return _integer(filedata["workers"], "workers")
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return 1
-
-
-def _build_spec(args) -> tuple[SweepSpec, str | None]:
-    """Merge JSON file and flags (flags win) into a validated SweepSpec.
-
-    Returns the spec and the CSV output path (None for stdout).
-
-    Every check runs here, before any cell is simulated, and fails as a
-    usage error.
-    """
-    filedata = _load_spec_file(args.spec) if args.spec else {}
-    unknown = sorted(set(filedata) - set(SPEC_KEYS))
+def _read_spec(args) -> dict:
+    """The spec file's values, each overridden by its flag (stored under its key)."""
+    spec = _load_spec_file(args.spec) if args.spec else {}
+    unknown = sorted(set(spec) - set(SPEC_KEYS))
     if unknown:
         raise UsageError(
             f"unknown key(s) {', '.join(unknown)} in {args.spec}; "
             f"expected {', '.join(SPEC_KEYS)}"
         )
+    for key in SPEC_KEYS:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            spec[key] = flag
+    output = spec.get("output")
+    if output is not None and not isinstance(output, str):
+        raise UsageError(f"output must be a path string, got {output!r}")
+    return spec
 
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return filedata.get(key, default)
 
-    def grid(flag_value, key, default) -> list[float]:
-        values = pick(flag_value, key, default)
+def _points(spec: dict, **stop_rule) -> tuple[SimPoint, ...]:
+    """The sweep's cells, with every check failing here as a usage error.
+
+    Only the commands that simulate pass ``min_errors`` and ``max_bits``.
+    """
+
+    def grid(key, default) -> list[float]:
+        values = spec.get(key, default)
         if isinstance(values, list):
             try:
                 return [float(v) for v in values]
@@ -175,13 +173,11 @@ def _build_spec(args) -> tuple[SweepSpec, str | None]:
                 pass
         raise UsageError(f"{key} must be a list of numbers, got {values!r}")
 
-    schemes = pick(args.scheme, "schemes", ["alamouti_2x1"])
-    modulations = pick(args.modulation, "modulations", ["QPSK"])
-    gamma_db = grid(args.gamma_db, "gamma_db", [])
-    r_db = grid(args.r_db, "r_db", [0.0])
-    beta = grid(args.beta, "beta", [0.0])
-    output = pick(args.output, "output", None)
-
+    schemes = spec.get("schemes", ["alamouti_2x1"])
+    modulations = spec.get("modulations", ["QPSK"])
+    gamma_db = grid("gamma_db", [])
+    r_db = grid("r_db", [0.0])
+    beta = grid("beta", [0.0])
     if isinstance(schemes, str):
         schemes = [schemes]
     if isinstance(modulations, str):
@@ -193,44 +189,49 @@ def _build_spec(args) -> tuple[SweepSpec, str | None]:
             "warning: SNR grid was not strictly increasing; normalizing",
             file=sys.stderr,
         )
+    seed = _integer(spec.get("seed", 1), "seed")
     try:
-        spec = SweepSpec(
-            schemes=tuple(schemes),
-            modulations=tuple(modulations),
-            gamma_db=tuple(gamma_db),
-            r_db=tuple(r_db),
-            beta=tuple(beta),
-            seed=_integer(pick(args.seed, "seed", 1), "seed"),
-            min_errors=_integer(pick(args.min_errors, "min_errors", DEFAULT_MIN_ERRORS),
-                                "min_errors"),
-            max_bits=_integer(pick(args.max_bits, "max_bits", DEFAULT_MAX_BITS), "max_bits"),
-            workers=_resolve_workers(args, filedata),
-        )
+        return sweep_points(schemes, modulations, gamma_db, r_db, beta, seed, **stop_rule)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
-    return spec, output
 
 
-def _require_closed_form(spec: SweepSpec, quantifier) -> None:
-    """Usage error unless the closed form covers every scheme and modulation.
+def _simulated_points(spec: dict) -> tuple[tuple[SimPoint, ...], int]:
+    """The cells with the spec's stopping rule, and the worker count."""
+    workers = _integer(spec.get("workers", 1), "workers")
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
+    points = _points(
+        spec,
+        min_errors=_integer(spec.get("min_errors", DEFAULT_MIN_ERRORS), "min_errors"),
+        max_bits=_integer(spec.get("max_bits", DEFAULT_MAX_BITS), "max_bits"),
+    )
+    return points, workers
 
-    ``quantifier`` says over which betas of the grid: ``all`` for a grid
-    of closed-form values, ``any`` for a comparison against them.
+
+def _closed_form(points, quantifier=None) -> list[float | None]:
+    """The closed-form column of ``points``: one ``analytic_ber`` call per cell.
+
+    With a ``quantifier``, a usage error unless it holds, for every scheme
+    and modulation, over that curve's cells having a closed form: ``all``
+    for a grid of closed-form values, ``any`` for a comparison against them.
     """
-    for scheme in spec.schemes:
-        for mod_name in spec.modulations:
-            mod = modulation_by_name(mod_name)
-            if not quantifier(has_closed_form(scheme, mod, b) for b in spec.beta):
-                betas = ", ".join(_fmt(b) for b in spec.beta)
-                raise UsageError(
-                    f"no closed form for {scheme} {mod.name} at beta {betas}; "
-                    "use 'simulate' for it"
-                )
+    column = [analytic_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db) for p in points]
+    curves: dict = {}
+    for p, pe in zip(points, column):
+        curves.setdefault((p.scheme, p.mod.name), {})[p.beta] = pe is not None
+    for (scheme, mod_name), covered in curves.items():
+        if quantifier is not None and not quantifier(covered.values()):
+            raise UsageError(
+                f"no closed form for {scheme} {mod_name} at beta "
+                f"{', '.join(map(_fmt, covered))}; use 'simulate' for it"
+            )
+    return column
 
 
-def _row(point: SimPoint, estimate: BerEstimate | None = None) -> list[str]:
+def _row(point: SimPoint, pe: float | None,
+         estimate: BerEstimate | None = None) -> list[str]:
     """One CSV row; without an estimate the six simulation columns stay empty."""
-    pe = analytic_ber(point.scheme, point.mod, point.r_db, point.beta, point.gamma_db)
     row = [point.scheme, point.mod.name, _fmt(point.r_db), _fmt(point.beta),
            _fmt(point.gamma_db), _fmt_prob(pe)]
     if estimate is None:
@@ -259,15 +260,19 @@ def _write_csv(path: str | None, rows) -> None:
 
 
 def cmd_analytic(args) -> int:
-    spec, output = _build_spec(args)
-    _require_closed_form(spec, all)
-    _write_csv(output, [_row(p) for p in spec.points])
+    spec = _read_spec(args)
+    points = _points(spec)
+    column = _closed_form(points, all)
+    _write_csv(spec.get("output"), list(map(_row, points, column)))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    spec, output = _build_spec(args)
-    _write_csv(output, list(map(_row, spec.points, run_sweep(spec))))
+    spec = _read_spec(args)
+    points, workers = _simulated_points(spec)
+    column = _closed_form(points)
+    estimates = run_sweep(points, workers)
+    _write_csv(spec.get("output"), list(map(_row, points, column, estimates)))
     return 0
 
 
@@ -300,12 +305,11 @@ def imbalance_gap_db(mod_name: str, gamma_db_grid) -> float | None:
     return skew - base
 
 
-def validation_report(spec: SweepSpec, estimates) -> str:
-    """Coverage of the closed form point by point, plus figure-level summaries."""
+def validation_report(points, column, estimates) -> str:
+    """Coverage of the closed-form ``column`` point by point, plus figure-level summaries."""
     lines = ["point-by-point check (analytic value inside the simulated 95% CI):"]
     flags = []
-    for p, est in zip(spec.points, estimates):
-        pe = analytic_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db)
+    for p, pe, est in zip(points, column, estimates):
         if pe is None:
             continue
         ok = est.ci_lo <= pe <= est.ci_hi
@@ -318,14 +322,15 @@ def validation_report(spec: SweepSpec, estimates) -> str:
         )
     coverage = sum(flags) / len(flags) if flags else float("nan")
     lines.append(f"coverage: {coverage:.3f}")
-    for mod_name in sorted({p.mod.name for p in spec.points}):
-        gap = imbalance_gap_db(mod_name, spec.gamma_db)
+    gamma_db_grid = sorted({p.gamma_db for p in points})
+    for mod_name in sorted({p.mod.name for p in points}):
+        gap = imbalance_gap_db(mod_name, gamma_db_grid)
         value = "not computable on this grid" if gap is None else f"{gap:.2f} dB"
         lines.append(
             f"{mod_name}: SNR gap at BER {GAP_TARGET_BER:g} between "
             f"r={GAP_R_DB[0]:g} dB and r={GAP_R_DB[1]:g} dB: {value}"
         )
-    for mod_name, r_db in sorted({(p.mod.name, p.r_db) for p in spec.points}):
+    for mod_name, r_db in sorted({(p.mod.name, p.r_db) for p in points}):
         mod = modulation_by_name(mod_name)
         pts = [
             (10.0 ** (g / 10.0), analytic_ber("alamouti_2x1", mod, r_db, 0.0, g))
@@ -340,11 +345,12 @@ def validation_report(spec: SweepSpec, estimates) -> str:
 
 
 def cmd_validate(args) -> int:
-    spec, output = _build_spec(args)
-    _require_closed_form(spec, any)
-    estimates = run_sweep(spec)
-    report = validation_report(spec, estimates)
-    _write_csv(output, list(map(_row, spec.points, estimates)))
+    spec = _read_spec(args)
+    points, workers = _simulated_points(spec)
+    column = _closed_form(points, any)
+    estimates = run_sweep(points, workers)
+    report = validation_report(points, column, estimates)
+    _write_csv(spec.get("output"), list(map(_row, points, column, estimates)))
     print(report)
     return 0
 
@@ -388,7 +394,7 @@ def _parse_result_csv(path: str):
 
 
 def cmd_plotdata(args) -> int:
-    group_by = tuple(k.strip() for k in args.group_by.split(",") if k.strip())
+    group_by = tuple(args.group_by)
     unknown = [k for k in group_by if k not in _GROUP_COLUMNS]
     if unknown:
         raise UsageError(
@@ -426,10 +432,12 @@ def cmd_plotdata(args) -> int:
 def _add_grid_options(sub, include_sim: bool) -> None:
     sub.add_argument("--spec", help="JSON sweep spec; flags override its values")
     sub.add_argument(
-        "--scheme", type=_parse_name_list, help="comma list: alamouti_2x1, ostbc_4x2"
+        "--scheme", dest="schemes", type=_parse_name_list,
+        help="comma list: alamouti_2x1, ostbc_4x2",
     )
     sub.add_argument(
-        "--modulation", type=_parse_name_list, help="comma list: BPSK, QPSK, QAM16"
+        "--modulation", dest="modulations", type=_parse_name_list,
+        help="comma list: BPSK, QPSK, QAM16",
     )
     sub.add_argument(
         "--gamma-db",
@@ -453,7 +461,7 @@ def _add_grid_options(sub, include_sim: bool) -> None:
             "--workers",
             type=int,
             help="grid cells simulated at a time, each running its chunks serially "
-            f"(default ${WORKERS_ENV} or 1)",
+            "(default 1)",
         )
 
 
@@ -465,10 +473,7 @@ def _build_parser() -> _Parser:
         "analytic", help="closed-form BER grid (BPSK/QPSK, beta = 0)"
     )
     _add_grid_options(p_analytic, include_sim=False)
-    # A fixed worker count: analytic simulates nothing, so it reads neither
-    # the spec's "workers" nor the environment.
-    p_analytic.set_defaults(func=cmd_analytic, min_errors=None, max_bits=None,
-                            workers=1)
+    p_analytic.set_defaults(func=cmd_analytic)
 
     p_sim = commands.add_parser("simulate", help="Monte Carlo BER grid")
     _add_grid_options(p_sim, include_sim=True)
@@ -487,6 +492,7 @@ def _build_parser() -> _Parser:
     p_plot.add_argument("--outdir", default=".", help="directory for curve files")
     p_plot.add_argument(
         "--group-by",
+        type=_parse_name_list,
         default=",".join(_GROUP_COLUMNS),
         help=f"comma list of curve keys (default {','.join(_GROUP_COLUMNS)})",
     )

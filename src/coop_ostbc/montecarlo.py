@@ -7,9 +7,9 @@ serially in index order and stops after the first chunk at which the
 cumulative error count reaches ``min_errors`` or the cumulative bit count
 reaches ``max_bits``.
 
-A :class:`SweepSpec` builds its deduplicated cells once, as the
-:class:`SimPoint` tuple ``spec.points`` in report order, and that tuple
-is the only description of a cell from spec to CSV row. Each cell's seed
+:func:`sweep_points` turns a grid into its deduplicated cells, a
+:class:`SimPoint` tuple in report order, and that tuple is the only
+description of a sweep from spec to CSV row. Each cell's seed
 is derived from the sweep seed and the cell parameters, so a cell's
 estimate does not depend on which other cells are present in the grid.
 A sweep runs its cells ``workers`` at a time on one thread pool; each
@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -31,17 +31,13 @@ from . import analytic, ostbc
 from .numerics import RngStream, sample_circular_gaussian, wilson_interval
 
 __all__ = [
-    "SCHEMES",
     "SimPoint",
     "BerEstimate",
     "run_point",
     "derive_seed",
-    "has_closed_form",
-    "SweepSpec",
+    "sweep_points",
     "run_sweep",
 ]
-
-SCHEMES = tuple(ostbc.CODES)
 
 DEFAULT_CHUNK_BLOCKS = 10_000
 DEFAULT_MIN_ERRORS = 100
@@ -74,8 +70,10 @@ class SimPoint:
     max_bits: int = DEFAULT_MAX_BITS
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected {SCHEMES}")
+        if self.scheme not in ostbc.CODES:
+            raise ValueError(
+                f"unknown scheme {self.scheme!r}; expected {tuple(ostbc.CODES)}"
+            )
         if not isinstance(self.mod, ostbc.Modulation):
             raise ValueError(f"mod must be a Modulation, got {self.mod!r}")
         for name in ("gamma_db", "r_db"):
@@ -177,87 +175,60 @@ def derive_seed(master_seed: int, *fields) -> int:
     return int.from_bytes(digest, "big")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid of cells to estimate, plus stopping and seeding parameters.
+def sweep_points(schemes, modulations, gamma_db, r_db, beta, seed: int,
+                 min_errors: int = DEFAULT_MIN_ERRORS,
+                 max_bits: int = DEFAULT_MAX_BITS) -> tuple[SimPoint, ...]:
+    """The deduplicated cells of a grid, each with its seed and stopping rule.
 
-    ``points`` holds the grid's deduplicated cells as :class:`SimPoint`
-    values sorted by (scheme, modulation, r_db, beta, gamma_db), each with
-    its seed derived from ``seed`` and those five fields. The spec itself
-    checks only the grid: non-empty axes and ``workers >= 1``; every cell
-    check is :class:`SimPoint`'s.
+    The cells are sorted by (scheme, modulation, r_db, beta, gamma_db),
+    and each seed is derived from ``seed`` and those five fields. Only
+    empty axes are refused here; every cell check is :class:`SimPoint`'s.
     """
-
-    schemes: tuple
-    modulations: tuple
-    gamma_db: tuple
-    r_db: tuple
-    beta: tuple
-    seed: int
-    min_errors: int = DEFAULT_MIN_ERRORS
-    max_bits: int = DEFAULT_MAX_BITS
-    workers: int = 1
-    points: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        for name in ("schemes", "modulations", "gamma_db", "r_db", "beta"):
-            values = tuple(getattr(self, name))
-            if not values:
-                raise ValueError(f"{name} must be non-empty")
-            object.__setattr__(self, name, values)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        object.__setattr__(
-            self, "gamma_db", tuple(sorted(set(float(g) for g in self.gamma_db)))
+    axes = {"schemes": schemes, "modulations": modulations, "gamma_db": gamma_db,
+            "r_db": r_db, "beta": beta}
+    for name, values in axes.items():
+        if not values:
+            raise ValueError(f"{name} must be non-empty")
+    gamma_db = sorted(set(float(g) for g in gamma_db))
+    cells = dict.fromkeys(  # deduplicated, in grid order
+        product(
+            schemes,
+            (ostbc.modulation_by_name(m).name for m in modulations),
+            (float(r) for r in r_db),
+            (float(b) for b in beta),
+            gamma_db,
         )
-        cells = dict.fromkeys(  # deduplicated, in grid order
-            product(
-                self.schemes,
-                (ostbc.modulation_by_name(m).name for m in self.modulations),
-                (float(r) for r in self.r_db),
-                (float(b) for b in self.beta),
-                self.gamma_db,
-            )
+    )
+    points = [
+        SimPoint(
+            scheme=scheme,
+            mod=ostbc.modulation_by_name(mod_name),
+            gamma_db=g,
+            r_db=r,
+            beta=b,
+            seed=derive_seed(seed, scheme, mod_name, r, b, g),
+            min_errors=min_errors,
+            max_bits=max_bits,
         )
-        points = [
-            SimPoint(
-                scheme=scheme,
-                mod=ostbc.modulation_by_name(mod_name),
-                gamma_db=gamma_db,
-                r_db=r_db,
-                beta=beta,
-                seed=derive_seed(self.seed, scheme, mod_name, r_db, beta, gamma_db),
-                min_errors=self.min_errors,
-                max_bits=self.max_bits,
-            )
-            for scheme, mod_name, r_db, beta, gamma_db in cells
-        ]
-        # Sorted only after every cell has passed its checks, so a bad value is
-        # reported by SimPoint, not by a failed comparison during the sort.
-        points.sort(key=lambda p: (p.scheme, p.mod.name, p.r_db, p.beta, p.gamma_db))
-        object.__setattr__(self, "points", tuple(points))
+        for scheme, mod_name, r, b, g in cells
+    ]
+    # Sorted only after every cell has passed its checks, so a bad value is
+    # reported by SimPoint, not by a failed comparison during the sort.
+    points.sort(key=lambda p: (p.scheme, p.mod.name, p.r_db, p.beta, p.gamma_db))
+    return tuple(points)
 
 
-def has_closed_form(scheme: str, mod: ostbc.Modulation, beta: float) -> bool:
-    """Whether the closed form covers a cell.
+def analytic_ber(scheme: str, mod: ostbc.Modulation, r_db: float, beta: float,
+                 gamma_db: float) -> float | None:
+    """Closed-form BER of a cell, or None where the closed form does not cover it.
 
     It is derived for one transmit antenna at each node and one receive
     antenna, a modulation with an ``a_constant`` (BPSK, QPSK) and perfect
     channel estimates.
     """
     code = ostbc.CODES[scheme]
-    return (
-        code.nodes == ("BS", "RS")
-        and code.n_rx == 1
-        and mod.a_constant is not None
-        and beta == 0.0
-    )
-
-
-def analytic_ber(scheme: str, mod: ostbc.Modulation, r_db: float, beta: float,
-                 gamma_db: float) -> float | None:
-    """Closed-form BER where :func:`has_closed_form` holds, else None."""
-    if not has_closed_form(scheme, mod, beta):
+    if (code.nodes != ("BS", "RS") or code.n_rx != 1 or mod.a_constant is None
+            or beta != 0.0):
         return None
     point = analytic.AnalyticPoint(
         a_sq=mod.a_constant**2,
@@ -267,11 +238,11 @@ def analytic_ber(scheme: str, mod: ostbc.Modulation, r_db: float, beta: float,
     return analytic.ber_closed_form(point)
 
 
-def run_sweep(spec: SweepSpec) -> list[BerEstimate]:
-    """Estimate every cell of ``spec``, ``spec.workers`` cells at a time.
+def run_sweep(points, workers: int) -> list[BerEstimate]:
+    """Estimate every cell of ``points``, ``workers`` cells at a time.
 
-    The estimates come back in ``spec.points`` order whatever order the
-    cells finish in.
+    The estimates come back in ``points`` order whatever order the cells
+    finish in.
     """
-    with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-        return list(pool.map(run_point, spec.points))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_point, points))

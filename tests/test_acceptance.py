@@ -17,7 +17,7 @@ from coop_ostbc.analytic import (
     ber_integral_oracle,
     diversity_slope,
 )
-from coop_ostbc.montecarlo import SimPoint, SweepSpec, analytic_ber, run_point, run_sweep
+from coop_ostbc.montecarlo import SimPoint, analytic_ber, run_point, run_sweep, sweep_points
 from coop_ostbc.numerics import RngStream, sample_circular_gaussian, wilson_interval
 from coop_ostbc.ostbc import (
     BPSK,
@@ -130,7 +130,7 @@ def test_c05_snr_penalty_of_10db_imbalance():
 
 def test_c06_simulation_reproduces_analytic_curves():
     with _Criterion(6, "95% CIs cover the closed form on the full curve grid") as c:
-        spec = SweepSpec(
+        points = sweep_points(
             schemes=("alamouti_2x1",),
             modulations=("BPSK", "QPSK"),
             gamma_db=tuple(float(g) for g in range(0, 21, 2)),
@@ -141,12 +141,12 @@ def test_c06_simulation_reproduces_analytic_curves():
         )
         hits = sum(
             1
-            for p, est in zip(spec.points, run_sweep(spec))
+            for p, est in zip(points, run_sweep(points, 1))
             if est.ci_lo <= analytic_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db)
             <= est.ci_hi
         )
-        coverage = hits / len(spec.points)
-        c.detail = f"coverage {hits}/{len(spec.points)} = {coverage:.3f}"
+        coverage = hits / len(points)
+        c.detail = f"coverage {hits}/{len(points)} = {coverage:.3f}"
         assert coverage >= 0.9
     assert c.elapsed < SIM_BUDGET_S
 

@@ -147,26 +147,12 @@ def test_simulate_spec_file_with_flag_override(tmp_path):
     assert [float(r["snr_db"]) for r in rows] == [4.0]
 
 
-def test_simulate_workers_do_not_change_bytes(tmp_path, monkeypatch):
+def test_simulate_workers_do_not_change_bytes(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     assert run(SIM_ARGS + ["--output", str(a), "--workers", "1"]) == 0
-    monkeypatch.setenv(cli.WORKERS_ENV, "3")
-    assert run(SIM_ARGS + ["--output", str(b)]) == 0
+    assert run(SIM_ARGS + ["--output", str(b), "--workers", "3"]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_bad_workers_env_is_a_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cli.WORKERS_ENV, "many")
-    assert run(SIM_ARGS) == 1
-    assert cli.WORKERS_ENV in capsys.readouterr().err
-
-
-def test_analytic_does_not_read_workers_env(monkeypatch, capsys):
-    monkeypatch.setenv(cli.WORKERS_ENV, "many")
-    assert run(["analytic", "--gamma-db", "0"]) == 0
-    assert run(["simulate", "--gamma-db", "0"]) == 1
-    assert cli.WORKERS_ENV in capsys.readouterr().err
 
 
 def test_unknown_scheme_is_usage_error(capsys):
@@ -203,6 +189,17 @@ def no_compute(monkeypatch):
     monkeypatch.setattr(montecarlo, "_simulate_chunk", chunk)
 
 
+def test_analytic_does_not_read_the_simulation_keys(tmp_path, capsys, no_compute):
+    # analytic simulates nothing, so the stopping rule and the worker count
+    # of a shared spec file are neither read nor checked.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"gamma_db": [0], "workers": 0, "min_errors": 0,
+                                "max_bits": 0}))
+    assert run(["analytic", "--spec", str(path), "--output", str(tmp_path / "a.csv")]) == 0
+    assert run(["simulate", "--spec", str(path)]) == 1
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [
@@ -219,10 +216,13 @@ def no_compute(monkeypatch):
         ({"gamma_db": [4], "workers": 0}, "workers must be >= 1"),
         ({"gamma_db": [4], "seed": 1.7}, "seed must be an integer"),
         ({"gamma_db": [4], "workers": 2.5}, "workers must be an integer"),
+        ({"gamma_db": [4], "output": 5}, "output must be a path string"),
+        ({"gamma_db": [4], "output": True}, "output must be a path string"),
     ],
     ids=["unknown-key", "string-grid", "scalar-grid", "nan-gamma", "inf-r", "nan-beta",
          "overflowing-gamma", "underflowing-r", "number-modulation", "number-scheme",
-         "zero-workers", "fractional-seed", "fractional-workers"],
+         "zero-workers", "fractional-seed", "fractional-workers", "number-output",
+         "bool-output"],
 )
 def test_bad_spec_file_is_usage_error_before_any_compute(tmp_path, capsys, no_compute,
                                                          spec, message):
@@ -446,6 +446,13 @@ def test_plotdata_unknown_group_key(tmp_path, capsys):
     assert rc == 1
 
 
+def test_plotdata_empty_group_by_list(tmp_path, capsys):
+    src = tmp_path / "grid.csv"
+    src.write_text(",".join(cli.CSV_HEADER) + "\n")
+    assert run(["plotdata", str(src), "--group-by", " , "]) == 1
+    assert "empty group-by list" in capsys.readouterr().err
+
+
 def test_missing_input_is_io_error(tmp_path):
     rc = run(["plotdata", str(tmp_path / "nope.csv")])
     assert rc == 3
@@ -456,6 +463,26 @@ def test_missing_input_is_io_error(tmp_path):
 
 def test_bad_flag_is_usage_error(capsys):
     assert run(["simulate", "--gamma-db", "abc"]) == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value, rc",
+    [("--r-db", "-10,0", 0), ("--r-db", "-10:0:5", 0), ("--gamma-db", "-1e1", 0),
+     ("--beta", "-0.5,0", 1)],
+    ids=["negative-list", "negative-range", "negative-exponent", "negative-beta"],
+)
+def test_grid_value_with_leading_minus_parses_in_both_forms(tmp_path, capsys, flag, value,
+                                                            rc):
+    base = ["analytic", "--gamma-db", "0", "--r-db", "0"]
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert run(base + [flag, value, "--output", str(spaced)]) == rc
+    err = capsys.readouterr().err
+    assert run(base + [f"{flag}={value}", "--output", str(joined)]) == rc
+    assert capsys.readouterr().err == err
+    if rc == 0:
+        assert spaced.read_bytes() == joined.read_bytes()
+    else:  # refused by the beta check, not by the parser
+        assert "beta must be finite and >= 0" in err
 
 
 def test_range_syntax_expands_inclusively(tmp_path):

@@ -6,11 +6,11 @@ import pytest
 from coop_ostbc.analytic import AnalyticPoint, ber_closed_form, diversity_slope
 from coop_ostbc.montecarlo import (
     SimPoint,
-    SweepSpec,
     analytic_ber,
     derive_seed,
     run_point,
     run_sweep,
+    sweep_points,
 )
 from coop_ostbc.ostbc import BPSK, QAM16, QPSK
 
@@ -84,7 +84,7 @@ def test_sim_point_validation():
 
 
 def test_single_cell_sweep_equals_run_point():
-    spec = SweepSpec(
+    points = sweep_points(
         schemes=("alamouti_2x1",),
         modulations=("QPSK",),
         gamma_db=(6.0,),
@@ -93,7 +93,7 @@ def test_single_cell_sweep_equals_run_point():
         seed=77,
         min_errors=120,
     )
-    estimates = run_sweep(spec)
+    estimates = run_sweep(points, 1)
     assert len(estimates) == 1
     point = SimPoint(
         "alamouti_2x1",
@@ -104,7 +104,7 @@ def test_single_cell_sweep_equals_run_point():
         seed=derive_seed(77, "alamouti_2x1", "QPSK", 5.0, 0.0, 6.0),
         min_errors=120,
     )
-    assert spec.points == (point,)
+    assert points == (point,)
     assert estimates[0] == run_point(point)
     ber_analytic = analytic_ber(point.scheme, point.mod, point.r_db, point.beta,
                                 point.gamma_db)
@@ -112,7 +112,7 @@ def test_single_cell_sweep_equals_run_point():
 
 
 def test_sweep_cells_dedupes_and_sorts():
-    spec = SweepSpec(
+    points = sweep_points(
         schemes=("alamouti_2x1",),
         modulations=("qpsk", "BPSK", "QPSK"),
         gamma_db=(4.0, 0.0, 4.0),
@@ -120,16 +120,16 @@ def test_sweep_cells_dedupes_and_sorts():
         beta=(0.0,),
         seed=1,
     )
-    cells = [(p.scheme, p.mod.name, p.r_db, p.beta, p.gamma_db) for p in spec.points]
+    cells = [(p.scheme, p.mod.name, p.r_db, p.beta, p.gamma_db) for p in points]
     assert len(cells) == 2 * 2 * 2
     assert cells == sorted(set(cells))
-    assert spec.gamma_db == (0.0, 4.0)
-    for p in spec.points:
+    assert sorted({p.gamma_db for p in points}) == [0.0, 4.0]
+    for p in points:
         assert p.seed == derive_seed(1, p.scheme, p.mod.name, p.r_db, p.beta, p.gamma_db)
 
 
 def test_sweep_attaches_analytic_only_where_defined():
-    spec = SweepSpec(
+    points = sweep_points(
         schemes=("alamouti_2x1",),
         modulations=("QPSK", "QAM16"),
         gamma_db=(3.0,),
@@ -141,7 +141,7 @@ def test_sweep_attaches_analytic_only_where_defined():
     )
     by_key = {
         (p.mod.name, p.beta): analytic_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db)
-        for p in spec.points
+        for p in points
     }
     assert by_key[("QPSK", 0.0)] is not None
     assert by_key[("QPSK", 0.05)] is None
@@ -157,15 +157,15 @@ def test_sweep_result_independent_of_grid_composition():
         seed=11,
         min_errors=60,
     )
-    alone = run_sweep(SweepSpec(gamma_db=(5.0,), **base))
-    joined_spec = SweepSpec(gamma_db=(2.0, 5.0), **base)
-    joined = dict(zip((p.gamma_db for p in joined_spec.points), run_sweep(joined_spec)))
+    alone = run_sweep(sweep_points(gamma_db=(5.0,), **base), 1)
+    joined_points = sweep_points(gamma_db=(2.0, 5.0), **base)
+    joined = dict(zip((p.gamma_db for p in joined_points), run_sweep(joined_points, 1)))
     assert joined[5.0] == alone[0]
 
 
 def test_sweep_spec_rejects_empty_axes():
-    with pytest.raises(ValueError):
-        SweepSpec(
+    with pytest.raises(ValueError, match="schemes must be non-empty"):
+        sweep_points(
             schemes=(),
             modulations=("QPSK",),
             gamma_db=(1.0,),
@@ -191,11 +191,11 @@ def test_sweep_spec_checks_cells_through_sim_point(override, message):
     base = dict(schemes=("alamouti_2x1",), modulations=("QPSK",), gamma_db=(1.0,),
                 r_db=(0.0,), beta=(0.0,), seed=1)
     with pytest.raises(ValueError, match=message):
-        SweepSpec(**dict(base, **override))
+        sweep_points(**dict(base, **override))
 
 
 def test_ber_not_significantly_increasing_in_snr():
-    spec = SweepSpec(
+    points = sweep_points(
         schemes=("alamouti_2x1",),
         modulations=("QPSK",),
         gamma_db=(0.0, 4.0, 8.0, 12.0),
@@ -204,7 +204,7 @@ def test_ber_not_significantly_increasing_in_snr():
         seed=2006,
         min_errors=300,
     )
-    estimates = run_sweep(spec)
+    estimates = run_sweep(points, 1)
     for lo_snr, hi_snr in zip(estimates, estimates[1:]):
         assert hi_snr.ci_lo <= lo_snr.ci_hi
 
@@ -244,7 +244,7 @@ def test_empirical_diversity_slope_matches_analysis():
 
 
 def test_confidence_intervals_cover_closed_form():
-    spec = SweepSpec(
+    points = sweep_points(
         schemes=("alamouti_2x1",),
         modulations=("BPSK",),
         gamma_db=tuple(float(g) for g in range(0, 21, 2)),
@@ -255,7 +255,7 @@ def test_confidence_intervals_cover_closed_form():
     )
     hits = sum(
         1
-        for p, est in zip(spec.points, run_sweep(spec))
+        for p, est in zip(points, run_sweep(points, 1))
         if est.ci_lo <= analytic(2.0, p.r_db, p.gamma_db) <= est.ci_hi
     )
     assert hits >= 10  # 11 cells, 95% intervals
