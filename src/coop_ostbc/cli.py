@@ -107,8 +107,10 @@ def _parse_float_list(text: str) -> list[float]:
             if len(parts) != 3:
                 raise UsageError(f"bad range {token!r}, expected start:stop:step")
             start, stop, step = (float(p) for p in parts)
-            if step <= 0:
-                raise UsageError(f"range step must be > 0 in {token!r}")
+            if not (0.0 < step < math.inf and math.isfinite((stop - start) / step)):
+                raise UsageError(
+                    f"range {token!r} needs a finite step > 0 and a finite value count"
+                )
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
             if count < 1:
                 raise UsageError(f"empty range {token!r}")
@@ -129,14 +131,16 @@ def _load_spec_file(path: str) -> dict:
     return data
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _integer(value, key: str) -> int:
     """An integral spec value; a fractional number is refused, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    if not _is_number(value) or isinstance(value, float) and not value.is_integer():
         raise UsageError(f"{key} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
+    return int(value)
 
 
 def _read_spec(args) -> dict:
@@ -166,11 +170,8 @@ def _points(spec: dict, **stop_rule) -> tuple[SimPoint, ...]:
 
     def grid(key, default) -> list[float]:
         values = spec.get(key, default)
-        if isinstance(values, list):
-            try:
-                return [float(v) for v in values]
-            except (TypeError, ValueError):
-                pass
+        if isinstance(values, list) and all(map(_is_number, values)):
+            return [float(v) for v in values]
         raise UsageError(f"{key} must be a list of numbers, got {values!r}")
 
     schemes = spec.get("schemes", ["alamouti_2x1"])
@@ -279,17 +280,17 @@ def cmd_simulate(args) -> int:
 # --- validate ----------------------------------------------------------------
 
 
-def snr_db_at_ber(mod_name: str, r_db: float, target: float, gamma_db_grid) -> float | None:
-    """Where the analytic curve crosses ``target``, by log-linear interpolation."""
+def snr_db_at_ber(mod_name: str, r_db: float, gamma_db_grid) -> float | None:
+    """Where the analytic curve crosses GAP_TARGET_BER, by log-linear interpolation."""
     mod = modulation_by_name(mod_name)
     grid = sorted(gamma_db_grid)
     pes = [analytic_ber("alamouti_2x1", mod, r_db, 0.0, g) for g in grid]
     for i in range(1, len(grid)):
         hi_pe, lo_pe = pes[i - 1], pes[i]
-        if hi_pe >= target >= lo_pe:
+        if hi_pe >= GAP_TARGET_BER >= lo_pe:
             if hi_pe == lo_pe:
                 return grid[i]
-            frac = (math.log10(hi_pe) - math.log10(target)) / (
+            frac = (math.log10(hi_pe) - math.log10(GAP_TARGET_BER)) / (
                 math.log10(hi_pe) - math.log10(lo_pe)
             )
             return grid[i - 1] + frac * (grid[i] - grid[i - 1])
@@ -298,8 +299,8 @@ def snr_db_at_ber(mod_name: str, r_db: float, target: float, gamma_db_grid) -> f
 
 def imbalance_gap_db(mod_name: str, gamma_db_grid) -> float | None:
     """SNR penalty of r = 10 dB relative to r = 0 dB at the target BER."""
-    base = snr_db_at_ber(mod_name, GAP_R_DB[0], GAP_TARGET_BER, gamma_db_grid)
-    skew = snr_db_at_ber(mod_name, GAP_R_DB[1], GAP_TARGET_BER, gamma_db_grid)
+    base = snr_db_at_ber(mod_name, GAP_R_DB[0], gamma_db_grid)
+    skew = snr_db_at_ber(mod_name, GAP_R_DB[1], gamma_db_grid)
     if base is None or skew is None:
         return None
     return skew - base
@@ -394,14 +395,6 @@ def _parse_result_csv(path: str):
 
 
 def cmd_plotdata(args) -> int:
-    group_by = tuple(args.group_by)
-    unknown = [k for k in group_by if k not in _GROUP_COLUMNS]
-    if unknown:
-        raise UsageError(
-            f"cannot group by {', '.join(unknown)}; choose from {_GROUP_COLUMNS}"
-        )
-    if not group_by:
-        raise UsageError("empty group-by list")
     rows = _parse_result_csv(args.input)
     if not rows:
         print("warning: no data rows; nothing to write", file=sys.stderr)
@@ -409,12 +402,12 @@ def cmd_plotdata(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     curves: dict = {}
     for _, row in rows:
-        key = tuple(row[k] for k in group_by)
+        key = tuple(row[k] for k in _GROUP_COLUMNS)
         ber = row["ber_sim"] if row["ber_sim"] != "" else row["ber_analytic"]
         curves.setdefault(key, []).append((row["snr_db"], ber))
     written = []
     for key in sorted(curves):
-        parts = [f"{col}{val}" for col, val in zip(group_by, key)]
+        parts = [f"{col}{val}" for col, val in zip(_GROUP_COLUMNS, key)]
         name = "curve_" + "_".join(parts).replace("/", "-") + ".dat"
         out_path = os.path.join(args.outdir, name)
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -490,12 +483,6 @@ def _build_parser() -> _Parser:
     )
     p_plot.add_argument("input", help="CSV produced by analytic/simulate/validate")
     p_plot.add_argument("--outdir", default=".", help="directory for curve files")
-    p_plot.add_argument(
-        "--group-by",
-        type=_parse_name_list,
-        default=",".join(_GROUP_COLUMNS),
-        help=f"comma list of curve keys (default {','.join(_GROUP_COLUMNS)})",
-    )
     p_plot.set_defaults(func=cmd_plotdata)
     return parser
 

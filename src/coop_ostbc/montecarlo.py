@@ -42,7 +42,6 @@ __all__ = [
 DEFAULT_CHUNK_BLOCKS = 10_000
 DEFAULT_MIN_ERRORS = 100
 DEFAULT_MAX_BITS = 10**8
-CONFIDENCE = 0.95
 
 
 def _db_to_linear(db: float) -> float:
@@ -112,7 +111,7 @@ class BerEstimate:
     def from_counts(cls, bits: int, errors: int, streams_used: int) -> "BerEstimate":
         if errors > bits:
             raise ValueError(f"errors ({errors}) cannot exceed bits ({bits})")
-        lo, hi = wilson_interval(errors, bits, CONFIDENCE)
+        lo, hi = wilson_interval(errors, bits)
         return cls(bits, errors, errors / bits, lo, hi, streams_used)
 
 
@@ -189,28 +188,27 @@ def sweep_points(schemes, modulations, gamma_db, r_db, beta, seed: int,
     for name, values in axes.items():
         if not values:
             raise ValueError(f"{name} must be non-empty")
-    gamma_db = sorted(set(float(g) for g in gamma_db))
     cells = dict.fromkeys(  # deduplicated, in grid order
         product(
             schemes,
-            (ostbc.modulation_by_name(m).name for m in modulations),
+            (ostbc.modulation_by_name(m) for m in modulations),
             (float(r) for r in r_db),
             (float(b) for b in beta),
-            gamma_db,
+            (float(g) for g in gamma_db),
         )
     )
     points = [
         SimPoint(
             scheme=scheme,
-            mod=ostbc.modulation_by_name(mod_name),
+            mod=mod,
             gamma_db=g,
             r_db=r,
             beta=b,
-            seed=derive_seed(seed, scheme, mod_name, r, b, g),
+            seed=derive_seed(seed, scheme, mod.name, r, b, g),
             min_errors=min_errors,
             max_bits=max_bits,
         )
-        for scheme, mod_name, r, b, g in cells
+        for scheme, mod, r, b, g in cells
     ]
     # Sorted only after every cell has passed its checks, so a bad value is
     # reported by SimPoint, not by a failed comparison during the sort.

@@ -120,8 +120,8 @@ def sample_circular_gaussian(rng: RngStream, variance: float, size):
     return out
 
 
-def wilson_interval(errors: int, trials: int, confidence: float = 0.95):
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(errors: int, trials: int):
+    """95% Wilson score interval for a binomial proportion.
 
     Returns (lo, hi) with lo <= errors/trials <= hi.
     """
@@ -131,9 +131,7 @@ def wilson_interval(errors: int, trials: int, confidence: float = 0.95):
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= errors <= trials:
         raise ValueError(f"errors must be in [0, trials], got {errors}/{trials}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    z = NormalDist().inv_cdf(0.5 * (1.0 + confidence))
+    z = NormalDist().inv_cdf(0.975)  # two-sided 95%
     phat = errors / trials
     z2_n = z * z / trials
     denom = 1.0 + z2_n

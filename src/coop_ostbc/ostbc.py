@@ -1,5 +1,10 @@
 """Modulation mapping and the distributed space-time codes, written as data.
 
+Each :class:`Modulation` (:data:`BPSK`, :data:`QPSK`, :data:`QAM16`) is
+the one record of its constellation: its points by bit label, its
+per-axis slicer, its bit count and its closed-form constant.
+:func:`modulate` and :func:`detect` read nothing else.
+
 A :class:`SpaceTimeCode` lists the non-zero entries of its codeword X
 (rows index transmit antennas, columns index time slots) and the node,
 base station (BS) or relay (RS), that owns each antenna. One set of
@@ -23,7 +28,8 @@ blocks), noise and received samples (n_rx, n_slots, blocks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -44,56 +50,51 @@ __all__ = [
 ]
 
 
-def _gray_pam4(b_hi: int, b_lo: int) -> float:
-    # Gray-labelled 4-PAM axis: 00 -> -3, 01 -> -1, 11 -> +1, 10 -> +3.
-    return {(0, 0): -3.0, (0, 1): -1.0, (1, 1): 1.0, (1, 0): 3.0}[(b_hi, b_lo)]
-
-
-def _build_constellations() -> dict:
-    bpsk = np.array([1.0 + 0.0j, -1.0 + 0.0j])
-    qpsk = np.array(
-        [
-            ((1 - 2 * b0) + 1j * (1 - 2 * b1)) / math.sqrt(2.0)
-            for b0 in (0, 1)
-            for b1 in (0, 1)
-        ]
-    )
-    qam16 = np.array(
-        [
-            (_gray_pam4(b0, b1) + 1j * _gray_pam4(b2, b3)) / math.sqrt(10.0)
-            for b0 in (0, 1)
-            for b1 in (0, 1)
-            for b2 in (0, 1)
-            for b3 in (0, 1)
-        ]
-    )
-    return {"BPSK": bpsk, "QPSK": qpsk, "QAM16": qam16}
-
-
-_CONSTELLATIONS = _build_constellations()
-
-
 @dataclass(frozen=True)
 class Modulation:
-    """Unit-average-energy, Gray-labelled constellation.
+    """One unit-average-energy, Gray-labelled constellation, as one record.
 
     ``points[i]`` is the symbol whose bit label is the binary expansion
-    of ``i``, most significant bit first. ``a_constant`` feeds the
-    closed-form error analysis and exists only for BPSK and QPSK.
+    of ``i``, most significant bit first. ``slicer(zr, zi)`` turns the
+    real and imaginary parts of gain-normalized symbols into their
+    ``bits_per_symbol`` bit decisions, MSB first. ``a_constant`` feeds
+    the closed-form error analysis and exists only for BPSK and QPSK.
+    Equality, hashing and repr read the name, the bit count and
+    ``a_constant`` only.
     """
 
     name: str
     bits_per_symbol: int
     a_constant: float | None
-
-    @property
-    def points(self) -> np.ndarray:
-        return _CONSTELLATIONS[self.name]
+    points: np.ndarray = field(repr=False, compare=False)
+    slicer: Callable = field(repr=False, compare=False)
 
 
-BPSK = Modulation("BPSK", 1, math.sqrt(2.0))
-QPSK = Modulation("QPSK", 2, 1.0)
-QAM16 = Modulation("QAM16", 4, None)
+# Gray 4-PAM levels by 2-bit label: 00 -> -3, 01 -> -1, 10 -> +3, 11 -> +1.
+_PAM4 = (-3, -1, 3, 1)
+# Midway between the QAM16 axis levels 1/sqrt(10) and 3/sqrt(10).
+_QAM16_EDGE = 2.0 / math.sqrt(10.0)
+
+# Each slicer compares strictly on the side that keeps the smaller bit label
+# when a symbol lies exactly on a decision edge. The QAM16 axis is Gray
+# 4-PAM: its high bit is the sign and its low bit marks the two inner levels.
+BPSK = Modulation(
+    "BPSK", 1, math.sqrt(2.0),
+    points=np.array([1 + 0j, -1 + 0j]),
+    slicer=lambda zr, zi: (zr < 0.0,),
+)
+QPSK = Modulation(
+    "QPSK", 2, 1.0,
+    points=np.array([complex(i, q) / math.sqrt(2.0) for i in (1, -1) for q in (1, -1)]),
+    slicer=lambda zr, zi: (zr < 0.0, zi < 0.0),
+)
+QAM16 = Modulation(
+    "QAM16", 4, None,
+    points=np.array([complex(i, q) / math.sqrt(10.0) for i in _PAM4 for q in _PAM4]),
+    slicer=lambda zr, zi: (
+        zr > 0.0, abs(zr) < _QAM16_EDGE, zi > 0.0, abs(zi) < _QAM16_EDGE
+    ),
+)
 
 _MODULATIONS = {m.name: m for m in (BPSK, QPSK, QAM16)}
 
@@ -270,7 +271,7 @@ def combine(code: SpaceTimeCode, y, est, w) -> np.ndarray:
             np.multiply(a, b, out=per_rx[k])
             if sign < 0:
                 np.negative(per_rx[k], out=per_rx[k])
-    return per_rx[:, 0] if code.n_rx == 1 else per_rx.sum(axis=1)
+    return per_rx.sum(axis=1)
 
 
 def effective_gain(code: SpaceTimeCode, est, w):
@@ -279,36 +280,19 @@ def effective_gain(code: SpaceTimeCode, est, w):
     if est.shape[:2] != (code.n_tx, code.n_rx):
         raise ValueError(f"expected a {code.name} channel array, got shape {est.shape}")
     per_antenna = (est.real**2 + est.imag**2).sum(axis=1)
-    out = np.einsum("i,i...->...", w**2, per_antenna)
-    return out if out.ndim else float(out)
-
-
-# Midway between the QAM16 axis levels 1/sqrt(10) and 3/sqrt(10).
-_QAM16_EDGE = 2.0 / math.sqrt(10.0)
-
-# Per-bit decisions, MSB first, from the real and imaginary parts of the
-# normalized symbol; QAM16 is Gray 4-PAM on each axis, whose high bit is the
-# sign and whose low bit marks the two inner levels. Each comparison is
-# strict on the side that keeps the smaller bit label when the symbol lies
-# exactly on a decision edge.
-_SLICERS = {
-    "BPSK": lambda zr, zi: (zr < 0.0,),
-    "QPSK": lambda zr, zi: (zr < 0.0, zi < 0.0),
-    "QAM16": lambda zr, zi: (
-        zr > 0.0, abs(zr) < _QAM16_EDGE, zi > 0.0, abs(zi) < _QAM16_EDGE
-    ),
-}
+    return np.einsum("i,i...->...", w**2, per_antenna)
 
 
 def detect(s_tilde, effective_gain, mod: Modulation) -> np.ndarray:
     """Nearest-point decision on s_tilde / effective_gain, back to bits.
 
     Every constellation is a product of Gray-labelled levels on the real
-    and imaginary axes, so the nearest point is found one axis at a time by
-    comparing against the midpoints between adjacent levels: BPSK on the
-    real axis, QPSK on each axis, QAM16 as Gray 4-PAM on each axis. A
-    symbol exactly on a decision edge goes to the smallest bit label, the
-    point a search over all points taking the first minimum would pick.
+    and imaginary axes, so ``mod.slicer`` finds the nearest point one axis
+    at a time by comparing against the midpoints between adjacent levels:
+    BPSK on the real axis, QPSK on each axis, QAM16 as Gray 4-PAM on each
+    axis. A symbol exactly on a decision edge goes to the smallest bit
+    label, the point a search over all points taking the first minimum
+    would pick.
 
     ``s_tilde`` and ``effective_gain`` may have any shapes that broadcast
     together. Returns a flat uint8 bit vector, ``bits_per_symbol`` bits per
@@ -321,5 +305,5 @@ def detect(s_tilde, effective_gain, mod: Modulation) -> np.ndarray:
     # numpy divides a complex by a real as a product with the reciprocal,
     # so this is s_tilde / g bit for bit.
     inv = 1.0 / g
-    bits = _SLICERS[mod.name](s.real * inv, s.imag * inv)
+    bits = mod.slicer(s.real * inv, s.imag * inv)
     return np.stack(bits, axis=-1).view(np.uint8).ravel()

@@ -288,7 +288,7 @@ def test_c10_property_battery():
         assert abs(corr) < 0.004
 
         # Wilson containment spot check.
-        lo, hi = wilson_interval(7, 1000, 0.95)
+        lo, hi = wilson_interval(7, 1000)
         assert lo <= 0.007 <= hi
         c.detail = "all sub-properties held"
     assert c.elapsed < SIM_BUDGET_S

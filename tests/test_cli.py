@@ -218,11 +218,17 @@ def test_analytic_does_not_read_the_simulation_keys(tmp_path, capsys, no_compute
         ({"gamma_db": [4], "workers": 2.5}, "workers must be an integer"),
         ({"gamma_db": [4], "output": 5}, "output must be a path string"),
         ({"gamma_db": [4], "output": True}, "output must be a path string"),
+        ({"gamma_db": [True]}, "gamma_db must be a list of numbers"),
+        ({"gamma_db": ["4"]}, "gamma_db must be a list of numbers"),
+        ({"gamma_db": [4], "workers": True}, "workers must be an integer"),
+        ({"gamma_db": [4], "seed": "7"}, "seed must be an integer"),
+        ({"gamma_db": [4], "max_bits": "2000"}, "max_bits must be an integer"),
     ],
     ids=["unknown-key", "string-grid", "scalar-grid", "nan-gamma", "inf-r", "nan-beta",
          "overflowing-gamma", "underflowing-r", "number-modulation", "number-scheme",
          "zero-workers", "fractional-seed", "fractional-workers", "number-output",
-         "bool-output"],
+         "bool-output", "bool-grid", "string-in-grid", "bool-workers", "string-seed",
+         "string-max-bits"],
 )
 def test_bad_spec_file_is_usage_error_before_any_compute(tmp_path, capsys, no_compute,
                                                          spec, message):
@@ -245,13 +251,24 @@ def test_bad_spec_file_is_usage_error_before_any_compute(tmp_path, capsys, no_co
         ["--gamma-db", "-3300"],
         ["--gamma-db", "4", "--r-db", "4000"],
         ["--gamma-db", "4", "--r-db", "-4000"],
+        ["--gamma-db", "0:inf:1"],
+        ["--gamma-db", "inf:0:1"],
+        ["--gamma-db", "0:1:1e-320"],
+        ["--gamma-db", "0:10:inf"],
     ],
     ids=["nan-gamma", "inf-r", "nan-beta", "zero-workers", "zero-min-errors",
          "max-bits-below-a-symbol", "overflowing-gamma", "underflowing-gamma",
-         "overflowing-r", "underflowing-r"],
+         "overflowing-r", "underflowing-r", "infinite-stop", "infinite-start",
+         "subnormal-step", "infinite-step"],
 )
 def test_bad_flag_value_is_usage_error_before_any_compute(no_compute, flags):
     assert run(["simulate"] + flags) == 1
+
+
+def test_bad_range_token_is_named_in_the_error(capsys, no_compute):
+    for token in ("0:inf:1", "inf:0:1", "0:1:1e-320", "0:10:inf"):
+        assert run(["simulate", "--gamma-db", token]) == 1
+        assert f"range {token!r} needs a finite step > 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -373,7 +390,7 @@ def test_validate_rejects_qam16(capsys):
 
 def test_snr_at_target_is_log_linear():
     # The closed-form QPSK balanced curve crosses 1e-2 near 11.47 dB.
-    got = cli.snr_db_at_ber("QPSK", 0.0, 1e-2, [float(g) for g in range(0, 26)])
+    got = cli.snr_db_at_ber("QPSK", 0.0, [float(g) for g in range(0, 26)])
     assert got == pytest.approx(11.47, abs=0.05)
 
 
@@ -437,20 +454,6 @@ def test_plotdata_rejects_wrong_header(tmp_path, capsys):
     rc = run(["plotdata", str(src), "--outdir", str(tmp_path / "c")])
     assert rc == 2
     assert ":1:" in capsys.readouterr().err
-
-
-def test_plotdata_unknown_group_key(tmp_path, capsys):
-    src = tmp_path / "grid.csv"
-    src.write_text(",".join(cli.CSV_HEADER) + "\n")
-    rc = run(["plotdata", str(src), "--group-by", "snr_db"])
-    assert rc == 1
-
-
-def test_plotdata_empty_group_by_list(tmp_path, capsys):
-    src = tmp_path / "grid.csv"
-    src.write_text(",".join(cli.CSV_HEADER) + "\n")
-    assert run(["plotdata", str(src), "--group-by", " , "]) == 1
-    assert "empty group-by list" in capsys.readouterr().err
 
 
 def test_missing_input_is_io_error(tmp_path):
