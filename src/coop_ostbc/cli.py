@@ -171,7 +171,10 @@ def _points(spec: dict, **stop_rule) -> tuple[SimPoint, ...]:
     def grid(key, default) -> list[float]:
         values = spec.get(key, default)
         if isinstance(values, list) and all(map(_is_number, values)):
-            return [float(v) for v in values]
+            try:
+                return [float(v) for v in values]
+            except OverflowError:  # a JSON integer, since 1e400 parses as inf
+                raise UsageError(f"{key} holds an integer too large for a float") from None
         raise UsageError(f"{key} must be a list of numbers, got {values!r}")
 
     schemes = spec.get("schemes", ["alamouti_2x1"])

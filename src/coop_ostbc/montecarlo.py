@@ -123,10 +123,11 @@ def _chunk_blocks(point: SimPoint) -> int:
 def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int]:
     """Simulate one chunk; returns (bits, bit_errors).
 
-    Draw order is the same for every code: data bits, then the channels
-    (n_tx, n_rx, blocks), then the estimation errors of the same shape
-    (skipped entirely when beta == 0, where the estimates equal the true
-    channels), then the noise (n_rx, n_slots, blocks).
+    Draw order is the same for every code: data bits (eight per random
+    byte), then the channels (n_tx, n_rx, blocks), then the estimation
+    errors of the same shape (skipped entirely when beta == 0, where the
+    estimates equal the true channels), then the noise (n_rx, n_slots,
+    blocks); each Gaussian array is one ziggurat draw.
 
     The data bits run block by block, symbol by symbol, MSB first. One
     :func:`ostbc.detect` call on the combiner output laid out as (blocks,

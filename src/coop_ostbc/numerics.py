@@ -2,7 +2,8 @@
 
 Probabilities are plain floats in [0, 1]. All randomness flows through
 ``RngStream`` so that every sample sequence is reproducible from a
-(seed, stream_id) pair.
+(seed, stream_id) pair: Gaussians from the Philox generator's ziggurat
+``standard_normal``, data bits byte-packed from its raw bytes.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ class RngStream:
     sequence from the start; distinct stream_ids give statistically
     independent streams, so parallel workers can each own one.
 
-    Normal variates are produced by an explicit Box-Muller transform on
-    the generator's uniforms, two N(0,1) draws per uniform pair, which
-    keeps the consumption pattern fixed and easy to reason about.
+    Normal variates come from the generator's ziggurat ``standard_normal``
+    and data bits from its raw bytes, eight bits per byte.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -51,28 +51,14 @@ class RngStream:
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def bits(self, n: int) -> np.ndarray:
-        """n equiprobable bits as a uint8 array."""
-        return (self._gen.random(int(n)) < 0.5).view(np.uint8)
+        """n equiprobable bits as a uint8 array: ceil(n/8) random bytes, MSB first."""
+        raw = np.frombuffer(self._gen.bytes(-(-n // 8)), np.uint8)
+        return np.unpackbits(raw, count=n)
 
     def normal_pairs(self, size):
-        """Two independent N(0,1) arrays via one Box-Muller transform.
-
-        With radius sqrt(-2 log(1 - u1)) and angle 2 pi u2 from two uniform
-        draws, the pair is (radius cos(angle), radius sin(angle)). The
-        transform runs in place on the two uniform buffers.
-        """
-        u1 = self._gen.random(size)
-        u2 = self._gen.random(size)
-        # 1 - u1 lies in (0, 1], so the log is finite.
-        rad = np.negative(u1, out=u1)
-        np.log1p(rad, out=rad)
-        np.multiply(rad, -2.0, out=rad)
-        np.sqrt(rad, out=rad)
-        ang = np.multiply(u2, 2.0 * math.pi, out=u2)
-        x = np.cos(ang)
-        y = np.sin(ang, out=ang)
-        x *= rad
-        y *= rad
+        """Two independent N(0,1) arrays of shape ``size``: the two rows of one
+        ziggurat ``standard_normal`` draw of shape (2, *size)."""
+        x, y = self._gen.standard_normal((2, *np.atleast_1d(size)))
         return x, y
 
     def __repr__(self) -> str:  # pragma: no cover

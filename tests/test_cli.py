@@ -238,6 +238,18 @@ def test_bad_spec_file_is_usage_error_before_any_compute(tmp_path, capsys, no_co
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "analytic"])
+@pytest.mark.parametrize("key", ["gamma_db", "r_db", "beta"])
+def test_spec_integer_too_large_for_a_float_is_usage_error(tmp_path, capsys, no_compute,
+                                                           command, key):
+    # 10**400 is written as a JSON integer; as 1e400 it would parse as inf.
+    spec = {"gamma_db": [4], key: [10**400]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run([command, "--spec", str(path)]) == 1
+    assert f"{key} holds an integer too large for a float" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags",
     [

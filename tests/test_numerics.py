@@ -70,14 +70,10 @@ def philox(seed, stream_id):
     return np.random.Generator(np.random.Philox(key=[seed, stream_id]))
 
 
-def textbook_box_muller(seed, stream_id, size):
-    """r cos(theta), r sin(theta) from a fresh stream's first two uniform draws."""
-    gen = philox(seed, stream_id)
-    u1 = gen.random(size)
-    u2 = gen.random(size)
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    theta = 2.0 * math.pi * u2
-    return r * np.cos(theta), r * np.sin(theta)
+def reference_normal_pairs(seed, stream_id, size):
+    """The two rows of a fresh stream's first (2, *size) standard-normal draw."""
+    shape = (size,) if isinstance(size, int) else size
+    return philox(seed, stream_id).standard_normal((2, *shape))
 
 
 def same_bits(a, b):
@@ -88,25 +84,62 @@ SIZES = pytest.mark.parametrize("size", [7, (4, 2, 1000)], ids=["7", "size2"])
 
 
 @SIZES
-def test_normal_pairs_are_the_textbook_transform_bit_for_bit(size):
+def test_normal_pairs_are_one_standard_normal_draw_bit_for_bit(size):
     x, y = RngStream(77, 3).normal_pairs(size)
-    want_x, want_y = textbook_box_muller(77, 3, size)
+    want_x, want_y = reference_normal_pairs(77, 3, size)
+    assert x.shape == y.shape == np.shape(want_x)
     assert same_bits(x, want_x) and same_bits(y, want_y)
 
 
 @SIZES
 @pytest.mark.parametrize("variance", [1.0, 0.05, 4.0])
 def test_circular_gaussian_is_the_textbook_draw_bit_for_bit(size, variance):
+    # CN(0, v) is sqrt(v/2) (x + j y) with x, y independent N(0, 1).
     got = sample_circular_gaussian(RngStream(78, 9), variance, size)
-    r_cos, r_sin = textbook_box_muller(78, 9, size)
-    want = math.sqrt(variance / 2.0) * (r_cos + 1j * r_sin)
+    x, y = reference_normal_pairs(78, 9, size)
+    want = math.sqrt(variance / 2.0) * (x + 1j * y)
     assert same_bits(got, want)
 
 
-def test_rng_bits_are_uniform_draws_below_one_half():
-    bits = RngStream(79, 2).bits(10_001)
+def test_rng_bits_unpack_the_stream_bytes_msb_first():
+    n = 10_001  # not a multiple of 8: the last byte gives only its top bit
+    bits = RngStream(79, 2).bits(n)
+    raw = np.frombuffer(philox(79, 2).bytes(1251), np.uint8)
+    want = (raw[:, None] >> np.arange(7, -1, -1)) & 1
     assert bits.dtype == np.uint8
-    assert np.array_equal(bits, philox(79, 2).random(10_001) < 0.5)
+    assert np.array_equal(bits, want.ravel()[:n])
+
+
+# Distribution checks that hold for any correct generator; each bound is
+# four standard errors of its statistic.
+
+
+def test_normal_pairs_are_standard_and_uncorrelated():
+    x, y = RngStream(80, 1).normal_pairs(N_STAT)
+    for v in (x, y):
+        assert abs(v.mean()) < 4 / math.sqrt(N_STAT)
+        assert abs(v.var() - 1.0) < 4 * math.sqrt(2 / N_STAT)
+    assert abs(np.mean(x * y)) < 4 / math.sqrt(N_STAT)
+
+
+@pytest.mark.parametrize("variance", [1.0, 0.05, 4.0])
+def test_circular_gaussian_variance_splits_evenly(variance):
+    z = sample_circular_gaussian(RngStream(81, 1), variance, size=N_STAT)
+    # Each part is N(0, v/2).
+    for part in (z.real, z.imag):
+        assert abs(part.var() - variance / 2) < 4 * (variance / 2) * math.sqrt(2 / N_STAT)
+    # Proper: the pseudo-variance E[z^2] = var(re) - var(im) + 2j cov is zero.
+    assert abs(np.mean(z * z)) < 4 * variance / math.sqrt(N_STAT)
+
+
+@pytest.mark.parametrize("n", [N_STAT, N_STAT + 3])
+def test_rng_bits_are_balanced(n):
+    bits = RngStream(82, 1).bits(n)
+    assert bits.shape == (n,) and set(np.unique(bits)) <= {0, 1}
+    assert abs(bits.mean() - 0.5) < 4 * 0.5 / math.sqrt(n)
+    # Every position within a byte is balanced too.
+    by_position = bits[: n - n % 8].reshape(-1, 8).mean(axis=0)
+    assert np.all(np.abs(by_position - 0.5) < 4 * 0.5 / math.sqrt(n // 8))
 
 
 def test_circular_gaussian_zero_variance_is_exactly_zero():
