@@ -310,7 +310,8 @@ def imbalance_gap_db(mod_name: str, gamma_db_grid) -> float | None:
 
 
 def validation_report(points, column, estimates) -> str:
-    """Coverage of the closed-form ``column`` point by point, plus figure-level summaries."""
+    """Coverage of the closed-form ``column`` point by point, the cells that
+    stopped at ``max_bits`` short of ``min_errors``, and figure-level summaries."""
     lines = ["point-by-point check (analytic value inside the simulated 95% CI):"]
     flags = []
     for p, pe, est in zip(points, column, estimates):
@@ -326,6 +327,13 @@ def validation_report(points, column, estimates) -> str:
         )
     coverage = sum(flags) / len(flags) if flags else float("nan")
     lines.append(f"coverage: {coverage:.3f}")
+    short = [(p, est) for p, est in zip(points, estimates) if est.errors < p.min_errors]
+    lines.append(f"cells stopped at max_bits below min_errors: {len(short)}")
+    for p, est in short:
+        lines.append(
+            f"  {p.scheme} {p.mod.name} r={p.r_db:g}dB beta={p.beta:g} "
+            f"snr={p.gamma_db:g}dB  {est.errors} < {p.min_errors} errors in {est.bits} bits"
+        )
     gamma_db_grid = sorted({p.gamma_db for p in points})
     for mod_name in sorted({p.mod.name for p in points}):
         gap = imbalance_gap_db(mod_name, gamma_db_grid)

@@ -1,8 +1,9 @@
 """Seeded Monte Carlo BER estimation over the full transmit/receive chain.
 
 Work is split into fixed-size chunks of fading blocks. Chunk ``k`` of a
-point draws everything it needs from ``RngStream(point.seed, k)``, so the
-random plan is a pure function of the point. A point runs its chunks
+point draws everything it needs from ``RngStream(point.seed, k)``, the
+k-th child stream of the point's seed, so the random plan is a pure
+function of the point. A point runs its chunks
 serially in index order and stops after the first chunk at which the
 cumulative error count reaches ``min_errors`` or the cumulative bit count
 reaches ``max_bits``.
@@ -98,7 +99,7 @@ class SimPoint:
 
 @dataclass(frozen=True)
 class BerEstimate:
-    """Bit counts, point estimate, and Wilson interval for one cell."""
+    """Bit counts, point estimate, and block-clustered Wilson interval for one cell."""
 
     bits: int
     errors: int
@@ -108,11 +109,27 @@ class BerEstimate:
     streams_used: int
 
     @classmethod
-    def from_counts(cls, bits: int, errors: int, streams_used: int) -> "BerEstimate":
+    def from_counts(cls, bits: int, errors: int, sq_errors: int, bits_per_block: int,
+                    streams_used: int) -> "BerEstimate":
+        """Estimate from the totals over ``bits // bits_per_block`` fading blocks.
+
+        ``sq_errors`` is the sum of the squared per-block error counts. The
+        bits of one block share one fade, so their errors are not
+        independent: the 95% Wilson interval is taken at the Kish effective
+        size ``bits / deff``, with the design effect ``deff`` the sample
+        variance of the per-block error counts over its binomial value
+        ``bits_per_block * ber * (1 - ber)``, and never below 1.
+        """
         if errors > bits:
             raise ValueError(f"errors ({errors}) cannot exceed bits ({bits})")
-        lo, hi = wilson_interval(errors, bits)
-        return cls(bits, errors, errors / bits, lo, hi, streams_used)
+        ber = errors / bits
+        blocks = bits // bits_per_block
+        deff = 1.0
+        if blocks > 1 and 0 < errors < bits:
+            between = (sq_errors - errors * errors / blocks) / (blocks - 1)
+            deff = max(1.0, between / (bits_per_block * ber * (1.0 - ber)))
+        lo, hi = wilson_interval(errors, bits, deff)
+        return cls(bits, errors, ber, lo, hi, streams_used)
 
 
 def _chunk_blocks(point: SimPoint) -> int:
@@ -120,8 +137,8 @@ def _chunk_blocks(point: SimPoint) -> int:
     return min(DEFAULT_CHUNK_BLOCKS, needed)
 
 
-def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int]:
-    """Simulate one chunk; returns (bits, bit_errors).
+def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
+    """Simulate one chunk; returns (bits, bit_errors, sum of squared block errors).
 
     Draw order is the same for every code: data bits (eight per random
     byte), then the channels (n_tx, n_rx, blocks), then the estimation
@@ -132,7 +149,8 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int]:
     The data bits run block by block, symbol by symbol, MSB first. One
     :func:`ostbc.detect` call on the combiner output laid out as (blocks,
     n_symbols) returns the decisions in that same order, so the errors are
-    one comparison against the transmitted bits.
+    one comparison against the transmitted bits, and a block's errors are
+    one row of that comparison laid out as (blocks, bits per block).
     """
     code = ostbc.CODES[point.scheme]
     rng = RngStream(point.seed, chunk_index)
@@ -154,18 +172,20 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int]:
     s_tilde = ostbc.combine(code, y, est, w)
     gain = math.sqrt(power) * ostbc.effective_gain(code, est, w)
     rx_bits = ostbc.detect(s_tilde.T, gain[:, None], point.mod)
-    return tx_bits.size, int(np.count_nonzero(rx_bits != tx_bits))
+    per_block = np.count_nonzero((rx_bits != tx_bits).reshape(n, -1), axis=1)
+    return tx_bits.size, int(per_block.sum()), int(np.dot(per_block, per_block))
 
 
 def run_point(point: SimPoint) -> BerEstimate:
     """Estimate the BER of one point with the adaptive stopping rule."""
-    bits = errors = streams = 0
+    bits = errors = sq_errors = streams = 0
     while errors < point.min_errors and bits < point.max_bits:
-        b, e = _simulate_chunk(point, streams)
+        b, e, e2 = _simulate_chunk(point, streams)
         bits += b
         errors += e
+        sq_errors += e2
         streams += 1
-    return BerEstimate.from_counts(bits, errors, streams)
+    return BerEstimate.from_counts(bits, errors, sq_errors, point.bits_per_block, streams)
 
 
 def derive_seed(master_seed: int, *fields) -> int:

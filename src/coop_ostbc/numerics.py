@@ -2,8 +2,9 @@
 
 Probabilities are plain floats in [0, 1]. All randomness flows through
 ``RngStream`` so that every sample sequence is reproducible from a
-(seed, stream_id) pair: Gaussians from the Philox generator's ziggurat
-``standard_normal``, data bits byte-packed from its raw bytes.
+(seed, stream_id) pair, which names the SFC64 child stream ``stream_id``
+of the seed: Gaussians from its ziggurat ``standard_normal``, data bits
+byte-packed from its raw bytes.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ _UINT64_MAX = (1 << 64) - 1
 class RngStream:
     """Reproducible random stream keyed by (seed, stream_id).
 
-    Backed by the Philox 4x64 counter-based generator
-    (``numpy.random.Philox``) with the 128-bit key formed from the two
-    64-bit ids. Identical (seed, stream_id) replay the exact same
-    sequence from the start; distinct stream_ids give statistically
-    independent streams, so parallel workers can each own one.
+    Backed by the SFC64 generator (``numpy.random.SFC64``) seeded with
+    ``SeedSequence(seed, spawn_key=(stream_id,))``: stream k is exactly
+    the k-th child that ``SeedSequence(seed).spawn`` gives. Identical
+    (seed, stream_id) replay the exact same sequence from the start;
+    distinct stream_ids give statistically independent streams, so
+    parallel workers can each own one.
 
     Normal variates come from the generator's ziggurat ``standard_normal``
     and data bits from its raw bytes, eight bits per byte.
@@ -47,8 +49,8 @@ class RngStream:
             raise ValueError(f"stream_id must fit in 64 bits, got {stream_id}")
         self.seed = seed
         self.stream_id = stream_id
-        key = np.array([seed, stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        seq = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+        self._gen = np.random.Generator(np.random.SFC64(seq))
 
     def bits(self, n: int) -> np.ndarray:
         """n equiprobable bits as a uint8 array: ceil(n/8) random bytes, MSB first."""
@@ -106,10 +108,13 @@ def sample_circular_gaussian(rng: RngStream, variance: float, size):
     return out
 
 
-def wilson_interval(errors: int, trials: int):
-    """95% Wilson score interval for a binomial proportion.
+def wilson_interval(errors: int, trials: int, deff: float = 1.0):
+    """95% Wilson score interval for the proportion errors/trials.
 
-    Returns (lo, hi) with lo <= errors/trials <= hi.
+    The interval is taken at the Kish effective size ``trials / deff``,
+    where the design effect ``deff >= 1`` is the variance of the
+    proportion over its binomial variance; ``deff = 1`` is the binomial
+    interval. Returns (lo, hi) with lo <= errors/trials <= hi.
     """
     errors = int(errors)
     trials = int(trials)
@@ -117,12 +122,15 @@ def wilson_interval(errors: int, trials: int):
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= errors <= trials:
         raise ValueError(f"errors must be in [0, trials], got {errors}/{trials}")
+    if not (math.isfinite(deff) and deff >= 1.0):
+        raise ValueError(f"deff must be finite and >= 1, got {deff}")
     z = NormalDist().inv_cdf(0.975)  # two-sided 95%
     phat = errors / trials
-    z2_n = z * z / trials
+    n = trials / deff
+    z2_n = z * z / n
     denom = 1.0 + z2_n
     center = (phat + 0.5 * z2_n) / denom
-    half = (z / denom) * math.sqrt(phat * (1.0 - phat) / trials + 0.25 * z2_n / trials)
+    half = (z / denom) * math.sqrt(phat * (1.0 - phat) / n + 0.25 * z2_n / n)
     # At the boundaries the interval endpoint is exact by construction.
     lo = 0.0 if errors == 0 else max(0.0, center - half)
     hi = 1.0 if errors == trials else min(1.0, center + half)

@@ -381,6 +381,21 @@ def test_validate_gap_not_computable_on_narrow_grid(capsys):
     assert "not computable" in capsys.readouterr().out
 
 
+def test_validate_names_the_cells_that_stop_below_min_errors(tmp_path, capsys):
+    grid = ["--modulation", "QPSK", "--gamma-db", "0,20", "--r-db", "0", "--seed", "4",
+            "--min-errors", "100", "--max-bits", "20000"]
+    val, sim = tmp_path / "val.csv", tmp_path / "sim.csv"
+    assert run(["validate", *grid, "--output", str(val)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "cells stopped at max_bits below min_errors: 1" in lines
+    short = [ln for ln in lines if "< 100 errors in 20000 bits" in ln]
+    assert len(short) == 1
+    assert short[0].startswith("  alamouti_2x1 QPSK r=0dB beta=0 snr=20dB  ")
+    # The report goes to stdout only: the CSV is the one 'simulate' writes.
+    assert run(["simulate", *grid, "--output", str(sim)]) == 0
+    assert val.read_bytes() == sim.read_bytes()
+
+
 def test_validate_prints_one_gap_line_per_modulation(capsys):
     rc = run(["validate", "--modulation", "qpsk,QPSK", "--gamma-db", "0,2", "--r-db", "0",
               "--seed", "4", "--min-errors", "30", "--max-bits", "100000"])

@@ -2,8 +2,8 @@
 
 The grid covers both schemes, all three modulations, beta in {0, 0.05},
 r in {0, 10} dB and two SNR values; its stopping rule leaves cells that
-stop on ``min_errors`` after one or several chunks, cells that stop on
-``max_bits`` and cells with no error at all. Any change to the random
+stop on ``min_errors`` after one or several chunks and cells that stop on
+``max_bits``, some of them with one or two errors. Any change to the random
 stream, the draw order or the arithmetic of the chain shows up here as
 a changed row. A change that is meant to move rows regenerates the pin:
 

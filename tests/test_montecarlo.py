@@ -1,18 +1,28 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
-from coop_ostbc.analytic import AnalyticPoint, ber_closed_form, diversity_slope
+from coop_ostbc.analytic import (
+    AnalyticPoint,
+    ber_closed_form,
+    ber_integral_oracle,
+    diversity_slope,
+)
 from coop_ostbc.montecarlo import (
+    BerEstimate,
     SimPoint,
+    _simulate_chunk,
     analytic_ber,
     derive_seed,
     run_point,
     run_sweep,
     sweep_points,
 )
-from coop_ostbc.ostbc import BPSK, QAM16, QPSK
+from coop_ostbc.numerics import wilson_interval
+from coop_ostbc.ostbc import BPSK, CODES, QAM16, QPSK
 
 
 def analytic(a_sq: float, r_db: float, gamma_db: float) -> float:
@@ -21,11 +31,81 @@ def analytic(a_sq: float, r_db: float, gamma_db: float) -> float:
     )
 
 
+# Coverage over a block of seeds. With exactly 95% coverage the hit count
+# over COVERAGE_SEEDS independent seeds is Bin(COVERAGE_SEEDS, 0.95);
+# COVERAGE_HITS is its 0.1% quantile, so a correct interval fails a block
+# with probability below 0.001.
+COVERAGE_SEEDS = 100
+COVERAGE_HITS = int(binom.ppf(0.001, COVERAGE_SEEDS, 0.95))  # 87
+
+
+def coverage_hits(point: SimPoint, reference: float) -> int:
+    """How many of the cells with seeds point.seed, point.seed + 1, ... cover reference."""
+    hits = 0
+    for seed in range(point.seed, point.seed + COVERAGE_SEEDS):
+        est = run_point(dataclasses.replace(point, seed=seed))
+        hits += est.ci_lo <= reference <= est.ci_hi
+    return hits
+
+
 def test_simulated_ber_matches_closed_form_at_10db():
     point = SimPoint("alamouti_2x1", BPSK, 10.0, 0.0, 0.0, seed=2001, min_errors=500)
     est = run_point(point)
     assert est.errors >= 500
-    assert est.ci_lo <= analytic(2.0, 0.0, 10.0) <= est.ci_hi
+    assert coverage_hits(point, analytic(2.0, 0.0, 10.0)) >= COVERAGE_HITS
+
+
+@pytest.mark.parametrize(
+    "scheme, mod, gamma_db, seed",
+    [
+        ("alamouti_2x1", QPSK, 10.0, 2101),
+        ("ostbc_4x2", BPSK, 0.0, 2201),
+        ("ostbc_4x2", QPSK, 4.0, 2301),
+    ],
+    ids=["alamouti_2x1-QPSK", "ostbc_4x2-BPSK", "ostbc_4x2-QPSK"],
+)
+def test_interval_covers_the_reference_over_a_seed_block(scheme, mod, gamma_db, seed):
+    # The 2x1 closed form, and the 4x2 code's MGF quadrature, at r = 5 dB.
+    point = SimPoint(scheme, mod, gamma_db, 5.0, 0.0, seed=seed, min_errors=500)
+    if scheme == "alamouti_2x1":
+        reference = analytic_ber(scheme, mod, 5.0, 0.0, gamma_db)
+    else:
+        reference = ber_integral_oracle(
+            CODES[scheme],
+            AnalyticPoint(mod.a_constant**2, 10.0**0.5, 10.0 ** (gamma_db / 10.0)),
+        )
+    assert coverage_hits(point, reference) >= COVERAGE_HITS
+
+
+def test_interval_widens_by_the_design_effect_of_shared_fades():
+    # 250 errors over 1,000 four-bit blocks. Spread one per block, the
+    # per-block variance is below binomial and the interval stays binomial;
+    # packed four per block, the design effect is about 4.
+    bits, errors = 4_000, 250
+    spread = BerEstimate.from_counts(bits, errors, errors, 4, streams_used=1)
+    packed = BerEstimate.from_counts(bits, errors, 4 * errors, 4, streams_used=1)
+    assert (spread.ci_lo, spread.ci_hi) == wilson_interval(errors, bits)
+    blocks, ber = bits // 4, errors / bits
+    deff = (4 * errors - errors**2 / blocks) / (blocks - 1) / (4 * ber * (1 - ber))
+    assert deff == pytest.approx(4.0, abs=0.01)
+    assert (packed.ci_lo, packed.ci_hi) == wilson_interval(errors, bits, deff)
+    assert packed.ci_lo < spread.ci_lo <= packed.ber <= spread.ci_hi < packed.ci_hi
+
+
+@pytest.mark.parametrize("errors", [0, 1, 3999, 4000])
+def test_interval_stays_in_the_unit_range_at_the_edges(errors):
+    sq_errors = 4 * errors  # every error in a block that is wholly wrong
+    est = BerEstimate.from_counts(4_000, errors, sq_errors, 4, streams_used=1)
+    assert 0.0 <= est.ci_lo <= est.ber <= est.ci_hi <= 1.0
+
+
+def test_chunk_counts_the_squared_errors_of_each_block():
+    point = SimPoint("ostbc_4x2", QAM16, 4.0, 0.0, 0.05, seed=2012)
+    bits, errors, sq_errors = _simulate_chunk(point, 0)
+    # Each of the errors sits in a block of 12 bits: errors <= sum e_b^2 <= 12 errors,
+    # and the squares exceed the counts as soon as a block holds two errors.
+    assert bits == 12 * 10_000 and errors > 0
+    assert errors < sq_errors <= 12 * errors
 
 
 def test_noise_dominated_limit_is_half():

@@ -65,19 +65,28 @@ def test_rng_rejects_out_of_range_ids():
         RngStream(0, 1 << 64)
 
 
-def philox(seed, stream_id):
+def reference_generator(seed, stream_id):
     """The generator an RngStream is documented to wrap, built independently."""
-    return np.random.Generator(np.random.Philox(key=[seed, stream_id]))
+    seq = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def reference_normal_pairs(seed, stream_id, size):
     """The two rows of a fresh stream's first (2, *size) standard-normal draw."""
     shape = (size,) if isinstance(size, int) else size
-    return philox(seed, stream_id).standard_normal((2, *shape))
+    return reference_generator(seed, stream_id).standard_normal((2, *shape))
 
 
 def same_bits(a, b):
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed, stream_id", [(0, 0), (77, 3), ((1 << 64) - 1, 12)])
+def test_stream_is_the_child_of_that_index_of_the_seed(seed, stream_id):
+    # Chunk k of a cell draws what the k-th spawned child of its seed draws.
+    child = np.random.SeedSequence(seed).spawn(stream_id + 1)[stream_id]
+    want = np.random.Generator(np.random.SFC64(child)).standard_normal((2, 50))
+    assert same_bits(np.array(RngStream(seed, stream_id).normal_pairs(50)), want)
 
 
 SIZES = pytest.mark.parametrize("size", [7, (4, 2, 1000)], ids=["7", "size2"])
@@ -104,7 +113,7 @@ def test_circular_gaussian_is_the_textbook_draw_bit_for_bit(size, variance):
 def test_rng_bits_unpack_the_stream_bytes_msb_first():
     n = 10_001  # not a multiple of 8: the last byte gives only its top bit
     bits = RngStream(79, 2).bits(n)
-    raw = np.frombuffer(philox(79, 2).bytes(1251), np.uint8)
+    raw = np.frombuffer(reference_generator(79, 2).bytes(1251), np.uint8)
     want = (raw[:, None] >> np.arange(7, -1, -1)) & 1
     assert bits.dtype == np.uint8
     assert np.array_equal(bits, want.ravel()[:n])
@@ -281,6 +290,21 @@ def test_wilson_rejects_bad_inputs():
         wilson_interval(5, 4)
     with pytest.raises(ValueError):
         wilson_interval(0, 0)
+
+
+def test_wilson_design_effect_is_a_smaller_sample():
+    # deff = 4 over 4,000 trials is the binomial interval of 1,000 trials.
+    lo, hi = wilson_interval(100, 4000, 4.0)
+    ref = binomtest(25, 1000).proportion_ci(0.95, method="wilson")
+    assert lo == pytest.approx(ref.low, abs=1e-12)
+    assert hi == pytest.approx(ref.high, abs=1e-12)
+    assert wilson_interval(100, 4000, 1.0) == wilson_interval(100, 4000)
+
+
+@pytest.mark.parametrize("deff", [0.5, math.inf, math.nan])
+def test_wilson_rejects_a_design_effect_below_one(deff):
+    with pytest.raises(ValueError):
+        wilson_interval(5, 100, deff)
 
 
 def test_wilson_contains_point_estimate():
