@@ -3,10 +3,9 @@
 Work is split into fixed-size chunks of fading blocks. Chunk ``k`` of a
 point draws everything it needs from ``RngStream(point.seed, k)``, the
 k-th child stream of the point's seed, so the random plan is a pure
-function of the point. A point runs its chunks
-serially in index order and stops after the first chunk at which the
-cumulative error count reaches ``min_errors`` or the cumulative bit count
-reaches ``max_bits``.
+function of the point. A point runs its chunks serially in index order
+and stops after the first chunk at which the cumulative error count
+reaches ``min_errors`` or the cumulative bit count reaches ``max_bits``.
 
 :func:`sweep_points` turns a grid into its deduplicated cells, a
 :class:`SimPoint` tuple in report order, and that tuple is the only
@@ -149,8 +148,8 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     The data bits run block by block, symbol by symbol, MSB first. One
     :func:`ostbc.detect` call on the combiner output laid out as (blocks,
     n_symbols) returns the decisions in that same order, so the errors are
-    one comparison against the transmitted bits, and a block's errors are
-    one row of that comparison laid out as (blocks, bits per block).
+    one comparison against the transmitted bits, and the block of a wrong
+    bit is its index over the bits per block.
     """
     code = ostbc.CODES[point.scheme]
     rng = RngStream(point.seed, chunk_index)
@@ -172,8 +171,9 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     s_tilde = ostbc.combine(code, y, est, w)
     gain = math.sqrt(power) * ostbc.effective_gain(code, est, w)
     rx_bits = ostbc.detect(s_tilde.T, gain[:, None], point.mod)
-    per_block = np.count_nonzero((rx_bits != tx_bits).reshape(n, -1), axis=1)
-    return tx_bits.size, int(per_block.sum()), int(np.dot(per_block, per_block))
+    wrong = np.flatnonzero(rx_bits != tx_bits)
+    per_block = np.bincount(wrong // point.bits_per_block)
+    return tx_bits.size, wrong.size, int(np.dot(per_block, per_block))
 
 
 def run_point(point: SimPoint) -> BerEstimate:
