@@ -94,7 +94,8 @@ def test_interval_widens_by_the_design_effect_of_shared_fades():
 
 @pytest.mark.parametrize("errors", [0, 1, 3999, 4000])
 def test_interval_stays_in_the_unit_range_at_the_edges(errors):
-    sq_errors = 4 * errors  # every error in a block that is wholly wrong
+    # The errors packed into as few four-bit blocks as they fill.
+    sq_errors = 16 * (errors // 4) + (errors % 4) ** 2
     est = BerEstimate.from_counts(4_000, errors, sq_errors, 4, streams_used=1)
     assert 0.0 <= est.ci_lo <= est.ber <= est.ci_hi <= 1.0
 
