@@ -1,10 +1,14 @@
-"""Command-line front end: analytic curves, simulation sweeps, validation.
+"""Command-line front end: analytic curves and simulation sweeps.
 
 Subcommands
-    analytic   closed-form BER over a (modulation, r, gamma) grid
-    simulate   Monte Carlo BER over the full grid, with confidence intervals
-    validate   analytic + simulation side by side, coverage/gap/slope summary
-    plotdata   split a result CSV into per-curve two-column files
+    analytic   closed-form BER over a (modulation, r, gamma) grid; on stderr,
+               the SNR gap that imbalance costs and the high-SNR diversity slope
+    simulate   Monte Carlo BER over the full grid, with confidence intervals;
+               on stderr, how often the intervals hold the closed form and
+               which cells stopped at max_bits short of min_errors
+
+Each writes its CSV to --output or stdout, and its report to stderr only,
+so stdout parses as the CSV.
 
 Sweeps are configured from a JSON file (--spec) and/or flags; flags
 override the file. ``montecarlo.sweep_points`` turns them into the grid
@@ -165,7 +169,7 @@ def _read_spec(args) -> dict:
 def _points(spec: dict, **stop_rule) -> tuple[SimPoint, ...]:
     """The sweep's cells, with every check failing here as a usage error.
 
-    Only the commands that simulate pass ``min_errors`` and ``max_bits``.
+    Only ``simulate`` passes ``min_errors`` and ``max_bits``.
     """
 
     def grid(key, default) -> list[float]:
@@ -200,37 +204,9 @@ def _points(spec: dict, **stop_rule) -> tuple[SimPoint, ...]:
         raise UsageError(str(exc)) from None
 
 
-def _simulated_points(spec: dict) -> tuple[tuple[SimPoint, ...], int]:
-    """The cells with the spec's stopping rule, and the worker count."""
-    workers = _integer(spec.get("workers", 1), "workers")
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
-    points = _points(
-        spec,
-        min_errors=_integer(spec.get("min_errors", DEFAULT_MIN_ERRORS), "min_errors"),
-        max_bits=_integer(spec.get("max_bits", DEFAULT_MAX_BITS), "max_bits"),
-    )
-    return points, workers
-
-
-def _closed_form(points, quantifier=None) -> list[float | None]:
-    """The closed-form column of ``points``: one ``analytic_ber`` call per cell.
-
-    With a ``quantifier``, a usage error unless it holds, for every scheme
-    and modulation, over that curve's cells having a closed form: ``all``
-    for a grid of closed-form values, ``any`` for a comparison against them.
-    """
-    column = [analytic_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db) for p in points]
-    curves: dict = {}
-    for p, pe in zip(points, column):
-        curves.setdefault((p.scheme, p.mod.name), {})[p.beta] = pe is not None
-    for (scheme, mod_name), covered in curves.items():
-        if quantifier is not None and not quantifier(covered.values()):
-            raise UsageError(
-                f"no closed form for {scheme} {mod_name} at beta "
-                f"{', '.join(map(_fmt, covered))}; use 'simulate' for it"
-            )
-    return column
+def _closed_form(points) -> list[float | None]:
+    """The closed-form column of ``points``: one ``analytic_ber`` call per cell."""
+    return [analytic_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db) for p in points]
 
 
 def _row(point: SimPoint, pe: float | None,
@@ -260,37 +236,25 @@ def _write_csv(path: str | None, rows) -> None:
         raise
 
 
-# --- analytic and simulate ---------------------------------------------------
+# --- analytic and simulate, with their stderr reports ----------------------
 
 
-def cmd_analytic(args) -> int:
-    spec = _read_spec(args)
-    points = _points(spec)
-    column = _closed_form(points, all)
-    _write_csv(spec.get("output"), list(map(_row, points, column)))
-    return 0
-
-
-def cmd_simulate(args) -> int:
-    spec = _read_spec(args)
-    points, workers = _simulated_points(spec)
-    column = _closed_form(points)
-    estimates = run_sweep(points, workers)
-    _write_csv(spec.get("output"), list(map(_row, points, column, estimates)))
-    return 0
-
-
-# --- validate ----------------------------------------------------------------
+def _cell(p: SimPoint) -> str:
+    return f"{p.scheme} {p.mod.name} r={p.r_db:g}dB beta={p.beta:g} snr={p.gamma_db:g}dB"
 
 
 def snr_db_at_ber(mod_name: str, r_db: float, gamma_db_grid) -> float | None:
-    """Where the analytic curve crosses GAP_TARGET_BER, by log-linear interpolation."""
+    """Where the analytic curve crosses GAP_TARGET_BER, by log-linear interpolation.
+
+    None if it does not cross on the grid, or crosses onto a BER that
+    underflows to 0, which has no logarithm.
+    """
     mod = modulation_by_name(mod_name)
     grid = sorted(gamma_db_grid)
     pes = [analytic_ber("alamouti_2x1", mod, r_db, 0.0, g) for g in grid]
     for i in range(1, len(grid)):
         hi_pe, lo_pe = pes[i - 1], pes[i]
-        if hi_pe >= GAP_TARGET_BER >= lo_pe:
+        if hi_pe >= GAP_TARGET_BER >= lo_pe > 0.0:
             if hi_pe == lo_pe:
                 return grid[i]
             frac = (math.log10(hi_pe) - math.log10(GAP_TARGET_BER)) / (
@@ -309,31 +273,11 @@ def imbalance_gap_db(mod_name: str, gamma_db_grid) -> float | None:
     return skew - base
 
 
-def validation_report(points, column, estimates) -> str:
-    """Coverage of the closed-form ``column`` point by point, the cells that
-    stopped at ``max_bits`` short of ``min_errors``, and figure-level summaries."""
-    lines = ["point-by-point check (analytic value inside the simulated 95% CI):"]
-    flags = []
-    for p, pe, est in zip(points, column, estimates):
-        if pe is None:
-            continue
-        ok = est.ci_lo <= pe <= est.ci_hi
-        flags.append(ok)
-        lines.append(
-            f"  {p.mod.name:>5s} r={p.r_db:g}dB snr={p.gamma_db:g}dB  "
-            f"analytic={pe:.3e}  sim={est.ber:.3e} "
-            f"[{est.ci_lo:.3e}, {est.ci_hi:.3e}]  "
-            f"{'pass' if ok else 'FAIL'}"
-        )
-    coverage = sum(flags) / len(flags) if flags else float("nan")
-    lines.append(f"coverage: {coverage:.3f}")
-    short = [(p, est) for p, est in zip(points, estimates) if est.errors < p.min_errors]
-    lines.append(f"cells stopped at max_bits below min_errors: {len(short)}")
-    for p, est in short:
-        lines.append(
-            f"  {p.scheme} {p.mod.name} r={p.r_db:g}dB beta={p.beta:g} "
-            f"snr={p.gamma_db:g}dB  {est.errors} < {p.min_errors} errors in {est.bits} bits"
-        )
+def analytic_report(points) -> str:
+    """The closed form's SNR gap at GAP_TARGET_BER between the GAP_R_DB
+    imbalances, per modulation, and its diversity slope over SLOPE_GAMMA_DB,
+    per modulation and imbalance of the grid."""
+    lines = []
     gamma_db_grid = sorted({p.gamma_db for p in points})
     for mod_name in sorted({p.mod.name for p in points}):
         gap = imbalance_gap_db(mod_name, gamma_db_grid)
@@ -356,77 +300,59 @@ def validation_report(points, column, estimates) -> str:
     return "\n".join(lines)
 
 
-def cmd_validate(args) -> int:
+def simulation_report(points, column, estimates) -> str:
+    """How often the simulated 95% CI holds the closed-form ``column``, the
+    cells whose CI misses it, and the cells that stopped at ``max_bits``
+    short of ``min_errors``."""
+    checked = [(p, pe, est) for p, pe, est in zip(points, column, estimates)
+               if pe is not None]
+    misses = [(p, pe, est) for p, pe, est in checked if not est.ci_lo <= pe <= est.ci_hi]
+    if checked:
+        lines = [f"coverage: {(len(checked) - len(misses)) / len(checked):.3f}, the share "
+                 f"of the {len(checked)} cells with a closed form whose 95% CI holds it"]
+    else:
+        lines = ["coverage: not computable, no cell of this grid has a closed form"]
+    for p, pe, est in misses:
+        lines.append(f"  {_cell(p)}  analytic={pe:.3e} not in [{est.ci_lo:.3e}, "
+                     f"{est.ci_hi:.3e}], sim={est.ber:.3e}")
+    short = [(p, est) for p, est in zip(points, estimates) if est.errors < p.min_errors]
+    lines.append(f"cells stopped at max_bits below min_errors: {len(short)}")
+    for p, est in short:
+        lines.append(f"  {_cell(p)}  {est.errors} < {p.min_errors} errors in {est.bits} bits")
+    return "\n".join(lines)
+
+
+def cmd_analytic(args) -> int:
     spec = _read_spec(args)
-    points, workers = _simulated_points(spec)
-    column = _closed_form(points, any)
-    estimates = run_sweep(points, workers)
-    report = validation_report(points, column, estimates)
-    _write_csv(spec.get("output"), list(map(_row, points, column, estimates)))
-    print(report)
+    points = _points(spec)
+    column = _closed_form(points)
+    open_cells = [p for p, pe in zip(points, column) if pe is None]
+    if open_cells:
+        curve = (open_cells[0].scheme, open_cells[0].mod.name)
+        betas = dict.fromkeys(p.beta for p in open_cells if (p.scheme, p.mod.name) == curve)
+        raise UsageError(
+            f"no closed form for {curve[0]} {curve[1]} at beta "
+            f"{', '.join(map(_fmt, betas))}; use 'simulate' for it"
+        )
+    _write_csv(spec.get("output"), list(map(_row, points, column)))
+    print(analytic_report(points), file=sys.stderr)
     return 0
 
 
-# --- plotdata ----------------------------------------------------------------
-
-_GROUP_COLUMNS = ("scheme", "modulation", "r_db", "beta")
-
-
-def _parse_result_csv(path: str):
-    """Rows of the pinned schema, with line numbers for error reporting."""
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}:1: empty file, expected a CSV header") from None
-        if header != CSV_HEADER:
-            raise ValueError(
-                f"{path}:1: unexpected header {header!r}; expected {CSV_HEADER!r}"
-            )
-        for lineno, record in enumerate(reader, start=2):
-            if len(record) != len(CSV_HEADER):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(CSV_HEADER)} columns, "
-                    f"got {len(record)}"
-                )
-            row = dict(zip(CSV_HEADER, record))
-            if row["ber_sim"] == "" and row["ber_analytic"] == "":
-                raise ValueError(
-                    f"{path}:{lineno}: row has neither ber_sim nor ber_analytic"
-                )
-            try:
-                float(row["snr_db"])
-                float(row["ber_sim"] if row["ber_sim"] != "" else row["ber_analytic"])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric value") from None
-            rows.append((lineno, row))
-    return rows
-
-
-def cmd_plotdata(args) -> int:
-    rows = _parse_result_csv(args.input)
-    if not rows:
-        print("warning: no data rows; nothing to write", file=sys.stderr)
-        return 0
-    os.makedirs(args.outdir, exist_ok=True)
-    curves: dict = {}
-    for _, row in rows:
-        key = tuple(row[k] for k in _GROUP_COLUMNS)
-        ber = row["ber_sim"] if row["ber_sim"] != "" else row["ber_analytic"]
-        curves.setdefault(key, []).append((row["snr_db"], ber))
-    written = []
-    for key in sorted(curves):
-        parts = [f"{col}{val}" for col, val in zip(_GROUP_COLUMNS, key)]
-        name = "curve_" + "_".join(parts).replace("/", "-") + ".dat"
-        out_path = os.path.join(args.outdir, name)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for snr_db, ber in curves[key]:
-                fh.write(f"{snr_db} {ber}\n")
-        written.append(out_path)
-    for path in written:
-        print(path)
+def cmd_simulate(args) -> int:
+    spec = _read_spec(args)
+    workers = _integer(spec.get("workers", 1), "workers")
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
+    points = _points(
+        spec,
+        min_errors=_integer(spec.get("min_errors", DEFAULT_MIN_ERRORS), "min_errors"),
+        max_bits=_integer(spec.get("max_bits", DEFAULT_MAX_BITS), "max_bits"),
+    )
+    column = _closed_form(points)
+    estimates = run_sweep(points, workers)
+    _write_csv(spec.get("output"), list(map(_row, points, column, estimates)))
+    print(simulation_report(points, column, estimates), file=sys.stderr)
     return 0
 
 
@@ -482,19 +408,6 @@ def _build_parser() -> _Parser:
     p_sim = commands.add_parser("simulate", help="Monte Carlo BER grid")
     _add_grid_options(p_sim, include_sim=True)
     p_sim.set_defaults(func=cmd_simulate)
-
-    p_val = commands.add_parser(
-        "validate", help="simulate and compare against the closed form"
-    )
-    _add_grid_options(p_val, include_sim=True)
-    p_val.set_defaults(func=cmd_validate)
-
-    p_plot = commands.add_parser(
-        "plotdata", help="split a result CSV into per-curve data files"
-    )
-    p_plot.add_argument("input", help="CSV produced by analytic/simulate/validate")
-    p_plot.add_argument("--outdir", default=".", help="directory for curve files")
-    p_plot.set_defaults(func=cmd_plotdata)
     return parser
 
 

@@ -222,9 +222,9 @@ def test_c08_four_antenna_code_health_and_steeper_slope():
 
 
 def test_c09_validation_sweep_is_byte_reproducible(tmp_path, capsys):
-    with _Criterion(9, "two identically-seeded validation runs: identical CSVs") as c:
+    with _Criterion(9, "two identically-seeded simulate runs, 1 and 3 workers: identical CSVs") as c:
         args = [
-            "validate",
+            "simulate",
             "--modulation",
             "QPSK",
             "--gamma-db",

@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 
 import pytest
 
@@ -321,98 +320,127 @@ def test_simulate_fills_the_closed_form_at_extreme_imbalance(tmp_path):
     assert 0.0 < float(row["ber_analytic"]) < 0.5
 
 
-@pytest.mark.parametrize("command", ["analytic", "validate"])
+@pytest.mark.parametrize("command", ["analytic"])
 def test_closed_form_commands_reject_ostbc_4x2(capsys, command):
     assert run([command, "--scheme", "ostbc_4x2", "--gamma-db", "0,5"]) == 1
     assert "simulate" in capsys.readouterr().err
 
 
-# --- validate -------------------------------------------------------------------
+# --- reports on stderr ------------------------------------------------------------
 
 
-def test_validate_reports_coverage_and_gap(tmp_path, capsys):
-    out = tmp_path / "val.csv"
-    rc = run(
-        [
-            "validate",
-            "--modulation",
-            "QPSK",
-            "--gamma-db",
-            "0:24:2",
-            "--r-db",
-            "0,10",
-            "--seed",
-            "4",
-            "--min-errors",
-            "100",
-            "--output",
-            str(out),
-        ]
-    )
+QPSK_GRID = ["--modulation", "QPSK", "--gamma-db", "0:24:2", "--r-db", "0,10"]
+
+
+@pytest.mark.parametrize(
+    "argv, report_line",
+    [(["analytic", *QPSK_GRID], "QPSK: SNR gap at BER 0.01"),
+     (["simulate", *QPSK_GRID, "--seed", "4", "--min-errors", "50"], "coverage: ")],
+    ids=["analytic", "simulate"],
+)
+def test_stdout_is_the_output_csv_and_the_report_goes_to_stderr(tmp_path, capsys, argv,
+                                                                report_line):
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--output", str(out)]) == 0
+    to_file = capsys.readouterr()
+    assert run(argv) == 0
+    to_stdout = capsys.readouterr()
+    assert to_file.out == ""
+    assert to_stdout.out.encode() == out.read_bytes()
+    assert to_stdout.err == to_file.err
+    assert report_line in to_stdout.err
+    assert report_line not in to_stdout.out
+
+
+def test_simulate_reports_coverage(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    rc = run(["simulate", *QPSK_GRID, "--seed", "4", "--min-errors", "100",
+              "--output", str(out)])
     assert rc == 0
-    text = capsys.readouterr().out
-    assert "coverage:" in text
-    assert "SNR gap at BER 0.01" in text
-    assert "not computable" not in text
-    assert "analytic high-SNR diversity slope (40-50 dB)" in text
+    err = capsys.readouterr().err
+    (coverage,) = [ln for ln in err.splitlines() if ln.startswith("coverage: ")]
+    assert coverage.endswith(f"of the {2 * 13} cells with a closed form whose 95% CI holds it")
+    assert "SNR gap" not in err
     rows = read_csv(out)
     assert len(rows) == 2 * len(range(0, 25, 2))
 
 
-def test_validate_gap_not_computable_on_narrow_grid(capsys):
-    rc = run(
-        [
-            "validate",
-            "--modulation",
-            "QPSK",
-            "--gamma-db",
-            "0,2",
-            "--r-db",
-            "0,10",
-            "--seed",
-            "4",
-            "--min-errors",
-            "30",
-            "--max-bits",
-            "100000",
-        ]
-    )
-    assert rc == 0
-    assert "not computable" in capsys.readouterr().out
+def test_simulate_names_each_cell_whose_interval_misses_the_closed_form(capsys):
+    # With this seed and short stopping rule one of the 26 intervals misses;
+    # the report's lines are checked against the CSV's own columns.
+    grid = ["simulate", *QPSK_GRID, "--seed", "4", "--min-errors", "20", "--max-bits",
+            "40000"]
+    assert run(grid) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    missed = [r for r in rows if not float(r["ci_lo"]) <= float(r["ber_analytic"])
+              <= float(r["ci_hi"])]
+    lines = captured.err.splitlines()
+    named = [ln for ln in lines if " not in [" in ln]
+    assert len(named) == len(missed) == 1
+    for row, line in zip(missed, named):
+        assert line.startswith(f"  alamouti_2x1 QPSK r={row['r_db']}dB beta=0 "
+                               f"snr={row['snr_db']}dB  analytic=")
+    assert lines[0] == (f"coverage: {(len(rows) - len(missed)) / len(rows):.3f}, the share "
+                        f"of the {len(rows)} cells with a closed form whose 95% CI holds it")
 
 
-def test_validate_names_the_cells_that_stop_below_min_errors(tmp_path, capsys):
+def test_simulate_names_the_cells_that_stop_below_min_errors(capsys):
     grid = ["--modulation", "QPSK", "--gamma-db", "0,20", "--r-db", "0", "--seed", "4",
             "--min-errors", "100", "--max-bits", "20000"]
-    val, sim = tmp_path / "val.csv", tmp_path / "sim.csv"
-    assert run(["validate", *grid, "--output", str(val)]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    assert run(["simulate", *grid]) == 0
+    lines = capsys.readouterr().err.splitlines()
     assert "cells stopped at max_bits below min_errors: 1" in lines
     short = [ln for ln in lines if "< 100 errors in 20000 bits" in ln]
     assert len(short) == 1
     assert short[0].startswith("  alamouti_2x1 QPSK r=0dB beta=0 snr=20dB  ")
-    # The report goes to stdout only: the CSV is the one 'simulate' writes.
-    assert run(["simulate", *grid, "--output", str(sim)]) == 0
-    assert val.read_bytes() == sim.read_bytes()
 
 
-def test_validate_prints_one_gap_line_per_modulation(capsys):
-    rc = run(["validate", "--modulation", "qpsk,QPSK", "--gamma-db", "0,2", "--r-db", "0",
-              "--seed", "4", "--min-errors", "30", "--max-bits", "100000"])
+def test_simulate_reports_a_grid_without_closed_form(tmp_path, capsys):
+    # The fig3 configuration: no cell has a closed form, and the 20 dB cells
+    # stop at this max_bits short of min_errors.
+    out = tmp_path / "fig3.csv"
+    rc = run(["simulate", "--scheme", "ostbc_4x2", "--modulation", "QAM16", "--gamma-db",
+              "0,20", "--r-db", "0", "--beta", "0,0.01", "--seed", "3", "--min-errors", "100",
+              "--max-bits", "60000", "--output", str(out)])
     assert rc == 0
-    gap_lines = [ln for ln in capsys.readouterr().out.splitlines() if "SNR gap" in ln]
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "coverage: not computable, no cell of this grid has a closed form"
+    assert "nan" not in lines[0]
+    short = {ln.split("  ")[1] for ln in lines if "< 100 errors in" in ln}
+    rows = read_csv(out)
+    expected = {f"ostbc_4x2 QAM16 r=0dB beta={r['beta']} snr={r['snr_db']}dB"
+                for r in rows if int(r["errors"]) < 100}
+    assert short == expected
+    assert {"ostbc_4x2 QAM16 r=0dB beta=0 snr=20dB"} <= short
+    assert f"cells stopped at max_bits below min_errors: {len(short)}" in lines
+
+
+def test_analytic_reports_gap_and_slope(capsys):
+    assert run(["analytic", *QPSK_GRID]) == 0
+    err = capsys.readouterr().err
+    assert "QPSK: SNR gap at BER 0.01 between r=0 dB and r=10 dB: " in err
+    assert "not computable" not in err
+    assert "QPSK r=10 dB: analytic high-SNR diversity slope (40-50 dB) " in err
+    assert "coverage" not in err
+
+
+@pytest.mark.parametrize("gamma_db", ["0,2", "0,3000"], ids=["no-crossing", "underflow"])
+def test_analytic_gap_not_computable_on_narrow_grid(capsys, gamma_db):
+    # At 3000 dB the closed form underflows to 0, so a crossing cannot be
+    # interpolated in log10 and the gap is not computed.
+    rc = run(["analytic", "--modulation", "QPSK", "--gamma-db", gamma_db, "--r-db", "0,10"])
+    assert rc == 0
+    assert "SNR gap at BER 0.01 between r=0 dB and r=10 dB: not computable" in (
+        capsys.readouterr().err)
+
+
+def test_analytic_prints_one_gap_line_per_modulation(capsys):
+    rc = run(["analytic", "--modulation", "qpsk,QPSK", "--gamma-db", "0,2", "--r-db", "0"])
+    assert rc == 0
+    gap_lines = [ln for ln in capsys.readouterr().err.splitlines() if "SNR gap" in ln]
     assert len(gap_lines) == 1
     assert gap_lines[0].startswith("QPSK: ")
-
-
-def test_validate_requires_perfect_csi_rows(capsys):
-    rc = run(["validate", "--gamma-db", "0,5", "--beta", "0.1"])
-    assert rc == 1
-
-
-def test_validate_rejects_qam16(capsys):
-    rc = run(["validate", "--modulation", "QAM16", "--gamma-db", "0,5"])
-    assert rc == 1
 
 
 def test_snr_at_target_is_log_linear():
@@ -421,71 +449,23 @@ def test_snr_at_target_is_log_linear():
     assert got == pytest.approx(11.47, abs=0.05)
 
 
-# --- plotdata -------------------------------------------------------------------
+def test_missing_input_is_io_error(tmp_path, capsys):
+    for command in ("simulate", "analytic"):
+        assert run([command, "--spec", str(tmp_path / "nope.json")]) == 3
+        assert "i/o error" in capsys.readouterr().err
 
 
-def test_plotdata_splits_into_curves(tmp_path):
-    out = tmp_path / "grid.csv"
-    rc = run(
-        [
-            "analytic",
-            "--modulation",
-            "BPSK,QPSK",
-            "--r-db",
-            "0,5,10",
-            "--gamma-db",
-            "0,10,20",
-            "--output",
-            str(out),
-        ]
-    )
-    assert rc == 0
-    curves = tmp_path / "curves"
-    rc = run(["plotdata", str(out), "--outdir", str(curves)])
-    assert rc == 0
-    files = sorted(os.listdir(curves))
-    assert len(files) == 6
-    total_lines = 0
-    for name in files:
-        with open(curves / name) as fh:
-            lines = [ln for ln in fh if ln.strip()]
-        assert all(len(ln.split()) == 2 for ln in lines)
-        total_lines += len(lines)
-    assert total_lines == len(read_csv(out))  # no drops, no duplicates
+@pytest.mark.parametrize("command", ["validate", "plotdata"])
+def test_removed_command_is_usage_error(capsys, command):
+    assert run([command, "--gamma-db", "0"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
 
 
-def test_plotdata_header_only_writes_nothing(tmp_path, capsys):
-    src = tmp_path / "empty.csv"
-    src.write_text(",".join(cli.CSV_HEADER) + "\n")
-    curves = tmp_path / "curves"
-    rc = run(["plotdata", str(src), "--outdir", str(curves)])
-    assert rc == 0
-    assert "warning" in capsys.readouterr().err
-    assert not curves.exists() or not os.listdir(curves)
-
-
-def test_plotdata_reports_malformed_line(tmp_path, capsys):
-    src = tmp_path / "bad.csv"
-    src.write_text(
-        ",".join(cli.CSV_HEADER)
-        + "\nalamouti_2x1,QPSK,0,0,5,not-a-number,,,,,,\n"
-    )
-    rc = run(["plotdata", str(src), "--outdir", str(tmp_path / "c")])
-    assert rc == 2
-    assert ":2:" in capsys.readouterr().err
-
-
-def test_plotdata_rejects_wrong_header(tmp_path, capsys):
-    src = tmp_path / "bad.csv"
-    src.write_text("snr,ber\n0,0.1\n")
-    rc = run(["plotdata", str(src), "--outdir", str(tmp_path / "c")])
-    assert rc == 2
-    assert ":1:" in capsys.readouterr().err
-
-
-def test_missing_input_is_io_error(tmp_path):
-    rc = run(["plotdata", str(tmp_path / "nope.csv")])
-    assert rc == 3
+def test_help_lists_two_commands(capsys):
+    with pytest.raises(SystemExit):
+        run(["--help"])
+    out = capsys.readouterr().out
+    assert "{analytic,simulate}" in out
 
 
 # --- misc ----------------------------------------------------------------------
