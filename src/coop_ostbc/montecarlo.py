@@ -15,12 +15,19 @@ estimate does not depend on which other cells are present in the grid.
 A sweep runs its cells ``workers`` at a time on one thread pool; each
 cell is a pure function of its seed, so the estimates are bit-identical
 for any worker count. A one-cell sweep uses one thread.
+
+Each thread draws and runs every chunk in one
+:class:`~coop_ostbc.numerics.Workspace`, so a pool thread holds one
+chunk's working set (up to 12 MB, for the largest chunk it has run) for
+the length of a sweep instead of allocating it afresh for each chunk.
+A finished sweep's workspaces are kept for the next sweep.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -28,7 +35,7 @@ from itertools import product
 import numpy as np
 
 from . import analytic, ostbc
-from .numerics import RngStream, sample_circular_gaussian, wilson_interval
+from .numerics import RngStream, Workspace, sample_circular_gaussian, wilson_interval
 
 __all__ = [
     "SimPoint",
@@ -136,6 +143,20 @@ def _chunk_blocks(point: SimPoint) -> int:
     return min(DEFAULT_CHUNK_BLOCKS, needed)
 
 
+_thread = threading.local()
+# The workspaces that finished sweeps left, for the pool threads of later ones.
+_idle_workspaces: list = []
+_idle_lock = threading.Lock()
+
+
+def _thread_workspace() -> Workspace:
+    """The calling thread's chunk buffers: its sweep's, or made on its first chunk."""
+    work = getattr(_thread, "work", None)
+    if work is None:
+        work = _thread.work = Workspace()
+    return work
+
+
 def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     """Simulate one chunk; returns (bits, bit_errors, sum of squared block errors).
 
@@ -150,6 +171,9 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     n_symbols) returns the decisions in that same order, so the errors are
     one comparison against the transmitted bits, and the block of a wrong
     bit is its index over the bits per block.
+
+    Every array from the symbols to the combiner output is a view on the
+    calling thread's workspace, overwritten by its next chunk.
     """
     code = ostbc.CODES[point.scheme]
     rng = RngStream(point.seed, chunk_index)
@@ -157,22 +181,27 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     power = _db_to_linear(point.gamma_db)
     w = code.weights(_db_to_linear(point.r_db))
     bps = point.mod.bits_per_symbol
+    work = _thread_workspace()
+    h_shape = (code.n_tx, code.n_rx, n)
+    noise_shape = (code.n_rx, code.n_slots, n)
 
     tx_bits = rng.bits(code.n_symbols * bps * n)
-    syms = ostbc.modulate(tx_bits, point.mod).reshape(n, code.n_symbols).T
-    x = ostbc.encode(code, syms)
-    h = sample_circular_gaussian(rng, 1.0, size=(code.n_tx, code.n_rx, n))
+    syms = ostbc.modulate(tx_bits, point.mod, out=work.array("symbols", (n * code.n_symbols,)))
+    x = ostbc.encode(code, syms.reshape(n, code.n_symbols).T,
+                     out=work.array("codeword", (code.n_tx, code.n_slots, n)))
+    h = sample_circular_gaussian(rng, 1.0, h_shape, work.array("h", h_shape), work)
     if point.beta == 0.0:
         est = h
     else:
-        est = h + sample_circular_gaussian(rng, point.beta, size=h.shape)
-    noise = sample_circular_gaussian(rng, 1.0, size=(code.n_rx, code.n_slots, n))
-    y = ostbc.transmit(code, x, h, power, w, noise)
-    s_tilde = ostbc.combine(code, y, est, w)
-    gain = math.sqrt(power) * ostbc.effective_gain(code, est, w)
-    rx_bits = ostbc.detect(s_tilde.T, gain[:, None], point.mod)
+        est = sample_circular_gaussian(rng, point.beta, h_shape, work.array("est", h_shape), work)
+        np.add(h, est, out=est)  # h + e
+    noise = sample_circular_gaussian(rng, 1.0, noise_shape, work.array("noise", noise_shape), work)
+    y = ostbc.transmit(code, x, h, power, w, noise, work)
+    s_tilde = ostbc.combine(code, y, est, w, work)
+    gain = math.sqrt(power) * ostbc.effective_gain(code, est, w, work)
+    rx_bits = ostbc.detect(s_tilde.T, gain[:, None], point.mod, work)
     wrong = np.flatnonzero(rx_bits != tx_bits)
-    per_block = np.bincount(wrong // point.bits_per_block)
+    per_block = np.bincount(np.floor_divide(wrong, point.bits_per_block, out=wrong))
     return tx_bits.size, wrong.size, int(np.dot(per_block, per_block))
 
 
@@ -261,7 +290,22 @@ def run_sweep(points, workers: int) -> list[BerEstimate]:
     """Estimate every cell of ``points``, ``workers`` cells at a time.
 
     The estimates come back in ``points`` order whatever order the cells
-    finish in.
+    finish in. Each pool thread runs its chunks in a workspace taken from
+    those that finished sweeps left, and the sweep leaves its own for the
+    next: reusing the buffers spares allocating them again on a heap that
+    the freed ones would have left full of holes.
     """
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_point, points))
+    lent = []
+
+    def claim():  # once in each pool thread
+        with _idle_lock:
+            work = _idle_workspaces.pop() if _idle_workspaces else Workspace()
+            lent.append(work)
+        _thread.work = work
+
+    try:
+        with ThreadPoolExecutor(max_workers=workers, initializer=claim) as pool:
+            return list(pool.map(run_point, points))
+    finally:
+        with _idle_lock:
+            _idle_workspaces.extend(lent)

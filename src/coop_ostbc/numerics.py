@@ -5,6 +5,13 @@ Probabilities are plain floats in [0, 1]. All randomness flows through
 (seed, stream_id) pair, which names the SFC64 child stream ``stream_id``
 of the seed: Gaussians from its ziggurat ``standard_normal``, data bits
 byte-packed from its raw bytes.
+
+A :class:`Workspace` keeps grow-only arrays for reuse from call to call.
+The draws take an ``out`` array for their result and a workspace whose
+scratch stages their normals, so a caller that keeps one workspace draws
+into the same memory every time: the Monte Carlo engine keeps one per
+worker thread, which holds one chunk's working set for the length of a
+sweep.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "RngStream",
+    "Workspace",
     "integrate_half_pi",
     "sample_circular_gaussian",
     "wilson_interval",
@@ -57,14 +65,54 @@ class RngStream:
         raw = np.frombuffer(self._gen.bytes(-(-n // 8)), np.uint8)
         return np.unpackbits(raw, count=n)
 
-    def normal_pairs(self, size):
+    def normal_pairs(self, size, out=None):
         """Two independent N(0,1) arrays of shape ``size``: the two rows of one
-        ziggurat ``standard_normal`` draw of shape (2, *size)."""
-        x, y = self._gen.standard_normal((2, *np.atleast_1d(size)))
+        ziggurat ``standard_normal`` draw of shape (2, *size).
+
+        With ``out``, a C-contiguous float64 array of shape (2, *size), the
+        draw fills it and its rows are returned; otherwise they are fresh.
+        """
+        x, y = self._gen.standard_normal((2, *np.atleast_1d(size)), out=out)
         return x, y
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+class Workspace:
+    """Grow-only arrays reused call after call: named results and one shared scratch.
+
+    :meth:`array` returns an array of the requested shape and dtype on the
+    bytes kept under ``name``; :meth:`scratch` lays out the temporaries of
+    one call on the bytes that every caller of it shares. Bytes are
+    replaced only when they are too small, so each request returns the
+    memory of the last one under its name, holding whatever that left
+    there: a caller is done with an array before its name is asked for
+    again, and with its scratch before any other ``scratch`` call. A fresh
+    ``Workspace()`` gives fresh arrays.
+    """
+
+    def __init__(self):
+        self._buffers: dict = {}
+
+    def array(self, name: str, shape, dtype=complex) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        flat = self._buffers.get(name)
+        if flat is None or flat.size < nbytes:
+            flat = self._buffers[name] = np.empty(nbytes, np.uint8)
+        return flat[:nbytes].view(dtype).reshape(shape)
+
+    def scratch(self, *specs) -> list:
+        """One array per ``(shape, dtype)`` of ``specs``, each starting on a
+        64-byte step, which keeps every array aligned whatever its dtype."""
+        sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+        starts = [0]
+        for size in sizes:
+            starts.append(starts[-1] + -(-size // 64) * 64)
+        flat = self.array("scratch", (starts[-1],), np.uint8)
+        return [flat[start:start + size].view(dtype).reshape(shape)
+                for (shape, dtype), start, size in zip(specs, starts, sizes)]
 
 
 @lru_cache(maxsize=16)
@@ -91,18 +139,27 @@ def integrate_half_pi(f: Callable, nodes: int = 64) -> float:
     return float(np.dot(weights, vals))
 
 
-def sample_circular_gaussian(rng: RngStream, variance: float, size):
+def sample_circular_gaussian(rng: RngStream, variance: float, size, out=None,
+                             work: Workspace | None = None):
     """Circularly-symmetric complex Gaussian draws of the given variance.
 
     Real and imaginary parts are independent N(0, variance/2); returns a
-    complex array of shape ``size``.
+    complex array of shape ``size``: ``out`` when it is given, else a fresh
+    one. The two rows of one ``normal_pairs`` draw are staged in the
+    scratch of ``work`` (of a fresh workspace without it) and scaled into
+    the real and imaginary parts; that copy keeps the stream the one draw
+    of shape (2, *size).
     """
     variance = float(variance)
     if not (math.isfinite(variance) and variance >= 0.0):
         raise ValueError(f"variance must be finite and >= 0, got {variance}")
-    re, im = rng.normal_pairs(size)
+    shape = tuple(np.atleast_1d(size))
+    work = Workspace() if work is None else work
+    (normals,) = work.scratch(((2, *shape), float))
+    re, im = rng.normal_pairs(shape, out=normals)
     scale = math.sqrt(variance / 2.0)
-    out = np.empty(re.shape, dtype=complex)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
     np.multiply(re, scale, out=out.real)
     np.multiply(im, scale, out=out.imag)
     return out

@@ -23,6 +23,15 @@ Arrays may carry one trailing axis of fading blocks, which is the form
 the Monte Carlo engine uses: symbols (n_symbols, blocks), codewords
 (n_tx, n_slots, blocks), channels and their estimates (n_tx, n_rx,
 blocks), noise and received samples (n_rx, n_slots, blocks).
+
+Every layer can write in place. :func:`modulate` and :func:`encode` take
+an ``out`` array. :func:`transmit`, :func:`combine` and :func:`detect`
+take a :class:`~coop_ostbc.numerics.Workspace` that holds their
+temporaries and their result, and :func:`effective_gain` one for its
+temporaries. Called without them, a layer returns a fresh array. The
+Monte Carlo engine passes each worker thread's workspace, which holds
+one chunk's working set for the length of a sweep, so a warm chunk
+allocates almost nothing.
 """
 
 from __future__ import annotations
@@ -32,6 +41,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .numerics import Workspace
 
 __all__ = [
     "Modulation",
@@ -55,12 +66,13 @@ class Modulation:
     """One unit-average-energy, Gray-labelled constellation, as one record.
 
     ``points[i]`` is the symbol whose bit label is the binary expansion
-    of ``i``, most significant bit first. ``slicer(zr, zi)`` turns the
-    real and imaginary parts of gain-normalized symbols into their
-    ``bits_per_symbol`` bit decisions, MSB first. ``a_constant`` feeds
-    the closed-form error analysis and exists only for BPSK and QPSK.
-    Equality, hashing and repr read the name, the bit count and
-    ``a_constant`` only.
+    of ``i``, most significant bit first. ``slicer(zr, zi, bits)`` writes
+    the ``bits_per_symbol`` bit decisions of gain-normalized symbols with
+    real parts ``zr`` and imaginary parts ``zi`` along the last axis of the
+    bool array ``bits``, MSB first; it may overwrite ``zr`` and ``zi``.
+    ``a_constant`` feeds the closed-form error analysis and exists only
+    for BPSK and QPSK. Equality, hashing and repr read the name, the bit
+    count and ``a_constant`` only.
     """
 
     name: str
@@ -75,25 +87,40 @@ _PAM4 = (-3, -1, 3, 1)
 # Midway between the QAM16 axis levels 1/sqrt(10) and 3/sqrt(10).
 _QAM16_EDGE = 2.0 / math.sqrt(10.0)
 
+
 # Each slicer compares strictly on the side that keeps the smaller bit label
-# when a symbol lies exactly on a decision edge. The QAM16 axis is Gray
-# 4-PAM: its high bit is the sign and its low bit marks the two inner levels.
+# when a symbol lies exactly on a decision edge.
+def _slice_bpsk(zr, zi, bits):
+    np.less(zr, 0.0, out=bits[..., 0])
+
+
+def _slice_qpsk(zr, zi, bits):
+    np.less(zr, 0.0, out=bits[..., 0])
+    np.less(zi, 0.0, out=bits[..., 1])
+
+
+def _slice_qam16(zr, zi, bits):
+    # Each axis is Gray 4-PAM: its high bit is the sign and its low bit
+    # marks the two inner levels.
+    for axis, z in enumerate((zr, zi)):
+        np.greater(z, 0.0, out=bits[..., 2 * axis])
+        np.less(np.abs(z, out=z), _QAM16_EDGE, out=bits[..., 2 * axis + 1])
+
+
 BPSK = Modulation(
     "BPSK", 1, math.sqrt(2.0),
     points=np.array([1 + 0j, -1 + 0j]),
-    slicer=lambda zr, zi: (zr < 0.0,),
+    slicer=_slice_bpsk,
 )
 QPSK = Modulation(
     "QPSK", 2, 1.0,
     points=np.array([complex(i, q) / math.sqrt(2.0) for i in (1, -1) for q in (1, -1)]),
-    slicer=lambda zr, zi: (zr < 0.0, zi < 0.0),
+    slicer=_slice_qpsk,
 )
 QAM16 = Modulation(
     "QAM16", 4, None,
     points=np.array([complex(i, q) / math.sqrt(10.0) for i in _PAM4 for q in _PAM4]),
-    slicer=lambda zr, zi: (
-        zr > 0.0, abs(zr) < _QAM16_EDGE, zi > 0.0, abs(zi) < _QAM16_EDGE
-    ),
+    slicer=_slice_qam16,
 )
 
 _MODULATIONS = {m.name: m for m in (BPSK, QPSK, QAM16)}
@@ -185,53 +212,74 @@ CODES = {
 }
 
 
-def modulate(bits, mod: Modulation) -> np.ndarray:
-    """Map a bit vector (MSB-first per symbol) onto constellation symbols."""
+def modulate(bits, mod: Modulation, out=None) -> np.ndarray:
+    """Map a bit vector (MSB-first per symbol) onto constellation symbols.
+
+    The symbols land in ``out`` when it is given, else in a fresh array.
+    """
     bits = np.asarray(bits, dtype=np.uint8).ravel()
     bps = mod.bits_per_symbol
     if bits.size % bps != 0:
         raise ValueError(
             f"bit count {bits.size} is not a multiple of {bps} ({mod.name})"
         )
-    groups = bits.reshape(-1, bps).astype(np.int64)
-    weights = 1 << np.arange(bps - 1, -1, -1)
-    idx = groups @ weights
-    return mod.points[idx]
+    groups = bits.reshape(-1, bps)
+    labels = groups[:, 0].copy()
+    for j in range(1, bps):  # at most 4 bits, so a label fits in its byte
+        labels <<= 1
+        labels |= groups[:, j]
+    # Every label indexes a point, so "clip" never clips; unlike the default
+    # "raise", it writes straight into ``out`` without a buffer.
+    return np.take(mod.points, labels, out=out, mode="clip")
 
 
-def _weighted(channels, w) -> np.ndarray:
-    """w_i * h_ij for a channel array of shape (n_tx, n_rx[, blocks])."""
-    h = np.asarray(channels, dtype=complex)
-    return w.reshape((-1,) + (1,) * (h.ndim - 1)) * h
+def _weighted(channels, w, out) -> np.ndarray:
+    """w_i * h_ij, into ``out``, for a channel array of shape (n_tx, n_rx[, blocks])."""
+    return np.multiply(w.reshape((-1,) + (1,) * (channels.ndim - 1)), channels, out=out)
 
 
-def encode(code: SpaceTimeCode, symbols) -> np.ndarray:
-    """Codeword X of shape (n_tx, n_slots[, blocks]) from (n_symbols[, blocks]) symbols."""
+def encode(code: SpaceTimeCode, symbols, out=None) -> np.ndarray:
+    """Codeword X of shape (n_tx, n_slots[, blocks]) from (n_symbols[, blocks]) symbols.
+
+    X is written into ``out`` when it is given, else into a fresh array.
+    """
     s = np.asarray(symbols, dtype=complex)
     if s.shape[:1] != (code.n_symbols,):
         raise ValueError(f"{code.name} takes {code.n_symbols} symbols, got shape {s.shape}")
-    x = np.zeros((code.n_tx, code.n_slots) + s.shape[1:], dtype=complex)
+    x = np.empty((code.n_tx, code.n_slots) + s.shape[1:], dtype=complex) if out is None else out
+    filled = {(i, t) for i, t, *_ in code.entries}
+    for i, t in np.ndindex(code.n_tx, code.n_slots):
+        if (i, t) not in filled:
+            x[i, t] = 0
     for i, t, k, conjugate, sign in code.entries:
-        x[i, t] = sign * (s[k].conj() if conjugate else s[k])
+        entry = x[i, t, ...]  # a view, also when X has no block axis
+        np.multiply(sign, np.conjugate(s[k], out=entry) if conjugate else s[k], out=entry)
     return x
 
 
-def transmit(code: SpaceTimeCode, codeword, channels, total_power: float, w, noise):
+def transmit(code: SpaceTimeCode, codeword, channels, total_power: float, w, noise,
+             work: Workspace | None = None):
     """Received samples Y[j, t] = sqrt(P) sum_i w_i H[i, j] X[i, t] + noise[j, t].
 
     The sum runs over the code's non-zero entries only; ``w`` is
-    ``code.weights(r)``.
+    ``code.weights(r)``. Y is the ``"signal"`` array of ``work`` (of a
+    fresh workspace without it), and the weighted channels and products
+    are its scratch.
     """
     total_power = float(total_power)
     if not (math.isfinite(total_power) and total_power >= 0.0):
         raise ValueError(f"total power must be finite and >= 0, got {total_power}")
+    work = Workspace() if work is None else work
     x = np.asarray(codeword, dtype=complex)
-    g = _weighted(channels, w)
-    signal = np.empty((code.n_rx, code.n_slots) + g.shape[2:], dtype=complex)
+    h = np.asarray(channels, dtype=complex)
+    blocks = h.shape[2:]
+    signal = work.array("signal", (code.n_rx, code.n_slots) + blocks)
+    g, product = work.scratch((h.shape, complex), ((code.n_rx,) + blocks, complex))
+    _weighted(h, w, g)
     started = set()
     for i, t, *_ in code.entries:
         if t in started:
-            signal[:, t] += g[i] * x[i, t]
+            signal[:, t] += np.multiply(g[i], x[i, t], out=product)
         else:  # the first entry of a slot is written, not added to zeros
             started.add(t)
             np.multiply(g[i], x[i, t], out=signal[:, t])
@@ -240,14 +288,16 @@ def transmit(code: SpaceTimeCode, codeword, channels, total_power: float, w, noi
     return signal
 
 
-def combine(code: SpaceTimeCode, y, est, w) -> np.ndarray:
+def combine(code: SpaceTimeCode, y, est, w, work: Workspace | None = None) -> np.ndarray:
     """Matched-filter combining with the estimated channels over all rx antennas.
 
     s~_k = sum over the entries of s_k and over rx antennas j of
     sign * conj(w_i est_ij) y_jt, or sign * w_i est_ij conj(y_jt) for a
     conjugated entry. Returns shape (n_symbols[, blocks]). With perfect
     estimates and no noise, s~_k = sqrt(P) * G * s_k with G from
-    :func:`effective_gain`.
+    :func:`effective_gain`. The result is the ``"combined"`` array of
+    ``work`` (of a fresh workspace without it), and the weighted estimates,
+    conjugated factors, products and per-antenna sums are its scratch.
     """
     y = np.asarray(y, dtype=complex)
     est = np.asarray(est, dtype=complex)
@@ -257,33 +307,58 @@ def combine(code: SpaceTimeCode, y, est, w) -> np.ndarray:
         or est.shape[2:] != y.shape[2:]
     ):
         raise ValueError(f"dimension mismatch for {code.name}: y {y.shape}, est {est.shape}")
-    g = _weighted(est, w)
-    g_conj, y_conj = g.conj(), y.conj()
-    per_rx = np.empty((code.n_symbols,) + y.shape[:1] + y.shape[2:], dtype=complex)
+    work = Workspace() if work is None else work
+    blocks = y.shape[2:]
+    rx = y.shape[:1] + blocks
+    combined = work.array("combined", (code.n_symbols,) + blocks)
+    g, factor, product, per_rx = work.scratch(
+        (est.shape, complex), (rx, complex), (rx, complex), ((code.n_symbols,) + rx, complex)
+    )
+    _weighted(est, w, g)
     started = set()
     for i, t, k, conjugate, sign in code.entries:
-        a, b = (g[i], y_conj[:, t]) if conjugate else (g_conj[i], y[:, t])
+        # The product never overwrites a factor: numpy can round a
+        # one-element complex product written over one of its own inputs
+        # differently from the same product written elsewhere.
+        if conjugate:
+            a, b = g[i], np.conjugate(y[:, t], out=factor)
+        else:
+            a, b = np.conjugate(g[i], out=factor), y[:, t]
         if k in started:
             accumulate = np.add if sign > 0 else np.subtract
-            accumulate(per_rx[k], a * b, out=per_rx[k])
+            accumulate(per_rx[k], np.multiply(a, b, out=product), out=per_rx[k])
         else:  # the first entry of s_k is written, not added to zeros
             started.add(k)
             np.multiply(a, b, out=per_rx[k])
             if sign < 0:
                 np.negative(per_rx[k], out=per_rx[k])
-    return per_rx.sum(axis=1)
+    return np.sum(per_rx, axis=1, out=combined)
 
 
-def effective_gain(code: SpaceTimeCode, est, w):
-    """Combined gain sum_ij w_i^2 |est[i, j]|^2 over all transmit-receive paths."""
+def effective_gain(code: SpaceTimeCode, est, w, work: Workspace | None = None):
+    """Combined gain sum_ij w_i^2 |est[i, j]|^2 over all transmit-receive paths.
+
+    The squares and per-antenna sums, taken one transmit antenna at a
+    time, are the scratch of ``work`` (of a fresh workspace without it);
+    the gain itself is a fresh array.
+    """
     est = np.asarray(est, dtype=complex)
     if est.shape[:2] != (code.n_tx, code.n_rx):
         raise ValueError(f"expected a {code.name} channel array, got shape {est.shape}")
-    per_antenna = (est.real**2 + est.imag**2).sum(axis=1)
+    work = Workspace() if work is None else work
+    squares, per_antenna = work.scratch(
+        ((2,) + est.shape[1:], float), (est.shape[:1] + est.shape[2:], float)
+    )
+    for i in range(code.n_tx):
+        np.square(est[i].real, out=squares[0])
+        np.square(est[i].imag, out=squares[1])
+        np.add(squares[0], squares[1], out=squares[0])
+        np.sum(squares[0], axis=0, out=per_antenna[i, ...])
     return np.einsum("i,i...->...", w**2, per_antenna)
 
 
-def detect(s_tilde, effective_gain, mod: Modulation) -> np.ndarray:
+def detect(s_tilde, effective_gain, mod: Modulation,
+           work: Workspace | None = None) -> np.ndarray:
     """Nearest-point decision on s_tilde / effective_gain, back to bits.
 
     Every constellation is a product of Gray-labelled levels on the real
@@ -297,13 +372,21 @@ def detect(s_tilde, effective_gain, mod: Modulation) -> np.ndarray:
     ``s_tilde`` and ``effective_gain`` may have any shapes that broadcast
     together. Returns a flat uint8 bit vector, ``bits_per_symbol`` bits per
     symbol, MSB first, with the symbols in C order of the broadcast shape.
+    The bits are the ``"decisions"`` array of ``work`` (of a fresh
+    workspace without it), and the normalized symbols are its scratch.
     """
     g = np.asarray(effective_gain, dtype=float)
     if not np.all(g > 0.0):
         raise ValueError("effective gain must be positive")
     s = np.asarray(s_tilde, dtype=complex)
+    work = Workspace() if work is None else work
+    shape = np.broadcast_shapes(s.shape, g.shape)
+    (z,) = work.scratch(((2,) + shape, float))
     # numpy divides a complex by a real as a product with the reciprocal,
     # so this is s_tilde / g bit for bit.
     inv = 1.0 / g
-    bits = mod.slicer(s.real * inv, s.imag * inv)
-    return np.stack(bits, axis=-1).view(np.uint8).ravel()
+    np.multiply(s.real, inv, out=z[0, ...])
+    np.multiply(s.imag, inv, out=z[1, ...])
+    bits = work.array("decisions", shape + (mod.bits_per_symbol,), bool)
+    mod.slicer(z[0, ...], z[1, ...], bits)
+    return bits.view(np.uint8).ravel()

@@ -1,10 +1,14 @@
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
+from coop_ostbc import montecarlo
 from coop_ostbc.analytic import (
     AnalyticPoint,
     ber_closed_form,
@@ -107,6 +111,82 @@ def test_chunk_counts_the_squared_errors_of_each_block():
     # and the squares exceed the counts as soon as a block holds two errors.
     assert bits == 12 * 10_000 and errors > 0
     assert errors < sq_errors <= 12 * errors
+
+
+def _on_a_new_thread(fn):
+    """fn() run on a thread of its own, which starts with no chunk buffers."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and len(result) == 1
+    return result[0]
+
+
+def test_chunks_reuse_one_threads_buffers_at_every_size():
+    # One thread runs chunks of differently shaped cells back to back, so its
+    # grow-only buffers are reused at smaller and at larger sizes; each chunk
+    # must count what it counts on a thread of its own.
+    chunks = [
+        (SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2013), 0),
+        (SimPoint("alamouti_2x1", BPSK, 4.0, 0.0, 0.0, seed=2014), 0),
+        (SimPoint("ostbc_4x2", QPSK, 2.0, 0.0, 0.05, seed=2015, max_bits=30_000), 0),
+        (SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2013), 1),
+    ]
+    alone = [_on_a_new_thread(lambda c=c: _simulate_chunk(*c)) for c in chunks]
+    in_turn = _on_a_new_thread(lambda: [_simulate_chunk(*c) for c in chunks])
+    assert chunks[2][0].max_bits // chunks[2][0].bits_per_block < 10_000
+    assert all(errors > 0 for _, errors, _ in alone)
+    assert in_turn == alone
+
+
+def test_concurrent_sweeps_never_share_a_workspace():
+    # Sweeps started at once from several threads take workspaces from, and
+    # leave them to, one list; a workspace handed to two pool threads would
+    # mix their chunks and change the estimates.
+    points = sweep_points(("alamouti_2x1", "ostbc_4x2"), ("BPSK", "QAM16"), (0.0, 6.0),
+                          (0.0,), (0.0, 0.05), seed=2017, min_errors=50, max_bits=40_000)
+    want = [run_point(p) for p in points]
+    assert run_sweep(points, 3) == want  # leaves workspaces to take
+    got = [None] * 4
+
+    def sweep(i):
+        got[i] = run_sweep(points, 3)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(len(got))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [want] * len(got)
+    assert len({id(w) for w in montecarlo._idle_workspaces}) == len(montecarlo._idle_workspaces)
+
+
+# What a warm 10k-block ostbc_4x2 QAM16 beta=0.01 chunk allocated when every
+# layer made fresh arrays, as measured with tracemalloc.
+FRESH_CHUNK_BYTES = 13_560_000
+
+
+def test_warm_chunk_allocates_little():
+    point = SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2016)
+
+    def fresh_bytes():
+        _simulate_chunk(point, 0)  # sizes this thread's buffers
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _simulate_chunk(point, 1)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    assert _on_a_new_thread(fresh_bytes) <= FRESH_CHUNK_BYTES / 4
 
 
 def test_noise_dominated_limit_is_half():

@@ -451,3 +451,54 @@ def test_codeword_rows_are_orthogonal(code):
 @pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
 def test_zero_noise_perfect_csi_is_bit_exact(code, mod):
     assert_zero_noise_bit_exact(code, mod, seed=41, r_db=10.0, gamma_db=3.0)
+
+
+# --- fresh results without a workspace ---------------------------------------
+
+
+def _layer_calls():
+    """Each public layer as a no-argument call, on small 4x2 QAM16 inputs."""
+    n = 50
+    bits = RngStream(7).bits(O4.n_symbols * QAM16.bits_per_symbol * n)
+    syms = modulate(bits, QAM16).reshape(n, O4.n_symbols).T
+    x = encode(O4, syms)
+    h = sample_circular_gaussian(RngStream(8), 1.0, (O4.n_tx, O4.n_rx, n))
+    noise = sample_circular_gaussian(RngStream(9), 1.0, (O4.n_rx, O4.n_slots, n))
+    w = O4.weights(2.0)
+    y = transmit(O4, x, h, 10.0, w, noise)
+    gain = effective_gain(O4, h, w)
+    return {
+        "normal_pairs": lambda: RngStream(1).normal_pairs(n),
+        "sample_circular_gaussian": lambda: sample_circular_gaussian(RngStream(1), 1.0, n),
+        "modulate": lambda: modulate(bits, QAM16),
+        "encode": lambda: encode(O4, syms),
+        "transmit": lambda: transmit(O4, x, h, 10.0, w, noise),
+        "combine": lambda: combine(O4, y, h, w),
+        "effective_gain": lambda: effective_gain(O4, h, w),
+        "detect": lambda: detect(syms, gain, QAM16),
+    }
+
+
+@pytest.mark.parametrize("layer", list(_layer_calls()))
+def test_layers_return_fresh_arrays_without_a_workspace(layer):
+    # Called without out= or work=, a layer's result must survive the next
+    # call: it shares no memory with the second call's result.
+    call = _layer_calls()[layer]
+    first, second = call(), call()
+    firsts = first if isinstance(first, tuple) else (first,)
+    seconds = second if isinstance(second, tuple) else (second,)
+    for a in firsts:
+        for b in seconds:
+            assert not np.shares_memory(a, b)
+    for a, b in zip(firsts, seconds):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
+def test_encode_into_a_used_array_writes_every_entry(code):
+    # A reused out array holds the last codeword of another shape; the
+    # zero entries of X must be written too, not left as they were.
+    s = sample_circular_gaussian(RngStream(43), 1.0, (code.n_symbols, 30))
+    out = np.full((code.n_tx, code.n_slots, 30), np.nan + 1j * np.nan)
+    assert encode(code, s, out=out) is out
+    assert np.array_equal(out, encode(code, s))
