@@ -18,15 +18,17 @@ for any worker count. A one-cell sweep uses one thread.
 
 Each thread draws and runs every chunk in one
 :class:`~coop_ostbc.numerics.Workspace`, so a pool thread holds one
-chunk's working set (up to 12 MB, for the largest chunk it has run) for
+chunk's working set (up to 7.3 MB, for the largest chunk it has run) for
 the length of a sweep instead of allocating it afresh for each chunk.
-A finished sweep's workspaces are kept for the next sweep.
+A finished sweep's workspaces, at most one per CPU, are kept for the
+next sweep.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -144,8 +146,10 @@ def _chunk_blocks(point: SimPoint) -> int:
 
 
 _thread = threading.local()
-# The workspaces that finished sweeps left, for the pool threads of later ones.
+# The workspaces that finished sweeps left, for the pool threads of later ones;
+# no more than one per CPU, so a wide sweep does not hold its memory for good.
 _idle_workspaces: list = []
+_IDLE_LIMIT = os.cpu_count() or 1
 _idle_lock = threading.Lock()
 
 
@@ -173,7 +177,8 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     bit is its index over the bits per block.
 
     Every array from the symbols to the combiner output is a view on the
-    calling thread's workspace, overwritten by its next chunk.
+    calling thread's workspace, overwritten by its next chunk. No codeword
+    is built, and the received samples are written over the noise.
     """
     code = ostbc.CODES[point.scheme]
     rng = RngStream(point.seed, chunk_index)
@@ -187,8 +192,6 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
 
     tx_bits = rng.bits(code.n_symbols * bps * n)
     syms = ostbc.modulate(tx_bits, point.mod, out=work.array("symbols", (n * code.n_symbols,)))
-    x = ostbc.encode(code, syms.reshape(n, code.n_symbols).T,
-                     out=work.array("codeword", (code.n_tx, code.n_slots, n)))
     h = sample_circular_gaussian(rng, 1.0, h_shape, work.array("h", h_shape), work)
     if point.beta == 0.0:
         est = h
@@ -196,7 +199,8 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
         est = sample_circular_gaussian(rng, point.beta, h_shape, work.array("est", h_shape), work)
         np.add(h, est, out=est)  # h + e
     noise = sample_circular_gaussian(rng, 1.0, noise_shape, work.array("noise", noise_shape), work)
-    y = ostbc.transmit(code, x, h, power, w, noise, work)
+    y = ostbc.transmit(code, syms.reshape(n, code.n_symbols).T, h, power, w, noise, work,
+                       out=noise)
     s_tilde = ostbc.combine(code, y, est, w, work)
     gain = math.sqrt(power) * ostbc.effective_gain(code, est, w, work)
     rx_bits = ostbc.detect(s_tilde.T, gain[:, None], point.mod, work)
@@ -292,8 +296,9 @@ def run_sweep(points, workers: int) -> list[BerEstimate]:
     The estimates come back in ``points`` order whatever order the cells
     finish in. Each pool thread runs its chunks in a workspace taken from
     those that finished sweeps left, and the sweep leaves its own for the
-    next: reusing the buffers spares allocating them again on a heap that
-    the freed ones would have left full of holes.
+    next, keeping at most one per CPU: reusing the buffers spares
+    allocating them again on a heap that the freed ones would have left
+    full of holes.
     """
     lent = []
 
@@ -309,3 +314,4 @@ def run_sweep(points, workers: int) -> list[BerEstimate]:
     finally:
         with _idle_lock:
             _idle_workspaces.extend(lent)
+            del _idle_workspaces[_IDLE_LIMIT:]

@@ -9,7 +9,9 @@ A :class:`SpaceTimeCode` lists the non-zero entries of its codeword X
 (rows index transmit antennas, columns index time slots) and the node,
 base station (BS) or relay (RS), that owns each antenna. One set of
 functions encodes, transmits, combines and scales for every code in
-:data:`CODES`.
+:data:`CODES`. :func:`transmit` reads that table and the symbols
+themselves, so the chain never builds X; :func:`encode` builds it for
+reference.
 
 The per-node power split comes from :meth:`SpaceTimeCode.weights`, the
 one place that turns the linear RS-to-BS received-SNR ratio r into
@@ -24,11 +26,12 @@ the Monte Carlo engine uses: symbols (n_symbols, blocks), codewords
 (n_tx, n_slots, blocks), channels and their estimates (n_tx, n_rx,
 blocks), noise and received samples (n_rx, n_slots, blocks).
 
-Every layer can write in place. :func:`modulate` and :func:`encode` take
-an ``out`` array. :func:`transmit`, :func:`combine` and :func:`detect`
-take a :class:`~coop_ostbc.numerics.Workspace` that holds their
-temporaries and their result, and :func:`effective_gain` one for its
-temporaries. Called without them, a layer returns a fresh array. The
+Every layer can write in place. :func:`modulate`, :func:`encode` and
+:func:`transmit` take an ``out`` array; :func:`transmit` may write over
+the noise it adds. :func:`combine` and :func:`detect` take a
+:class:`~coop_ostbc.numerics.Workspace` that holds their temporaries and
+their result, and :func:`transmit` and :func:`effective_gain` one for
+their temporaries. Called without them, a layer returns a fresh array. The
 Monte Carlo engine passes each worker thread's workspace, which holds
 one chunk's working set for the length of a sweep, so a warm chunk
 allocates almost nothing.
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -144,7 +148,9 @@ class SpaceTimeCode:
     ``X[antenna, slot]``; every other entry of X is zero. ``nodes[i]``
     names the node ("BS" or "RS") that owns antenna i. The rows of X are
     orthogonal with the common norm sum_k |s_k|^2, which is what lets the
-    matched filter of :func:`combine` decouple the symbols.
+    matched filter of :func:`combine` decouple the symbols. The sizes
+    ``n_tx``, ``n_slots`` and ``n_symbols`` are worked out from the table
+    once per code; equality and hashing read the four fields only.
     """
 
     name: str
@@ -152,15 +158,15 @@ class SpaceTimeCode:
     nodes: tuple
     n_rx: int
 
-    @property
+    @cached_property
     def n_tx(self) -> int:
         return len(self.nodes)
 
-    @property
+    @cached_property
     def n_slots(self) -> int:
         return 1 + max(entry[1] for entry in self.entries)
 
-    @property
+    @cached_property
     def n_symbols(self) -> int:
         return 1 + max(entry[2] for entry in self.entries)
 
@@ -257,35 +263,61 @@ def encode(code: SpaceTimeCode, symbols, out=None) -> np.ndarray:
     return x
 
 
-def transmit(code: SpaceTimeCode, codeword, channels, total_power: float, w, noise,
-             work: Workspace | None = None):
+def _add_term(total, a, b, sign, first, product) -> None:
+    """Add ``sign * a * b`` into ``total``, subtracting it when sign is -1.
+
+    The first term of a sum is written, not added to zeros; negated, it
+    goes through the float64 view, which numpy negates several times
+    faster than the complex array. ``product`` is scratch for later terms.
+    """
+    if first:
+        np.multiply(a, b, out=total)
+        if sign < 0:
+            np.negative(total.view(float), out=total.view(float))
+    else:
+        accumulate = np.add if sign > 0 else np.subtract
+        accumulate(total, np.multiply(a, b, out=product), out=total)
+
+
+def transmit(code: SpaceTimeCode, symbols, channels, total_power: float, w, noise,
+             work: Workspace | None = None, out=None):
     """Received samples Y[j, t] = sqrt(P) sum_i w_i H[i, j] X[i, t] + noise[j, t].
 
-    The sum runs over the code's non-zero entries only; ``w`` is
-    ``code.weights(r)``. Y is the ``"signal"`` array of ``work`` (of a
-    fresh workspace without it), and the weighted channels and products
-    are its scratch.
+    X is not built: each slot sums the code's entries of that slot, in
+    table order, as ``sign * w_i H[i, j] s_k`` or ``sign * w_i H[i, j]
+    conj(s_k)`` from the (n_symbols[, blocks]) ``symbols``, and a term with
+    sign -1 is subtracted. ``w`` is ``code.weights(r)``. Y is written into
+    ``out``, which may be ``noise`` itself, else into a fresh array; the
+    weighted channels, the conjugated symbols and one slot's sum and
+    product are the scratch of ``work`` (of a fresh workspace without it).
     """
     total_power = float(total_power)
     if not (math.isfinite(total_power) and total_power >= 0.0):
         raise ValueError(f"total power must be finite and >= 0, got {total_power}")
-    work = Workspace() if work is None else work
-    x = np.asarray(codeword, dtype=complex)
+    s = np.asarray(symbols, dtype=complex)
+    if s.shape[:1] != (code.n_symbols,):
+        raise ValueError(f"{code.name} takes {code.n_symbols} symbols, got shape {s.shape}")
     h = np.asarray(channels, dtype=complex)
     blocks = h.shape[2:]
-    signal = work.array("signal", (code.n_rx, code.n_slots) + blocks)
-    g, product = work.scratch((h.shape, complex), ((code.n_rx,) + blocks, complex))
+    if out is None:
+        out = np.empty((code.n_rx, code.n_slots) + blocks, dtype=complex)
+    if out is not noise:
+        out[...] = noise
+    work = Workspace() if work is None else work
+    rx = (code.n_rx,) + blocks
+    g, conj_s, slot, product = work.scratch(
+        (h.shape, complex), (s.shape, complex), (rx, complex), (rx, complex)
+    )
     _weighted(h, w, g)
-    started = set()
-    for i, t, *_ in code.entries:
-        if t in started:
-            signal[:, t] += np.multiply(g[i], x[i, t], out=product)
-        else:  # the first entry of a slot is written, not added to zeros
-            started.add(t)
-            np.multiply(g[i], x[i, t], out=signal[:, t])
-    signal *= math.sqrt(total_power)
-    signal += np.asarray(noise, dtype=complex)
-    return signal
+    np.conjugate(s, out=conj_s)
+    amplitude = math.sqrt(total_power)
+    for t in range(code.n_slots):
+        terms = [entry for entry in code.entries if entry[1] == t]
+        for n, (i, _, k, conjugate, sign) in enumerate(terms):
+            _add_term(slot, g[i], conj_s[k] if conjugate else s[k], sign, n == 0, product)
+        slot *= amplitude
+        out[:, t] += slot
+    return out
 
 
 def combine(code: SpaceTimeCode, y, est, w, work: Workspace | None = None) -> np.ndarray:
@@ -296,8 +328,10 @@ def combine(code: SpaceTimeCode, y, est, w, work: Workspace | None = None) -> np
     conjugated entry. Returns shape (n_symbols[, blocks]). With perfect
     estimates and no noise, s~_k = sqrt(P) * G * s_k with G from
     :func:`effective_gain`. The result is the ``"combined"`` array of
-    ``work`` (of a fresh workspace without it), and the weighted estimates,
-    conjugated factors, products and per-antenna sums are its scratch.
+    ``work`` (of a fresh workspace without it). Each symbol's terms are
+    summed per rx antenna, in table order, then over the rx antennas; the
+    weighted estimates, the conjugated factor, the product and that one
+    symbol's per-antenna sum are the scratch.
     """
     y = np.asarray(y, dtype=complex)
     est = np.asarray(est, dtype=complex)
@@ -312,27 +346,22 @@ def combine(code: SpaceTimeCode, y, est, w, work: Workspace | None = None) -> np
     rx = y.shape[:1] + blocks
     combined = work.array("combined", (code.n_symbols,) + blocks)
     g, factor, product, per_rx = work.scratch(
-        (est.shape, complex), (rx, complex), (rx, complex), ((code.n_symbols,) + rx, complex)
+        (est.shape, complex), (rx, complex), (rx, complex), (rx, complex)
     )
     _weighted(est, w, g)
-    started = set()
-    for i, t, k, conjugate, sign in code.entries:
-        # The product never overwrites a factor: numpy can round a
-        # one-element complex product written over one of its own inputs
-        # differently from the same product written elsewhere.
-        if conjugate:
-            a, b = g[i], np.conjugate(y[:, t], out=factor)
-        else:
-            a, b = np.conjugate(g[i], out=factor), y[:, t]
-        if k in started:
-            accumulate = np.add if sign > 0 else np.subtract
-            accumulate(per_rx[k], np.multiply(a, b, out=product), out=per_rx[k])
-        else:  # the first entry of s_k is written, not added to zeros
-            started.add(k)
-            np.multiply(a, b, out=per_rx[k])
-            if sign < 0:
-                np.negative(per_rx[k], out=per_rx[k])
-    return np.sum(per_rx, axis=1, out=combined)
+    for k in range(code.n_symbols):
+        terms = [entry for entry in code.entries if entry[2] == k]
+        for n, (i, t, _, conjugate, sign) in enumerate(terms):
+            # The product never overwrites a factor: numpy can round a
+            # one-element complex product written over one of its own inputs
+            # differently from the same product written elsewhere.
+            if conjugate:
+                a, b = g[i], np.conjugate(y[:, t], out=factor)
+            else:
+                a, b = np.conjugate(g[i], out=factor), y[:, t]
+            _add_term(per_rx, a, b, sign, n == 0, product)
+        np.sum(per_rx, axis=0, out=combined[k, ...])
+    return combined
 
 
 def effective_gain(code: SpaceTimeCode, est, w, work: Workspace | None = None):

@@ -187,7 +187,7 @@ def test_c08_four_antenna_code_health_and_steeper_slope():
         bits = rng.bits(3 * QAM16.bits_per_symbol * n)
         syms = modulate(bits, QAM16).reshape(n, 3).T
         h = sample_circular_gaussian(rng, 1.0, size=(4, 2, n))
-        y = transmit(code, encode(code, syms), h, power, w, np.zeros((2, 4, n), complex))
+        y = transmit(code, syms, h, power, w, np.zeros((2, 4, n), complex))
         outs = combine(code, y, h, w)
         gain = math.sqrt(power) * effective_gain(code, h, w)
         per_sym = bits.reshape(n, 3, QAM16.bits_per_symbol)
@@ -276,7 +276,7 @@ def test_c10_property_battery():
 
         # Perfect-CSI conditional scale equals the weighted branch sum.
         h = np.array([[1.2 - 0.3j], [0.5 + 0.8j]])
-        yq = transmit(code, encode(code, [1.0, 0.0]), h, 1.0, w, np.zeros((1, 2)))
+        yq = transmit(code, [1.0, 0.0], h, 1.0, w, np.zeros((1, 2)))
         s0t, _ = combine(code, yq, h, w)
         assert s0t == pytest.approx(effective_gain(code, h, w), rel=1e-12)
 

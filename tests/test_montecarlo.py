@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -187,6 +188,33 @@ def test_warm_chunk_allocates_little():
             tracemalloc.stop()
 
     assert _on_a_new_thread(fresh_bytes) <= FRESH_CHUNK_BYTES / 4
+
+
+# What the thread workspace of a warm 10k-block ostbc_4x2 QAM16 beta=0.01
+# chunk held with a codeword array and a received-signal array of its own:
+# 11,640,000 bytes.
+WARM_CHUNK_WORKSPACE_BYTES = 8_000_000
+
+
+def test_warm_chunk_workspace_holds_no_codeword_or_signal_copy():
+    point = SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2016)
+
+    def workspace_bytes():
+        _simulate_chunk(point, 0)
+        _simulate_chunk(point, 1)
+        return sum(flat.nbytes for flat in montecarlo._thread_workspace()._buffers.values())
+
+    assert _on_a_new_thread(workspace_bytes) <= WARM_CHUNK_WORKSPACE_BYTES
+
+
+def test_idle_workspaces_are_at_most_one_per_cpu(monkeypatch):
+    points = sweep_points(("alamouti_2x1",), ("BPSK",), (0.0, 2.0, 4.0, 6.0), (0.0,), (0.0,),
+                          seed=2018, min_errors=20, max_bits=20_000)
+    run_sweep(points, 4)
+    assert len(montecarlo._idle_workspaces) <= os.cpu_count()
+    monkeypatch.setattr(montecarlo, "_IDLE_LIMIT", 1)
+    run_sweep(points, 4)
+    assert len(montecarlo._idle_workspaces) == 1
 
 
 def test_noise_dominated_limit_is_half():

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from coop_ostbc.montecarlo import SimPoint
-from coop_ostbc.numerics import RngStream, sample_circular_gaussian
+from coop_ostbc.numerics import RngStream, Workspace, sample_circular_gaussian
 from coop_ostbc.ostbc import (
     BPSK,
     CODES,
     QAM16,
     QPSK,
+    SpaceTimeCode,
     combine,
     detect,
     effective_gain,
@@ -58,7 +59,7 @@ def assert_zero_noise_bit_exact(code, mod, seed, r_db, gamma_db):
     syms = modulate(bits, mod).reshape(n, code.n_symbols).T
     h = sample_circular_gaussian(rng, 1.0, size=(code.n_tx, code.n_rx, n))
     noise = np.zeros((code.n_rx, code.n_slots, n), complex)
-    s_tilde = combine(code, transmit(code, encode(code, syms), h, p, w, noise), h, w)
+    s_tilde = combine(code, transmit(code, syms, h, p, w, noise), h, w)
     gain = math.sqrt(p) * effective_gain(code, h, w)
     per_sym = bits.reshape(n, code.n_symbols, mod.bits_per_symbol)
     for k in range(code.n_symbols):
@@ -170,6 +171,14 @@ def test_antennas_split_their_node_power_equally(code):
         assert np.ptp(w_sq[nodes == node]) == 0.0
 
 
+def test_code_sizes_are_kept_and_leave_equality_alone():
+    twin = SpaceTimeCode(O4.name, O4.entries, O4.nodes, O4.n_rx)
+    assert twin == O4 and hash(twin) == hash(O4) and repr(twin) == repr(O4)
+    assert (twin.n_tx, twin.n_slots, twin.n_symbols) == (4, 4, 3)
+    assert {"n_tx", "n_slots", "n_symbols"} <= vars(twin).keys()  # computed once
+    assert twin == O4 and hash(twin) == hash(O4) and repr(twin) == repr(O4)
+
+
 # --- Alamouti block -----------------------------------------------------------
 
 
@@ -205,7 +214,7 @@ def test_encode_rejects_wrong_symbol_count():
 
 def test_transmit_hand_example():
     # Balanced links, unit channels, P = 2, (s0, s1) = (1, 0) gives (1, 1).
-    y = transmit(A2, encode(A2, [1.0, 0.0]), pair(1.0, 1.0), 2.0, A2.weights(1.0),
+    y = transmit(A2, [1.0, 0.0], pair(1.0, 1.0), 2.0, A2.weights(1.0),
                  np.zeros((1, 2)))
     assert y[0, 0] == pytest.approx(1.0, rel=1e-15)
     assert y[0, 1] == pytest.approx(1.0, rel=1e-15)
@@ -215,16 +224,21 @@ def test_transmit_dead_relay_reduces_to_single_antenna():
     r = 2.0
     p = 5.0
     s0, s1 = 0.6 + 0.3j, -0.2 + 0.9j
-    y = transmit(A2, encode(A2, [s0, s1]), pair(1.5 - 0.5j, 0.0), p, A2.weights(r),
+    y = transmit(A2, [s0, s1], pair(1.5 - 0.5j, 0.0), p, A2.weights(r),
                  np.zeros((1, 2)))
     scale = math.sqrt(p / (1.0 + r)) * (1.5 - 0.5j)
     assert y[0, 0] == pytest.approx(scale * s0, rel=1e-12)
     assert y[0, 1] == pytest.approx(-scale * np.conj(s1), rel=1e-12)
 
 
+def test_transmit_rejects_wrong_symbol_count():
+    with pytest.raises(ValueError):
+        transmit(A2, [1.0, 0.0, 0.0], pair(1.0, 1.0), 1.0, A2.weights(1.0), np.zeros((1, 2)))
+
+
 def test_transmit_zero_power_passes_noise_through():
     noise = alamouti_y(0.3 + 0.1j, -0.2 - 0.7j)
-    y = transmit(A2, encode(A2, [1.0, 1.0]), pair(1.0, 1.0), 0.0, A2.weights(1.0), noise)
+    y = transmit(A2, [1.0, 1.0], pair(1.0, 1.0), 0.0, A2.weights(1.0), noise)
     assert np.array_equal(y, noise)
 
 
@@ -233,7 +247,7 @@ def test_combine_hand_example():
     s0 = (1 + 1j) / math.sqrt(2)
     s1 = (1 - 1j) / math.sqrt(2)
     h = pair(1.0, 1.0j)
-    y = transmit(A2, encode(A2, [s0, s1]), h, 1.0, w, np.zeros((1, 2)))
+    y = transmit(A2, [s0, s1], h, 1.0, w, np.zeros((1, 2)))
     s0t, s1t = combine(A2, y, h, w)
     g = effective_gain(A2, h, w)
     assert g == pytest.approx(1.0, rel=1e-15)
@@ -268,7 +282,7 @@ def test_combine_recovers_symbols_with_perfect_csi():
     p = 3.0
     s = sample_circular_gaussian(rng, 1.0, size=(2, n))
     h = sample_circular_gaussian(rng, 1.0, size=(2, 1, n))
-    y = transmit(A2, encode(A2, s), h, p, w, np.zeros((1, 2, n)))
+    y = transmit(A2, s, h, p, w, np.zeros((1, 2, n)))
     s_tilde = combine(A2, y, h, w)
     g = math.sqrt(p) * effective_gain(A2, h, w)
     assert np.max(np.abs(s_tilde / g - s)) < 1e-12
@@ -404,7 +418,7 @@ def test_ostbc4_single_path_gain():
     h = np.zeros((4, 2), dtype=complex)
     h[0, 0] = 1.0
     s = (0.3 + 0.4j, -0.8 + 0.1j, 0.5 - 0.5j)
-    y = transmit(O4, encode(O4, s), h, 1.0, w, np.zeros((2, 4), complex))
+    y = transmit(O4, s, h, 1.0, w, np.zeros((2, 4), complex))
     outs = combine(O4, y, h, w)
     for k in range(3):  # w_B^2 = 1/2 at r = 1, split over the BS's two antennas
         assert outs[k] == pytest.approx(0.25 * s[k], rel=1e-12)
@@ -461,18 +475,17 @@ def _layer_calls():
     n = 50
     bits = RngStream(7).bits(O4.n_symbols * QAM16.bits_per_symbol * n)
     syms = modulate(bits, QAM16).reshape(n, O4.n_symbols).T
-    x = encode(O4, syms)
     h = sample_circular_gaussian(RngStream(8), 1.0, (O4.n_tx, O4.n_rx, n))
     noise = sample_circular_gaussian(RngStream(9), 1.0, (O4.n_rx, O4.n_slots, n))
     w = O4.weights(2.0)
-    y = transmit(O4, x, h, 10.0, w, noise)
+    y = transmit(O4, syms, h, 10.0, w, noise)
     gain = effective_gain(O4, h, w)
     return {
         "normal_pairs": lambda: RngStream(1).normal_pairs(n),
         "sample_circular_gaussian": lambda: sample_circular_gaussian(RngStream(1), 1.0, n),
         "modulate": lambda: modulate(bits, QAM16),
         "encode": lambda: encode(O4, syms),
-        "transmit": lambda: transmit(O4, x, h, 10.0, w, noise),
+        "transmit": lambda: transmit(O4, syms, h, 10.0, w, noise),
         "combine": lambda: combine(O4, y, h, w),
         "effective_gain": lambda: effective_gain(O4, h, w),
         "detect": lambda: detect(syms, gain, QAM16),
@@ -492,6 +505,44 @@ def test_layers_return_fresh_arrays_without_a_workspace(layer):
             assert not np.shares_memory(a, b)
     for a, b in zip(firsts, seconds):
         assert np.array_equal(a, b)
+
+
+def transmit_from_codeword(code, s, h, p, w, noise):
+    """Y from the codeword of ``s``, one table entry at a time, each added.
+
+    The reference :func:`transmit` must equal bit for bit: it builds no
+    codeword and subtracts the terms with sign -1 instead.
+    """
+    x = encode(code, s)
+    g = w.reshape((-1,) + (1,) * (h.ndim - 1)) * h
+    y = np.empty((code.n_rx, code.n_slots) + h.shape[2:], complex)
+    started = set()
+    for i, t, *_ in code.entries:
+        if t in started:
+            y[:, t] += g[i] * x[i, t]
+        else:
+            started.add(t)
+            y[:, t] = g[i] * x[i, t]
+    y *= math.sqrt(p)
+    y += noise
+    return y
+
+
+@pytest.mark.parametrize("blocks", [(), (257,)], ids=["one block", "block axis"])
+@pytest.mark.parametrize("p", [0.0, 1.0, 3.7e5])
+@pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
+def test_transmit_over_the_noise_equals_the_codeword_sum_bit_for_bit(code, p, blocks):
+    rng = RngStream(44)
+    s = sample_circular_gaussian(rng, 1.0, (code.n_symbols,) + blocks)
+    h = sample_circular_gaussian(rng, 1.0, (code.n_tx, code.n_rx) + blocks)
+    noise = sample_circular_gaussian(rng, 1.0, (code.n_rx, code.n_slots) + blocks)
+    w = code.weights(2.5)
+    want = transmit_from_codeword(code, s, h, p, w, noise)
+    fresh = transmit(code, s, h, p, w, noise)
+    over_noise = noise.copy()
+    assert transmit(code, s, h, p, w, over_noise, Workspace(), out=over_noise) is over_noise
+    for got in (fresh, over_noise):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
