@@ -16,12 +16,12 @@ A sweep runs its cells ``workers`` at a time on one thread pool; each
 cell is a pure function of its seed, so the estimates are bit-identical
 for any worker count. A one-cell sweep uses one thread.
 
-Each thread draws and runs every chunk in one
-:class:`~coop_ostbc.numerics.Workspace`, so a pool thread holds one
-chunk's working set (up to 7.3 MB, for the largest chunk it has run) for
-the length of a sweep instead of allocating it afresh for each chunk.
-A finished sweep's workspaces, at most one per CPU, are kept for the
-next sweep.
+Each chunk draws and runs in one :class:`~coop_ostbc.numerics.Workspace`
+(up to 7.3 MB, for the largest chunk it has run) that it borrows from
+one idle list and gives back when it ends, so a warm chunk reuses the
+buffers of an earlier one instead of allocating them afresh. The list
+keeps at most one workspace per CPU, for the chunks of every sweep and
+of direct :func:`run_point` calls alike.
 """
 
 from __future__ import annotations
@@ -145,20 +145,11 @@ def _chunk_blocks(point: SimPoint) -> int:
     return min(DEFAULT_CHUNK_BLOCKS, needed)
 
 
-_thread = threading.local()
-# The workspaces that finished sweeps left, for the pool threads of later ones;
-# no more than one per CPU, so a wide sweep does not hold its memory for good.
+# The workspaces that finished chunks left, for the chunks that start next; no
+# more than one per CPU, so a wide sweep does not hold its memory for good.
 _idle_workspaces: list = []
 _IDLE_LIMIT = os.cpu_count() or 1
 _idle_lock = threading.Lock()
-
-
-def _thread_workspace() -> Workspace:
-    """The calling thread's chunk buffers: its sweep's, or made on its first chunk."""
-    work = getattr(_thread, "work", None)
-    if work is None:
-        work = _thread.work = Workspace()
-    return work
 
 
 def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
@@ -176,17 +167,28 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     one comparison against the transmitted bits, and the block of a wrong
     bit is its index over the bits per block.
 
-    Every array from the symbols to the combiner output is a view on the
-    calling thread's workspace, overwritten by its next chunk. No codeword
-    is built, and the received samples are written over the noise.
+    Every array from the symbols to the combiner output is a view on a
+    workspace borrowed from the idle list and given back when the chunk
+    ends, so the next chunk overwrites it. No codeword is built, and the
+    received samples are written over the noise.
     """
+    with _idle_lock:
+        work = _idle_workspaces.pop() if _idle_workspaces else Workspace()
+    try:
+        return _simulate_chunk_in(work, point, chunk_index)
+    finally:
+        with _idle_lock:
+            _idle_workspaces.append(work)
+            del _idle_workspaces[_IDLE_LIMIT:]
+
+
+def _simulate_chunk_in(work: Workspace, point: SimPoint, chunk_index: int):
     code = ostbc.CODES[point.scheme]
     rng = RngStream(point.seed, chunk_index)
     n = _chunk_blocks(point)
     power = _db_to_linear(point.gamma_db)
     w = code.weights(_db_to_linear(point.r_db))
     bps = point.mod.bits_per_symbol
-    work = _thread_workspace()
     h_shape = (code.n_tx, code.n_rx, n)
     noise_shape = (code.n_rx, code.n_slots, n)
 
@@ -242,13 +244,15 @@ def sweep_points(schemes, modulations, gamma_db, r_db, beta, seed: int,
     for name, values in axes.items():
         if not values:
             raise ValueError(f"{name} must be non-empty")
+    # Adding 0.0 turns -0.0 into 0.0: the two are one key here, so they must
+    # also be one seed and one CSV value, whichever the grid lists first.
     cells = dict.fromkeys(  # deduplicated, in grid order
         product(
             schemes,
             (ostbc.modulation_by_name(m) for m in modulations),
-            (float(r) for r in r_db),
-            (float(b) for b in beta),
-            (float(g) for g in gamma_db),
+            (float(r) + 0.0 for r in r_db),
+            (float(b) + 0.0 for b in beta),
+            (float(g) + 0.0 for g in gamma_db),
         )
     )
     points = [
@@ -294,24 +298,10 @@ def run_sweep(points, workers: int) -> list[BerEstimate]:
     """Estimate every cell of ``points``, ``workers`` cells at a time.
 
     The estimates come back in ``points`` order whatever order the cells
-    finish in. Each pool thread runs its chunks in a workspace taken from
-    those that finished sweeps left, and the sweep leaves its own for the
-    next, keeping at most one per CPU: reusing the buffers spares
-    allocating them again on a heap that the freed ones would have left
-    full of holes.
+    finish in. Each chunk borrows its workspace from the idle list that
+    every sweep shares, and gives it back when it ends: reusing the
+    buffers spares allocating them again on a heap that the freed ones
+    would have left full of holes.
     """
-    lent = []
-
-    def claim():  # once in each pool thread
-        with _idle_lock:
-            work = _idle_workspaces.pop() if _idle_workspaces else Workspace()
-            lent.append(work)
-        _thread.work = work
-
-    try:
-        with ThreadPoolExecutor(max_workers=workers, initializer=claim) as pool:
-            return list(pool.map(run_point, points))
-    finally:
-        with _idle_lock:
-            _idle_workspaces.extend(lent)
-            del _idle_workspaces[_IDLE_LIMIT:]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_point, points))

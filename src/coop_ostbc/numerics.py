@@ -9,9 +9,9 @@ byte-packed from its raw bytes.
 A :class:`Workspace` keeps grow-only arrays for reuse from call to call.
 The draws take an ``out`` array for their result and a workspace whose
 scratch stages their normals, so a caller that keeps one workspace draws
-into the same memory every time: the Monte Carlo engine keeps one per
-worker thread, which holds one chunk's working set for the length of a
-sweep.
+into the same memory every time: each Monte Carlo chunk borrows one from
+an idle list, capped at one per CPU, that keeps the working sets of
+earlier chunks.
 """
 
 from __future__ import annotations

@@ -26,15 +26,16 @@ the Monte Carlo engine uses: symbols (n_symbols, blocks), codewords
 (n_tx, n_slots, blocks), channels and their estimates (n_tx, n_rx,
 blocks), noise and received samples (n_rx, n_slots, blocks).
 
-Every layer can write in place. :func:`modulate`, :func:`encode` and
+Every layer of the chain can write in place. :func:`modulate` and
 :func:`transmit` take an ``out`` array; :func:`transmit` may write over
 the noise it adds. :func:`combine` and :func:`detect` take a
 :class:`~coop_ostbc.numerics.Workspace` that holds their temporaries and
 their result, and :func:`transmit` and :func:`effective_gain` one for
 their temporaries. Called without them, a layer returns a fresh array. The
-Monte Carlo engine passes each worker thread's workspace, which holds
-one chunk's working set for the length of a sweep, so a warm chunk
-allocates almost nothing.
+Monte Carlo engine passes each chunk the workspace it borrowed from the
+engine's idle list, which holds the working set of earlier chunks, so a
+warm chunk allocates almost nothing. :func:`encode`, the reference, always
+returns a fresh codeword.
 """
 
 from __future__ import annotations
@@ -244,19 +245,12 @@ def _weighted(channels, w, out) -> np.ndarray:
     return np.multiply(w.reshape((-1,) + (1,) * (channels.ndim - 1)), channels, out=out)
 
 
-def encode(code: SpaceTimeCode, symbols, out=None) -> np.ndarray:
-    """Codeword X of shape (n_tx, n_slots[, blocks]) from (n_symbols[, blocks]) symbols.
-
-    X is written into ``out`` when it is given, else into a fresh array.
-    """
+def encode(code: SpaceTimeCode, symbols) -> np.ndarray:
+    """Codeword X of shape (n_tx, n_slots[, blocks]) from (n_symbols[, blocks]) symbols."""
     s = np.asarray(symbols, dtype=complex)
     if s.shape[:1] != (code.n_symbols,):
         raise ValueError(f"{code.name} takes {code.n_symbols} symbols, got shape {s.shape}")
-    x = np.empty((code.n_tx, code.n_slots) + s.shape[1:], dtype=complex) if out is None else out
-    filled = {(i, t) for i, t, *_ in code.entries}
-    for i, t in np.ndindex(code.n_tx, code.n_slots):
-        if (i, t) not in filled:
-            x[i, t] = 0
+    x = np.zeros((code.n_tx, code.n_slots) + s.shape[1:], dtype=complex)
     for i, t, k, conjugate, sign in code.entries:
         entry = x[i, t, ...]  # a view, also when X has no block axis
         np.multiply(sign, np.conjugate(s[k], out=entry) if conjugate else s[k], out=entry)

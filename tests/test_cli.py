@@ -495,6 +495,22 @@ def test_grid_value_with_leading_minus_parses_in_both_forms(tmp_path, capsys, fl
         assert "beta must be finite and >= 0" in err
 
 
+@pytest.mark.parametrize("flag", ["--r-db", "--gamma-db", "--beta"])
+def test_minus_zero_and_zero_are_one_cell_with_one_seed(tmp_path, capsys, flag):
+    # -0 and 0 name one cell, so they must give it one seed and one CSV
+    # value, whichever spelling the grid lists and in whatever order.
+    base = ["simulate", "--modulation", "BPSK", "--gamma-db", "4", "--r-db", "0",
+            "--beta", "0", "--max-bits", "20000"]
+    variants = [[f"{flag}=-0"], [f"{flag}=-0,0"], [f"{flag}=0,-0"], [flag, "0"]]
+    csvs = []
+    for i, variant in enumerate(variants):
+        out = tmp_path / f"{i}.csv"
+        assert run(base + variant + ["--output", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs == [csvs[-1]] * len(variants)
+    assert b",-0," not in csvs[-1]
+
+
 def test_range_syntax_expands_inclusively(tmp_path):
     out = tmp_path / "a.csv"
     assert run(["analytic", "--gamma-db", "0:20:5", "--output", str(out)]) == 0

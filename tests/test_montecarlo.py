@@ -26,7 +26,7 @@ from coop_ostbc.montecarlo import (
     run_sweep,
     sweep_points,
 )
-from coop_ostbc.numerics import wilson_interval
+from coop_ostbc.numerics import Workspace, wilson_interval
 from coop_ostbc.ostbc import BPSK, CODES, QAM16, QPSK
 
 
@@ -142,22 +142,27 @@ def test_chunks_reuse_one_threads_buffers_at_every_size():
 
 
 def test_concurrent_sweeps_never_share_a_workspace():
-    # Sweeps started at once from several threads take workspaces from, and
-    # leave them to, one list; a workspace handed to two pool threads would
-    # mix their chunks and change the estimates.
+    # Sweeps started at once from several threads, and threads that run
+    # cells directly beside them, borrow workspaces from, and give them back
+    # to, one list; a workspace lent to two chunks at once would mix them
+    # and change the estimates.
     points = sweep_points(("alamouti_2x1", "ostbc_4x2"), ("BPSK", "QAM16"), (0.0, 6.0),
                           (0.0,), (0.0, 0.05), seed=2017, min_errors=50, max_bits=40_000)
     want = [run_point(p) for p in points]
-    assert run_sweep(points, 3) == want  # leaves workspaces to take
-    got = [None] * 4
+    assert run_sweep(points, 3) == want  # leaves workspaces to borrow
+    got = [None] * 6
 
     def sweep(i):
         got[i] = run_sweep(points, 3)
 
+    def direct(i):
+        got[i] = [run_point(p) for p in points]
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(len(got))]
+        threads = [threading.Thread(target=sweep if i < 4 else direct, args=(i,))
+                   for i in range(len(got))]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -190,21 +195,44 @@ def test_warm_chunk_allocates_little():
     assert _on_a_new_thread(fresh_bytes) <= FRESH_CHUNK_BYTES / 4
 
 
-# What the thread workspace of a warm 10k-block ostbc_4x2 QAM16 beta=0.01
-# chunk held with a codeword array and a received-signal array of its own:
+# What the workspace of a warm 10k-block ostbc_4x2 QAM16 beta=0.01 chunk
+# held with a codeword array and a received-signal array of its own:
 # 11,640,000 bytes.
 WARM_CHUNK_WORKSPACE_BYTES = 8_000_000
 
 
-def test_warm_chunk_workspace_holds_no_codeword_or_signal_copy():
+def test_warm_chunk_workspace_holds_no_codeword_or_signal_copy(monkeypatch):
     point = SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2016)
+    monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
+    _simulate_chunk(point, 0)
+    _simulate_chunk(point, 1)
+    [work] = montecarlo._idle_workspaces
+    assert sum(flat.nbytes for flat in work._buffers.values()) <= WARM_CHUNK_WORKSPACE_BYTES
 
-    def workspace_bytes():
-        _simulate_chunk(point, 0)
-        _simulate_chunk(point, 1)
-        return sum(flat.nbytes for flat in montecarlo._thread_workspace()._buffers.values())
 
-    assert _on_a_new_thread(workspace_bytes) <= WARM_CHUNK_WORKSPACE_BYTES
+def test_every_chunk_borrows_from_the_capped_idle_list(monkeypatch):
+    # A cell run outside a sweep gives its workspace back to the idle list
+    # too, and the next cell borrows that one, so the cap bounds every
+    # workspace that chunks leave behind.
+    made = []
+
+    class Recorded(Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(montecarlo, "Workspace", Recorded)
+    monkeypatch.setattr(montecarlo, "_IDLE_LIMIT", 1)
+    monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
+    point = SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2019, max_bits=24_000)
+    run_point(point)
+    assert len(made) == 1 and montecarlo._idle_workspaces == made
+    run_point(point)
+    assert len(made) == 1 and montecarlo._idle_workspaces == made
+    points = sweep_points(("ostbc_4x2",), ("QAM16",), (0.0, 4.0, 8.0, 12.0), (5.0,), (0.01,),
+                          seed=2019, min_errors=20, max_bits=24_000)
+    run_sweep(points, 2)
+    assert len(montecarlo._idle_workspaces) == 1
 
 
 def test_idle_workspaces_are_at_most_one_per_cpu(monkeypatch):

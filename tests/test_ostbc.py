@@ -543,13 +543,3 @@ def test_transmit_over_the_noise_equals_the_codeword_sum_bit_for_bit(code, p, bl
     assert transmit(code, s, h, p, w, over_noise, Workspace(), out=over_noise) is over_noise
     for got in (fresh, over_noise):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-@pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
-def test_encode_into_a_used_array_writes_every_entry(code):
-    # A reused out array holds the last codeword of another shape; the
-    # zero entries of X must be written too, not left as they were.
-    s = sample_circular_gaussian(RngStream(43), 1.0, (code.n_symbols, 30))
-    out = np.full((code.n_tx, code.n_slots, 30), np.nan + 1j * np.nan)
-    assert encode(code, s, out=out) is out
-    assert np.array_equal(out, encode(code, s))
