@@ -114,28 +114,24 @@ def test_chunk_counts_the_squared_errors_of_each_block():
     assert errors < sq_errors <= 12 * errors
 
 
-def _on_a_new_thread(fn):
-    """fn() run on a thread of its own, which starts with no chunk buffers."""
-    result = []
-    thread = threading.Thread(target=lambda: result.append(fn()))
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive() and len(result) == 1
-    return result[0]
+def _on_new_buffers(monkeypatch, fn):
+    """fn() run with an empty idle list, so its first chunk makes a new workspace."""
+    monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
+    return fn()
 
 
-def test_chunks_reuse_one_threads_buffers_at_every_size():
-    # One thread runs chunks of differently shaped cells back to back, so its
-    # grow-only buffers are reused at smaller and at larger sizes; each chunk
-    # must count what it counts on a thread of its own.
+def test_chunks_reuse_one_threads_buffers_at_every_size(monkeypatch):
+    # Chunks of differently shaped cells run back to back on one workspace,
+    # so its grow-only buffers are reused at smaller and at larger sizes;
+    # each chunk must count what it counts on a new workspace of its own.
     chunks = [
         (SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2013), 0),
         (SimPoint("alamouti_2x1", BPSK, 4.0, 0.0, 0.0, seed=2014), 0),
         (SimPoint("ostbc_4x2", QPSK, 2.0, 0.0, 0.05, seed=2015, max_bits=30_000), 0),
         (SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2013), 1),
     ]
-    alone = [_on_a_new_thread(lambda c=c: _simulate_chunk(*c)) for c in chunks]
-    in_turn = _on_a_new_thread(lambda: [_simulate_chunk(*c) for c in chunks])
+    alone = [_on_new_buffers(monkeypatch, lambda c=c: _simulate_chunk(*c)) for c in chunks]
+    in_turn = _on_new_buffers(monkeypatch, lambda: [_simulate_chunk(*c) for c in chunks])
     assert chunks[2][0].max_bits // chunks[2][0].bits_per_block < 10_000
     assert all(errors > 0 for _, errors, _ in alone)
     assert in_turn == alone
@@ -179,11 +175,11 @@ def test_concurrent_sweeps_never_share_a_workspace():
 FRESH_CHUNK_BYTES = 13_560_000
 
 
-def test_warm_chunk_allocates_little():
+def test_warm_chunk_allocates_little(monkeypatch):
     point = SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2016)
 
     def fresh_bytes():
-        _simulate_chunk(point, 0)  # sizes this thread's buffers
+        _simulate_chunk(point, 0)  # sizes the new workspace's buffers
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -192,7 +188,7 @@ def test_warm_chunk_allocates_little():
         finally:
             tracemalloc.stop()
 
-    assert _on_a_new_thread(fresh_bytes) <= FRESH_CHUNK_BYTES / 4
+    assert _on_new_buffers(monkeypatch, fresh_bytes) <= FRESH_CHUNK_BYTES / 4
 
 
 # What the workspace of a warm 10k-block ostbc_4x2 QAM16 beta=0.01 chunk
@@ -229,10 +225,6 @@ def test_every_chunk_borrows_from_the_capped_idle_list(monkeypatch):
     assert len(made) == 1 and montecarlo._idle_workspaces == made
     run_point(point)
     assert len(made) == 1 and montecarlo._idle_workspaces == made
-    points = sweep_points(("ostbc_4x2",), ("QAM16",), (0.0, 4.0, 8.0, 12.0), (5.0,), (0.01,),
-                          seed=2019, min_errors=20, max_bits=24_000)
-    run_sweep(points, 2)
-    assert len(montecarlo._idle_workspaces) == 1
 
 
 def test_idle_workspaces_are_at_most_one_per_cpu(monkeypatch):
