@@ -390,8 +390,8 @@ def _add_grid_options(sub, include_sim: bool) -> None:
         sub.add_argument(
             "--workers",
             type=int,
-            help="grid cells simulated at a time, each running its chunks serially "
-            "(default 1)",
+            help="grid cells simulated at a time, at most one per CPU, each running "
+            "its chunks serially (default 1)",
         )
 
 

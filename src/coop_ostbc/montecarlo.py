@@ -12,9 +12,10 @@ reaches ``min_errors`` or the cumulative bit count reaches ``max_bits``.
 description of a sweep from spec to CSV row. Each cell's seed
 is derived from the sweep seed and the cell parameters, so a cell's
 estimate does not depend on which other cells are present in the grid.
-A sweep runs its cells ``workers`` at a time on one thread pool; each
-cell is a pure function of its seed, so the estimates are bit-identical
-for any worker count. A one-cell sweep uses one thread.
+A sweep runs its cells ``workers`` (at most one per CPU) at a time on
+one thread pool; each cell is a pure function of its seed, so the
+estimates are bit-identical for any worker count. A one-cell sweep uses
+one thread.
 
 Each chunk draws and runs in one :class:`~coop_ostbc.numerics.Workspace`
 (up to 7.3 MB, for the largest chunk it has run) that it borrows from
@@ -146,9 +147,10 @@ def _chunk_blocks(point: SimPoint) -> int:
 
 
 # The workspaces that finished chunks left, for the chunks that start next; no
-# more than one per CPU, so a wide sweep does not hold its memory for good.
+# more than one per CPU, so a wide sweep does not hold its memory for good. A
+# sweep runs no more cells at a time either, so it makes no more workspaces.
 _idle_workspaces: list = []
-_IDLE_LIMIT = os.cpu_count() or 1
+_CPUS = os.cpu_count() or 1
 _idle_lock = threading.Lock()
 
 
@@ -167,10 +169,10 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     one comparison against the transmitted bits, and the block of a wrong
     bit is its index over the bits per block.
 
-    Every array from the symbols to the combiner output is a view on a
-    workspace borrowed from the idle list and given back when the chunk
-    ends, so the next chunk overwrites it. No codeword is built, and the
-    received samples are written over the noise.
+    Every array from the symbols to the decisions is a view on a workspace
+    borrowed from the idle list and given back when the chunk ends, so the
+    next chunk overwrites it. No codeword is built, the received samples
+    are added onto the noise, and the gain is scaled in place.
     """
     with _idle_lock:
         work = _idle_workspaces.pop() if _idle_workspaces else Workspace()
@@ -179,7 +181,7 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     finally:
         with _idle_lock:
             _idle_workspaces.append(work)
-            del _idle_workspaces[_IDLE_LIMIT:]
+            del _idle_workspaces[_CPUS:]
 
 
 def _simulate_chunk_in(work: Workspace, point: SimPoint, chunk_index: int):
@@ -193,7 +195,7 @@ def _simulate_chunk_in(work: Workspace, point: SimPoint, chunk_index: int):
     noise_shape = (code.n_rx, code.n_slots, n)
 
     tx_bits = rng.bits(code.n_symbols * bps * n)
-    syms = ostbc.modulate(tx_bits, point.mod, out=work.array("symbols", (n * code.n_symbols,)))
+    syms = ostbc.modulate(tx_bits, point.mod, work)
     h = sample_circular_gaussian(rng, 1.0, h_shape, work.array("h", h_shape), work)
     if point.beta == 0.0:
         est = h
@@ -201,10 +203,10 @@ def _simulate_chunk_in(work: Workspace, point: SimPoint, chunk_index: int):
         est = sample_circular_gaussian(rng, point.beta, h_shape, work.array("est", h_shape), work)
         np.add(h, est, out=est)  # h + e
     noise = sample_circular_gaussian(rng, 1.0, noise_shape, work.array("noise", noise_shape), work)
-    y = ostbc.transmit(code, syms.reshape(n, code.n_symbols).T, h, power, w, noise, work,
-                       out=noise)
+    y = ostbc.transmit(code, syms.reshape(n, code.n_symbols).T, h, power, w, noise, work)
     s_tilde = ostbc.combine(code, y, est, w, work)
-    gain = math.sqrt(power) * ostbc.effective_gain(code, est, w, work)
+    gain = ostbc.effective_gain(code, est, w, work)
+    gain *= math.sqrt(power)
     rx_bits = ostbc.detect(s_tilde.T, gain[:, None], point.mod, work)
     wrong = np.flatnonzero(rx_bits != tx_bits)
     per_block = np.bincount(np.floor_divide(wrong, point.bits_per_block, out=wrong))
@@ -295,7 +297,7 @@ def analytic_ber(scheme: str, mod: ostbc.Modulation, r_db: float, beta: float,
 
 
 def run_sweep(points, workers: int) -> list[BerEstimate]:
-    """Estimate every cell of ``points``, ``workers`` cells at a time.
+    """Estimate every cell of ``points``, ``workers`` (at most one per CPU) at a time.
 
     The estimates come back in ``points`` order whatever order the cells
     finish in. Each chunk borrows its workspace from the idle list that
@@ -303,5 +305,5 @@ def run_sweep(points, workers: int) -> list[BerEstimate]:
     buffers spares allocating them again on a heap that the freed ones
     would have left full of holes.
     """
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, _CPUS)) as pool:
         return list(pool.map(run_point, points))

@@ -26,16 +26,16 @@ the Monte Carlo engine uses: symbols (n_symbols, blocks), codewords
 (n_tx, n_slots, blocks), channels and their estimates (n_tx, n_rx,
 blocks), noise and received samples (n_rx, n_slots, blocks).
 
-Every layer of the chain can write in place. :func:`modulate` and
-:func:`transmit` take an ``out`` array; :func:`transmit` may write over
-the noise it adds. :func:`combine` and :func:`detect` take a
-:class:`~coop_ostbc.numerics.Workspace` that holds their temporaries and
-their result, and :func:`transmit` and :func:`effective_gain` one for
-their temporaries. Called without them, a layer returns a fresh array. The
-Monte Carlo engine passes each chunk the workspace it borrowed from the
-engine's idle list, which holds the working set of earlier chunks, so a
-warm chunk allocates almost nothing. :func:`encode`, the reference, always
-returns a fresh codeword.
+Every layer of the chain takes the chunk's
+:class:`~coop_ostbc.numerics.Workspace` as its last argument, keeps its
+temporaries in that workspace's scratch and allocates no result:
+:func:`modulate`, :func:`combine`, :func:`effective_gain` and
+:func:`detect` return its ``"symbols"``, ``"combined"``, ``"gain"`` and
+``"decisions"`` arrays, each valid until the next call for that name,
+and :func:`transmit` adds the signal onto the noise array it is given
+and returns it. A Monte Carlo chunk borrows its workspace from the
+engine's idle list, so a warm chunk allocates almost nothing.
+:func:`encode`, the reference, returns a fresh codeword.
 """
 
 from __future__ import annotations
@@ -219,10 +219,10 @@ CODES = {
 }
 
 
-def modulate(bits, mod: Modulation, out=None) -> np.ndarray:
+def modulate(bits, mod: Modulation, work: Workspace) -> np.ndarray:
     """Map a bit vector (MSB-first per symbol) onto constellation symbols.
 
-    The symbols land in ``out`` when it is given, else in a fresh array.
+    The symbols are the ``"symbols"`` array of ``work``.
     """
     bits = np.asarray(bits, dtype=np.uint8).ravel()
     bps = mod.bits_per_symbol
@@ -237,7 +237,7 @@ def modulate(bits, mod: Modulation, out=None) -> np.ndarray:
         labels |= groups[:, j]
     # Every label indexes a point, so "clip" never clips; unlike the default
     # "raise", it writes straight into ``out`` without a buffer.
-    return np.take(mod.points, labels, out=out, mode="clip")
+    return np.take(mod.points, labels, out=work.array("symbols", labels.shape), mode="clip")
 
 
 def _weighted(channels, w, out) -> np.ndarray:
@@ -274,16 +274,16 @@ def _add_term(total, a, b, sign, first, product) -> None:
 
 
 def transmit(code: SpaceTimeCode, symbols, channels, total_power: float, w, noise,
-             work: Workspace | None = None, out=None):
+             work: Workspace) -> np.ndarray:
     """Received samples Y[j, t] = sqrt(P) sum_i w_i H[i, j] X[i, t] + noise[j, t].
 
     X is not built: each slot sums the code's entries of that slot, in
     table order, as ``sign * w_i H[i, j] s_k`` or ``sign * w_i H[i, j]
     conj(s_k)`` from the (n_symbols[, blocks]) ``symbols``, and a term with
-    sign -1 is subtracted. ``w`` is ``code.weights(r)``. Y is written into
-    ``out``, which may be ``noise`` itself, else into a fresh array; the
-    weighted channels, the conjugated symbols and one slot's sum and
-    product are the scratch of ``work`` (of a fresh workspace without it).
+    sign -1 is subtracted. ``w`` is ``code.weights(r)``. Y is added onto
+    ``noise``, a complex array of shape (n_rx, n_slots[, blocks]), which is
+    returned; the weighted channels, the conjugated symbols and one slot's
+    sum and product are the scratch of ``work``.
     """
     total_power = float(total_power)
     if not (math.isfinite(total_power) and total_power >= 0.0):
@@ -293,11 +293,9 @@ def transmit(code: SpaceTimeCode, symbols, channels, total_power: float, w, nois
         raise ValueError(f"{code.name} takes {code.n_symbols} symbols, got shape {s.shape}")
     h = np.asarray(channels, dtype=complex)
     blocks = h.shape[2:]
-    if out is None:
-        out = np.empty((code.n_rx, code.n_slots) + blocks, dtype=complex)
-    if out is not noise:
-        out[...] = noise
-    work = Workspace() if work is None else work
+    if noise.dtype != complex or noise.shape != (code.n_rx, code.n_slots) + blocks:
+        raise ValueError(f"{code.name} adds onto complex noise of shape "
+                         f"{(code.n_rx, code.n_slots) + blocks}, got {noise.dtype} {noise.shape}")
     rx = (code.n_rx,) + blocks
     g, conj_s, slot, product = work.scratch(
         (h.shape, complex), (s.shape, complex), (rx, complex), (rx, complex)
@@ -310,11 +308,11 @@ def transmit(code: SpaceTimeCode, symbols, channels, total_power: float, w, nois
         for n, (i, _, k, conjugate, sign) in enumerate(terms):
             _add_term(slot, g[i], conj_s[k] if conjugate else s[k], sign, n == 0, product)
         slot *= amplitude
-        out[:, t] += slot
-    return out
+        noise[:, t] += slot
+    return noise
 
 
-def combine(code: SpaceTimeCode, y, est, w, work: Workspace | None = None) -> np.ndarray:
+def combine(code: SpaceTimeCode, y, est, w, work: Workspace) -> np.ndarray:
     """Matched-filter combining with the estimated channels over all rx antennas.
 
     s~_k = sum over the entries of s_k and over rx antennas j of
@@ -322,10 +320,10 @@ def combine(code: SpaceTimeCode, y, est, w, work: Workspace | None = None) -> np
     conjugated entry. Returns shape (n_symbols[, blocks]). With perfect
     estimates and no noise, s~_k = sqrt(P) * G * s_k with G from
     :func:`effective_gain`. The result is the ``"combined"`` array of
-    ``work`` (of a fresh workspace without it). Each symbol's terms are
-    summed per rx antenna, in table order, then over the rx antennas; the
-    weighted estimates, the conjugated factor, the product and that one
-    symbol's per-antenna sum are the scratch.
+    ``work``. Each symbol's terms are summed per rx antenna, in table
+    order, then over the rx antennas; the weighted estimates, the
+    conjugated factor, the product and that one symbol's per-antenna sum
+    are the scratch.
     """
     y = np.asarray(y, dtype=complex)
     est = np.asarray(est, dtype=complex)
@@ -335,7 +333,6 @@ def combine(code: SpaceTimeCode, y, est, w, work: Workspace | None = None) -> np
         or est.shape[2:] != y.shape[2:]
     ):
         raise ValueError(f"dimension mismatch for {code.name}: y {y.shape}, est {est.shape}")
-    work = Workspace() if work is None else work
     blocks = y.shape[2:]
     rx = y.shape[:1] + blocks
     combined = work.array("combined", (code.n_symbols,) + blocks)
@@ -358,17 +355,15 @@ def combine(code: SpaceTimeCode, y, est, w, work: Workspace | None = None) -> np
     return combined
 
 
-def effective_gain(code: SpaceTimeCode, est, w, work: Workspace | None = None):
+def effective_gain(code: SpaceTimeCode, est, w, work: Workspace) -> np.ndarray:
     """Combined gain sum_ij w_i^2 |est[i, j]|^2 over all transmit-receive paths.
 
-    The squares and per-antenna sums, taken one transmit antenna at a
-    time, are the scratch of ``work`` (of a fresh workspace without it);
-    the gain itself is a fresh array.
+    The gain is the ``"gain"`` array of ``work``; the squares and
+    per-antenna sums, taken one transmit antenna at a time, are its scratch.
     """
     est = np.asarray(est, dtype=complex)
     if est.shape[:2] != (code.n_tx, code.n_rx):
         raise ValueError(f"expected a {code.name} channel array, got shape {est.shape}")
-    work = Workspace() if work is None else work
     squares, per_antenna = work.scratch(
         ((2,) + est.shape[1:], float), (est.shape[:1] + est.shape[2:], float)
     )
@@ -377,11 +372,11 @@ def effective_gain(code: SpaceTimeCode, est, w, work: Workspace | None = None):
         np.square(est[i].imag, out=squares[1])
         np.add(squares[0], squares[1], out=squares[0])
         np.sum(squares[0], axis=0, out=per_antenna[i, ...])
-    return np.einsum("i,i...->...", w**2, per_antenna)
+    gain = work.array("gain", est.shape[2:], float)
+    return np.einsum("i,i...->...", w**2, per_antenna, out=gain)
 
 
-def detect(s_tilde, effective_gain, mod: Modulation,
-           work: Workspace | None = None) -> np.ndarray:
+def detect(s_tilde, effective_gain, mod: Modulation, work: Workspace) -> np.ndarray:
     """Nearest-point decision on s_tilde / effective_gain, back to bits.
 
     Every constellation is a product of Gray-labelled levels on the real
@@ -395,14 +390,13 @@ def detect(s_tilde, effective_gain, mod: Modulation,
     ``s_tilde`` and ``effective_gain`` may have any shapes that broadcast
     together. Returns a flat uint8 bit vector, ``bits_per_symbol`` bits per
     symbol, MSB first, with the symbols in C order of the broadcast shape.
-    The bits are the ``"decisions"`` array of ``work`` (of a fresh
-    workspace without it), and the normalized symbols are its scratch.
+    The bits are the ``"decisions"`` array of ``work``, and the normalized
+    symbols are its scratch.
     """
     g = np.asarray(effective_gain, dtype=float)
     if not np.all(g > 0.0):
         raise ValueError("effective gain must be positive")
     s = np.asarray(s_tilde, dtype=complex)
-    work = Workspace() if work is None else work
     shape = np.broadcast_shapes(s.shape, g.shape)
     (z,) = work.scratch(((2,) + shape, float))
     # numpy divides a complex by a real as a product with the reciprocal,

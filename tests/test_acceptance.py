@@ -18,7 +18,7 @@ from coop_ostbc.analytic import (
     diversity_slope,
 )
 from coop_ostbc.montecarlo import SimPoint, analytic_ber, run_point, run_sweep, sweep_points
-from coop_ostbc.numerics import RngStream, sample_circular_gaussian, wilson_interval
+from coop_ostbc.numerics import RngStream, Workspace, sample_circular_gaussian, wilson_interval
 from coop_ostbc.ostbc import (
     BPSK,
     CODES,
@@ -185,14 +185,15 @@ def test_c08_four_antenna_code_health_and_steeper_slope():
         w = code.weights(10.0 ** (5.0 / 10.0))
         power = 10.0 ** (1.4)
         bits = rng.bits(3 * QAM16.bits_per_symbol * n)
-        syms = modulate(bits, QAM16).reshape(n, 3).T
+        work = Workspace()
+        syms = modulate(bits, QAM16, work).reshape(n, 3).T
         h = sample_circular_gaussian(rng, 1.0, size=(4, 2, n))
-        y = transmit(code, syms, h, power, w, np.zeros((2, 4, n), complex))
-        outs = combine(code, y, h, w)
-        gain = math.sqrt(power) * effective_gain(code, h, w)
+        y = transmit(code, syms, h, power, w, np.zeros((2, 4, n), complex), work)
+        outs = combine(code, y, h, w, work)
+        gain = math.sqrt(power) * effective_gain(code, h, w, work)
         per_sym = bits.reshape(n, 3, QAM16.bits_per_symbol)
         for k in range(3):
-            assert np.array_equal(detect(outs[k], gain, QAM16), per_sym[:, k].ravel())
+            assert np.array_equal(detect(outs[k], gain, QAM16, work), per_sym[:, k].ravel())
 
         # Slopes inside the 10-20 dB window, beta = 0, QPSK, balanced links.
         grid = (10.0, 12.0, 14.0)
@@ -270,15 +271,15 @@ def test_c10_property_battery():
         est = np.array([[0.3 - 1.1j], [-0.7 + 0.2j]])
         w = code.weights(2.0)
         y = np.array([[0.9 + 0.1j, -0.4 + 1.3j]])
-        b = combine(code, y, est, w)
-        a = combine(code, 3.5 * y, est, w)
+        b = combine(code, y, est, w, Workspace())
+        a = combine(code, 3.5 * y, est, w, Workspace())
         assert np.allclose(a, 3.5 * b, rtol=1e-12, atol=0)
 
         # Perfect-CSI conditional scale equals the weighted branch sum.
         h = np.array([[1.2 - 0.3j], [0.5 + 0.8j]])
-        yq = transmit(code, [1.0, 0.0], h, 1.0, w, np.zeros((1, 2)))
-        s0t, _ = combine(code, yq, h, w)
-        assert s0t == pytest.approx(effective_gain(code, h, w), rel=1e-12)
+        yq = transmit(code, [1.0, 0.0], h, 1.0, w, np.zeros((1, 2), complex), Workspace())
+        s0t, _ = combine(code, yq, h, w, Workspace())
+        assert s0t == pytest.approx(effective_gain(code, h, w, Workspace()), rel=1e-12)
 
         # Moment checks at 1e6 samples, 4-sigma tolerances.
         x = sample_circular_gaussian(RngStream(100002), 1.0, size=10**6)

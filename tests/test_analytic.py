@@ -11,6 +11,7 @@ from coop_ostbc.analytic import (
     ber_integral_oracle,
     diversity_slope,
 )
+from coop_ostbc.numerics import Workspace
 from coop_ostbc.ostbc import BPSK, CODES, QPSK, effective_gain
 
 A_SQ_BPSK = 2.0
@@ -30,7 +31,7 @@ def effective_snr(h_b, h_r, r, gamma):
     """Instantaneous combined SNR gamma G of the 2x1 code,
     gamma/(1+r) (|h_B|^2 + r |h_R|^2)."""
     h = np.array([[h_b], [h_r]], dtype=complex)
-    return gamma * effective_gain(A2, h, A2.weights(r))
+    return gamma * effective_gain(A2, h, A2.weights(r), Workspace())
 
 
 def test_effective_snr_balanced_unit_channels():

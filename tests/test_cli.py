@@ -165,8 +165,8 @@ def test_analytic_and_simulate_share_the_row_format(tmp_path):
     assert run(["analytic"] + grid + ["--output", str(a)]) == 0
     assert run(["simulate"] + grid + ["--seed", "3", "--min-errors", "20",
                                       "--max-bits", "20000", "--output", str(s)]) == 0
-    analytic_rows = list(csv.reader(a.open(newline="")))
-    sim_rows = list(csv.reader(s.open(newline="")))
+    with a.open(newline="") as fa, s.open(newline="") as fs:
+        analytic_rows, sim_rows = list(csv.reader(fa)), list(csv.reader(fs))
     assert len(analytic_rows) == len(sim_rows) == 1 + 2 * 2 * 2
     assert [r[:6] for r in analytic_rows] == [r[:6] for r in sim_rows]
     for row in analytic_rows[1:]:

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -218,7 +219,7 @@ def test_every_chunk_borrows_from_the_capped_idle_list(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(montecarlo, "Workspace", Recorded)
-    monkeypatch.setattr(montecarlo, "_IDLE_LIMIT", 1)
+    monkeypatch.setattr(montecarlo, "_CPUS", 1)
     monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
     point = SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2019, max_bits=24_000)
     run_point(point)
@@ -227,12 +228,32 @@ def test_every_chunk_borrows_from_the_capped_idle_list(monkeypatch):
     assert len(made) == 1 and montecarlo._idle_workspaces == made
 
 
+def test_a_sweep_wider_than_the_cpus_makes_no_more_workspaces_than_cpus(monkeypatch):
+    # Each new workspace takes a moment to make, so cells started at once
+    # beside it would find the idle list empty and make one each.
+    made = []
+
+    class Recorded(Workspace):
+        def __init__(self):
+            time.sleep(0.05)
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(montecarlo, "Workspace", Recorded)
+    monkeypatch.setattr(montecarlo, "_CPUS", 2)
+    monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
+    points = sweep_points(("alamouti_2x1",), ("BPSK",), (0.0, 2.0, 4.0, 6.0, 8.0, 10.0),
+                          (0.0,), (0.0,), seed=2020, min_errors=20, max_bits=20_000)
+    assert run_sweep(points, 6) == [run_point(p) for p in points]
+    assert len(made) <= 2
+
+
 def test_idle_workspaces_are_at_most_one_per_cpu(monkeypatch):
     points = sweep_points(("alamouti_2x1",), ("BPSK",), (0.0, 2.0, 4.0, 6.0), (0.0,), (0.0,),
                           seed=2018, min_errors=20, max_bits=20_000)
     run_sweep(points, 4)
     assert len(montecarlo._idle_workspaces) <= os.cpu_count()
-    monkeypatch.setattr(montecarlo, "_IDLE_LIMIT", 1)
+    monkeypatch.setattr(montecarlo, "_CPUS", 1)
     run_sweep(points, 4)
     assert len(montecarlo._idle_workspaces) == 1
 

@@ -56,21 +56,22 @@ def assert_zero_noise_bit_exact(code, mod, seed, r_db, gamma_db):
     w = code.weights(10.0 ** (r_db / 10.0))
     p = 10.0 ** (gamma_db / 10.0)
     bits = rng.bits(code.n_symbols * mod.bits_per_symbol * n)
-    syms = modulate(bits, mod).reshape(n, code.n_symbols).T
+    work = Workspace()
+    syms = modulate(bits, mod, work).reshape(n, code.n_symbols).T
     h = sample_circular_gaussian(rng, 1.0, size=(code.n_tx, code.n_rx, n))
     noise = np.zeros((code.n_rx, code.n_slots, n), complex)
-    s_tilde = combine(code, transmit(code, syms, h, p, w, noise), h, w)
-    gain = math.sqrt(p) * effective_gain(code, h, w)
+    s_tilde = combine(code, transmit(code, syms, h, p, w, noise, work), h, w, work)
+    gain = math.sqrt(p) * effective_gain(code, h, w, work)
     per_sym = bits.reshape(n, code.n_symbols, mod.bits_per_symbol)
     for k in range(code.n_symbols):
-        assert np.array_equal(detect(s_tilde[k], gain, mod), per_sym[:, k].ravel())
+        assert np.array_equal(detect(s_tilde[k], gain, mod, work), per_sym[:, k].ravel())
 
 
 # --- modulation ---------------------------------------------------------------
 
 
 def test_bpsk_mapping():
-    syms = modulate([0, 1], BPSK)
+    syms = modulate([0, 1], BPSK, Workspace())
     assert syms[0] == 1.0 + 0.0j
     assert syms[1] == -1.0 + 0.0j
 
@@ -84,7 +85,7 @@ def test_qpsk_gray_table():
         (1, 1): -inv - 1j * inv,
     }
     for bits, point in expected.items():
-        assert modulate(list(bits), QPSK)[0] == pytest.approx(point, abs=1e-15)
+        assert modulate(list(bits), QPSK, Workspace())[0] == pytest.approx(point, abs=1e-15)
 
 
 def test_qam16_unit_average_energy():
@@ -115,7 +116,7 @@ def test_gray_labelling_of_nearest_neighbours(mod):
 
 def test_modulate_rejects_ragged_bit_count():
     with pytest.raises(ValueError):
-        modulate([0, 1, 0], QPSK)
+        modulate([0, 1, 0], QPSK, Workspace())
 
 
 def test_modulation_lookup():
@@ -131,8 +132,8 @@ def test_roundtrip_modulate_detect_all_labels():
             [(i >> k) & 1 for i in range(n) for k in range(mod.bits_per_symbol - 1, -1, -1)],
             dtype=np.uint8,
         )
-        syms = modulate(bits, mod)
-        assert np.array_equal(detect(syms, 1.0, mod), bits)
+        work = Workspace()
+        assert np.array_equal(detect(modulate(bits, mod, work), 1.0, mod, work), bits)
 
 
 # --- imbalance weights --------------------------------------------------------
@@ -215,7 +216,7 @@ def test_encode_rejects_wrong_symbol_count():
 def test_transmit_hand_example():
     # Balanced links, unit channels, P = 2, (s0, s1) = (1, 0) gives (1, 1).
     y = transmit(A2, [1.0, 0.0], pair(1.0, 1.0), 2.0, A2.weights(1.0),
-                 np.zeros((1, 2)))
+                 np.zeros((1, 2), complex), Workspace())
     assert y[0, 0] == pytest.approx(1.0, rel=1e-15)
     assert y[0, 1] == pytest.approx(1.0, rel=1e-15)
 
@@ -225,7 +226,7 @@ def test_transmit_dead_relay_reduces_to_single_antenna():
     p = 5.0
     s0, s1 = 0.6 + 0.3j, -0.2 + 0.9j
     y = transmit(A2, [s0, s1], pair(1.5 - 0.5j, 0.0), p, A2.weights(r),
-                 np.zeros((1, 2)))
+                 np.zeros((1, 2), complex), Workspace())
     scale = math.sqrt(p / (1.0 + r)) * (1.5 - 0.5j)
     assert y[0, 0] == pytest.approx(scale * s0, rel=1e-12)
     assert y[0, 1] == pytest.approx(-scale * np.conj(s1), rel=1e-12)
@@ -233,13 +234,27 @@ def test_transmit_dead_relay_reduces_to_single_antenna():
 
 def test_transmit_rejects_wrong_symbol_count():
     with pytest.raises(ValueError):
-        transmit(A2, [1.0, 0.0, 0.0], pair(1.0, 1.0), 1.0, A2.weights(1.0), np.zeros((1, 2)))
+        transmit(A2, [1.0, 0.0, 0.0], pair(1.0, 1.0), 1.0, A2.weights(1.0),
+                 np.zeros((1, 2), complex), Workspace())
+
+
+@pytest.mark.parametrize("noise", [
+    np.zeros((1, 2)),  # float: the signal cannot be added onto it
+    np.zeros((1, 2), np.complex64),
+    np.zeros((1, 3), complex),  # a slot too many
+    np.zeros((2, 2), complex),  # an rx antenna too many, which would broadcast
+    np.zeros((1, 2, 5), complex),  # a block axis the channels lack, likewise
+], ids=["float", "complex64", "slots", "rx", "blocks"])
+def test_transmit_rejects_noise_it_cannot_add_onto(noise):
+    with pytest.raises(ValueError, match="noise"):
+        transmit(A2, [1.0, 0.0], pair(1.0, 1.0), 1.0, A2.weights(1.0), noise, Workspace())
 
 
 def test_transmit_zero_power_passes_noise_through():
     noise = alamouti_y(0.3 + 0.1j, -0.2 - 0.7j)
-    y = transmit(A2, [1.0, 1.0], pair(1.0, 1.0), 0.0, A2.weights(1.0), noise)
-    assert np.array_equal(y, noise)
+    want = noise.copy()
+    y = transmit(A2, [1.0, 1.0], pair(1.0, 1.0), 0.0, A2.weights(1.0), noise, Workspace())
+    assert np.array_equal(y, want)
 
 
 def test_combine_hand_example():
@@ -247,9 +262,9 @@ def test_combine_hand_example():
     s0 = (1 + 1j) / math.sqrt(2)
     s1 = (1 - 1j) / math.sqrt(2)
     h = pair(1.0, 1.0j)
-    y = transmit(A2, [s0, s1], h, 1.0, w, np.zeros((1, 2)))
-    s0t, s1t = combine(A2, y, h, w)
-    g = effective_gain(A2, h, w)
+    y = transmit(A2, [s0, s1], h, 1.0, w, np.zeros((1, 2), complex), Workspace())
+    s0t, s1t = combine(A2, y, h, w, Workspace())
+    g = effective_gain(A2, h, w, Workspace())
     assert g == pytest.approx(1.0, rel=1e-15)
     assert s0t / g == pytest.approx(s0, rel=1e-12)
     assert s1t / g == pytest.approx(s1, rel=1e-12)
@@ -257,7 +272,7 @@ def test_combine_hand_example():
 
 def test_combine_zero_estimates_give_zero():
     s0t, s1t = combine(A2, alamouti_y(1.0 + 2.0j, 3.0 - 1.0j), pair(0.0, 0.0),
-                       A2.weights(1.0))
+                       A2.weights(1.0), Workspace())
     assert s0t == 0 and s1t == 0
 
 
@@ -271,7 +286,7 @@ def test_combine_is_the_imbalance_aware_alamouti_matrix():
         [[w_b * np.conj(hb), w_r * hr], [w_r * np.conj(hr), -w_b * hb]]
     )
     expected = matrix @ np.array([y0, np.conj(y1)])
-    got = combine(A2, alamouti_y(y0, y1), pair(hb, hr), A2.weights(0.3))
+    got = combine(A2, alamouti_y(y0, y1), pair(hb, hr), A2.weights(0.3), Workspace())
     assert np.allclose(got, expected, rtol=1e-14, atol=0)
 
 
@@ -282,9 +297,9 @@ def test_combine_recovers_symbols_with_perfect_csi():
     p = 3.0
     s = sample_circular_gaussian(rng, 1.0, size=(2, n))
     h = sample_circular_gaussian(rng, 1.0, size=(2, 1, n))
-    y = transmit(A2, s, h, p, w, np.zeros((1, 2, n)))
-    s_tilde = combine(A2, y, h, w)
-    g = math.sqrt(p) * effective_gain(A2, h, w)
+    y = transmit(A2, s, h, p, w, np.zeros((1, 2, n), complex), Workspace())
+    s_tilde = combine(A2, y, h, w, Workspace())
+    g = math.sqrt(p) * effective_gain(A2, h, w, Workspace())
     assert np.max(np.abs(s_tilde / g - s)) < 1e-12
 
 
@@ -296,14 +311,18 @@ def test_combine_is_linear_in_received_vector():
     est = sample_circular_gaussian(rng, 1.0, size=(2, 1))
     w = A2.weights(0.5)
     y = alamouti_y(0.4 - 0.2j, -1.1 + 0.8j)
-    b = combine(A2, y, est, w)
+    # Each result is the "combined" array of its workspace, so the two
+    # results compared need a workspace each.
+    b = combine(A2, y, est, w, Workspace())
 
     for alpha in (2.5, -0.3):
-        assert np.allclose(combine(A2, alpha * y, est, w), alpha * b, rtol=1e-12, atol=0)
+        a = combine(A2, alpha * y, est, w, Workspace())
+        assert np.allclose(a, alpha * b, rtol=1e-12, atol=0)
 
     alpha = 1.7 - 2.2j
     scaled = alamouti_y(alpha * y[0, 0], np.conj(alpha) * y[0, 1])
-    assert np.allclose(combine(A2, scaled, est, w), alpha * b, rtol=1e-12, atol=0)
+    a = combine(A2, scaled, est, w, Workspace())
+    assert np.allclose(a, alpha * b, rtol=1e-12, atol=0)
 
 
 def test_effective_gain_matches_weighted_branch_sum():
@@ -311,22 +330,23 @@ def test_effective_gain_matches_weighted_branch_sum():
     hb, hr = h[0, 0], h[1, 0]
     for r in (0.2, 1.0, 10.0):
         expected = np.abs(hb) ** 2 / (1.0 + r) + r * np.abs(hr) ** 2 / (1.0 + r)
-        assert np.max(np.abs(effective_gain(A2, h, A2.weights(r)) - expected)) < 1e-12
+        got = effective_gain(A2, h, A2.weights(r), Workspace())
+        assert np.max(np.abs(got - expected)) < 1e-12
 
 
 # --- detection ----------------------------------------------------------------
 
 
 def test_detect_bpsk_positive_half_plane():
-    assert np.array_equal(detect(0.3 + 0.0j, 1.0, BPSK), np.array([0], dtype=np.uint8))
-    assert np.array_equal(detect(-0.3 + 0.0j, 1.0, BPSK), np.array([1], dtype=np.uint8))
+    assert np.array_equal(detect(0.3 + 0.0j, 1.0, BPSK, Workspace()), [0])
+    assert np.array_equal(detect(-0.3 + 0.0j, 1.0, BPSK, Workspace()), [1])
 
 
 def test_detect_tie_breaks_to_smallest_label():
     # The origin is equidistant from every QPSK point.
-    assert np.array_equal(detect(0.0j, 1.0, QPSK), np.array([0, 0], dtype=np.uint8))
+    assert np.array_equal(detect(0.0j, 1.0, QPSK, Workspace()), [0, 0])
     # On the positive real axis the tie is between labels 00 and 01.
-    assert np.array_equal(detect(0.9 + 0.0j, 1.0, QPSK), np.array([0, 0], dtype=np.uint8))
+    assert np.array_equal(detect(0.9 + 0.0j, 1.0, QPSK, Workspace()), [0, 0])
 
 
 def nearest_point_bits(z, mod):
@@ -354,7 +374,7 @@ def axis_values(levels):
 @pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
 def test_detect_matches_nearest_point_on_points_edges_and_crossings(mod):
     z = axis_values(mod.points.real)[:, None] + 1j * axis_values(mod.points.imag)[None, :]
-    assert np.array_equal(detect(z, 1.0, mod), nearest_point_bits(z, mod))
+    assert np.array_equal(detect(z, 1.0, mod, Workspace()), nearest_point_bits(z, mod))
 
 
 @pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
@@ -364,31 +384,31 @@ def test_detect_matches_nearest_point_on_random_symbols(mod):
     for _ in range(4):
         s = sample_circular_gaussian(rng, 2.0, size=(50_000, 3))
         gain = 0.1 + uniforms.random(50_000)
-        got = detect(s, gain[:, None], mod)
+        got = detect(s, gain[:, None], mod, Workspace())
         assert np.array_equal(got, nearest_point_bits(s / gain[:, None], mod))
     for s, gain in zip(sample_circular_gaussian(rng, 2.0, size=20), uniforms.random(20)):
-        assert np.array_equal(detect(s, gain, mod), nearest_point_bits(s / gain, mod))
+        assert np.array_equal(detect(s, gain, mod, Workspace()), nearest_point_bits(s / gain, mod))
 
 
 def test_detect_fixed_points_qam16():
     for i, point in enumerate(QAM16.points):
-        bits = detect(point, 1.0, QAM16)
+        bits = detect(point, 1.0, QAM16, Workspace())
         assert int("".join(map(str, bits)), 2) == i
 
 
 def test_detect_applies_gain_normalization():
     assert np.array_equal(
-        detect(100.0 * QAM16.points[7], 100.0, QAM16),
-        detect(QAM16.points[7], 1.0, QAM16),
+        detect(100.0 * QAM16.points[7], 100.0, QAM16, Workspace()),
+        detect(QAM16.points[7], 1.0, QAM16, Workspace()),
     )
 
 
 def test_detect_rejects_non_positive_gain():
     with pytest.raises(ValueError):
-        detect(1.0 + 0j, 0.0, BPSK)
+        detect(1.0 + 0j, 0.0, BPSK, Workspace())
     for gain in (-1.0, float("nan"), np.array([1.0, 0.0])):
         with pytest.raises(ValueError):
-            detect(np.array([1.0 + 0j, 1.0j]), gain, QAM16)
+            detect(np.array([1.0 + 0j, 1.0j]), gain, QAM16, Workspace())
 
 
 @pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
@@ -418,25 +438,26 @@ def test_ostbc4_single_path_gain():
     h = np.zeros((4, 2), dtype=complex)
     h[0, 0] = 1.0
     s = (0.3 + 0.4j, -0.8 + 0.1j, 0.5 - 0.5j)
-    y = transmit(O4, s, h, 1.0, w, np.zeros((2, 4), complex))
-    outs = combine(O4, y, h, w)
+    y = transmit(O4, s, h, 1.0, w, np.zeros((2, 4), complex), Workspace())
+    outs = combine(O4, y, h, w, Workspace())
     for k in range(3):  # w_B^2 = 1/2 at r = 1, split over the BS's two antennas
         assert outs[k] == pytest.approx(0.25 * s[k], rel=1e-12)
 
 
 def test_ostbc4_zero_channels_give_zero_output():
-    outs = combine(O4, np.zeros((2, 4), complex), np.zeros((4, 2), complex), O4.weights(2.0))
+    outs = combine(O4, np.zeros((2, 4), complex), np.zeros((4, 2), complex), O4.weights(2.0),
+                   Workspace())
     assert np.all(outs == 0)
 
 
 def test_ostbc4_dimension_mismatch_raises():
     w = O4.weights(1.0)
     with pytest.raises(ValueError):
-        combine(O4, np.zeros((2, 3), complex), np.zeros((4, 2), complex), w)
+        combine(O4, np.zeros((2, 3), complex), np.zeros((4, 2), complex), w, Workspace())
     with pytest.raises(ValueError):
-        combine(O4, np.zeros((2, 4), complex), np.zeros((3, 2), complex), w)
+        combine(O4, np.zeros((2, 4), complex), np.zeros((3, 2), complex), w, Workspace())
     with pytest.raises(ValueError):
-        combine(O4, np.zeros((2, 4), complex), np.zeros((4, 3), complex), w)
+        combine(O4, np.zeros((2, 4), complex), np.zeros((4, 3), complex), w, Workspace())
 
 
 @pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
@@ -449,7 +470,7 @@ def test_ostbc4_effective_gain_sums_weighted_paths():
     r = 3.0
     w_sq = np.array([1.0 / (1.0 + r) / 2] * 2 + [r / (1.0 + r) / 2] * 2)
     expected = float(np.sum(w_sq[:, None] * np.abs(h) ** 2))
-    assert effective_gain(O4, h, O4.weights(r)) == pytest.approx(expected, rel=1e-12)
+    assert effective_gain(O4, h, O4.weights(r), Workspace()) == pytest.approx(expected, rel=1e-12)
 
 
 # --- every code in the table --------------------------------------------------
@@ -467,36 +488,36 @@ def test_zero_noise_perfect_csi_is_bit_exact(code, mod):
     assert_zero_noise_bit_exact(code, mod, seed=41, r_db=10.0, gamma_db=3.0)
 
 
-# --- fresh results without a workspace ---------------------------------------
+# --- where results live ------------------------------------------------------
 
 
-def _layer_calls():
-    """Each public layer as a no-argument call, on small 4x2 QAM16 inputs."""
+def _layer_calls(work):
+    """Each layer as a no-argument call, on small 4x2 QAM16 inputs; the five
+    of the chain write into ``work``, the draws and the reference do not."""
     n = 50
     bits = RngStream(7).bits(O4.n_symbols * QAM16.bits_per_symbol * n)
-    syms = modulate(bits, QAM16).reshape(n, O4.n_symbols).T
+    syms = modulate(bits, QAM16, Workspace()).reshape(n, O4.n_symbols).T
     h = sample_circular_gaussian(RngStream(8), 1.0, (O4.n_tx, O4.n_rx, n))
     noise = sample_circular_gaussian(RngStream(9), 1.0, (O4.n_rx, O4.n_slots, n))
     w = O4.weights(2.0)
-    y = transmit(O4, syms, h, 10.0, w, noise)
-    gain = effective_gain(O4, h, w)
-    return {
+    gain = effective_gain(O4, h, w, Workspace())
+    return noise, {
         "normal_pairs": lambda: RngStream(1).normal_pairs(n),
         "sample_circular_gaussian": lambda: sample_circular_gaussian(RngStream(1), 1.0, n),
-        "modulate": lambda: modulate(bits, QAM16),
         "encode": lambda: encode(O4, syms),
-        "transmit": lambda: transmit(O4, syms, h, 10.0, w, noise),
-        "combine": lambda: combine(O4, y, h, w),
-        "effective_gain": lambda: effective_gain(O4, h, w),
-        "detect": lambda: detect(syms, gain, QAM16),
+        "modulate": lambda: modulate(bits, QAM16, work),
+        "transmit": lambda: transmit(O4, syms, h, 10.0, w, noise, work),
+        "combine": lambda: combine(O4, noise, h, w, work),
+        "effective_gain": lambda: effective_gain(O4, h, w, work),
+        "detect": lambda: detect(syms, gain, QAM16, work),
     }
 
 
-@pytest.mark.parametrize("layer", list(_layer_calls()))
+@pytest.mark.parametrize("layer", ["normal_pairs", "sample_circular_gaussian", "encode"])
 def test_layers_return_fresh_arrays_without_a_workspace(layer):
-    # Called without out= or work=, a layer's result must survive the next
-    # call: it shares no memory with the second call's result.
-    call = _layer_calls()[layer]
+    # The draws without out= and the reference codeword survive the next
+    # call: the two results share no memory.
+    call = _layer_calls(Workspace())[1][layer]
     first, second = call(), call()
     firsts = first if isinstance(first, tuple) else (first,)
     seconds = second if isinstance(second, tuple) else (second,)
@@ -505,6 +526,20 @@ def test_layers_return_fresh_arrays_without_a_workspace(layer):
             assert not np.shares_memory(a, b)
     for a, b in zip(firsts, seconds):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("layer", ["modulate", "transmit", "combine", "effective_gain", "detect"])
+def test_layers_write_their_results_into_the_workspace(layer):
+    # A chain layer allocates no result: it returns an array of the
+    # workspace, the same one call after call, or, for transmit, the noise.
+    work = Workspace()
+    noise, calls = _layer_calls(work)
+    first, second = calls[layer](), calls[layer]()
+    if layer == "transmit":
+        assert first is noise and second is noise
+    else:
+        assert any(np.shares_memory(first, flat) for flat in work._buffers.values())
+        assert np.shares_memory(first, second)
 
 
 def transmit_from_codeword(code, s, h, p, w, noise):
@@ -537,9 +572,6 @@ def test_transmit_over_the_noise_equals_the_codeword_sum_bit_for_bit(code, p, bl
     h = sample_circular_gaussian(rng, 1.0, (code.n_tx, code.n_rx) + blocks)
     noise = sample_circular_gaussian(rng, 1.0, (code.n_rx, code.n_slots) + blocks)
     w = code.weights(2.5)
-    want = transmit_from_codeword(code, s, h, p, w, noise)
-    fresh = transmit(code, s, h, p, w, noise)
-    over_noise = noise.copy()
-    assert transmit(code, s, h, p, w, over_noise, Workspace(), out=over_noise) is over_noise
-    for got in (fresh, over_noise):
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    want = transmit_from_codeword(code, s, h, p, w, noise.copy())
+    assert transmit(code, s, h, p, w, noise, Workspace()) is noise
+    assert np.array_equal(noise.view(np.uint64), want.view(np.uint64))
