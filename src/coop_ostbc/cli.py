@@ -87,7 +87,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(v: float) -> str:
-    return f"{v:g}"
+    """``v`` in ``:g`` form where that reads back as ``v``, else in full."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
 
 
 def _fmt_prob(p: float | None) -> str:
@@ -240,7 +242,8 @@ def _write_csv(path: str | None, rows) -> None:
 
 
 def _cell(p: SimPoint) -> str:
-    return f"{p.scheme} {p.mod.name} r={p.r_db:g}dB beta={p.beta:g} snr={p.gamma_db:g}dB"
+    return (f"{p.scheme} {p.mod.name} r={_fmt(p.r_db)}dB beta={_fmt(p.beta)} "
+            f"snr={_fmt(p.gamma_db)}dB")
 
 
 def snr_db_at_ber(mod_name: str, r_db: float, gamma_db_grid) -> float | None:

@@ -18,7 +18,7 @@ estimates are bit-identical for any worker count. A one-cell sweep uses
 one thread.
 
 Each chunk draws and runs in one :class:`~coop_ostbc.numerics.Workspace`
-(up to 7.3 MB, for the largest chunk it has run) that it borrows from
+(up to 6.3 MB, for the largest chunk it has run) that it borrows from
 one idle list and gives back when it ends, so a warm chunk reuses the
 buffers of an earlier one instead of allocating them afresh. The list
 keeps at most one workspace per CPU, for the chunks of every sweep and
@@ -163,6 +163,12 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     estimates equal the true channels), then the noise (n_rx, n_slots,
     blocks); each Gaussian array is one ziggurat draw.
 
+    The chain runs on effective channels: the drawn channels h and, when
+    beta > 0, the estimates h + e are multiplied in place by the weights of
+    :meth:`ostbc.SpaceTimeCode.weights`, once, so the layers see w_i h_ij and
+    w_i (h_ij + e_ij). beta is the error variance of a unit-power link, and
+    the effective estimate's error variance is w_i^2 beta.
+
     The data bits run block by block, symbol by symbol, MSB first. One
     :func:`ostbc.detect` call on the combiner output laid out as (blocks,
     n_symbols) returns the decisions in that same order, so the errors are
@@ -189,7 +195,7 @@ def _simulate_chunk_in(work: Workspace, point: SimPoint, chunk_index: int):
     rng = RngStream(point.seed, chunk_index)
     n = _chunk_blocks(point)
     power = _db_to_linear(point.gamma_db)
-    w = code.weights(_db_to_linear(point.r_db))
+    w = code.weights(_db_to_linear(point.r_db))[:, None, None]
     bps = point.mod.bits_per_symbol
     h_shape = (code.n_tx, code.n_rx, n)
     noise_shape = (code.n_rx, code.n_slots, n)
@@ -202,10 +208,12 @@ def _simulate_chunk_in(work: Workspace, point: SimPoint, chunk_index: int):
     else:
         est = sample_circular_gaussian(rng, point.beta, h_shape, work.array("est", h_shape), work)
         np.add(h, est, out=est)  # h + e
+        np.multiply(w, est, out=est)
+    np.multiply(w, h, out=h)
     noise = sample_circular_gaussian(rng, 1.0, noise_shape, work.array("noise", noise_shape), work)
-    y = ostbc.transmit(code, syms.reshape(n, code.n_symbols).T, h, power, w, noise, work)
-    s_tilde = ostbc.combine(code, y, est, w, work)
-    gain = ostbc.effective_gain(code, est, w, work)
+    y = ostbc.transmit(code, syms.reshape(n, code.n_symbols).T, h, power, noise, work)
+    s_tilde = ostbc.combine(code, y, est, work)
+    gain = ostbc.effective_gain(code, est, work)
     gain *= math.sqrt(power)
     rx_bits = ostbc.detect(s_tilde.T, gain[:, None], point.mod, work)
     wrong = np.flatnonzero(rx_bits != tx_bits)

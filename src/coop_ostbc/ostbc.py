@@ -18,8 +18,11 @@ one place that turns the linear RS-to-BS received-SNR ratio r into
 weights: the BS transmits with amplitude weight w_B = sqrt(1/(1+r)) and
 the RS with w_R = sqrt(r/(1+r)). A node with m antennas splits its
 weight equally, so each of its antennas has weight w_node / sqrt(m).
-:func:`transmit`, :func:`combine` and :func:`effective_gain` take that
-weight array ``w``.
+Imbalance changes only the average power of each link, so the receiver
+sees the effective channel w_i h_ij. :func:`transmit`, :func:`combine`
+and :func:`effective_gain` are plain OSTBC over the channels they are
+given; the Monte Carlo chunk weights its drawn channels once and hands
+them effective channels.
 
 Arrays may carry one trailing axis of fading blocks, which is the form
 the Monte Carlo engine uses: symbols (n_symbols, blocks), codewords
@@ -240,11 +243,6 @@ def modulate(bits, mod: Modulation, work: Workspace) -> np.ndarray:
     return np.take(mod.points, labels, out=work.array("symbols", labels.shape), mode="clip")
 
 
-def _weighted(channels, w, out) -> np.ndarray:
-    """w_i * h_ij, into ``out``, for a channel array of shape (n_tx, n_rx[, blocks])."""
-    return np.multiply(w.reshape((-1,) + (1,) * (channels.ndim - 1)), channels, out=out)
-
-
 def encode(code: SpaceTimeCode, symbols) -> np.ndarray:
     """Codeword X of shape (n_tx, n_slots[, blocks]) from (n_symbols[, blocks]) symbols."""
     s = np.asarray(symbols, dtype=complex)
@@ -273,17 +271,16 @@ def _add_term(total, a, b, sign, first, product) -> None:
         accumulate(total, np.multiply(a, b, out=product), out=total)
 
 
-def transmit(code: SpaceTimeCode, symbols, channels, total_power: float, w, noise,
+def transmit(code: SpaceTimeCode, symbols, channels, total_power: float, noise,
              work: Workspace) -> np.ndarray:
-    """Received samples Y[j, t] = sqrt(P) sum_i w_i H[i, j] X[i, t] + noise[j, t].
+    """Received samples Y[j, t] = sqrt(P) sum_i H[i, j] X[i, t] + noise[j, t].
 
     X is not built: each slot sums the code's entries of that slot, in
-    table order, as ``sign * w_i H[i, j] s_k`` or ``sign * w_i H[i, j]
-    conj(s_k)`` from the (n_symbols[, blocks]) ``symbols``, and a term with
-    sign -1 is subtracted. ``w`` is ``code.weights(r)``. Y is added onto
-    ``noise``, a complex array of shape (n_rx, n_slots[, blocks]), which is
-    returned; the weighted channels, the conjugated symbols and one slot's
-    sum and product are the scratch of ``work``.
+    table order, as ``sign * H[i, j] s_k`` or ``sign * H[i, j] conj(s_k)``
+    from the (n_symbols[, blocks]) ``symbols``, and a term with sign -1 is
+    subtracted. Y is added onto ``noise``, a complex array of shape
+    (n_rx, n_slots[, blocks]), which is returned; the conjugated symbols
+    and one slot's sum and product are the scratch of ``work``.
     """
     total_power = float(total_power)
     if not (math.isfinite(total_power) and total_power >= 0.0):
@@ -297,33 +294,29 @@ def transmit(code: SpaceTimeCode, symbols, channels, total_power: float, w, nois
         raise ValueError(f"{code.name} adds onto complex noise of shape "
                          f"{(code.n_rx, code.n_slots) + blocks}, got {noise.dtype} {noise.shape}")
     rx = (code.n_rx,) + blocks
-    g, conj_s, slot, product = work.scratch(
-        (h.shape, complex), (s.shape, complex), (rx, complex), (rx, complex)
-    )
-    _weighted(h, w, g)
+    conj_s, slot, product = work.scratch((s.shape, complex), (rx, complex), (rx, complex))
     np.conjugate(s, out=conj_s)
     amplitude = math.sqrt(total_power)
     for t in range(code.n_slots):
         terms = [entry for entry in code.entries if entry[1] == t]
         for n, (i, _, k, conjugate, sign) in enumerate(terms):
-            _add_term(slot, g[i], conj_s[k] if conjugate else s[k], sign, n == 0, product)
+            _add_term(slot, h[i], conj_s[k] if conjugate else s[k], sign, n == 0, product)
         slot *= amplitude
         noise[:, t] += slot
     return noise
 
 
-def combine(code: SpaceTimeCode, y, est, w, work: Workspace) -> np.ndarray:
+def combine(code: SpaceTimeCode, y, est, work: Workspace) -> np.ndarray:
     """Matched-filter combining with the estimated channels over all rx antennas.
 
     s~_k = sum over the entries of s_k and over rx antennas j of
-    sign * conj(w_i est_ij) y_jt, or sign * w_i est_ij conj(y_jt) for a
-    conjugated entry. Returns shape (n_symbols[, blocks]). With perfect
-    estimates and no noise, s~_k = sqrt(P) * G * s_k with G from
-    :func:`effective_gain`. The result is the ``"combined"`` array of
-    ``work``. Each symbol's terms are summed per rx antenna, in table
-    order, then over the rx antennas; the weighted estimates, the
-    conjugated factor, the product and that one symbol's per-antenna sum
-    are the scratch.
+    sign * conj(est_ij) y_jt, or sign * est_ij conj(y_jt) for a conjugated
+    entry. Returns shape (n_symbols[, blocks]). With perfect estimates and
+    no noise, s~_k = sqrt(P) * G * s_k with G from :func:`effective_gain`.
+    The result is the ``"combined"`` array of ``work``. Each symbol's terms
+    are summed per rx antenna, in table order, then over the rx antennas;
+    the conjugated factor, the product and that one symbol's per-antenna
+    sum are the scratch.
     """
     y = np.asarray(y, dtype=complex)
     est = np.asarray(est, dtype=complex)
@@ -336,10 +329,7 @@ def combine(code: SpaceTimeCode, y, est, w, work: Workspace) -> np.ndarray:
     blocks = y.shape[2:]
     rx = y.shape[:1] + blocks
     combined = work.array("combined", (code.n_symbols,) + blocks)
-    g, factor, product, per_rx = work.scratch(
-        (est.shape, complex), (rx, complex), (rx, complex), (rx, complex)
-    )
-    _weighted(est, w, g)
+    factor, product, per_rx = work.scratch((rx, complex), (rx, complex), (rx, complex))
     for k in range(code.n_symbols):
         terms = [entry for entry in code.entries if entry[2] == k]
         for n, (i, t, _, conjugate, sign) in enumerate(terms):
@@ -347,33 +337,28 @@ def combine(code: SpaceTimeCode, y, est, w, work: Workspace) -> np.ndarray:
             # one-element complex product written over one of its own inputs
             # differently from the same product written elsewhere.
             if conjugate:
-                a, b = g[i], np.conjugate(y[:, t], out=factor)
+                a, b = est[i], np.conjugate(y[:, t], out=factor)
             else:
-                a, b = np.conjugate(g[i], out=factor), y[:, t]
+                a, b = np.conjugate(est[i], out=factor), y[:, t]
             _add_term(per_rx, a, b, sign, n == 0, product)
         np.sum(per_rx, axis=0, out=combined[k, ...])
     return combined
 
 
-def effective_gain(code: SpaceTimeCode, est, w, work: Workspace) -> np.ndarray:
-    """Combined gain sum_ij w_i^2 |est[i, j]|^2 over all transmit-receive paths.
+def effective_gain(code: SpaceTimeCode, est, work: Workspace) -> np.ndarray:
+    """Combined gain sum_ij |est[i, j]|^2 over all transmit-receive paths.
 
-    The gain is the ``"gain"`` array of ``work``; the squares and
-    per-antenna sums, taken one transmit antenna at a time, are its scratch.
+    The gain is the ``"gain"`` array of ``work``; the squares of the real
+    and imaginary parts are its scratch.
     """
     est = np.asarray(est, dtype=complex)
     if est.shape[:2] != (code.n_tx, code.n_rx):
         raise ValueError(f"expected a {code.name} channel array, got shape {est.shape}")
-    squares, per_antenna = work.scratch(
-        ((2,) + est.shape[1:], float), (est.shape[:1] + est.shape[2:], float)
-    )
-    for i in range(code.n_tx):
-        np.square(est[i].real, out=squares[0])
-        np.square(est[i].imag, out=squares[1])
-        np.add(squares[0], squares[1], out=squares[0])
-        np.sum(squares[0], axis=0, out=per_antenna[i, ...])
-    gain = work.array("gain", est.shape[2:], float)
-    return np.einsum("i,i...->...", w**2, per_antenna, out=gain)
+    (squares,) = work.scratch(((2,) + est.shape, float))
+    np.square(est.real, out=squares[0])
+    np.square(est.imag, out=squares[1])
+    paths = np.add(squares[0], squares[1], out=squares[0]).reshape((-1,) + est.shape[2:])
+    return np.sum(paths, axis=0, out=work.array("gain", est.shape[2:], float))
 
 
 def detect(s_tilde, effective_gain, mod: Modulation, work: Workspace) -> np.ndarray:

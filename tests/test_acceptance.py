@@ -187,10 +187,10 @@ def test_c08_four_antenna_code_health_and_steeper_slope():
         bits = rng.bits(3 * QAM16.bits_per_symbol * n)
         work = Workspace()
         syms = modulate(bits, QAM16, work).reshape(n, 3).T
-        h = sample_circular_gaussian(rng, 1.0, size=(4, 2, n))
-        y = transmit(code, syms, h, power, w, np.zeros((2, 4, n), complex), work)
-        outs = combine(code, y, h, w, work)
-        gain = math.sqrt(power) * effective_gain(code, h, w, work)
+        h = w[:, None, None] * sample_circular_gaussian(rng, 1.0, size=(4, 2, n))
+        y = transmit(code, syms, h, power, np.zeros((2, 4, n), complex), work)
+        outs = combine(code, y, h, work)
+        gain = math.sqrt(power) * effective_gain(code, h, work)
         per_sym = bits.reshape(n, 3, QAM16.bits_per_symbol)
         for k in range(3):
             assert np.array_equal(detect(outs[k], gain, QAM16, work), per_sym[:, k].ravel())
@@ -268,18 +268,21 @@ def test_c10_property_battery():
 
         # Real-scale linearity of the combiner.
         code = CODES["alamouti_2x1"]
-        est = np.array([[0.3 - 1.1j], [-0.7 + 0.2j]])
         w = code.weights(2.0)
+        est = w[:, None] * np.array([[0.3 - 1.1j], [-0.7 + 0.2j]])
         y = np.array([[0.9 + 0.1j, -0.4 + 1.3j]])
-        b = combine(code, y, est, w, Workspace())
-        a = combine(code, 3.5 * y, est, w, Workspace())
+        b = combine(code, y, est, Workspace())
+        a = combine(code, 3.5 * y, est, Workspace())
         assert np.allclose(a, 3.5 * b, rtol=1e-12, atol=0)
 
         # Perfect-CSI conditional scale equals the weighted branch sum.
         h = np.array([[1.2 - 0.3j], [0.5 + 0.8j]])
-        yq = transmit(code, [1.0, 0.0], h, 1.0, w, np.zeros((1, 2), complex), Workspace())
-        s0t, _ = combine(code, yq, h, w, Workspace())
-        assert s0t == pytest.approx(effective_gain(code, h, w, Workspace()), rel=1e-12)
+        g = w[:, None] * h
+        yq = transmit(code, [1.0, 0.0], g, 1.0, np.zeros((1, 2), complex), Workspace())
+        s0t, _ = combine(code, yq, g, Workspace())
+        branch_sum = np.sum(w**2 * np.abs(h[:, 0]) ** 2)
+        assert s0t == pytest.approx(branch_sum, rel=1e-12)
+        assert effective_gain(code, g, Workspace()) == pytest.approx(branch_sum, rel=1e-12)
 
         # Moment checks at 1e6 samples, 4-sigma tolerances.
         x = sample_circular_gaussian(RngStream(100002), 1.0, size=10**6)

@@ -30,8 +30,8 @@ def mrc_two_branch(gamma_total: float) -> float:
 def effective_snr(h_b, h_r, r, gamma):
     """Instantaneous combined SNR gamma G of the 2x1 code,
     gamma/(1+r) (|h_B|^2 + r |h_R|^2)."""
-    h = np.array([[h_b], [h_r]], dtype=complex)
-    return gamma * effective_gain(A2, h, A2.weights(r), Workspace())
+    h = A2.weights(r)[:, None] * np.array([[h_b], [h_r]], dtype=complex)
+    return gamma * effective_gain(A2, h, Workspace())
 
 
 def test_effective_snr_balanced_unit_channels():

@@ -396,6 +396,16 @@ def test_simulate_names_the_cells_that_stop_below_min_errors(capsys):
     assert short[0].startswith("  alamouti_2x1 QPSK r=0dB beta=0 snr=20dB  ")
 
 
+def test_distinct_grid_values_print_as_distinct_values(tmp_path, capsys):
+    # Both cells stop short of min_errors, so the report names each of them.
+    out = tmp_path / "a.csv"
+    assert run(["simulate", "--modulation", "BPSK", "--gamma-db", "10,10.0000001",
+                "--max-bits", "20000", "--min-errors", "1000", "--output", str(out)]) == 0
+    assert [row["snr_db"] for row in read_csv(out)] == ["10", "10.0000001"]
+    short = [ln for ln in capsys.readouterr().err.splitlines() if " < 1000 errors " in ln]
+    assert [ln.split()[4] for ln in short] == ["snr=10dB", "snr=10.0000001dB"]
+
+
 def test_simulate_reports_a_grid_without_closed_form(tmp_path, capsys):
     # The fig3 configuration: no cell has a closed form, and the 20 dB cells
     # stop at this max_bits short of min_errors.

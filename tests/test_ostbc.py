@@ -40,6 +40,12 @@ def split(r):
     return tuple(A2.weights(r))
 
 
+def effective(code, h, r):
+    """The effective channels w_i h_ij of ``h`` (n_tx, n_rx[, blocks]) at imbalance r."""
+    h = np.asarray(h, dtype=complex)
+    return code.weights(r).reshape((-1,) + (1,) * (h.ndim - 1)) * h
+
+
 def gram_error(code, s):
     """Largest deviation of X X^H from |s|^2 I over the blocks of ``s``."""
     x = encode(code, s)
@@ -53,15 +59,15 @@ def assert_zero_noise_bit_exact(code, mod, seed, r_db, gamma_db):
     """Noise-free blocks with perfect estimates decode to the sent bits."""
     rng = RngStream(seed)
     n = 10_000
-    w = code.weights(10.0 ** (r_db / 10.0))
     p = 10.0 ** (gamma_db / 10.0)
     bits = rng.bits(code.n_symbols * mod.bits_per_symbol * n)
     work = Workspace()
     syms = modulate(bits, mod, work).reshape(n, code.n_symbols).T
     h = sample_circular_gaussian(rng, 1.0, size=(code.n_tx, code.n_rx, n))
+    h = effective(code, h, 10.0 ** (r_db / 10.0))
     noise = np.zeros((code.n_rx, code.n_slots, n), complex)
-    s_tilde = combine(code, transmit(code, syms, h, p, w, noise, work), h, w, work)
-    gain = math.sqrt(p) * effective_gain(code, h, w, work)
+    s_tilde = combine(code, transmit(code, syms, h, p, noise, work), h, work)
+    gain = math.sqrt(p) * effective_gain(code, h, work)
     per_sym = bits.reshape(n, code.n_symbols, mod.bits_per_symbol)
     for k in range(code.n_symbols):
         assert np.array_equal(detect(s_tilde[k], gain, mod, work), per_sym[:, k].ravel())
@@ -215,7 +221,7 @@ def test_encode_rejects_wrong_symbol_count():
 
 def test_transmit_hand_example():
     # Balanced links, unit channels, P = 2, (s0, s1) = (1, 0) gives (1, 1).
-    y = transmit(A2, [1.0, 0.0], pair(1.0, 1.0), 2.0, A2.weights(1.0),
+    y = transmit(A2, [1.0, 0.0], effective(A2, pair(1.0, 1.0), 1.0), 2.0,
                  np.zeros((1, 2), complex), Workspace())
     assert y[0, 0] == pytest.approx(1.0, rel=1e-15)
     assert y[0, 1] == pytest.approx(1.0, rel=1e-15)
@@ -225,7 +231,7 @@ def test_transmit_dead_relay_reduces_to_single_antenna():
     r = 2.0
     p = 5.0
     s0, s1 = 0.6 + 0.3j, -0.2 + 0.9j
-    y = transmit(A2, [s0, s1], pair(1.5 - 0.5j, 0.0), p, A2.weights(r),
+    y = transmit(A2, [s0, s1], effective(A2, pair(1.5 - 0.5j, 0.0), r), p,
                  np.zeros((1, 2), complex), Workspace())
     scale = math.sqrt(p / (1.0 + r)) * (1.5 - 0.5j)
     assert y[0, 0] == pytest.approx(scale * s0, rel=1e-12)
@@ -234,8 +240,8 @@ def test_transmit_dead_relay_reduces_to_single_antenna():
 
 def test_transmit_rejects_wrong_symbol_count():
     with pytest.raises(ValueError):
-        transmit(A2, [1.0, 0.0, 0.0], pair(1.0, 1.0), 1.0, A2.weights(1.0),
-                 np.zeros((1, 2), complex), Workspace())
+        transmit(A2, [1.0, 0.0, 0.0], pair(1.0, 1.0), 1.0, np.zeros((1, 2), complex),
+                 Workspace())
 
 
 @pytest.mark.parametrize("noise", [
@@ -247,32 +253,30 @@ def test_transmit_rejects_wrong_symbol_count():
 ], ids=["float", "complex64", "slots", "rx", "blocks"])
 def test_transmit_rejects_noise_it_cannot_add_onto(noise):
     with pytest.raises(ValueError, match="noise"):
-        transmit(A2, [1.0, 0.0], pair(1.0, 1.0), 1.0, A2.weights(1.0), noise, Workspace())
+        transmit(A2, [1.0, 0.0], pair(1.0, 1.0), 1.0, noise, Workspace())
 
 
 def test_transmit_zero_power_passes_noise_through():
     noise = alamouti_y(0.3 + 0.1j, -0.2 - 0.7j)
     want = noise.copy()
-    y = transmit(A2, [1.0, 1.0], pair(1.0, 1.0), 0.0, A2.weights(1.0), noise, Workspace())
+    y = transmit(A2, [1.0, 1.0], pair(1.0, 1.0), 0.0, noise, Workspace())
     assert np.array_equal(y, want)
 
 
 def test_combine_hand_example():
-    w = A2.weights(1.0)
     s0 = (1 + 1j) / math.sqrt(2)
     s1 = (1 - 1j) / math.sqrt(2)
-    h = pair(1.0, 1.0j)
-    y = transmit(A2, [s0, s1], h, 1.0, w, np.zeros((1, 2), complex), Workspace())
-    s0t, s1t = combine(A2, y, h, w, Workspace())
-    g = effective_gain(A2, h, w, Workspace())
+    h = effective(A2, pair(1.0, 1.0j), 1.0)
+    y = transmit(A2, [s0, s1], h, 1.0, np.zeros((1, 2), complex), Workspace())
+    s0t, s1t = combine(A2, y, h, Workspace())
+    g = effective_gain(A2, h, Workspace())
     assert g == pytest.approx(1.0, rel=1e-15)
     assert s0t / g == pytest.approx(s0, rel=1e-12)
     assert s1t / g == pytest.approx(s1, rel=1e-12)
 
 
 def test_combine_zero_estimates_give_zero():
-    s0t, s1t = combine(A2, alamouti_y(1.0 + 2.0j, 3.0 - 1.0j), pair(0.0, 0.0),
-                       A2.weights(1.0), Workspace())
+    s0t, s1t = combine(A2, alamouti_y(1.0 + 2.0j, 3.0 - 1.0j), pair(0.0, 0.0), Workspace())
     assert s0t == 0 and s1t == 0
 
 
@@ -286,20 +290,19 @@ def test_combine_is_the_imbalance_aware_alamouti_matrix():
         [[w_b * np.conj(hb), w_r * hr], [w_r * np.conj(hr), -w_b * hb]]
     )
     expected = matrix @ np.array([y0, np.conj(y1)])
-    got = combine(A2, alamouti_y(y0, y1), pair(hb, hr), A2.weights(0.3), Workspace())
+    got = combine(A2, alamouti_y(y0, y1), effective(A2, pair(hb, hr), 0.3), Workspace())
     assert np.allclose(got, expected, rtol=1e-14, atol=0)
 
 
 def test_combine_recovers_symbols_with_perfect_csi():
     rng = RngStream(32)
     n = 10_000
-    w = A2.weights(4.2)
     p = 3.0
     s = sample_circular_gaussian(rng, 1.0, size=(2, n))
-    h = sample_circular_gaussian(rng, 1.0, size=(2, 1, n))
-    y = transmit(A2, s, h, p, w, np.zeros((1, 2, n), complex), Workspace())
-    s_tilde = combine(A2, y, h, w, Workspace())
-    g = math.sqrt(p) * effective_gain(A2, h, w, Workspace())
+    h = effective(A2, sample_circular_gaussian(rng, 1.0, size=(2, 1, n)), 4.2)
+    y = transmit(A2, s, h, p, np.zeros((1, 2, n), complex), Workspace())
+    s_tilde = combine(A2, y, h, Workspace())
+    g = math.sqrt(p) * effective_gain(A2, h, Workspace())
     assert np.max(np.abs(s_tilde / g - s)) < 1e-12
 
 
@@ -308,20 +311,19 @@ def test_combine_is_linear_in_received_vector():
     # linear over the reals in y and complex-linear in that product input
     # (a complex scale on raw y cannot commute through the conjugation).
     rng = RngStream(33)
-    est = sample_circular_gaussian(rng, 1.0, size=(2, 1))
-    w = A2.weights(0.5)
+    est = effective(A2, sample_circular_gaussian(rng, 1.0, size=(2, 1)), 0.5)
     y = alamouti_y(0.4 - 0.2j, -1.1 + 0.8j)
     # Each result is the "combined" array of its workspace, so the two
     # results compared need a workspace each.
-    b = combine(A2, y, est, w, Workspace())
+    b = combine(A2, y, est, Workspace())
 
     for alpha in (2.5, -0.3):
-        a = combine(A2, alpha * y, est, w, Workspace())
+        a = combine(A2, alpha * y, est, Workspace())
         assert np.allclose(a, alpha * b, rtol=1e-12, atol=0)
 
     alpha = 1.7 - 2.2j
     scaled = alamouti_y(alpha * y[0, 0], np.conj(alpha) * y[0, 1])
-    a = combine(A2, scaled, est, w, Workspace())
+    a = combine(A2, scaled, est, Workspace())
     assert np.allclose(a, alpha * b, rtol=1e-12, atol=0)
 
 
@@ -330,7 +332,7 @@ def test_effective_gain_matches_weighted_branch_sum():
     hb, hr = h[0, 0], h[1, 0]
     for r in (0.2, 1.0, 10.0):
         expected = np.abs(hb) ** 2 / (1.0 + r) + r * np.abs(hr) ** 2 / (1.0 + r)
-        got = effective_gain(A2, h, A2.weights(r), Workspace())
+        got = effective_gain(A2, effective(A2, h, r), Workspace())
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -434,30 +436,28 @@ def test_ostbc4_zero_input_gives_zero_matrix():
 
 
 def test_ostbc4_single_path_gain():
-    w = O4.weights(1.0)
     h = np.zeros((4, 2), dtype=complex)
     h[0, 0] = 1.0
+    h = effective(O4, h, 1.0)
     s = (0.3 + 0.4j, -0.8 + 0.1j, 0.5 - 0.5j)
-    y = transmit(O4, s, h, 1.0, w, np.zeros((2, 4), complex), Workspace())
-    outs = combine(O4, y, h, w, Workspace())
+    y = transmit(O4, s, h, 1.0, np.zeros((2, 4), complex), Workspace())
+    outs = combine(O4, y, h, Workspace())
     for k in range(3):  # w_B^2 = 1/2 at r = 1, split over the BS's two antennas
         assert outs[k] == pytest.approx(0.25 * s[k], rel=1e-12)
 
 
 def test_ostbc4_zero_channels_give_zero_output():
-    outs = combine(O4, np.zeros((2, 4), complex), np.zeros((4, 2), complex), O4.weights(2.0),
-                   Workspace())
+    outs = combine(O4, np.zeros((2, 4), complex), np.zeros((4, 2), complex), Workspace())
     assert np.all(outs == 0)
 
 
 def test_ostbc4_dimension_mismatch_raises():
-    w = O4.weights(1.0)
     with pytest.raises(ValueError):
-        combine(O4, np.zeros((2, 3), complex), np.zeros((4, 2), complex), w, Workspace())
+        combine(O4, np.zeros((2, 3), complex), np.zeros((4, 2), complex), Workspace())
     with pytest.raises(ValueError):
-        combine(O4, np.zeros((2, 4), complex), np.zeros((3, 2), complex), w, Workspace())
+        combine(O4, np.zeros((2, 4), complex), np.zeros((3, 2), complex), Workspace())
     with pytest.raises(ValueError):
-        combine(O4, np.zeros((2, 4), complex), np.zeros((4, 3), complex), w, Workspace())
+        combine(O4, np.zeros((2, 4), complex), np.zeros((4, 3), complex), Workspace())
 
 
 @pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
@@ -470,7 +470,8 @@ def test_ostbc4_effective_gain_sums_weighted_paths():
     r = 3.0
     w_sq = np.array([1.0 / (1.0 + r) / 2] * 2 + [r / (1.0 + r) / 2] * 2)
     expected = float(np.sum(w_sq[:, None] * np.abs(h) ** 2))
-    assert effective_gain(O4, h, O4.weights(r), Workspace()) == pytest.approx(expected, rel=1e-12)
+    got = effective_gain(O4, effective(O4, h, r), Workspace())
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 # --- every code in the table --------------------------------------------------
@@ -497,18 +498,17 @@ def _layer_calls(work):
     n = 50
     bits = RngStream(7).bits(O4.n_symbols * QAM16.bits_per_symbol * n)
     syms = modulate(bits, QAM16, Workspace()).reshape(n, O4.n_symbols).T
-    h = sample_circular_gaussian(RngStream(8), 1.0, (O4.n_tx, O4.n_rx, n))
+    h = effective(O4, sample_circular_gaussian(RngStream(8), 1.0, (O4.n_tx, O4.n_rx, n)), 2.0)
     noise = sample_circular_gaussian(RngStream(9), 1.0, (O4.n_rx, O4.n_slots, n))
-    w = O4.weights(2.0)
-    gain = effective_gain(O4, h, w, Workspace())
+    gain = effective_gain(O4, h, Workspace())
     return noise, {
         "normal_pairs": lambda: RngStream(1).normal_pairs(n),
         "sample_circular_gaussian": lambda: sample_circular_gaussian(RngStream(1), 1.0, n),
         "encode": lambda: encode(O4, syms),
         "modulate": lambda: modulate(bits, QAM16, work),
-        "transmit": lambda: transmit(O4, syms, h, 10.0, w, noise, work),
-        "combine": lambda: combine(O4, noise, h, w, work),
-        "effective_gain": lambda: effective_gain(O4, h, w, work),
+        "transmit": lambda: transmit(O4, syms, h, 10.0, noise, work),
+        "combine": lambda: combine(O4, noise, h, work),
+        "effective_gain": lambda: effective_gain(O4, h, work),
         "detect": lambda: detect(syms, gain, QAM16, work),
     }
 
@@ -542,22 +542,21 @@ def test_layers_write_their_results_into_the_workspace(layer):
         assert np.shares_memory(first, second)
 
 
-def transmit_from_codeword(code, s, h, p, w, noise):
+def transmit_from_codeword(code, s, h, p, noise):
     """Y from the codeword of ``s``, one table entry at a time, each added.
 
     The reference :func:`transmit` must equal bit for bit: it builds no
     codeword and subtracts the terms with sign -1 instead.
     """
     x = encode(code, s)
-    g = w.reshape((-1,) + (1,) * (h.ndim - 1)) * h
     y = np.empty((code.n_rx, code.n_slots) + h.shape[2:], complex)
     started = set()
     for i, t, *_ in code.entries:
         if t in started:
-            y[:, t] += g[i] * x[i, t]
+            y[:, t] += h[i] * x[i, t]
         else:
             started.add(t)
-            y[:, t] = g[i] * x[i, t]
+            y[:, t] = h[i] * x[i, t]
     y *= math.sqrt(p)
     y += noise
     return y
@@ -569,9 +568,8 @@ def transmit_from_codeword(code, s, h, p, w, noise):
 def test_transmit_over_the_noise_equals_the_codeword_sum_bit_for_bit(code, p, blocks):
     rng = RngStream(44)
     s = sample_circular_gaussian(rng, 1.0, (code.n_symbols,) + blocks)
-    h = sample_circular_gaussian(rng, 1.0, (code.n_tx, code.n_rx) + blocks)
+    h = effective(code, sample_circular_gaussian(rng, 1.0, (code.n_tx, code.n_rx) + blocks), 2.5)
     noise = sample_circular_gaussian(rng, 1.0, (code.n_rx, code.n_slots) + blocks)
-    w = code.weights(2.5)
-    want = transmit_from_codeword(code, s, h, p, w, noise.copy())
-    assert transmit(code, s, h, p, w, noise, Workspace()) is noise
+    want = transmit_from_codeword(code, s, h, p, noise.copy())
+    assert transmit(code, s, h, p, noise, Workspace()) is noise
     assert np.array_equal(noise.view(np.uint64), want.view(np.uint64))
