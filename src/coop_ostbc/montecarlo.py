@@ -1,4 +1,12 @@
-"""Seeded Monte Carlo BER estimation over the full transmit/receive chain.
+"""Seeded Monte Carlo BER estimation of what the detector sees.
+
+A chunk simulates the detector's input, not the antennas: a fade stage
+gives each block's gain-normalized noiseless signal and its gain G_est,
+and one noise stage adds the per-symbol noise that the matched filter of
+an orthogonal design makes of white antenna noise (white, circular, of
+variance G_est before the normalization). At beta = 0 the fade stage
+needs only the path powers; at beta > 0 it carries the symbols over the
+drawn channels and combines them with the estimates.
 
 Work is split into fixed-size chunks of fading blocks. Chunk ``k`` of a
 point draws everything it needs from ``RngStream(point.seed, k)``, the
@@ -18,11 +26,11 @@ estimates are bit-identical for any worker count. A one-cell sweep uses
 one thread.
 
 Each chunk draws and runs in one :class:`~coop_ostbc.numerics.Workspace`
-(up to 6.3 MB, for the largest chunk it has run) that it borrows from
-one idle list and gives back when it ends, so a warm chunk reuses the
-buffers of an earlier one instead of allocating them afresh. The list
-keeps at most one workspace per CPU, for the chunks of every sweep and
-of direct :func:`run_point` calls alike.
+(up to 6.3 MB for a 4x2 chunk at beta > 0, 1.8 MB at beta = 0) that it
+borrows from one idle list and gives back when it ends, so a warm chunk
+reuses the buffers of an earlier one instead of allocating them afresh.
+The list keeps at most one workspace per CPU, for the chunks of every
+sweep and of direct :func:`run_point` calls alike.
 """
 
 from __future__ import annotations
@@ -157,28 +165,30 @@ _idle_lock = threading.Lock()
 def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     """Simulate one chunk; returns (bits, bit_errors, sum of squared block errors).
 
-    Draw order is the same for every code: data bits (eight per random
-    byte), then the channels (n_tx, n_rx, blocks), then the estimation
-    errors of the same shape (skipped entirely when beta == 0, where the
-    estimates equal the true channels), then the noise (n_rx, n_slots,
-    blocks); each Gaussian array is one ziggurat draw.
+    Draw order: the data bits (eight per random byte); then, at beta = 0,
+    the path powers |h_ij|^2 ~ Exp(1) of shape (n_tx, n_rx, blocks), or, at
+    beta > 0, the channels CN(0, 1) and then the estimation errors CN(0,
+    beta), each of that shape; then the noise CN(0, 1) of shape (n_symbols,
+    blocks), one per detected symbol. Each Gaussian array is one ziggurat
+    draw, and so are the path powers.
 
-    The chain runs on effective channels: the drawn channels h and, when
-    beta > 0, the estimates h + e are multiplied in place by the weights of
-    :meth:`ostbc.SpaceTimeCode.weights`, once, so the layers see w_i h_ij and
-    w_i (h_ij + e_ij). beta is the error variance of a unit-power link, and
-    the effective estimate's error variance is w_i^2 beta.
+    The fade stage works on effective channels: the weights of
+    :meth:`ostbc.SpaceTimeCode.weights` scale the path powers by w_i^2, or
+    the drawn channels h and estimates h + e by w_i, once. beta is the
+    error variance of a unit-power link, and the effective estimate's error
+    variance is w_i^2 beta. The noise stage then adds n_k / (sqrt(P)
+    sqrt(G_est)) to each gain-normalized symbol.
 
     The data bits run block by block, symbol by symbol, MSB first. One
-    :func:`ostbc.detect` call on the combiner output laid out as (blocks,
+    :func:`ostbc.detect` call on the detector input laid out as (blocks,
     n_symbols) returns the decisions in that same order, so the errors are
     one comparison against the transmitted bits, and the block of a wrong
     bit is its index over the bits per block.
 
     Every array from the symbols to the decisions is a view on a workspace
     borrowed from the idle list and given back when the chunk ends, so the
-    next chunk overwrites it. No codeword is built, the received samples
-    are added onto the noise, and the gain is scaled in place.
+    next chunk overwrites it. The path powers and the per-symbol noise
+    reuse the bytes of the channels.
     """
     with _idle_lock:
         work = _idle_workspaces.pop() if _idle_workspaces else Workspace()
@@ -194,31 +204,64 @@ def _simulate_chunk_in(work: Workspace, point: SimPoint, chunk_index: int):
     code = ostbc.CODES[point.scheme]
     rng = RngStream(point.seed, chunk_index)
     n = _chunk_blocks(point)
-    power = _db_to_linear(point.gamma_db)
+    tx_bits = rng.bits(code.n_symbols * point.mod.bits_per_symbol * n)
+    syms = ostbc.modulate(tx_bits, point.mod, work).reshape(n, code.n_symbols).T
     w = code.weights(_db_to_linear(point.r_db))[:, None, None]
-    bps = point.mod.bits_per_symbol
-    h_shape = (code.n_tx, code.n_rx, n)
-    noise_shape = (code.n_rx, code.n_slots, n)
-
-    tx_bits = rng.bits(code.n_symbols * bps * n)
-    syms = ostbc.modulate(tx_bits, point.mod, work)
-    h = sample_circular_gaussian(rng, 1.0, h_shape, work.array("h", h_shape), work)
-    if point.beta == 0.0:
-        est = h
-    else:
-        est = sample_circular_gaussian(rng, point.beta, h_shape, work.array("est", h_shape), work)
-        np.add(h, est, out=est)  # h + e
-        np.multiply(w, est, out=est)
-    np.multiply(w, h, out=h)
-    noise = sample_circular_gaussian(rng, 1.0, noise_shape, work.array("noise", noise_shape), work)
-    y = ostbc.transmit(code, syms.reshape(n, code.n_symbols).T, h, power, noise, work)
-    s_tilde = ostbc.combine(code, y, est, work)
-    gain = ostbc.effective_gain(code, est, work)
-    gain *= math.sqrt(power)
-    rx_bits = ostbc.detect(s_tilde.T, gain[:, None], point.mod, work)
+    signal, gain = _fade_stage(work, rng, code, w, point.beta, syms)
+    z = _noise_stage(work, rng, signal, gain, _db_to_linear(point.gamma_db))
+    rx_bits = ostbc.detect(z.T, 1.0, point.mod, work)
     wrong = np.flatnonzero(rx_bits != tx_bits)
     per_block = np.bincount(np.floor_divide(wrong, point.bits_per_block, out=wrong))
     return tx_bits.size, wrong.size, int(np.dot(per_block, per_block))
+
+
+def _fade_stage(work: Workspace, rng: RngStream, code: ostbc.SpaceTimeCode, w, beta: float,
+                syms):
+    """The gain-normalized noiseless detector input and the gain G_est of each block.
+
+    At beta = 0 the matched filter returns G s_k exactly, so the signal is
+    the (n_symbols, n) symbols themselves, and G = sum_ij w_i^2 |h_ij|^2
+    needs only the path powers |h_ij|^2 ~ Exp(1), drawn into the bytes of
+    ``"h"``. At beta > 0 the channels h and errors e are drawn, the
+    effective channels w h and estimates w (h + e) carry the symbols
+    through :func:`ostbc.transmit` and :func:`ostbc.combine`, and the
+    combiner output is divided by G_est from :func:`ostbc.effective_gain`.
+    """
+    n = syms.shape[1]
+    shape = (code.n_tx, code.n_rx, n)
+    if beta == 0.0:
+        powers = rng.exponentials(shape, out=work.array("h", shape, float))
+        np.multiply(np.square(w), powers, out=powers)
+        return syms, np.sum(powers.reshape(-1, n), axis=0, out=work.array("gain", (n,), float))
+    h = sample_circular_gaussian(rng, 1.0, shape, work.array("h", shape), work)
+    est = sample_circular_gaussian(rng, beta, shape, work.array("est", shape), work)
+    np.add(h, est, out=est)  # h + e
+    np.multiply(w, est, out=est)
+    np.multiply(w, h, out=h)
+    combined = ostbc.combine(code, ostbc.transmit(code, syms, h, work), est, work)
+    gain = ostbc.effective_gain(code, est, work)
+    parts = combined.view(float).reshape(combined.shape + (2,))
+    np.divide(parts, gain[:, None], out=parts)
+    return combined, gain
+
+
+def _noise_stage(work: Workspace, rng: RngStream, signal, gain, power: float):
+    """The detector input z_k = signal_k + n_k / (sqrt(P) sqrt(G)), n_k ~ CN(0, 1).
+
+    The matched filter of an orthogonal design turns white CN(0, 1)
+    antenna noise into white, circular noise of variance G_est on each
+    symbol, and the gain normalization divides it by sqrt(P) G_est. One
+    (n_symbols, n) draw therefore stands for all of the antenna noise. The
+    two square roots are taken apart, so no P G product can overflow.
+    The fade stage is done with ``"h"``, so the noise takes its bytes;
+    ``gain`` is overwritten.
+    """
+    noise = sample_circular_gaussian(rng, 1.0, signal.shape, work.array("h", signal.shape), work)
+    scale = np.sqrt(gain, out=gain)
+    scale *= math.sqrt(power)
+    parts = noise.view(float).reshape(noise.shape + (2,))
+    np.divide(parts, scale[:, None], out=parts)
+    return np.add(noise, signal, out=noise)
 
 
 def run_point(point: SimPoint) -> BerEstimate:

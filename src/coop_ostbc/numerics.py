@@ -3,7 +3,8 @@
 Probabilities are plain floats in [0, 1]. All randomness flows through
 ``RngStream`` so that every sample sequence is reproducible from a
 (seed, stream_id) pair, which names the SFC64 child stream ``stream_id``
-of the seed: Gaussians from its ziggurat ``standard_normal``, data bits
+of the seed: Gaussians from its ziggurat ``standard_normal``, unit-mean
+exponentials from its ziggurat ``standard_exponential``, data bits
 byte-packed from its raw bytes.
 
 A :class:`Workspace` keeps grow-only arrays for reuse from call to call.
@@ -44,8 +45,9 @@ class RngStream:
     distinct stream_ids give statistically independent streams, so
     parallel workers can each own one.
 
-    Normal variates come from the generator's ziggurat ``standard_normal``
-    and data bits from its raw bytes, eight bits per byte.
+    Normal and exponential variates come from the generator's ziggurat
+    ``standard_normal`` and ``standard_exponential``, and data bits from its
+    raw bytes, eight bits per byte.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -74,6 +76,12 @@ class RngStream:
         """
         x, y = self._gen.standard_normal((2, *np.atleast_1d(size)), out=out)
         return x, y
+
+    def exponentials(self, size, out=None):
+        """Independent Exp(1) variates of shape ``size``: one ziggurat
+        ``standard_exponential`` draw, into ``out`` (a C-contiguous float64
+        array of that shape) when it is given, else a fresh array."""
+        return self._gen.standard_exponential(tuple(np.atleast_1d(size)), out=out)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

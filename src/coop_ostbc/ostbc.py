@@ -21,24 +21,31 @@ weight equally, so each of its antennas has weight w_node / sqrt(m).
 Imbalance changes only the average power of each link, so the receiver
 sees the effective channel w_i h_ij. :func:`transmit`, :func:`combine`
 and :func:`effective_gain` are plain OSTBC over the channels they are
-given; the Monte Carlo chunk weights its drawn channels once and hands
-them effective channels.
+given; the Monte Carlo chunk weights its draws once and hands them
+effective channels.
+
+:func:`transmit` carries the symbols over the channels at unit power and
+without noise. The matched filter of :func:`combine` turns white antenna
+noise into white, circular noise of variance G on each symbol, with G
+from :func:`effective_gain` (Tarokh, Jafarkhani and Calderbank, 1999), so
+the Monte Carlo chunk adds the power and the noise per symbol, after
+combining; with perfect estimates it needs neither layer.
 
 Arrays may carry one trailing axis of fading blocks, which is the form
 the Monte Carlo engine uses: symbols (n_symbols, blocks), codewords
 (n_tx, n_slots, blocks), channels and their estimates (n_tx, n_rx,
-blocks), noise and received samples (n_rx, n_slots, blocks).
+blocks), received samples (n_rx, n_slots, blocks).
 
 Every layer of the chain takes the chunk's
 :class:`~coop_ostbc.numerics.Workspace` as its last argument, keeps its
 temporaries in that workspace's scratch and allocates no result:
-:func:`modulate`, :func:`combine`, :func:`effective_gain` and
-:func:`detect` return its ``"symbols"``, ``"combined"``, ``"gain"`` and
-``"decisions"`` arrays, each valid until the next call for that name,
-and :func:`transmit` adds the signal onto the noise array it is given
-and returns it. A Monte Carlo chunk borrows its workspace from the
-engine's idle list, so a warm chunk allocates almost nothing.
-:func:`encode`, the reference, returns a fresh codeword.
+:func:`modulate`, :func:`transmit`, :func:`combine`,
+:func:`effective_gain` and :func:`detect` return its ``"symbols"``,
+``"received"``, ``"combined"``, ``"gain"`` and ``"decisions"`` arrays,
+each valid until the next call for that name. A Monte Carlo chunk
+borrows its workspace from the engine's idle list, so a warm chunk
+allocates almost nothing. :func:`encode`, the reference, returns a fresh
+codeword.
 """
 
 from __future__ import annotations
@@ -271,39 +278,37 @@ def _add_term(total, a, b, sign, first, product) -> None:
         accumulate(total, np.multiply(a, b, out=product), out=total)
 
 
-def transmit(code: SpaceTimeCode, symbols, channels, total_power: float, noise,
-             work: Workspace) -> np.ndarray:
-    """Received samples Y[j, t] = sqrt(P) sum_i H[i, j] X[i, t] + noise[j, t].
+def transmit(code: SpaceTimeCode, symbols, channels, work: Workspace) -> np.ndarray:
+    """Noiseless received samples Y[j, t] = sum_i H[i, j] X[i, t] at unit power.
 
     X is not built: each slot sums the code's entries of that slot, in
     table order, as ``sign * H[i, j] s_k`` or ``sign * H[i, j] conj(s_k)``
     from the (n_symbols[, blocks]) ``symbols``, and a term with sign -1 is
-    subtracted. Y is added onto ``noise``, a complex array of shape
-    (n_rx, n_slots[, blocks]), which is returned; the conjugated symbols
-    and one slot's sum and product are the scratch of ``work``.
+    subtracted. ``channels`` must be (n_tx, n_rx) with the symbols' block
+    axis. Y, of shape (n_rx, n_slots[, blocks]), is the ``"received"``
+    array of ``work``; the conjugated symbols and one product are the
+    scratch.
     """
-    total_power = float(total_power)
-    if not (math.isfinite(total_power) and total_power >= 0.0):
-        raise ValueError(f"total power must be finite and >= 0, got {total_power}")
     s = np.asarray(symbols, dtype=complex)
     if s.shape[:1] != (code.n_symbols,):
         raise ValueError(f"{code.name} takes {code.n_symbols} symbols, got shape {s.shape}")
     h = np.asarray(channels, dtype=complex)
-    blocks = h.shape[2:]
-    if noise.dtype != complex or noise.shape != (code.n_rx, code.n_slots) + blocks:
-        raise ValueError(f"{code.name} adds onto complex noise of shape "
-                         f"{(code.n_rx, code.n_slots) + blocks}, got {noise.dtype} {noise.shape}")
-    rx = (code.n_rx,) + blocks
-    conj_s, slot, product = work.scratch((s.shape, complex), (rx, complex), (rx, complex))
+    if h.shape != (code.n_tx, code.n_rx) + s.shape[1:]:
+        raise ValueError(f"{code.name} carries symbols {s.shape} over channels of shape "
+                         f"{(code.n_tx, code.n_rx) + s.shape[1:]}, got {h.shape}")
+    blocks = s.shape[1:]
+    # One flat block axis, even of length 1, keeps each slot's last axis
+    # contiguous for the float view that negates a first term.
+    s, h = s.reshape(code.n_symbols, -1), h.reshape(code.n_tx, code.n_rx, -1)
+    received = work.array("received", (code.n_rx, code.n_slots, s.shape[1]))
+    conj_s, product = work.scratch((s.shape, complex), ((code.n_rx, s.shape[1]), complex))
     np.conjugate(s, out=conj_s)
-    amplitude = math.sqrt(total_power)
     for t in range(code.n_slots):
         terms = [entry for entry in code.entries if entry[1] == t]
         for n, (i, _, k, conjugate, sign) in enumerate(terms):
-            _add_term(slot, h[i], conj_s[k] if conjugate else s[k], sign, n == 0, product)
-        slot *= amplitude
-        noise[:, t] += slot
-    return noise
+            _add_term(received[:, t], h[i], conj_s[k] if conjugate else s[k], sign, n == 0,
+                      product)
+    return received.reshape((code.n_rx, code.n_slots) + blocks)
 
 
 def combine(code: SpaceTimeCode, y, est, work: Workspace) -> np.ndarray:
@@ -312,7 +317,9 @@ def combine(code: SpaceTimeCode, y, est, work: Workspace) -> np.ndarray:
     s~_k = sum over the entries of s_k and over rx antennas j of
     sign * conj(est_ij) y_jt, or sign * est_ij conj(y_jt) for a conjugated
     entry. Returns shape (n_symbols[, blocks]). With perfect estimates and
-    no noise, s~_k = sqrt(P) * G * s_k with G from :func:`effective_gain`.
+    the noiseless samples of :func:`transmit`, s~_k = G * s_k with G from
+    :func:`effective_gain`; white CN(0, 1) noise on y becomes white CN(0, G)
+    noise on each s~_k.
     The result is the ``"combined"`` array of ``work``. Each symbol's terms
     are summed per rx antenna, in table order, then over the rx antennas;
     the conjugated factor, the product and that one symbol's per-antenna

@@ -188,7 +188,8 @@ def test_c08_four_antenna_code_health_and_steeper_slope():
         work = Workspace()
         syms = modulate(bits, QAM16, work).reshape(n, 3).T
         h = w[:, None, None] * sample_circular_gaussian(rng, 1.0, size=(4, 2, n))
-        y = transmit(code, syms, h, power, np.zeros((2, 4, n), complex), work)
+        y = transmit(code, syms, h, work)
+        y *= math.sqrt(power)  # the noise-free link of the full chain
         outs = combine(code, y, h, work)
         gain = math.sqrt(power) * effective_gain(code, h, work)
         per_sym = bits.reshape(n, 3, QAM16.bits_per_symbol)
@@ -278,7 +279,7 @@ def test_c10_property_battery():
         # Perfect-CSI conditional scale equals the weighted branch sum.
         h = np.array([[1.2 - 0.3j], [0.5 + 0.8j]])
         g = w[:, None] * h
-        yq = transmit(code, [1.0, 0.0], g, 1.0, np.zeros((1, 2), complex), Workspace())
+        yq = transmit(code, [1.0, 0.0], g, Workspace())
         s0t, _ = combine(code, yq, g, Workspace())
         branch_sum = np.sum(w**2 * np.abs(h[:, 0]) ** 2)
         assert s0t == pytest.approx(branch_sum, rel=1e-12)

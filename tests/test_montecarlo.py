@@ -5,12 +5,14 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-from coop_ostbc import montecarlo
+from coop_ostbc import cli, montecarlo, ostbc
 from coop_ostbc.analytic import (
     AnalyticPoint,
     ber_closed_form,
@@ -27,8 +29,18 @@ from coop_ostbc.montecarlo import (
     run_sweep,
     sweep_points,
 )
-from coop_ostbc.numerics import Workspace, wilson_interval
-from coop_ostbc.ostbc import BPSK, CODES, QAM16, QPSK
+from coop_ostbc.numerics import RngStream, Workspace, sample_circular_gaussian, wilson_interval
+from coop_ostbc.ostbc import (
+    BPSK,
+    CODES,
+    QAM16,
+    QPSK,
+    combine,
+    detect,
+    effective_gain,
+    encode,
+    modulate,
+)
 
 
 def analytic(a_sq: float, r_db: float, gamma_db: float) -> float:
@@ -83,6 +95,107 @@ def test_interval_covers_the_reference_over_a_seed_block(scheme, mod, gamma_db, 
     assert coverage_hits(point, reference) >= COVERAGE_HITS
 
 
+def full_chain_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
+    """The reference for ``_simulate_chunk``: one chunk of the full chain,
+    bits -> symbols -> codeword -> Rayleigh links -> AWGN -> combine -> detect.
+
+    It draws the data bits, the channels CN(0, 1) (n_tx, n_rx, n), the
+    estimation errors CN(0, beta) of that shape when beta > 0 and the
+    antenna noise CN(0, 1) (n_rx, n_slots, n), builds the codeword with
+    :func:`encode`, and counts like the chunk: (bits, errors, sum of the
+    squared per-block errors).
+    """
+    code = CODES[point.scheme]
+    rng = RngStream(point.seed, chunk_index)
+    n = montecarlo._chunk_blocks(point)
+    power = 10.0 ** (point.gamma_db / 10.0)
+    w = code.weights(10.0 ** (point.r_db / 10.0))[:, None, None]
+    work = Workspace()
+    tx_bits = rng.bits(code.n_symbols * point.mod.bits_per_symbol * n)
+    syms = modulate(tx_bits, point.mod, work).reshape(n, code.n_symbols).T
+    h = sample_circular_gaussian(rng, 1.0, (code.n_tx, code.n_rx, n))
+    est = h
+    if point.beta > 0.0:
+        est = h + sample_circular_gaussian(rng, point.beta, h.shape)
+    noise = sample_circular_gaussian(rng, 1.0, (code.n_rx, code.n_slots, n))
+    y = math.sqrt(power) * np.einsum("ijb,itb->jtb", w * h, encode(code, syms)) + noise
+    s_tilde = combine(code, y, w * est, work)
+    gain = math.sqrt(power) * effective_gain(code, w * est, work)
+    wrong = np.flatnonzero(detect(s_tilde.T, gain[:, None], point.mod, work) != tx_bits)
+    per_block = np.bincount(wrong // point.bits_per_block)
+    return tx_bits.size, wrong.size, int(np.dot(per_block, per_block))
+
+
+def ber_and_variance(bits, errors, sq_errors, bits_per_block):
+    """The BER of some whole blocks and its variance from the per-block error counts."""
+    blocks = bits // bits_per_block
+    between = (sq_errors - errors * errors / blocks) / (blocks - 1)
+    return errors / bits, between / blocks / bits_per_block**2
+
+
+def z_score(a, b, bits_per_block):
+    """Two-sample z statistic between the counts ``a`` and ``b`` of two estimators."""
+    ber_a, var_a = ber_and_variance(*a, bits_per_block)
+    ber_b, var_b = ber_and_variance(*b, bits_per_block)
+    return (ber_a - ber_b) / math.sqrt(var_a + var_b)
+
+
+@pytest.mark.parametrize(
+    "scheme, mod, gamma_db, r_db, beta, seed",
+    [
+        ("alamouti_2x1", BPSK, 6.0, 0.0, 0.0, 3001),
+        ("ostbc_4x2", QPSK, 4.0, 0.0, 0.0, 3101),
+        ("ostbc_4x2", QAM16, 12.0, 0.0, 0.0, 3201),
+        # At r = 10 dB and 30 dB the estimation leak is improper, yet the
+        # thermal noise the chunk draws per symbol stays white.
+        ("alamouti_2x1", QPSK, 30.0, 10.0, 0.05, 3301),
+    ],
+    ids=["alamouti_2x1-BPSK", "ostbc_4x2-QPSK", "ostbc_4x2-QAM16", "alamouti_2x1-QPSK-leak"],
+)
+def test_chunk_agrees_with_the_full_chain_over_a_seed_block(scheme, mod, gamma_db, r_db,
+                                                           beta, seed):
+    # Per seed, one chunk of each on independent streams. If the two have one
+    # distribution, each two-sided 95% z test passes with probability 0.95, so
+    # the passes are Bin(COVERAGE_SEEDS, 0.95) and COVERAGE_HITS bounds them
+    # as it bounds the coverage blocks. The totals over the block must agree
+    # too, at the 0.1% level.
+    point = SimPoint(scheme, mod, gamma_db, r_db, beta, seed=seed)
+    z95 = NormalDist().inv_cdf(0.975)
+    hits = 0
+    totals = np.zeros((2, 3), dtype=np.int64)
+    for s in range(seed, seed + COVERAGE_SEEDS):
+        cell = dataclasses.replace(point, seed=s)
+        reduced, full = _simulate_chunk(cell, 0), full_chain_chunk(cell, 1)
+        assert reduced[0] == full[0] == 10_000 * point.bits_per_block
+        hits += abs(z_score(reduced, full, point.bits_per_block)) <= z95
+        totals += (reduced, full)
+    assert hits >= COVERAGE_HITS
+    assert abs(z_score(*totals, point.bits_per_block)) <= NormalDist().inv_cdf(1 - 0.0005)
+
+
+def test_extreme_cell_decides_both_bit_values_without_a_warning(tmp_path, monkeypatch):
+    # simulate --gamma-db 3080 --r-db 0 --beta 1e300: sqrt(P) G_est is about
+    # 1e304, while P G_est would overflow. Its BER is about 1/2, and the
+    # decisions must take both bit values, not all fall to label 0.
+    decided = []
+
+    def recording_detect(*args):
+        bits = detect(*args)
+        decided.append(bits.copy())
+        return bits
+
+    monkeypatch.setattr(ostbc, "detect", recording_detect)
+    argv = ["simulate", "--gamma-db", "3080", "--r-db", "0", "--beta", "1e300",
+            "--max-bits", "40000", "--output", str(tmp_path / "extreme.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv) == 0
+    bits = np.concatenate(decided)
+    assert bits.size == 40_000
+    assert set(np.unique(bits)) == {0, 1}
+    assert 0.45 < bits.mean() < 0.55
+
+
 def test_interval_widens_by_the_design_effect_of_shared_fades():
     # 250 errors over 1,000 four-bit blocks. Spread one per block, the
     # per-block variance is below binomial and the interval stays binomial;
@@ -127,13 +240,14 @@ def test_chunks_reuse_one_threads_buffers_at_every_size(monkeypatch):
     # each chunk must count what it counts on a new workspace of its own.
     chunks = [
         (SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2013), 0),
+        (SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.0, seed=2021), 0),
         (SimPoint("alamouti_2x1", BPSK, 4.0, 0.0, 0.0, seed=2014), 0),
         (SimPoint("ostbc_4x2", QPSK, 2.0, 0.0, 0.05, seed=2015, max_bits=30_000), 0),
         (SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2013), 1),
     ]
     alone = [_on_new_buffers(monkeypatch, lambda c=c: _simulate_chunk(*c)) for c in chunks]
     in_turn = _on_new_buffers(monkeypatch, lambda: [_simulate_chunk(*c) for c in chunks])
-    assert chunks[2][0].max_bits // chunks[2][0].bits_per_block < 10_000
+    assert chunks[3][0].max_bits // chunks[3][0].bits_per_block < 10_000
     assert all(errors > 0 for _, errors, _ in alone)
     assert in_turn == alone
 
@@ -177,34 +291,40 @@ FRESH_CHUNK_BYTES = 13_560_000
 
 
 def test_warm_chunk_allocates_little(monkeypatch):
-    point = SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2016)
+    # Both fade stages: the channel chain at beta > 0, the path powers at 0.
+    for beta in (0.01, 0.0):
+        point = SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, beta, seed=2016)
 
-    def fresh_bytes():
-        _simulate_chunk(point, 0)  # sizes the new workspace's buffers
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            _simulate_chunk(point, 1)
-            return tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        def fresh_bytes():
+            _simulate_chunk(point, 0)  # sizes the new workspace's buffers
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                _simulate_chunk(point, 1)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
 
-    assert _on_new_buffers(monkeypatch, fresh_bytes) <= FRESH_CHUNK_BYTES / 4
+        assert _on_new_buffers(monkeypatch, fresh_bytes) <= FRESH_CHUNK_BYTES / 4
 
 
 # What the workspace of a warm 10k-block ostbc_4x2 QAM16 beta=0.01 chunk
 # held with a codeword array and a received-signal array of its own:
 # 11,640,000 bytes; with transmit and combine each weighting the channels
 # into a scratch array of their own: 7,400,000 bytes. The chunk now weights
-# its drawn channels once, in place: 6,280,000 bytes.
+# its drawn channels once, in place: 6,280,000 bytes. A beta = 0 chunk needs
+# 1,800,000 bytes; its path powers and every chunk's per-symbol noise reuse
+# the bytes of the channels, since path powers and noise under names of
+# their own would grow a workspace that runs both fade stages to 7,400,000.
 WARM_CHUNK_WORKSPACE_BYTES = 6_600_000
 
 
 def test_warm_chunk_workspace_holds_no_codeword_or_signal_copy(monkeypatch):
-    point = SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2016)
     monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
-    _simulate_chunk(point, 0)
-    _simulate_chunk(point, 1)
+    for beta in (0.0, 0.01):  # one workspace through both fade stages
+        point = SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, beta, seed=2016)
+        _simulate_chunk(point, 0)
+        _simulate_chunk(point, 1)
     [work] = montecarlo._idle_workspaces
     assert sum(flat.nbytes for flat in work._buffers.values()) <= WARM_CHUNK_WORKSPACE_BYTES
 

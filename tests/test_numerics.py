@@ -179,10 +179,13 @@ def test_circular_gaussian_rejects_negative_variance():
 
 
 # --- the link, estimation-error and noise model -------------------------------
-# Each chunk draws the channels as CN(0, 1) entries of shape (n_tx, n_rx,
-# blocks), their estimates as ``hhat = h + e`` with ``e ~ CN(0, beta)`` of the
-# same shape, and the noise as CN(0, 1) entries of shape (n_rx, n_slots,
-# blocks), all through sample_circular_gaussian.
+# A chunk at beta > 0 draws the channels as CN(0, 1) entries of shape (n_tx,
+# n_rx, blocks) and their estimates as ``hhat = h + e`` with ``e ~ CN(0,
+# beta)`` of the same shape. At beta = 0 it draws only the path powers
+# |h_ij|^2, Exp(1) entries of that shape. At either, the noise is CN(0, 1) per
+# detected symbol, of shape (n_symbols, blocks): the matched filter of an
+# orthogonal design makes white antenna noise white per symbol. The Gaussians
+# go through sample_circular_gaussian.
 
 
 def sample_channel(rng, n, code=CODES["alamouti_2x1"]):
@@ -244,9 +247,30 @@ def test_regression_form_consistency(beta):
 
 
 def test_awgn_unit_variance_per_entry():
-    code = CODES["alamouti_2x1"]
-    z = sample_circular_gaussian(RngStream(108), 1.0, size=(code.n_rx, code.n_slots, N_STAT))
+    code = CODES["ostbc_4x2"]
+    z = sample_circular_gaussian(RngStream(108), 1.0, size=(code.n_symbols, N_STAT))
     assert np.all(np.abs(np.mean(np.abs(z) ** 2, axis=-1) - 1.0) <= 0.01)
+
+
+def test_path_powers_are_the_squared_magnitudes_of_unit_links():
+    # |h|^2 of h ~ CN(0, 1) is Exp(1): mean 1, variance 1, P(|h|^2 > 2) = e^-2.
+    code = CODES["ostbc_4x2"]
+    powers = RngStream(110).exponentials((code.n_tx, code.n_rx, N_STAT))
+    links = np.abs(sample_channel(RngStream(111), N_STAT, code)) ** 2
+    for x in (powers, links):
+        assert np.all(np.abs(x.mean(axis=-1) - 1.0) < 4 / math.sqrt(N_STAT))
+        assert np.all(np.abs(x.var(axis=-1) - 1.0) < 4 * math.sqrt(8 / N_STAT))
+        tail = np.mean(x > 2.0, axis=-1)
+        assert np.all(np.abs(tail - math.exp(-2)) < 4 * math.sqrt(math.exp(-2) / N_STAT))
+
+
+def test_exponentials_are_one_standard_exponential_draw_bit_for_bit():
+    out = np.empty((4, 2, 1000))
+    got = RngStream(77, 3).exponentials((4, 2, 1000), out=out)
+    assert got is out
+    assert same_bits(got, reference_generator(77, 3).standard_exponential((4, 2, 1000)))
+    want = reference_generator(77, 3).standard_exponential(7)
+    assert same_bits(RngStream(77, 3).exponentials(7), want)
 
 
 def test_awgn_is_deterministic():

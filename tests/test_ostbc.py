@@ -46,6 +46,17 @@ def effective(code, h, r):
     return code.weights(r).reshape((-1,) + (1,) * (h.ndim - 1)) * h
 
 
+def received(code, s, h, p, noise, work):
+    """The full chain's link and AWGN: sqrt(P) Y + noise, with Y the noiseless
+    samples of :func:`transmit` at unit power and ``noise`` per rx antenna and
+    slot. The Monte Carlo chunk draws per-symbol noise instead; this is the
+    reference its noise stage stands for."""
+    y = transmit(code, s, h, work)
+    y *= math.sqrt(p)
+    y += noise
+    return y
+
+
 def gram_error(code, s):
     """Largest deviation of X X^H from |s|^2 I over the blocks of ``s``."""
     x = encode(code, s)
@@ -66,7 +77,7 @@ def assert_zero_noise_bit_exact(code, mod, seed, r_db, gamma_db):
     h = sample_circular_gaussian(rng, 1.0, size=(code.n_tx, code.n_rx, n))
     h = effective(code, h, 10.0 ** (r_db / 10.0))
     noise = np.zeros((code.n_rx, code.n_slots, n), complex)
-    s_tilde = combine(code, transmit(code, syms, h, p, noise, work), h, work)
+    s_tilde = combine(code, received(code, syms, h, p, noise, work), h, work)
     gain = math.sqrt(p) * effective_gain(code, h, work)
     per_sym = bits.reshape(n, code.n_symbols, mod.bits_per_symbol)
     for k in range(code.n_symbols):
@@ -221,7 +232,7 @@ def test_encode_rejects_wrong_symbol_count():
 
 def test_transmit_hand_example():
     # Balanced links, unit channels, P = 2, (s0, s1) = (1, 0) gives (1, 1).
-    y = transmit(A2, [1.0, 0.0], effective(A2, pair(1.0, 1.0), 1.0), 2.0,
+    y = received(A2, [1.0, 0.0], effective(A2, pair(1.0, 1.0), 1.0), 2.0,
                  np.zeros((1, 2), complex), Workspace())
     assert y[0, 0] == pytest.approx(1.0, rel=1e-15)
     assert y[0, 1] == pytest.approx(1.0, rel=1e-15)
@@ -231,7 +242,7 @@ def test_transmit_dead_relay_reduces_to_single_antenna():
     r = 2.0
     p = 5.0
     s0, s1 = 0.6 + 0.3j, -0.2 + 0.9j
-    y = transmit(A2, [s0, s1], effective(A2, pair(1.5 - 0.5j, 0.0), r), p,
+    y = received(A2, [s0, s1], effective(A2, pair(1.5 - 0.5j, 0.0), r), p,
                  np.zeros((1, 2), complex), Workspace())
     scale = math.sqrt(p / (1.0 + r)) * (1.5 - 0.5j)
     assert y[0, 0] == pytest.approx(scale * s0, rel=1e-12)
@@ -240,34 +251,25 @@ def test_transmit_dead_relay_reduces_to_single_antenna():
 
 def test_transmit_rejects_wrong_symbol_count():
     with pytest.raises(ValueError):
-        transmit(A2, [1.0, 0.0, 0.0], pair(1.0, 1.0), 1.0, np.zeros((1, 2), complex),
-                 Workspace())
+        transmit(A2, [1.0, 0.0, 0.0], pair(1.0, 1.0), Workspace())
 
 
-@pytest.mark.parametrize("noise", [
-    np.zeros((1, 2)),  # float: the signal cannot be added onto it
-    np.zeros((1, 2), np.complex64),
-    np.zeros((1, 3), complex),  # a slot too many
-    np.zeros((2, 2), complex),  # an rx antenna too many, which would broadcast
-    np.zeros((1, 2, 5), complex),  # a block axis the channels lack, likewise
-], ids=["float", "complex64", "slots", "rx", "blocks"])
-def test_transmit_rejects_noise_it_cannot_add_onto(noise):
-    with pytest.raises(ValueError, match="noise"):
-        transmit(A2, [1.0, 0.0], pair(1.0, 1.0), 1.0, noise, Workspace())
-
-
-def test_transmit_zero_power_passes_noise_through():
-    noise = alamouti_y(0.3 + 0.1j, -0.2 - 0.7j)
-    want = noise.copy()
-    y = transmit(A2, [1.0, 1.0], pair(1.0, 1.0), 0.0, noise, Workspace())
-    assert np.array_equal(y, want)
+@pytest.mark.parametrize("symbols, channels", [
+    (np.ones((3, 5)), np.ones((4, 1, 5))),  # an rx antenna too few, which would broadcast
+    (np.ones((3, 5)), np.ones((3, 2, 5))),  # a transmit antenna too few
+    (np.ones((3, 5)), np.ones((4, 2))),  # no block axis beside the symbols' one
+    (np.ones(3), np.ones((4, 2, 5))),  # a block axis the symbols lack, likewise
+], ids=["rx", "tx", "blocks", "symbol-blocks"])
+def test_transmit_rejects_channels_that_do_not_fit(symbols, channels):
+    with pytest.raises(ValueError, match="channels"):
+        transmit(O4, symbols, channels, Workspace())
 
 
 def test_combine_hand_example():
     s0 = (1 + 1j) / math.sqrt(2)
     s1 = (1 - 1j) / math.sqrt(2)
     h = effective(A2, pair(1.0, 1.0j), 1.0)
-    y = transmit(A2, [s0, s1], h, 1.0, np.zeros((1, 2), complex), Workspace())
+    y = transmit(A2, [s0, s1], h, Workspace())
     s0t, s1t = combine(A2, y, h, Workspace())
     g = effective_gain(A2, h, Workspace())
     assert g == pytest.approx(1.0, rel=1e-15)
@@ -300,7 +302,7 @@ def test_combine_recovers_symbols_with_perfect_csi():
     p = 3.0
     s = sample_circular_gaussian(rng, 1.0, size=(2, n))
     h = effective(A2, sample_circular_gaussian(rng, 1.0, size=(2, 1, n)), 4.2)
-    y = transmit(A2, s, h, p, np.zeros((1, 2, n), complex), Workspace())
+    y = received(A2, s, h, p, np.zeros((1, 2, n), complex), Workspace())
     s_tilde = combine(A2, y, h, Workspace())
     g = math.sqrt(p) * effective_gain(A2, h, Workspace())
     assert np.max(np.abs(s_tilde / g - s)) < 1e-12
@@ -440,7 +442,7 @@ def test_ostbc4_single_path_gain():
     h[0, 0] = 1.0
     h = effective(O4, h, 1.0)
     s = (0.3 + 0.4j, -0.8 + 0.1j, 0.5 - 0.5j)
-    y = transmit(O4, s, h, 1.0, np.zeros((2, 4), complex), Workspace())
+    y = transmit(O4, s, h, Workspace())
     outs = combine(O4, y, h, Workspace())
     for k in range(3):  # w_B^2 = 1/2 at r = 1, split over the BS's two antennas
         assert outs[k] == pytest.approx(0.25 * s[k], rel=1e-12)
@@ -489,6 +491,49 @@ def test_zero_noise_perfect_csi_is_bit_exact(code, mod):
     assert_zero_noise_bit_exact(code, mod, seed=41, r_db=10.0, gamma_db=3.0)
 
 
+def noise_map(code, est):
+    """combine's real-linear map from the real and imaginary parts of the
+    (n_rx, n_slots) received samples to those of the n_symbols outputs: one
+    (2 n_symbols, 2 n_rx n_slots) matrix per block of ``est``, built column
+    by column from basis vectors."""
+    columns = []
+    for j in range(code.n_rx):
+        for t in range(code.n_slots):
+            for unit in (1.0, 1.0j):
+                y = np.zeros((code.n_rx, code.n_slots) + est.shape[2:], complex)
+                y[j, t] = unit
+                s = combine(code, y, est, Workspace())
+                columns.append(np.concatenate([s.real, s.imag]))
+    return np.stack(columns, axis=1)
+
+
+def whitening_error(code, est):
+    """Largest deviation of M M^T from G_est I, relative to G_est, over the blocks."""
+    m = noise_map(code, est)
+    mmt = np.einsum("ac...,bc...->ab...", m, m)
+    g = effective_gain(code, est, Workspace())
+    eye = np.eye(2 * code.n_symbols).reshape(mmt.shape[:2] + (1,) * (est.ndim - 2))
+    return np.max(np.abs(mmt - g * eye) / g)
+
+
+@pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
+def test_combine_whitens_antenna_noise_to_the_gain(code):
+    # White CN(0, 1) antenna noise has covariance I/2 over its real parts, so
+    # combine turns it into noise of covariance M M^T / 2. For an orthogonal
+    # design that is G_est I / 2: white, circular noise of variance G_est on
+    # each symbol, which the chunk's per-symbol noise stage draws directly.
+    est = effective(code, sample_circular_gaussian(RngStream(45), 1.0,
+                                                   (code.n_tx, code.n_rx, 200)), 3.0)
+    assert whitening_error(code, est) < 1e-12
+    # A code table with one sign flipped is no longer orthogonal, and the
+    # check must see it.
+    for e, (i, t, k, conjugate, sign) in enumerate(code.entries):
+        entries = list(code.entries)
+        entries[e] = (i, t, k, conjugate, -sign)
+        flipped = SpaceTimeCode(code.name, tuple(entries), code.nodes, code.n_rx)
+        assert whitening_error(flipped, est) > 1e-3
+
+
 # --- where results live ------------------------------------------------------
 
 
@@ -499,25 +544,27 @@ def _layer_calls(work):
     bits = RngStream(7).bits(O4.n_symbols * QAM16.bits_per_symbol * n)
     syms = modulate(bits, QAM16, Workspace()).reshape(n, O4.n_symbols).T
     h = effective(O4, sample_circular_gaussian(RngStream(8), 1.0, (O4.n_tx, O4.n_rx, n)), 2.0)
-    noise = sample_circular_gaussian(RngStream(9), 1.0, (O4.n_rx, O4.n_slots, n))
+    y = sample_circular_gaussian(RngStream(9), 1.0, (O4.n_rx, O4.n_slots, n))
     gain = effective_gain(O4, h, Workspace())
-    return noise, {
+    return {
         "normal_pairs": lambda: RngStream(1).normal_pairs(n),
         "sample_circular_gaussian": lambda: sample_circular_gaussian(RngStream(1), 1.0, n),
+        "exponentials": lambda: RngStream(1).exponentials(n),
         "encode": lambda: encode(O4, syms),
         "modulate": lambda: modulate(bits, QAM16, work),
-        "transmit": lambda: transmit(O4, syms, h, 10.0, noise, work),
-        "combine": lambda: combine(O4, noise, h, work),
+        "transmit": lambda: transmit(O4, syms, h, work),
+        "combine": lambda: combine(O4, y, h, work),
         "effective_gain": lambda: effective_gain(O4, h, work),
         "detect": lambda: detect(syms, gain, QAM16, work),
     }
 
 
-@pytest.mark.parametrize("layer", ["normal_pairs", "sample_circular_gaussian", "encode"])
+@pytest.mark.parametrize("layer", ["normal_pairs", "sample_circular_gaussian", "exponentials",
+                                   "encode"])
 def test_layers_return_fresh_arrays_without_a_workspace(layer):
     # The draws without out= and the reference codeword survive the next
     # call: the two results share no memory.
-    call = _layer_calls(Workspace())[1][layer]
+    call = _layer_calls(Workspace())[layer]
     first, second = call(), call()
     firsts = first if isinstance(first, tuple) else (first,)
     seconds = second if isinstance(second, tuple) else (second,)
@@ -531,22 +578,21 @@ def test_layers_return_fresh_arrays_without_a_workspace(layer):
 @pytest.mark.parametrize("layer", ["modulate", "transmit", "combine", "effective_gain", "detect"])
 def test_layers_write_their_results_into_the_workspace(layer):
     # A chain layer allocates no result: it returns an array of the
-    # workspace, the same one call after call, or, for transmit, the noise.
+    # workspace, the same one call after call.
     work = Workspace()
-    noise, calls = _layer_calls(work)
+    calls = _layer_calls(work)
     first, second = calls[layer](), calls[layer]()
-    if layer == "transmit":
-        assert first is noise and second is noise
-    else:
-        assert any(np.shares_memory(first, flat) for flat in work._buffers.values())
-        assert np.shares_memory(first, second)
+    assert any(np.shares_memory(first, flat) for flat in work._buffers.values())
+    assert np.shares_memory(first, second)
 
 
 def transmit_from_codeword(code, s, h, p, noise):
-    """Y from the codeword of ``s``, one table entry at a time, each added.
+    """Y from the codeword of ``s``, one table entry at a time, each added,
+    then scaled by sqrt(P) and put over the noise.
 
-    The reference :func:`transmit` must equal bit for bit: it builds no
-    codeword and subtracts the terms with sign -1 instead.
+    :func:`transmit` builds no codeword and subtracts the terms with sign -1
+    instead; carried over the same link by :func:`received`, it must equal
+    this bit for bit.
     """
     x = encode(code, s)
     y = np.empty((code.n_rx, code.n_slots) + h.shape[2:], complex)
@@ -570,6 +616,7 @@ def test_transmit_over_the_noise_equals_the_codeword_sum_bit_for_bit(code, p, bl
     s = sample_circular_gaussian(rng, 1.0, (code.n_symbols,) + blocks)
     h = effective(code, sample_circular_gaussian(rng, 1.0, (code.n_tx, code.n_rx) + blocks), 2.5)
     noise = sample_circular_gaussian(rng, 1.0, (code.n_rx, code.n_slots) + blocks)
-    want = transmit_from_codeword(code, s, h, p, noise.copy())
-    assert transmit(code, s, h, p, noise, Workspace()) is noise
-    assert np.array_equal(noise.view(np.uint64), want.view(np.uint64))
+    want = transmit_from_codeword(code, s, h, p, noise)
+    got = received(code, s, h, p, noise, Workspace())
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
