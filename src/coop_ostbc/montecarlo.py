@@ -6,7 +6,9 @@ and one noise stage adds the per-symbol noise that the matched filter of
 an orthogonal design makes of white antenna noise (white, circular, of
 variance G_est before the normalization). At beta = 0 the fade stage
 needs only the path powers; at beta > 0 it carries the symbols over the
-drawn channels and combines them with the estimates.
+drawn channels and combines them with the estimates. The chunk is the one
+place that sums path powers into G_est and divides by it;
+:func:`ostbc.detect` slices the normalized input it is given.
 
 Work is split into fixed-size chunks of fading blocks. Chunk ``k`` of a
 point draws everything it needs from ``RngStream(point.seed, k)``, the
@@ -177,7 +179,9 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     the drawn channels h and estimates h + e by w_i, once. beta is the
     error variance of a unit-power link, and the effective estimate's error
     variance is w_i^2 beta. The noise stage then adds n_k / (sqrt(P)
-    sqrt(G_est)) to each gain-normalized symbol.
+    sqrt(G_est)) to each gain-normalized symbol. At beta >= 2 the estimates
+    are scaled by 2^-k, 2^k about sqrt(beta), so no |est_ij|^2 overflows;
+    the detector input, scaled back by 2^-k, keeps its bytes.
 
     The data bits run block by block, symbol by symbol, MSB first. One
     :func:`ostbc.detect` call on the detector input laid out as (blocks,
@@ -207,42 +211,54 @@ def _simulate_chunk_in(work: Workspace, point: SimPoint, chunk_index: int):
     tx_bits = rng.bits(code.n_symbols * point.mod.bits_per_symbol * n)
     syms = ostbc.modulate(tx_bits, point.mod, work).reshape(n, code.n_symbols).T
     w = code.weights(_db_to_linear(point.r_db))[:, None, None]
-    signal, gain = _fade_stage(work, rng, code, w, point.beta, syms)
+    # The estimates are carried at 2^-k of their size, 2^k about sqrt(beta),
+    # and z comes out exactly 2^k times too large.
+    k = max(0, math.frexp(point.beta)[1] // 2)
+    signal, gain = _fade_stage(work, rng, code, w, point.beta, k, syms)
     z = _noise_stage(work, rng, signal, gain, _db_to_linear(point.gamma_db))
-    rx_bits = ostbc.detect(z.T, 1.0, point.mod, work)
+    if k:  # a pass over z that most chunks need not pay for
+        np.ldexp(z.view(float), -k, out=z.view(float))
+    rx_bits = ostbc.detect(z.T, point.mod, work)
     wrong = np.flatnonzero(rx_bits != tx_bits)
     per_block = np.bincount(np.floor_divide(wrong, point.bits_per_block, out=wrong))
     return tx_bits.size, wrong.size, int(np.dot(per_block, per_block))
 
 
 def _fade_stage(work: Workspace, rng: RngStream, code: ostbc.SpaceTimeCode, w, beta: float,
-                syms):
+                k: int, syms):
     """The gain-normalized noiseless detector input and the gain G_est of each block.
 
-    At beta = 0 the matched filter returns G s_k exactly, so the signal is
-    the (n_symbols, n) symbols themselves, and G = sum_ij w_i^2 |h_ij|^2
-    needs only the path powers |h_ij|^2 ~ Exp(1), drawn into the bytes of
-    ``"h"``. At beta > 0 the channels h and errors e are drawn, the
-    effective channels w h and estimates w (h + e) carry the symbols
-    through :func:`ostbc.transmit` and :func:`ostbc.combine`, and the
-    combiner output is divided by G_est from :func:`ostbc.effective_gain`.
+    Each branch writes the (n_tx, n_rx, n) path powers into the bytes of
+    ``"h"``, and one sum over the paths gives G_est. At beta = 0 they are
+    w_i^2 |h_ij|^2 with |h_ij|^2 ~ Exp(1), and the signal is the symbols
+    themselves, as the matched filter returns G s_k exactly. At beta > 0 the
+    effective channels w h and estimates 2^-k w (h + e) carry the symbols
+    through :func:`ostbc.transmit` and :func:`ostbc.combine`, the path
+    powers are |est_ij|^2, and the combiner output over G_est is exactly
+    2^k times its value at k = 0.
     """
     n = syms.shape[1]
     shape = (code.n_tx, code.n_rx, n)
     if beta == 0.0:
+        signal = syms
         powers = rng.exponentials(shape, out=work.array("h", shape, float))
         np.multiply(np.square(w), powers, out=powers)
-        return syms, np.sum(powers.reshape(-1, n), axis=0, out=work.array("gain", (n,), float))
-    h = sample_circular_gaussian(rng, 1.0, shape, work.array("h", shape), work)
-    est = sample_circular_gaussian(rng, beta, shape, work.array("est", shape), work)
-    np.add(h, est, out=est)  # h + e
-    np.multiply(w, est, out=est)
-    np.multiply(w, h, out=h)
-    combined = ostbc.combine(code, ostbc.transmit(code, syms, h, work), est, work)
-    gain = ostbc.effective_gain(code, est, work)
-    parts = combined.view(float).reshape(combined.shape + (2,))
-    np.divide(parts, gain[:, None], out=parts)
-    return combined, gain
+    else:
+        h = sample_circular_gaussian(rng, 1.0, shape, work.array("h", shape), work)
+        est = sample_circular_gaussian(rng, beta, shape, work.array("est", shape), work)
+        np.add(h, est, out=est)  # h + e
+        np.multiply(np.ldexp(w, -k), est, out=est)
+        np.multiply(w, h, out=h)
+        signal = ostbc.combine(code, ostbc.transmit(code, syms, h, work), est, work)
+        squares = work.array("h", (2,) + shape, float)
+        np.square(est.real, out=squares[0])
+        np.square(est.imag, out=squares[1])
+        powers = np.add(squares[0], squares[1], out=squares[0])
+    gain = np.sum(powers.reshape(-1, n), axis=0, out=work.array("gain", (n,), float))
+    if beta > 0.0:
+        parts = signal.view(float).reshape(signal.shape + (2,))
+        np.divide(parts, gain[:, None], out=parts)
+    return signal, gain
 
 
 def _noise_stage(work: Workspace, rng: RngStream, signal, gain, power: float):

@@ -8,7 +8,7 @@ per-axis slicer, its bit count and its closed-form constant.
 A :class:`SpaceTimeCode` lists the non-zero entries of its codeword X
 (rows index transmit antennas, columns index time slots) and the node,
 base station (BS) or relay (RS), that owns each antenna. One set of
-functions encodes, transmits, combines and scales for every code in
+functions encodes, transmits and combines for every code in
 :data:`CODES`. :func:`transmit` reads that table and the symbols
 themselves, so the chain never builds X; :func:`encode` builds it for
 reference.
@@ -19,17 +19,19 @@ weights: the BS transmits with amplitude weight w_B = sqrt(1/(1+r)) and
 the RS with w_R = sqrt(r/(1+r)). A node with m antennas splits its
 weight equally, so each of its antennas has weight w_node / sqrt(m).
 Imbalance changes only the average power of each link, so the receiver
-sees the effective channel w_i h_ij. :func:`transmit`, :func:`combine`
-and :func:`effective_gain` are plain OSTBC over the channels they are
-given; the Monte Carlo chunk weights its draws once and hands them
-effective channels.
+sees the effective channel w_i h_ij. :func:`transmit` and
+:func:`combine` are plain OSTBC over the channels they are given; the
+Monte Carlo chunk weights its draws once and hands them effective
+channels.
 
 :func:`transmit` carries the symbols over the channels at unit power and
 without noise. The matched filter of :func:`combine` turns white antenna
-noise into white, circular noise of variance G on each symbol, with G
-from :func:`effective_gain` (Tarokh, Jafarkhani and Calderbank, 1999), so
-the Monte Carlo chunk adds the power and the noise per symbol, after
-combining; with perfect estimates it needs neither layer.
+noise into white, circular noise of variance G on each symbol, with G =
+sum_ij |est_ij|^2 the sum of the estimated path powers (Tarokh,
+Jafarkhani and Calderbank, 1999). The Monte Carlo chunk is the one place
+that forms G, divides by it and adds the power and the noise per symbol,
+after combining; with perfect estimates it needs neither layer.
+:func:`detect` slices the gain-normalized input it is given.
 
 Arrays may carry one trailing axis of fading blocks, which is the form
 the Monte Carlo engine uses: symbols (n_symbols, blocks), codewords
@@ -39,13 +41,12 @@ blocks), received samples (n_rx, n_slots, blocks).
 Every layer of the chain takes the chunk's
 :class:`~coop_ostbc.numerics.Workspace` as its last argument, keeps its
 temporaries in that workspace's scratch and allocates no result:
-:func:`modulate`, :func:`transmit`, :func:`combine`,
-:func:`effective_gain` and :func:`detect` return its ``"symbols"``,
-``"received"``, ``"combined"``, ``"gain"`` and ``"decisions"`` arrays,
-each valid until the next call for that name. A Monte Carlo chunk
-borrows its workspace from the engine's idle list, so a warm chunk
-allocates almost nothing. :func:`encode`, the reference, returns a fresh
-codeword.
+:func:`modulate`, :func:`transmit`, :func:`combine` and :func:`detect`
+return its ``"symbols"``, ``"received"``, ``"combined"`` and
+``"decisions"`` arrays, each valid until the next call for that name. A
+Monte Carlo chunk borrows its workspace from the engine's idle list, so
+a warm chunk allocates almost nothing. :func:`encode`, the reference,
+returns a fresh codeword.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ __all__ = [
     "encode",
     "transmit",
     "combine",
-    "effective_gain",
     "detect",
 ]
 
@@ -184,11 +184,14 @@ class SpaceTimeCode:
     def weights(self, r: float) -> np.ndarray:
         """Per-antenna amplitude weights for the linear imbalance r.
 
-        w_B^2 = 1/(1+r) and w_R^2 = 1 - w_B^2, so the node powers add up
-        to one; each node splits its weight equally over its antennas.
+        w_B^2 = 1/(1+r) and w_R^2 = r/(1+r), so the node powers add up to
+        one; each node splits its weight equally over its antennas. For
+        r >= 1, w_R^2 is 1 - w_B^2, the form the pinned sweeps were drawn
+        with; below 1 that difference cancels, down to 0 for r < 2^-53.
         """
         w_b_sq = 1.0 / (1.0 + r)
-        node_weight = {"BS": math.sqrt(w_b_sq), "RS": math.sqrt(1.0 - w_b_sq)}
+        w_r_sq = 1.0 - w_b_sq if r >= 1.0 else r / (1.0 + r)
+        node_weight = {"BS": math.sqrt(w_b_sq), "RS": math.sqrt(w_r_sq)}
         return np.array(
             [node_weight[n] * math.sqrt(1.0 / self.nodes.count(n)) for n in self.nodes]
         )
@@ -317,8 +320,8 @@ def combine(code: SpaceTimeCode, y, est, work: Workspace) -> np.ndarray:
     s~_k = sum over the entries of s_k and over rx antennas j of
     sign * conj(est_ij) y_jt, or sign * est_ij conj(y_jt) for a conjugated
     entry. Returns shape (n_symbols[, blocks]). With perfect estimates and
-    the noiseless samples of :func:`transmit`, s~_k = G * s_k with G from
-    :func:`effective_gain`; white CN(0, 1) noise on y becomes white CN(0, G)
+    the noiseless samples of :func:`transmit`, s~_k = G * s_k with G =
+    sum_ij |est_ij|^2; white CN(0, 1) noise on y becomes white CN(0, G)
     noise on each s~_k.
     The result is the ``"combined"`` array of ``work``. Each symbol's terms
     are summed per rx antenna, in table order, then over the rx antennas;
@@ -352,24 +355,8 @@ def combine(code: SpaceTimeCode, y, est, work: Workspace) -> np.ndarray:
     return combined
 
 
-def effective_gain(code: SpaceTimeCode, est, work: Workspace) -> np.ndarray:
-    """Combined gain sum_ij |est[i, j]|^2 over all transmit-receive paths.
-
-    The gain is the ``"gain"`` array of ``work``; the squares of the real
-    and imaginary parts are its scratch.
-    """
-    est = np.asarray(est, dtype=complex)
-    if est.shape[:2] != (code.n_tx, code.n_rx):
-        raise ValueError(f"expected a {code.name} channel array, got shape {est.shape}")
-    (squares,) = work.scratch(((2,) + est.shape, float))
-    np.square(est.real, out=squares[0])
-    np.square(est.imag, out=squares[1])
-    paths = np.add(squares[0], squares[1], out=squares[0]).reshape((-1,) + est.shape[2:])
-    return np.sum(paths, axis=0, out=work.array("gain", est.shape[2:], float))
-
-
-def detect(s_tilde, effective_gain, mod: Modulation, work: Workspace) -> np.ndarray:
-    """Nearest-point decision on s_tilde / effective_gain, back to bits.
+def detect(z, mod: Modulation, work: Workspace) -> np.ndarray:
+    """Nearest-point decision on the gain-normalized detector input z, back to bits.
 
     Every constellation is a product of Gray-labelled levels on the real
     and imaginary axes, so ``mod.slicer`` finds the nearest point one axis
@@ -379,23 +366,17 @@ def detect(s_tilde, effective_gain, mod: Modulation, work: Workspace) -> np.ndar
     label, the point a search over all points taking the first minimum
     would pick.
 
-    ``s_tilde`` and ``effective_gain`` may have any shapes that broadcast
-    together. Returns a flat uint8 bit vector, ``bits_per_symbol`` bits per
-    symbol, MSB first, with the symbols in C order of the broadcast shape.
-    The bits are the ``"decisions"`` array of ``work``, and the normalized
-    symbols are its scratch.
+    Returns a flat uint8 bit vector, ``bits_per_symbol`` bits per symbol,
+    MSB first, with the symbols in C order of ``z``'s shape. The bits are
+    the ``"decisions"`` array of ``work``. The real and imaginary parts of
+    z are copied into its scratch, in C order, for the slicer to overwrite;
+    that copy is also the transpose of a strided ``z``, which slices
+    faster than the strided views would.
     """
-    g = np.asarray(effective_gain, dtype=float)
-    if not np.all(g > 0.0):
-        raise ValueError("effective gain must be positive")
-    s = np.asarray(s_tilde, dtype=complex)
-    shape = np.broadcast_shapes(s.shape, g.shape)
-    (z,) = work.scratch(((2,) + shape, float))
-    # numpy divides a complex by a real as a product with the reciprocal,
-    # so this is s_tilde / g bit for bit.
-    inv = 1.0 / g
-    np.multiply(s.real, inv, out=z[0, ...])
-    np.multiply(s.imag, inv, out=z[1, ...])
-    bits = work.array("decisions", shape + (mod.bits_per_symbol,), bool)
-    mod.slicer(z[0, ...], z[1, ...], bits)
+    z = np.asarray(z, dtype=complex)
+    (parts,) = work.scratch(((2,) + z.shape, float))
+    np.copyto(parts[0, ...], z.real)
+    np.copyto(parts[1, ...], z.imag)
+    bits = work.array("decisions", z.shape + (mod.bits_per_symbol,), bool)
+    mod.slicer(parts[0, ...], parts[1, ...], bits)
     return bits.view(np.uint8).ravel()

@@ -11,8 +11,7 @@ from coop_ostbc.analytic import (
     ber_integral_oracle,
     diversity_slope,
 )
-from coop_ostbc.numerics import Workspace
-from coop_ostbc.ostbc import BPSK, CODES, QPSK, effective_gain
+from coop_ostbc.ostbc import BPSK, CODES, QPSK
 
 A_SQ_BPSK = 2.0
 A_SQ_QPSK = 1.0
@@ -31,7 +30,7 @@ def effective_snr(h_b, h_r, r, gamma):
     """Instantaneous combined SNR gamma G of the 2x1 code,
     gamma/(1+r) (|h_B|^2 + r |h_R|^2)."""
     h = A2.weights(r)[:, None] * np.array([[h_b], [h_r]], dtype=complex)
-    return gamma * effective_gain(A2, h, Workspace())
+    return gamma * float(np.sum(np.abs(h) ** 2))
 
 
 def test_effective_snr_balanced_unit_channels():
@@ -124,6 +123,16 @@ def test_quadrature_oracle_matches_closed_form(a_sq, r, gamma):
     assert ber_integral_oracle(A2, p, 64) == pytest.approx(
         ber_closed_form(p), rel=1e-10
     )
+
+
+@pytest.mark.parametrize("a_sq", [A_SQ_BPSK, A_SQ_QPSK])
+@pytest.mark.parametrize("r_db", [-200.0, 200.0])
+def test_quadrature_oracle_matches_closed_form_at_extreme_imbalance(a_sq, r_db):
+    # At gamma = 1e25 the weaker node's paths still carry an SNR of 1e5, so
+    # its weight must not cancel to 0 at either end.
+    p = AnalyticPoint(a_sq, 10.0 ** (r_db / 10.0), 1e25)
+    assert ber_integral_oracle(A2, p, 64) == pytest.approx(ber_closed_form(p), rel=1e-10,
+                                                           abs=0.0)
 
 
 def test_oracle_is_finite_and_continuous_at_balanced_ratio():

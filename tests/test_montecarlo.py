@@ -37,9 +37,9 @@ from coop_ostbc.ostbc import (
     QPSK,
     combine,
     detect,
-    effective_gain,
     encode,
     modulate,
+    transmit,
 )
 
 
@@ -102,8 +102,9 @@ def full_chain_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     It draws the data bits, the channels CN(0, 1) (n_tx, n_rx, n), the
     estimation errors CN(0, beta) of that shape when beta > 0 and the
     antenna noise CN(0, 1) (n_rx, n_slots, n), builds the codeword with
-    :func:`encode`, and counts like the chunk: (bits, errors, sum of the
-    squared per-block errors).
+    :func:`encode`, divides the combiner output by sqrt(P) G_est with its own
+    G_est = sum_ij |w_i est_ij|^2, and counts like the chunk: (bits, errors,
+    sum of the squared per-block errors).
     """
     code = CODES[point.scheme]
     rng = RngStream(point.seed, chunk_index)
@@ -120,8 +121,9 @@ def full_chain_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     noise = sample_circular_gaussian(rng, 1.0, (code.n_rx, code.n_slots, n))
     y = math.sqrt(power) * np.einsum("ijb,itb->jtb", w * h, encode(code, syms)) + noise
     s_tilde = combine(code, y, w * est, work)
-    gain = math.sqrt(power) * effective_gain(code, w * est, work)
-    wrong = np.flatnonzero(detect(s_tilde.T, gain[:, None], point.mod, work) != tx_bits)
+    g_est = np.sum(np.abs(w * est) ** 2, axis=(0, 1))
+    z = s_tilde / (math.sqrt(power) * g_est)
+    wrong = np.flatnonzero(detect(z.T, point.mod, work) != tx_bits)
     per_block = np.bincount(wrong // point.bits_per_block)
     return tx_bits.size, wrong.size, int(np.dot(per_block, per_block))
 
@@ -173,10 +175,9 @@ def test_chunk_agrees_with_the_full_chain_over_a_seed_block(scheme, mod, gamma_d
     assert abs(z_score(*totals, point.bits_per_block)) <= NormalDist().inv_cdf(1 - 0.0005)
 
 
-def test_extreme_cell_decides_both_bit_values_without_a_warning(tmp_path, monkeypatch):
-    # simulate --gamma-db 3080 --r-db 0 --beta 1e300: sqrt(P) G_est is about
-    # 1e304, while P G_est would overflow. Its BER is about 1/2, and the
-    # decisions must take both bit values, not all fall to label 0.
+def decided_bits(monkeypatch, run):
+    """``run()``'s result and every bit that :func:`ostbc.detect` decides
+    while it runs, in order, with a ``RuntimeWarning`` raised as an error."""
     decided = []
 
     def recording_detect(*args):
@@ -185,15 +186,111 @@ def test_extreme_cell_decides_both_bit_values_without_a_warning(tmp_path, monkey
         return bits
 
     monkeypatch.setattr(ostbc, "detect", recording_detect)
-    argv = ["simulate", "--gamma-db", "3080", "--r-db", "0", "--beta", "1e300",
-            "--max-bits", "40000", "--output", str(tmp_path / "extreme.csv")]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert cli.main(argv) == 0
-    bits = np.concatenate(decided)
+        result = run()
+    return result, np.concatenate(decided)
+
+
+def test_extreme_cell_decides_both_bit_values_without_a_warning(tmp_path, monkeypatch):
+    # simulate --gamma-db 3080 --r-db 0 --beta 1e300: sqrt(P) G_est is about
+    # 1e304, while P G_est would overflow. Its BER is about 1/2, and the
+    # decisions must take both bit values, not all fall to label 0.
+    argv = ["simulate", "--gamma-db", "3080", "--r-db", "0", "--beta", "1e300",
+            "--max-bits", "40000", "--output", str(tmp_path / "extreme.csv")]
+    exit_code, bits = decided_bits(monkeypatch, lambda: cli.main(argv))
+    assert exit_code == 0
     assert bits.size == 40_000
     assert set(np.unique(bits)) == {0, 1}
     assert 0.45 < bits.mean() < 0.55
+
+
+@pytest.mark.parametrize("beta", [1e308, sys.float_info.max], ids=["1e308", "max"])
+@pytest.mark.parametrize("scheme, mod", [("alamouti_2x1", QPSK), ("ostbc_4x2", QAM16)],
+                         ids=["alamouti_2x1-QPSK", "ostbc_4x2-QAM16"])
+def test_any_finite_beta_decides_both_bit_values_without_a_warning(monkeypatch, scheme,
+                                                                   mod, beta):
+    # |est|^2 is about beta, past the largest float at beta = 1e308, so the
+    # chunk carries the estimates at 2^-k of their size. The estimate is
+    # then almost all error, and the BER is 1/2.
+    point = SimPoint(scheme, mod, 10.0, 0.0, beta, seed=2018, max_bits=4_000)
+    hits, bits = decided_bits(monkeypatch, lambda: coverage_hits(point, 0.5))
+    assert hits >= COVERAGE_HITS
+    assert set(np.unique(bits)) == {0, 1}
+
+
+def chunk_fade_stage(point: SimPoint, k: int = 0):
+    """Chunk 0 of ``point`` up to its fade stage, run with estimates carried at
+    2^-k of their size: (work, rng, signal, gain), with ``rng`` where the fade
+    stage left it."""
+    code = CODES[point.scheme]
+    rng = RngStream(point.seed, 0)
+    n = montecarlo._chunk_blocks(point)
+    work = Workspace()
+    tx_bits = rng.bits(point.bits_per_block * n)
+    syms = modulate(tx_bits, point.mod, work).reshape(n, code.n_symbols).T
+    w = code.weights(10.0 ** (point.r_db / 10.0))[:, None, None]
+    return (work, rng) + montecarlo._fade_stage(work, rng, code, w, point.beta, k, syms)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.05])
+@pytest.mark.parametrize("r_db", [-7.0, 0.0, 10.0])
+@pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
+def test_fade_stage_gain_is_the_imbalance_weighted_branch_sum(code, r_db, beta):
+    # G_est = sum_i w_i^2 sum_j |h_ij + e_ij|^2, with w_B^2 = 1/(1+r) and
+    # w_R^2 = r/(1+r) split over each node's antennas, over the chunk's own
+    # draws: the path powers |h_ij|^2 at beta = 0, h and e at beta > 0. The
+    # signal is the symbols at beta = 0, where the matched filter returns
+    # G s exactly, and the combiner output over G_est at beta > 0.
+    point = SimPoint(code.name, QPSK, 10.0, r_db, beta, seed=2019, max_bits=6_000)
+    _, _, signal, gain = chunk_fade_stage(point)
+    n = gain.size
+    r = 10.0 ** (r_db / 10.0)
+    node_power = {"BS": 1.0 / (1.0 + r), "RS": r / (1.0 + r)}
+    w_sq = np.array([node_power[node] / code.nodes.count(node) for node in code.nodes])
+    replay = RngStream(point.seed, 0)
+    syms = modulate(replay.bits(point.bits_per_block * n), QPSK, Workspace())
+    syms = syms.reshape(n, code.n_symbols).T
+    shape = (code.n_tx, code.n_rx, n)
+    if beta == 0.0:
+        paths = replay.exponentials(shape)
+        want_signal = syms
+    else:
+        h = sample_circular_gaussian(replay, 1.0, shape)
+        est = h + sample_circular_gaussian(replay, beta, shape)
+        paths = np.abs(est) ** 2
+        w = np.sqrt(w_sq)[:, None, None]
+        want_signal = combine(code, transmit(code, syms, w * h, Workspace()), w * est,
+                              Workspace())
+    expected = np.sum(w_sq[:, None, None] * paths, axis=(0, 1))
+    assert np.max(np.abs(gain - expected) / expected) < 1e-13
+    if beta > 0.0:
+        want_signal = want_signal / expected
+    assert np.max(np.abs(signal - want_signal)) < 1e-12 * np.max(np.abs(want_signal))
+
+
+@pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
+def test_detector_input_does_not_depend_on_the_scale_of_the_estimates(code):
+    # Carried at 2^-k of their size, the estimates give exactly 2^k times
+    # the signal and 4^-k times G_est of k = 0, and the noise stage exactly
+    # 2^k times its detector input. At beta = 3 the chunk itself takes
+    # k = 1 and scales z back, so it must count what k = 0 decides.
+    point = SimPoint(code.name, QAM16, 10.0, 5.0, 3.0, seed=2020, max_bits=6_000)
+    inputs, signals, gains = [], [], []
+    for k in (0, 300):
+        work, rng, signal, gain = chunk_fade_stage(point, k)
+        signals.append(np.ldexp(signal.view(float), -k))
+        gains.append(np.ldexp(gain, 2 * k))
+        z = montecarlo._noise_stage(work, rng, signal, gain, 10.0)
+        inputs.append(np.ldexp(z.view(float), -k).view(complex))
+    assert np.array_equal(*signals) and np.array_equal(*gains)
+    assert np.array_equal(*inputs)
+    tx_bits = RngStream(point.seed, 0).bits(point.bits_per_block * inputs[0].shape[1])
+    wrong = np.flatnonzero(detect(inputs[0].T, QAM16, Workspace()) != tx_bits)
+    per_block = np.bincount(wrong // point.bits_per_block)
+    assert wrong.size > 0
+    assert _simulate_chunk(point, 0) == (tx_bits.size, wrong.size,
+                                         int(np.dot(per_block, per_block)))
 
 
 def test_interval_widens_by_the_design_effect_of_shared_fades():
