@@ -10,29 +10,38 @@ drawn channels and combines them with the estimates. The chunk is the one
 place that sums path powers into G_est and divides by it;
 :func:`ostbc.detect` slices the normalized input it is given.
 
-Work is split into fixed-size chunks of fading blocks. Chunk ``k`` of a
-point draws everything it needs from ``RngStream(point.seed, k)``, the
-k-th child stream of the point's seed, so the random plan is a pure
-function of the point. A point runs its chunks serially in index order
-and stops after the first chunk at which the cumulative error count
-reaches ``min_errors`` or the cumulative bit count reaches ``max_bits``.
+Work is split into fixed-size chunks of fading blocks, and the unit of
+work is the curve: the cells that are equal in everything but
+``gamma_db`` and ``seed``, which share a fade seed. Chunk ``k`` of a
+curve draws the data bits and the fades once, from the fade stream
+``RngStream(fade_seed, k)``; then each cell that is still running draws
+its own noise from its noise stream ``RngStream(cell.seed, k)``, detects
+and counts. Only the noise scale depends on the SNR, so the cells of one
+curve see common fades (common random numbers) and their estimates are
+correlated, while each cell's estimate stays a pure function of its two
+seeds. A cell stops after the first chunk at which its cumulative error
+count reaches ``min_errors`` or its cumulative bit count reaches
+``max_bits``; the curve runs its chunks serially in index order until
+every cell has stopped. :func:`run_point` runs one cell as a curve of
+its own, on the same code path.
 
 :func:`sweep_points` turns a grid into its deduplicated cells, a
 :class:`SimPoint` tuple in report order, and that tuple is the only
-description of a sweep from spec to CSV row. Each cell's seed
-is derived from the sweep seed and the cell parameters, so a cell's
-estimate does not depend on which other cells are present in the grid.
-A sweep runs its cells ``workers`` (at most one per CPU) at a time on
-one thread pool; each cell is a pure function of its seed, so the
-estimates are bit-identical for any worker count. A one-cell sweep uses
-one thread.
+description of a sweep from spec to CSV row. Each cell's seed is derived
+from the sweep seed and the cell parameters, and its fade seed from the
+same fields but the SNR, so a cell's estimate does not depend on which
+other cells are present in the grid. A sweep runs its curves ``workers``
+(at most one per CPU) at a time on one thread pool, so the estimates are
+bit-identical for any worker count and equal those of :func:`run_point`.
+A one-curve sweep uses one thread.
 
 Each chunk draws and runs in one :class:`~coop_ostbc.numerics.Workspace`
-(up to 6.3 MB for a 4x2 chunk at beta > 0, 1.8 MB at beta = 0) that it
+(up to 6.3 MB for a 4x2 chunk at beta > 0, 1.9 MB at beta = 0) that it
 borrows from one idle list and gives back when it ends, so a warm chunk
 reuses the buffers of an earlier one instead of allocating them afresh.
-The list keeps at most one workspace per CPU, for the chunks of every
-sweep and of direct :func:`run_point` calls alike.
+The cells of a chunk run one after another in it. The list keeps at most
+one workspace per CPU, for the chunks of every sweep and of direct
+:func:`run_point` calls alike.
 """
 
 from __future__ import annotations
@@ -73,10 +82,16 @@ def _db_to_linear(db: float) -> float:
 
 @dataclass(frozen=True)
 class SimPoint:
-    """One Monte Carlo cell: scheme, modulation, SNR, imbalance, beta, seed.
+    """One Monte Carlo cell: scheme, modulation, SNR, imbalance, beta, seeds.
 
     ``gamma_db`` and ``r_db`` are in dB; the chain converts them to linear
     units, so each must have a finite, positive linear value.
+
+    ``seed`` keys the cell's noise, and ``fade_seed`` the data bits and
+    fades that it shares with the other cells of its :attr:`curve`. A cell
+    without a ``fade_seed`` is a curve of its own, whose fades come from a
+    seed derived from ``seed``; the two seeds may not be equal, since the
+    fades and the noise must be two streams.
     """
 
     scheme: str
@@ -87,6 +102,7 @@ class SimPoint:
     seed: int
     min_errors: int = DEFAULT_MIN_ERRORS
     max_bits: int = DEFAULT_MAX_BITS
+    fade_seed: int | None = None
 
     def __post_init__(self):
         if self.scheme not in ostbc.CODES:
@@ -110,10 +126,23 @@ class SimPoint:
                 f"max_bits must be at least one symbol ({self.mod.bits_per_symbol} "
                 f"bits), got {self.max_bits}"
             )
+        if self.fade_seed == self.seed:
+            raise ValueError(f"fade_seed must differ from seed, got {self.seed} for both")
 
     @property
     def bits_per_block(self) -> int:
         return ostbc.CODES[self.scheme].n_symbols * self.mod.bits_per_symbol
+
+    @property
+    def curve(self) -> tuple:
+        """What the cells of one curve share: every field but gamma_db and seed.
+
+        The last item is the seed of the curve's bits and fades:
+        ``fade_seed``, or one derived from ``seed`` without it.
+        """
+        fades = derive_seed(self.seed, "fades") if self.fade_seed is None else self.fade_seed
+        return (self.scheme, self.mod, self.r_db, self.beta, self.min_errors, self.max_bits,
+                fades)
 
 
 @dataclass(frozen=True)
@@ -158,21 +187,24 @@ def _chunk_blocks(point: SimPoint) -> int:
 
 # The workspaces that finished chunks left, for the chunks that start next; no
 # more than one per CPU, so a wide sweep does not hold its memory for good. A
-# sweep runs no more cells at a time either, so it makes no more workspaces.
+# sweep runs no more curves at a time either, so it makes no more workspaces.
 _idle_workspaces: list = []
 _CPUS = os.cpu_count() or 1
 _idle_lock = threading.Lock()
 
 
-def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
-    """Simulate one chunk; returns (bits, bit_errors, sum of squared block errors).
+def _simulate_chunk(cells: tuple, chunk_index: int) -> list[tuple[int, int, int]]:
+    """Simulate chunk ``chunk_index`` of some cells of one curve; returns each
+    cell's (bits, bit_errors, sum of squared block errors), in ``cells`` order.
 
-    Draw order: the data bits (eight per random byte); then, at beta = 0,
-    the path powers |h_ij|^2 ~ Exp(1) of shape (n_tx, n_rx, blocks), or, at
-    beta > 0, the channels CN(0, 1) and then the estimation errors CN(0,
-    beta), each of that shape; then the noise CN(0, 1) of shape (n_symbols,
-    blocks), one per detected symbol. Each Gaussian array is one ziggurat
-    draw, and so are the path powers.
+    Draw order: from the curve's fade stream ``RngStream(fade seed,
+    chunk_index)``, the data bits (eight per random byte); then, at beta =
+    0, the path powers |h_ij|^2 ~ Exp(1) of shape (n_tx, n_rx, blocks), or,
+    at beta > 0, the channels CN(0, 1) and then the estimation errors CN(0,
+    beta), each of that shape. Then each cell draws from its own noise
+    stream ``RngStream(cell.seed, chunk_index)`` the noise CN(0, 1) of shape
+    (n_symbols, blocks), one per detected symbol. Each Gaussian array is
+    one ziggurat draw, and so are the path powers.
 
     The fade stage works on effective channels: the weights of
     :meth:`ostbc.SpaceTimeCode.weights` scale the path powers by w_i^2, or
@@ -184,63 +216,73 @@ def _simulate_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     the detector input, scaled back by 2^-k, keeps its bytes.
 
     The data bits run block by block, symbol by symbol, MSB first. One
-    :func:`ostbc.detect` call on the detector input laid out as (blocks,
-    n_symbols) returns the decisions in that same order, so the errors are
-    one comparison against the transmitted bits, and the block of a wrong
-    bit is its index over the bits per block.
+    :func:`ostbc.detect` call per cell on the contiguous (blocks,
+    n_symbols) detector input returns the decisions in that same order, so
+    the errors are one comparison against the transmitted bits, written
+    over the decisions, and the block of a wrong bit is its index over the
+    bits per block.
 
     Every array from the symbols to the decisions is a view on a workspace
     borrowed from the idle list and given back when the chunk ends, so the
-    next chunk overwrites it. The path powers and the per-symbol noise
-    reuse the bytes of the channels.
+    next chunk overwrites it. The path powers and each cell's noise reuse
+    the bytes of the channels; the bits, the signal and G_est that the
+    cells share are only read once the fade stage is done.
     """
     with _idle_lock:
         work = _idle_workspaces.pop() if _idle_workspaces else Workspace()
     try:
-        return _simulate_chunk_in(work, point, chunk_index)
+        return _simulate_chunk_in(work, cells, chunk_index)
     finally:
         with _idle_lock:
             _idle_workspaces.append(work)
             del _idle_workspaces[_CPUS:]
 
 
-def _simulate_chunk_in(work: Workspace, point: SimPoint, chunk_index: int):
-    code = ostbc.CODES[point.scheme]
-    rng = RngStream(point.seed, chunk_index)
-    n = _chunk_blocks(point)
-    tx_bits = rng.bits(code.n_symbols * point.mod.bits_per_symbol * n)
-    syms = ostbc.modulate(tx_bits, point.mod, work).reshape(n, code.n_symbols).T
-    w = code.weights(_db_to_linear(point.r_db))[:, None, None]
+def _simulate_chunk_in(work: Workspace, cells: tuple, chunk_index: int):
+    first = cells[0]  # its fields but gamma_db and seed are the curve's
+    *_, fade_seed = first.curve
+    code = ostbc.CODES[first.scheme]
+    rng = RngStream(fade_seed, chunk_index)
+    n = _chunk_blocks(first)
+    tx_bits = rng.bits(first.bits_per_block * n)
+    syms = ostbc.modulate(tx_bits, first.mod, work).reshape(n, code.n_symbols)
+    w = code.weights(_db_to_linear(first.r_db))[:, None, None]
     # The estimates are carried at 2^-k of their size, 2^k about sqrt(beta),
     # and z comes out exactly 2^k times too large.
-    k = max(0, math.frexp(point.beta)[1] // 2)
-    signal, gain = _fade_stage(work, rng, code, w, point.beta, k, syms)
-    z = _noise_stage(work, rng, signal, gain, _db_to_linear(point.gamma_db))
-    if k:  # a pass over z that most chunks need not pay for
-        np.ldexp(z.view(float), -k, out=z.view(float))
-    rx_bits = ostbc.detect(z.T, point.mod, work)
-    wrong = np.flatnonzero(rx_bits != tx_bits)
-    per_block = np.bincount(np.floor_divide(wrong, point.bits_per_block, out=wrong))
-    return tx_bits.size, wrong.size, int(np.dot(per_block, per_block))
+    k = max(0, math.frexp(first.beta)[1] // 2)
+    signal, gain = _fade_stage(work, rng, code, w, first.beta, k, syms)
+    counts = []
+    for cell in cells:
+        z = _noise_stage(work, RngStream(cell.seed, chunk_index), signal, gain,
+                         _db_to_linear(cell.gamma_db))
+        if k:  # a pass over z that most chunks need not pay for
+            np.ldexp(z.view(float), -k, out=z.view(float))
+        rx_bits = ostbc.detect(z, first.mod, work)
+        wrong = np.flatnonzero(np.not_equal(rx_bits, tx_bits, out=rx_bits.view(bool)))
+        per_block = np.bincount(np.floor_divide(wrong, first.bits_per_block, out=wrong))
+        counts.append((tx_bits.size, wrong.size, int(np.dot(per_block, per_block))))
+    return counts
 
 
 def _fade_stage(work: Workspace, rng: RngStream, code: ostbc.SpaceTimeCode, w, beta: float,
                 k: int, syms):
     """The gain-normalized noiseless detector input and the gain G_est of each block.
 
-    Each branch writes the (n_tx, n_rx, n) path powers into the bytes of
-    ``"h"``, and one sum over the paths gives G_est. At beta = 0 they are
-    w_i^2 |h_ij|^2 with |h_ij|^2 ~ Exp(1), and the signal is the symbols
-    themselves, as the matched filter returns G s_k exactly. At beta > 0 the
-    effective channels w h and estimates 2^-k w (h + e) carry the symbols
-    through :func:`ostbc.transmit` and :func:`ostbc.combine`, the path
-    powers are |est_ij|^2, and the combiner output over G_est is exactly
-    2^k times its value at k = 0.
+    ``syms`` are the (n, n_symbols) symbols, and the detector input comes
+    back in their layout and in their bytes. Each branch writes the (n_tx,
+    n_rx, n) path powers into the bytes of ``"h"``, and one sum over the
+    paths gives G_est. At beta = 0 they are w_i^2 |h_ij|^2 with |h_ij|^2 ~
+    Exp(1), and the input is the symbols themselves, as the matched filter
+    returns G s_k exactly. At beta > 0 the effective channels w h and
+    estimates 2^-k w (h + e) carry the symbols through
+    :func:`ostbc.transmit` and :func:`ostbc.combine`, the path powers are
+    |est_ij|^2, and the (n_symbols, n) combiner output over G_est, exactly
+    2^k times its value at k = 0, is written transposed over the symbols,
+    in one pass over each of its real and imaginary parts.
     """
-    n = syms.shape[1]
+    n = syms.shape[0]
     shape = (code.n_tx, code.n_rx, n)
     if beta == 0.0:
-        signal = syms
         powers = rng.exponentials(shape, out=work.array("h", shape, float))
         np.multiply(np.square(w), powers, out=powers)
     else:
@@ -249,16 +291,16 @@ def _fade_stage(work: Workspace, rng: RngStream, code: ostbc.SpaceTimeCode, w, b
         np.add(h, est, out=est)  # h + e
         np.multiply(np.ldexp(w, -k), est, out=est)
         np.multiply(w, h, out=h)
-        signal = ostbc.combine(code, ostbc.transmit(code, syms, h, work), est, work)
+        combined = ostbc.combine(code, ostbc.transmit(code, syms.T, h, work), est, work)
         squares = work.array("h", (2,) + shape, float)
         np.square(est.real, out=squares[0])
         np.square(est.imag, out=squares[1])
         powers = np.add(squares[0], squares[1], out=squares[0])
     gain = np.sum(powers.reshape(-1, n), axis=0, out=work.array("gain", (n,), float))
     if beta > 0.0:
-        parts = signal.view(float).reshape(signal.shape + (2,))
-        np.divide(parts, gain[:, None], out=parts)
-    return signal, gain
+        np.divide(combined.real, gain, out=syms.real.T)
+        np.divide(combined.imag, gain, out=syms.imag.T)
+    return syms, gain
 
 
 def _noise_stage(work: Workspace, rng: RngStream, signal, gain, power: float):
@@ -267,29 +309,53 @@ def _noise_stage(work: Workspace, rng: RngStream, signal, gain, power: float):
     The matched filter of an orthogonal design turns white CN(0, 1)
     antenna noise into white, circular noise of variance G_est on each
     symbol, and the gain normalization divides it by sqrt(P) G_est. One
-    (n_symbols, n) draw therefore stands for all of the antenna noise. The
-    two square roots are taken apart, so no P G product can overflow.
-    The fade stage is done with ``"h"``, so the noise takes its bytes;
-    ``gain`` is overwritten.
+    (n_symbols, n) draw therefore stands for all of the antenna noise of
+    the (n, n_symbols) ``signal``. The stage makes one pass each: it draws
+    the normals into the scratch, scales them by 1 / (sqrt(2) sqrt(P)
+    sqrt(G)) per block, writing them transposed into the bytes of ``"h"``,
+    which the fade stage is done with, and adds the signal, so the
+    detector reads a contiguous input. The square roots are taken apart,
+    so no P G product can overflow. ``signal`` and ``gain`` are only read,
+    so every cell of a chunk sees the same fade.
     """
-    noise = sample_circular_gaussian(rng, 1.0, signal.shape, work.array("h", signal.shape), work)
-    scale = np.sqrt(gain, out=gain)
-    scale *= math.sqrt(power)
-    parts = noise.view(float).reshape(noise.shape + (2,))
-    np.divide(parts, scale[:, None], out=parts)
-    return np.add(noise, signal, out=noise)
+    n, n_symbols = signal.shape
+    normals, scale = work.scratch(((2, n_symbols, n), float), ((n,), float))
+    x, y = rng.normal_pairs((n_symbols, n), out=normals)
+    np.sqrt(gain, out=scale)
+    np.divide(1.0 / (math.sqrt(2.0) * math.sqrt(power)), scale, out=scale)
+    z = work.array("h", signal.shape)
+    np.multiply(x, scale, out=z.real.T)
+    np.multiply(y, scale, out=z.imag.T)
+    return np.add(z, signal, out=z)
+
+
+def _run_curve(cells) -> list[BerEstimate]:
+    """Estimate the cells of one curve, each with its own stopping rule.
+
+    Chunk k runs, in one :func:`_simulate_chunk` call, for the cells whose
+    rule did not hold after chunk k - 1. A cell stops after the first chunk
+    at which its error count reaches ``min_errors`` or its bit count
+    reaches ``max_bits``, and its counts are those of the chunks it ran,
+    whichever other cells ran beside it.
+    """
+    totals = [(0, 0, 0, 0)] * len(cells)  # bits, errors, squared block errors, chunks
+    running = list(range(len(cells)))
+    chunk_index = 0
+    while running:
+        counts = _simulate_chunk(tuple(cells[i] for i in running), chunk_index)
+        chunk_index += 1
+        for i, (bits, errors, sq_errors) in zip(running, counts):
+            b, e, e2, _ = totals[i]
+            totals[i] = (b + bits, e + errors, e2 + sq_errors, chunk_index)
+        running = [i for i in running
+                   if totals[i][1] < cells[i].min_errors and totals[i][0] < cells[i].max_bits]
+    return [BerEstimate.from_counts(bits, errors, sq_errors, cell.bits_per_block, used)
+            for cell, (bits, errors, sq_errors, used) in zip(cells, totals)]
 
 
 def run_point(point: SimPoint) -> BerEstimate:
-    """Estimate the BER of one point with the adaptive stopping rule."""
-    bits = errors = sq_errors = streams = 0
-    while errors < point.min_errors and bits < point.max_bits:
-        b, e, e2 = _simulate_chunk(point, streams)
-        bits += b
-        errors += e
-        sq_errors += e2
-        streams += 1
-    return BerEstimate.from_counts(bits, errors, sq_errors, point.bits_per_block, streams)
+    """Estimate the BER of one point with the adaptive stopping rule: a curve of one cell."""
+    return _run_curve((point,))[0]
 
 
 def derive_seed(master_seed: int, *fields) -> int:
@@ -302,11 +368,13 @@ def derive_seed(master_seed: int, *fields) -> int:
 def sweep_points(schemes, modulations, gamma_db, r_db, beta, seed: int,
                  min_errors: int = DEFAULT_MIN_ERRORS,
                  max_bits: int = DEFAULT_MAX_BITS) -> tuple[SimPoint, ...]:
-    """The deduplicated cells of a grid, each with its seed and stopping rule.
+    """The deduplicated cells of a grid, each with its seeds and stopping rule.
 
-    The cells are sorted by (scheme, modulation, r_db, beta, gamma_db),
-    and each seed is derived from ``seed`` and those five fields. Only
-    empty axes are refused here; every cell check is :class:`SimPoint`'s.
+    The cells are sorted by (scheme, modulation, r_db, beta, gamma_db).
+    Each cell's seed is derived from ``seed`` and those five fields, and its
+    fade seed from ``seed`` and the first four, so the cells of one curve
+    share their fades. Only empty axes are refused here; every cell check
+    is :class:`SimPoint`'s.
     """
     axes = {"schemes": schemes, "modulations": modulations, "gamma_db": gamma_db,
             "r_db": r_db, "beta": beta}
@@ -334,6 +402,7 @@ def sweep_points(schemes, modulations, gamma_db, r_db, beta, seed: int,
             seed=derive_seed(seed, scheme, mod.name, r, b, g),
             min_errors=min_errors,
             max_bits=max_bits,
+            fade_seed=derive_seed(seed, scheme, mod.name, r, b),
         )
         for scheme, mod, r, b, g in cells
     ]
@@ -348,15 +417,15 @@ def analytic_ber(scheme: str, mod: ostbc.Modulation, r_db: float, beta: float,
     """Closed-form BER of a cell, or None where the closed form does not cover it.
 
     It is derived for one transmit antenna at each node and one receive
-    antenna, a modulation with an ``a_constant`` (BPSK, QPSK) and perfect
+    antenna, a modulation with an ``a_sq`` (BPSK, QPSK) and perfect
     channel estimates.
     """
     code = ostbc.CODES[scheme]
-    if (code.nodes != ("BS", "RS") or code.n_rx != 1 or mod.a_constant is None
+    if (code.nodes != ("BS", "RS") or code.n_rx != 1 or mod.a_sq is None
             or beta != 0.0):
         return None
     point = analytic.AnalyticPoint(
-        a_sq=mod.a_constant**2,
+        a_sq=mod.a_sq,
         r=_db_to_linear(r_db),
         gamma=_db_to_linear(gamma_db),
     )
@@ -364,13 +433,23 @@ def analytic_ber(scheme: str, mod: ostbc.Modulation, r_db: float, beta: float,
 
 
 def run_sweep(points, workers: int) -> list[BerEstimate]:
-    """Estimate every cell of ``points``, ``workers`` (at most one per CPU) at a time.
+    """Estimate every cell of ``points``, ``workers`` curves (at most one per CPU) at a time.
 
-    The estimates come back in ``points`` order whatever order the cells
-    finish in. Each chunk borrows its workspace from the idle list that
-    every sweep shares, and gives it back when it ends: reusing the
-    buffers spares allocating them again on a heap that the freed ones
-    would have left full of holes.
+    The cells are grouped by :attr:`SimPoint.curve`, and each curve runs as
+    :func:`run_point` runs a single cell, so every estimate is the one that
+    :func:`run_point` gives its cell. The estimates come back in ``points``
+    order whatever order the curves finish in. Each chunk borrows its
+    workspace from the idle list that every sweep shares, and gives it back
+    when it ends: reusing the buffers spares allocating them again on a
+    heap that the freed ones would have left full of holes.
     """
+    curves: dict = {}
+    for i, point in enumerate(points):
+        curves.setdefault(point.curve, []).append(i)
+    estimates = [None] * len(points)
     with ThreadPoolExecutor(max_workers=min(workers, _CPUS)) as pool:
-        return list(pool.map(run_point, points))
+        runs = pool.map(lambda cells: _run_curve([points[i] for i in cells]), curves.values())
+        for cells, curve_estimates in zip(curves.values(), runs):
+            for i, estimate in zip(cells, curve_estimates):
+                estimates[i] = estimate
+    return estimates

@@ -85,14 +85,14 @@ class Modulation:
     the ``bits_per_symbol`` bit decisions of gain-normalized symbols with
     real parts ``zr`` and imaginary parts ``zi`` along the last axis of the
     bool array ``bits``, MSB first; it may overwrite ``zr`` and ``zi``.
-    ``a_constant`` feeds the closed-form error analysis and exists only
-    for BPSK and QPSK. Equality, hashing and repr read the name, the bit
-    count and ``a_constant`` only.
+    ``a_sq``, the constant a^2 of the closed-form error analysis, is stored
+    exactly and exists only for BPSK (2) and QPSK (1). Equality, hashing
+    and repr read the name, the bit count and ``a_sq`` only.
     """
 
     name: str
     bits_per_symbol: int
-    a_constant: float | None
+    a_sq: float | None
     points: np.ndarray = field(repr=False, compare=False)
     slicer: Callable = field(repr=False, compare=False)
 
@@ -123,7 +123,7 @@ def _slice_qam16(zr, zi, bits):
 
 
 BPSK = Modulation(
-    "BPSK", 1, math.sqrt(2.0),
+    "BPSK", 1, 2.0,
     points=np.array([1 + 0j, -1 + 0j]),
     slicer=_slice_bpsk,
 )

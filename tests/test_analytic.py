@@ -106,7 +106,7 @@ def test_closed_form_matches_50_digit_reference_over_the_float_range(mod):
     # and r. A result below the normal range carries at most the precision
     # of a subnormal, so one unit of 2**-1074 is allowed on top; every
     # normal result stays within 2e-15.
-    a_sq = mod.a_constant**2
+    a_sq = mod.a_sq
     for gamma_db, r_db in product(EXTREME_DB, repeat=2):
         gamma, r = 10.0 ** (gamma_db / 10.0), 10.0 ** (r_db / 10.0)
         pe = ber_closed_form(AnalyticPoint(a_sq, r, gamma))

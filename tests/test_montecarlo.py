@@ -90,7 +90,7 @@ def test_interval_covers_the_reference_over_a_seed_block(scheme, mod, gamma_db, 
     else:
         reference = ber_integral_oracle(
             CODES[scheme],
-            AnalyticPoint(mod.a_constant**2, 10.0**0.5, 10.0 ** (gamma_db / 10.0)),
+            AnalyticPoint(mod.a_sq, 10.0**0.5, 10.0 ** (gamma_db / 10.0)),
         )
     assert coverage_hits(point, reference) >= COVERAGE_HITS
 
@@ -167,7 +167,7 @@ def test_chunk_agrees_with_the_full_chain_over_a_seed_block(scheme, mod, gamma_d
     totals = np.zeros((2, 3), dtype=np.int64)
     for s in range(seed, seed + COVERAGE_SEEDS):
         cell = dataclasses.replace(point, seed=s)
-        reduced, full = _simulate_chunk(cell, 0), full_chain_chunk(cell, 1)
+        [reduced], full = _simulate_chunk((cell,), 0), full_chain_chunk(cell, 1)
         assert reduced[0] == full[0] == 10_000 * point.bits_per_block
         hits += abs(z_score(reduced, full, point.bits_per_block)) <= z95
         totals += (reduced, full)
@@ -219,18 +219,22 @@ def test_any_finite_beta_decides_both_bit_values_without_a_warning(monkeypatch, 
     assert set(np.unique(bits)) == {0, 1}
 
 
-def chunk_fade_stage(point: SimPoint, k: int = 0):
-    """Chunk 0 of ``point`` up to its fade stage, run with estimates carried at
-    2^-k of their size: (work, rng, signal, gain), with ``rng`` where the fade
-    stage left it."""
+def fade_stream(point: SimPoint, chunk_index: int = 0) -> RngStream:
+    """The stream of the bits and fades that chunk ``chunk_index`` of ``point``'s curve draws."""
+    return RngStream(point.curve[-1], chunk_index)
+
+
+def chunk_fade_stage(point: SimPoint, k: int = 0, chunk_index: int = 0):
+    """Chunk ``chunk_index`` of ``point``'s curve up to its fade stage, run with
+    estimates carried at 2^-k of their size: (work, signal, gain)."""
     code = CODES[point.scheme]
-    rng = RngStream(point.seed, 0)
+    rng = fade_stream(point, chunk_index)
     n = montecarlo._chunk_blocks(point)
     work = Workspace()
     tx_bits = rng.bits(point.bits_per_block * n)
-    syms = modulate(tx_bits, point.mod, work).reshape(n, code.n_symbols).T
+    syms = modulate(tx_bits, point.mod, work).reshape(n, code.n_symbols)
     w = code.weights(10.0 ** (point.r_db / 10.0))[:, None, None]
-    return (work, rng) + montecarlo._fade_stage(work, rng, code, w, point.beta, k, syms)
+    return (work,) + montecarlo._fade_stage(work, rng, code, w, point.beta, k, syms)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.05])
@@ -241,14 +245,15 @@ def test_fade_stage_gain_is_the_imbalance_weighted_branch_sum(code, r_db, beta):
     # w_R^2 = r/(1+r) split over each node's antennas, over the chunk's own
     # draws: the path powers |h_ij|^2 at beta = 0, h and e at beta > 0. The
     # signal is the symbols at beta = 0, where the matched filter returns
-    # G s exactly, and the combiner output over G_est at beta > 0.
+    # G s exactly, and the combiner output over G_est at beta > 0, each laid
+    # out as (blocks, n_symbols) for the detector.
     point = SimPoint(code.name, QPSK, 10.0, r_db, beta, seed=2019, max_bits=6_000)
-    _, _, signal, gain = chunk_fade_stage(point)
+    _, signal, gain = chunk_fade_stage(point)
     n = gain.size
     r = 10.0 ** (r_db / 10.0)
     node_power = {"BS": 1.0 / (1.0 + r), "RS": r / (1.0 + r)}
     w_sq = np.array([node_power[node] / code.nodes.count(node) for node in code.nodes])
-    replay = RngStream(point.seed, 0)
+    replay = fade_stream(point)
     syms = modulate(replay.bits(point.bits_per_block * n), QPSK, Workspace())
     syms = syms.reshape(n, code.n_symbols).T
     shape = (code.n_tx, code.n_rx, n)
@@ -266,7 +271,8 @@ def test_fade_stage_gain_is_the_imbalance_weighted_branch_sum(code, r_db, beta):
     assert np.max(np.abs(gain - expected) / expected) < 1e-13
     if beta > 0.0:
         want_signal = want_signal / expected
-    assert np.max(np.abs(signal - want_signal)) < 1e-12 * np.max(np.abs(want_signal))
+    assert signal.flags.c_contiguous
+    assert np.max(np.abs(signal - want_signal.T)) < 1e-12 * np.max(np.abs(want_signal))
 
 
 @pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
@@ -278,19 +284,98 @@ def test_detector_input_does_not_depend_on_the_scale_of_the_estimates(code):
     point = SimPoint(code.name, QAM16, 10.0, 5.0, 3.0, seed=2020, max_bits=6_000)
     inputs, signals, gains = [], [], []
     for k in (0, 300):
-        work, rng, signal, gain = chunk_fade_stage(point, k)
+        work, signal, gain = chunk_fade_stage(point, k)
         signals.append(np.ldexp(signal.view(float), -k))
         gains.append(np.ldexp(gain, 2 * k))
-        z = montecarlo._noise_stage(work, rng, signal, gain, 10.0)
+        z = montecarlo._noise_stage(work, RngStream(point.seed, 0), signal, gain, 10.0)
         inputs.append(np.ldexp(z.view(float), -k).view(complex))
     assert np.array_equal(*signals) and np.array_equal(*gains)
     assert np.array_equal(*inputs)
-    tx_bits = RngStream(point.seed, 0).bits(point.bits_per_block * inputs[0].shape[1])
-    wrong = np.flatnonzero(detect(inputs[0].T, QAM16, Workspace()) != tx_bits)
+    tx_bits = fade_stream(point).bits(point.bits_per_block * inputs[0].shape[0])
+    wrong = np.flatnonzero(detect(inputs[0], QAM16, Workspace()) != tx_bits)
     per_block = np.bincount(wrong // point.bits_per_block)
     assert wrong.size > 0
-    assert _simulate_chunk(point, 0) == (tx_bits.size, wrong.size,
-                                         int(np.dot(per_block, per_block)))
+    assert _simulate_chunk((point,), 0) == [(tx_bits.size, wrong.size,
+                                             int(np.dot(per_block, per_block)))]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.05])
+def test_cells_of_a_curve_share_the_fade_and_draw_their_own_noise(monkeypatch, beta):
+    # Chunk 1 of a three-cell curve: every cell counts against the bits of
+    # the curve's fade stream, and its detector input is the one signal over
+    # the one G_est of that stream plus the noise of the cell's own stream.
+    # A chunk that drew the noise from the fade stream, or one noise for the
+    # whole curve, fails the noise check.
+    cells = sweep_points(("ostbc_4x2",), ("QPSK",), (2.0, 6.0, 10.0), (5.0,), (beta,),
+                         seed=2022, max_bits=24_000)
+    inputs = []
+
+    def recording_detect(z, mod, work):
+        inputs.append(z.copy())
+        return detect(z, mod, work)
+
+    monkeypatch.setattr(ostbc, "detect", recording_detect)
+    counts = _simulate_chunk(cells, 1)
+    _, signal, gain = chunk_fade_stage(cells[0], chunk_index=1)
+    tx_bits = fade_stream(cells[0], 1).bits(cells[0].bits_per_block * gain.size)
+    assert len(inputs) == len(counts) == len(cells)
+    for cell, z, (bits, errors, _) in zip(cells, inputs, counts):
+        x, y = RngStream(cell.seed, 1).normal_pairs(signal.shape[::-1])
+        power = 10.0 ** (cell.gamma_db / 10.0)
+        noise = (z - signal) * (math.sqrt(2.0 * power) * np.sqrt(gain))[:, None]
+        assert np.max(np.abs(noise - (x + 1j * y).T)) < 1e-9
+        wrong = np.flatnonzero(detect(z, QPSK, Workspace()) != tx_bits)
+        assert (bits, errors) == (tx_bits.size, wrong.size) and errors > 0
+
+
+def test_a_cells_row_is_the_same_alone_and_in_its_whole_curve(tmp_path):
+    # 2x1 BPSK cells of 10,000-block chunks: at 0 dB a cell stops at
+    # min_errors in chunk 0, at 20 dB it runs three chunks to max_bits, so
+    # the cells of a curve leave its chunks at different times. Each row
+    # must be the bytes of the one-cell sweep of its SNR.
+    base = ["simulate", "--scheme", "alamouti_2x1", "--modulation", "BPSK",
+            "--r-db", "5", "--beta", "0,0.05", "--seed", "2023", "--min-errors", "100",
+            "--max-bits", "60000"]
+
+    def rows(gamma_db):
+        out = tmp_path / "sweep.csv"
+        assert cli.main(base + ["--gamma-db", gamma_db, "--output", str(out)]) == 0
+        return {tuple(row.split(",")[:5]): row for row in out.read_text().splitlines()[1:]}
+
+    curves = rows("0:20:2")
+    alone = {}
+    for gamma_db in range(0, 21, 2):
+        alone.update(rows(str(gamma_db)))
+    assert len(curves) == 22
+    assert alone == curves
+    bits, errors = zip(*(map(int, row.split(",")[9:11]) for row in curves.values()))
+    assert bits[0] == 20_000 and errors[0] >= 100  # 0 dB, beta = 0
+    assert bits[10] == 60_000 and errors[10] < 100  # 20 dB, beta = 0
+
+
+def test_run_sweep_raises_at_its_first_chunk_before_any_draw(monkeypatch):
+    # The chunk is where every draw happens, so a sweep whose first chunk
+    # raises has drawn nothing.
+    streams = []
+    original = RngStream.__init__
+
+    def recording_init(self, *args):
+        streams.append(args)
+        original(self, *args)
+
+    class FirstChunk(Exception):
+        pass
+
+    def first_chunk(cells, chunk_index):
+        raise FirstChunk(chunk_index)
+
+    monkeypatch.setattr(RngStream, "__init__", recording_init)
+    monkeypatch.setattr(montecarlo, "_simulate_chunk", first_chunk)
+    points = sweep_points(("alamouti_2x1", "ostbc_4x2"), ("QPSK",), (0.0, 6.0), (0.0,),
+                          (0.0, 0.05), seed=2024)
+    with pytest.raises(FirstChunk):
+        run_sweep(points, 2)
+    assert streams == []
 
 
 def test_interval_widens_by_the_design_effect_of_shared_fades():
@@ -318,7 +403,7 @@ def test_interval_stays_in_the_unit_range_at_the_edges(errors):
 
 def test_chunk_counts_the_squared_errors_of_each_block():
     point = SimPoint("ostbc_4x2", QAM16, 4.0, 0.0, 0.05, seed=2012)
-    bits, errors, sq_errors = _simulate_chunk(point, 0)
+    [(bits, errors, sq_errors)] = _simulate_chunk((point,), 0)
     # Each of the errors sits in a block of 12 bits: errors <= sum e_b^2 <= 12 errors,
     # and the squares exceed the counts as soon as a block holds two errors.
     assert bits == 12 * 10_000 and errors > 0
@@ -336,16 +421,16 @@ def test_chunks_reuse_one_threads_buffers_at_every_size(monkeypatch):
     # so its grow-only buffers are reused at smaller and at larger sizes;
     # each chunk must count what it counts on a new workspace of its own.
     chunks = [
-        (SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2013), 0),
-        (SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.0, seed=2021), 0),
-        (SimPoint("alamouti_2x1", BPSK, 4.0, 0.0, 0.0, seed=2014), 0),
-        (SimPoint("ostbc_4x2", QPSK, 2.0, 0.0, 0.05, seed=2015, max_bits=30_000), 0),
-        (SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2013), 1),
+        ((SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2013),), 0),
+        ((SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.0, seed=2021),), 0),
+        ((SimPoint("alamouti_2x1", BPSK, 4.0, 0.0, 0.0, seed=2014),), 0),
+        ((SimPoint("ostbc_4x2", QPSK, 2.0, 0.0, 0.05, seed=2015, max_bits=30_000),), 0),
+        ((SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2013),), 1),
     ]
     alone = [_on_new_buffers(monkeypatch, lambda c=c: _simulate_chunk(*c)) for c in chunks]
     in_turn = _on_new_buffers(monkeypatch, lambda: [_simulate_chunk(*c) for c in chunks])
-    assert chunks[3][0].max_bits // chunks[3][0].bits_per_block < 10_000
-    assert all(errors > 0 for _, errors, _ in alone)
+    assert chunks[3][0][0].max_bits // chunks[3][0][0].bits_per_block < 10_000
+    assert all(errors > 0 for [(_, errors, _)] in alone)
     assert in_turn == alone
 
 
@@ -393,11 +478,11 @@ def test_warm_chunk_allocates_little(monkeypatch):
         point = SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, beta, seed=2016)
 
         def fresh_bytes():
-            _simulate_chunk(point, 0)  # sizes the new workspace's buffers
+            _simulate_chunk((point,), 0)  # sizes the new workspace's buffers
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
-                _simulate_chunk(point, 1)
+                _simulate_chunk((point,), 1)
                 return tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
@@ -420,8 +505,8 @@ def test_warm_chunk_workspace_holds_no_codeword_or_signal_copy(monkeypatch):
     monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
     for beta in (0.0, 0.01):  # one workspace through both fade stages
         point = SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, beta, seed=2016)
-        _simulate_chunk(point, 0)
-        _simulate_chunk(point, 1)
+        _simulate_chunk((point,), 0)
+        _simulate_chunk((point,), 1)
     [work] = montecarlo._idle_workspaces
     assert sum(flat.nbytes for flat in work._buffers.values()) <= WARM_CHUNK_WORKSPACE_BYTES
 
@@ -530,6 +615,13 @@ def test_sim_point_validation():
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SimPoint("alamouti_2x1", QPSK, beta=0.0, seed=1, **kwargs)
     SimPoint("alamouti_2x1", QPSK, 3000.0, -3000.0, 0.0, seed=1)
+    # The fades and the noise of a chunk are never one stream; a cell built
+    # without a fade seed is a curve of its own.
+    with pytest.raises(ValueError, match="fade_seed must differ from seed"):
+        SimPoint("alamouti_2x1", QPSK, 0.0, 0.0, 0.0, seed=7, fade_seed=7)
+    alone = SimPoint("alamouti_2x1", QPSK, 0.0, 0.0, 0.0, seed=7)
+    assert alone.curve[-1] != alone.seed
+    assert dataclasses.replace(alone, seed=8).curve != alone.curve
 
 
 def test_single_cell_sweep_equals_run_point():
@@ -552,6 +644,7 @@ def test_single_cell_sweep_equals_run_point():
         0.0,
         seed=derive_seed(77, "alamouti_2x1", "QPSK", 5.0, 0.0, 6.0),
         min_errors=120,
+        fade_seed=derive_seed(77, "alamouti_2x1", "QPSK", 5.0, 0.0),
     )
     assert points == (point,)
     assert estimates[0] == run_point(point)
