@@ -393,8 +393,8 @@ def _add_grid_options(sub, include_sim: bool) -> None:
         sub.add_argument(
             "--workers",
             type=int,
-            help="curves (cells that differ only in SNR) simulated at a time, at most "
-            "one per CPU, each running its chunks serially (default 1)",
+            help="threads that share out the curves (cells that differ only in SNR), "
+            "and a curve's cells once no curve is left, at most one per CPU (default 1)",
         )
 
 

@@ -21,19 +21,20 @@ curve see common fades (common random numbers) and their estimates are
 correlated, while each cell's estimate stays a pure function of its two
 seeds. A cell stops after the first chunk at which its cumulative error
 count reaches ``min_errors`` or its cumulative bit count reaches
-``max_bits``; the curve runs its chunks serially in index order until
-every cell has stopped. :func:`run_point` runs one cell as a curve of
-its own, on the same code path.
+``max_bits``; a cell runs its chunks in index order until it stops.
+:func:`run_point` runs one cell as a sweep of its own, on the same code
+path.
 
 :func:`sweep_points` turns a grid into its deduplicated cells, a
 :class:`SimPoint` tuple in report order, and that tuple is the only
 description of a sweep from spec to CSV row. Each cell's seed is derived
 from the sweep seed and the cell parameters, and its fade seed from the
 same fields but the SNR, so a cell's estimate does not depend on which
-other cells are present in the grid. A sweep runs its curves ``workers``
-(at most one per CPU) at a time on one thread pool, so the estimates are
+other cells are present in the grid. A sweep runs on ``workers`` threads
+(at most one per CPU) that take its curves one at a time; a thread that
+finds no curve left takes half of the open cells of a running one, and
+draws that curve's fades again for them. The estimates are therefore
 bit-identical for any worker count and equal those of :func:`run_point`.
-A one-curve sweep uses one thread.
 
 Each chunk draws and runs in one :class:`~coop_ostbc.numerics.Workspace`
 (up to 6.3 MB for a 4x2 chunk at beta > 0, 1.9 MB at beta = 0) that it
@@ -187,7 +188,7 @@ def _chunk_blocks(point: SimPoint) -> int:
 
 # The workspaces that finished chunks left, for the chunks that start next; no
 # more than one per CPU, so a wide sweep does not hold its memory for good. A
-# sweep runs no more curves at a time either, so it makes no more workspaces.
+# sweep runs on no more threads either, so it makes no more workspaces.
 _idle_workspaces: list = []
 _CPUS = os.cpu_count() or 1
 _idle_lock = threading.Lock()
@@ -314,9 +315,18 @@ def _noise_stage(work: Workspace, rng: RngStream, signal, gain, power: float):
     the normals into the scratch, scales them by 1 / (sqrt(2) sqrt(P)
     sqrt(G)) per block, writing them transposed into the bytes of ``"h"``,
     which the fade stage is done with, and adds the signal, so the
-    detector reads a contiguous input. The square roots are taken apart,
-    so no P G product can overflow. ``signal`` and ``gain`` are only read,
-    so every cell of a chunk sees the same fade.
+    detector reads a contiguous input. ``signal`` and ``gain`` are only
+    read, so every cell of a chunk sees the same fade.
+
+    It scales the pair itself rather than through
+    :func:`~coop_ostbc.numerics.sample_circular_gaussian`, which takes a
+    variance, for two reasons. The per-block variance 1 / (P G) need not
+    be a float where its square root is (P of 1e-320 is a valid SNR), so
+    the square roots are taken apart and no P G product can overflow. And
+    the scalar variance 1 / P with a further per-block divide is one more
+    pass over the input: on a 2-core Xeon a 10k-block 4x2 stage took
+    1.07-1.28 ms here against 1.24-1.51 ms that way (medians of 200, five
+    rounds), about a tenth of a cell's noise, detect and count.
     """
     n, n_symbols = signal.shape
     normals, scale = work.scratch(((2, n_symbols, n), float), ((n,), float))
@@ -329,33 +339,74 @@ def _noise_stage(work: Workspace, rng: RngStream, signal, gain, power: float):
     return np.add(z, signal, out=z)
 
 
-def _run_curve(cells) -> list[BerEstimate]:
-    """Estimate the cells of one curve, each with its own stopping rule.
+class _Tasks:
+    """The open cells of a sweep, run by ``threads`` threads that share them.
 
-    Chunk k runs, in one :func:`_simulate_chunk` call, for the cells whose
-    rule did not hold after chunk k - 1. A cell stops after the first chunk
-    at which its error count reaches ``min_errors`` or its bit count
-    reaches ``max_bits``, and its counts are those of the chunks it ran,
-    whichever other cells ran beside it.
+    A task is some cells of one curve and the index of their next chunk;
+    at the start there is one task per curve. A thread takes a task and runs
+    it, one :func:`_simulate_chunk` call per chunk, for the cells whose
+    stopping rule did not hold after the chunk before: a cell stops after
+    the first chunk at which its error count reaches ``min_errors`` or its
+    bit count reaches ``max_bits``. Before each chunk, while fewer tasks
+    wait than threads hold none, it hands every other one of its open cells
+    to a new task, so a curve runs on as many threads as have nothing else
+    to do, each drawing the curve's fades for its own cells. A cell's counts
+    are those of its chunks 0, 1, ..., whichever cells ran beside it, so the
+    split changes no estimate.
     """
-    totals = [(0, 0, 0, 0)] * len(cells)  # bits, errors, squared block errors, chunks
-    running = list(range(len(cells)))
-    chunk_index = 0
-    while running:
-        counts = _simulate_chunk(tuple(cells[i] for i in running), chunk_index)
-        chunk_index += 1
-        for i, (bits, errors, sq_errors) in zip(running, counts):
-            b, e, e2, _ = totals[i]
-            totals[i] = (b + bits, e + errors, e2 + sq_errors, chunk_index)
-        running = [i for i in running
-                   if totals[i][1] < cells[i].min_errors and totals[i][0] < cells[i].max_bits]
-    return [BerEstimate.from_counts(bits, errors, sq_errors, cell.bits_per_block, used)
-            for cell, (bits, errors, sq_errors, used) in zip(cells, totals)]
+
+    def __init__(self, points, threads: int):
+        self.points = points
+        self.threads = threads
+        self.totals = [(0, 0, 0, 0)] * len(points)  # bits, errors, squared block errors, chunks
+        curves: dict = {}
+        for i, point in enumerate(points):
+            curves.setdefault(point.curve, []).append(i)
+        self.waiting = [(cells, 0) for cells in curves.values()]
+        self.busy = 0
+        self.failed = False
+        self.changed = threading.Condition()
+
+    def work(self) -> None:
+        """Run tasks until none waits and no thread runs one that it could split."""
+        while True:
+            with self.changed:
+                while not self.waiting and self.busy and not self.failed:
+                    self.changed.wait()
+                if not self.waiting or self.failed:
+                    return
+                cells, chunk_index = self.waiting.pop(0)
+                self.busy += 1
+            try:
+                self._run(cells, chunk_index)
+            except BaseException:
+                self.failed = True  # the other threads stop at their next chunk
+                raise
+            finally:
+                with self.changed:
+                    self.busy -= 1
+                    self.changed.notify_all()
+
+    def _run(self, cells: list, chunk_index: int) -> None:
+        points, totals = self.points, self.totals
+        while cells and not self.failed:
+            with self.changed:
+                if len(cells) > 1 and len(self.waiting) < self.threads - self.busy:
+                    self.waiting.append((cells[1::2], chunk_index))
+                    cells = cells[::2]
+                    self.changed.notify()
+            counts = _simulate_chunk(tuple(points[i] for i in cells), chunk_index)
+            chunk_index += 1
+            for i, (bits, errors, sq_errors) in zip(cells, counts):
+                b, e, e2, _ = totals[i]
+                totals[i] = (b + bits, e + errors, e2 + sq_errors, chunk_index)
+            cells = [i for i in cells
+                     if totals[i][1] < points[i].min_errors and totals[i][0] < points[i].max_bits]
 
 
 def run_point(point: SimPoint) -> BerEstimate:
-    """Estimate the BER of one point with the adaptive stopping rule: a curve of one cell."""
-    return _run_curve((point,))[0]
+    """Estimate the BER of one point with the adaptive stopping rule: a sweep of one cell."""
+    return run_sweep((point,), 1)[0]
 
 
 def derive_seed(master_seed: int, *fields) -> int:
@@ -433,23 +484,21 @@ def analytic_ber(scheme: str, mod: ostbc.Modulation, r_db: float, beta: float,
 
 
 def run_sweep(points, workers: int) -> list[BerEstimate]:
-    """Estimate every cell of ``points``, ``workers`` curves (at most one per CPU) at a time.
+    """Estimate every cell of ``points`` on ``workers`` threads (at most one per CPU).
 
-    The cells are grouped by :attr:`SimPoint.curve`, and each curve runs as
-    :func:`run_point` runs a single cell, so every estimate is the one that
-    :func:`run_point` gives its cell. The estimates come back in ``points``
-    order whatever order the curves finish in. Each chunk borrows its
-    workspace from the idle list that every sweep shares, and gives it back
-    when it ends: reusing the buffers spares allocating them again on a
-    heap that the freed ones would have left full of holes.
+    The cells are grouped by :attr:`SimPoint.curve`, and the threads share
+    out the curves and, once there are fewer curves left than threads, the
+    cells of a curve (see :class:`_Tasks`), so every estimate is the one
+    that :func:`run_point` gives its cell. The estimates come back in
+    ``points`` order whatever order the cells finish in. Each chunk borrows
+    its workspace from the idle list that every sweep shares, and gives it
+    back when it ends: reusing the buffers spares allocating them again on
+    a heap that the freed ones would have left full of holes.
     """
-    curves: dict = {}
-    for i, point in enumerate(points):
-        curves.setdefault(point.curve, []).append(i)
-    estimates = [None] * len(points)
-    with ThreadPoolExecutor(max_workers=min(workers, _CPUS)) as pool:
-        runs = pool.map(lambda cells: _run_curve([points[i] for i in cells]), curves.values())
-        for cells, curve_estimates in zip(curves.values(), runs):
-            for i, estimate in zip(cells, curve_estimates):
-                estimates[i] = estimate
-    return estimates
+    threads = min(workers, _CPUS)
+    tasks = _Tasks(points, threads)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for run in [pool.submit(tasks.work) for _ in range(threads)]:
+            run.result()
+    return [BerEstimate.from_counts(bits, errors, sq_errors, point.bits_per_block, used)
+            for point, (bits, errors, sq_errors, used) in zip(points, tasks.totals)]

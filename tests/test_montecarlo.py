@@ -378,6 +378,76 @@ def test_run_sweep_raises_at_its_first_chunk_before_any_draw(monkeypatch):
     assert streams == []
 
 
+def test_a_curve_splits_its_cells_across_threads_that_have_no_curve(monkeypatch):
+    # One curve on two threads: before its first chunk the thread that took
+    # it hands every other cell to the thread that has nothing to do, so
+    # chunk 0 runs in more than one call, each cell in one of them, and
+    # every estimate is still the one of its one-cell sweep.
+    points = sweep_points(("alamouti_2x1",), ("BPSK",), (0.0, 4.0, 8.0, 12.0, 16.0, 20.0),
+                          (5.0,), (0.05,), seed=2025, min_errors=100, max_bits=60_000)
+    want = [run_point(p) for p in points]
+    calls = []
+    chunk = montecarlo._simulate_chunk
+
+    def recording(cells, chunk_index):
+        calls.append((chunk_index, tuple(p.gamma_db for p in cells)))
+        return chunk(cells, chunk_index)
+
+    monkeypatch.setattr(montecarlo, "_CPUS", 2)
+    monkeypatch.setattr(montecarlo, "_simulate_chunk", recording)
+    assert run_sweep(points, 2) == want
+    first = [cells for chunk_index, cells in calls if chunk_index == 0]
+    assert (0.0, 8.0, 16.0) in first and len(first) > 1
+    assert sorted(sum(first, ())) == [p.gamma_db for p in points]
+
+
+def test_a_running_curve_hands_cells_on_at_their_next_chunk(monkeypatch):
+    # Two curves on two threads: a one-cell curve that stops in chunk 0,
+    # and one whose three cells run three chunks each. The short curve
+    # waits until the long one has started on the other thread, and the
+    # long curve's chunk 0 waits until that thread has nothing left to do,
+    # so before chunk 1 it hands every other open cell on, and those cells
+    # must go on from chunk 1, not start again.
+    long = sweep_points(("alamouti_2x1",), ("BPSK",), (16.0, 20.0, 24.0), (5.0,), (0.0,),
+                        seed=2026, min_errors=100, max_bits=60_000)
+    short = sweep_points(("alamouti_2x1",), ("BPSK",), (0.0,), (5.0,), (0.05,),
+                         seed=2026, min_errors=100, max_bits=60_000)
+    points = long + short
+    want = [run_point(p) for p in points]
+    long_started, idle = threading.Event(), threading.Event()
+
+    class Watched(threading.Condition):
+        def wait(self, timeout=None):
+            idle.set()
+            return super().wait(timeout)
+
+    tasks_init = montecarlo._Tasks.__init__
+
+    def watched_init(self, *args):
+        tasks_init(self, *args)
+        self.changed = Watched()
+
+    calls = []
+    chunk = montecarlo._simulate_chunk
+
+    def recording(cells, chunk_index):
+        if cells[0].beta == 0.0 and chunk_index == 0:
+            long_started.set()
+            assert idle.wait(timeout=60)
+        elif chunk_index == 0:
+            assert long_started.wait(timeout=60)
+        calls.append((chunk_index, tuple(p.gamma_db for p in cells)))
+        return chunk(cells, chunk_index)
+
+    monkeypatch.setattr(montecarlo, "_CPUS", 2)
+    monkeypatch.setattr(montecarlo._Tasks, "__init__", watched_init)
+    monkeypatch.setattr(montecarlo, "_simulate_chunk", recording)
+    assert run_sweep(points, 2) == want
+    assert [e.streams_used for e in want] == [3, 3, 3, 1]
+    assert (0, (16.0, 20.0, 24.0)) in calls
+    assert (1, (16.0, 24.0)) in calls and (1, (20.0,)) in calls
+
+
 def test_interval_widens_by_the_design_effect_of_shared_fades():
     # 250 errors over 1,000 four-bit blocks. Spread one per block, the
     # per-block variance is below binomial and the interval stays binomial;
@@ -800,7 +870,13 @@ def test_confidence_intervals_cover_closed_form():
         for p, est in zip(points, run_sweep(points, 1))
         if est.ci_lo <= analytic(2.0, p.r_db, p.gamma_db) <= est.ci_hi
     )
-    assert hits >= 10  # 11 cells, 95% intervals
+    # 11 cells of one curve, 95% intervals. The cells share their fades, so
+    # their misses are correlated; over sweep seeds 5000-5399 this bound
+    # held for 89.0% of seeds, as it would for 11 independent cells
+    # (P(Binomial(11, 0.948) >= 10) = 0.89). The seed is fixed, so the
+    # test is deterministic; a new stream may need a new seed, not a
+    # looser bound.
+    assert hits >= 10
 
 
 def test_ostbc4_point_runs_and_improves_on_alamouti():
