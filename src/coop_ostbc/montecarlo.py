@@ -1,12 +1,13 @@
 """Seeded Monte Carlo BER estimation of what the detector sees.
 
 A chunk simulates the detector's input, not the antennas: a fade stage
-gives each block's gain-normalized noiseless signal and its gain G_est,
-and one noise stage adds the per-symbol noise that the matched filter of
-an orthogonal design makes of white antenna noise (white, circular, of
-variance G_est before the normalization). At beta = 0 the fade stage
-needs only the path powers; at beta > 0 it carries the symbols over the
-drawn channels and combines them with the estimates. The chunk is the one
+gives each block's gain-normalized noiseless signal and the root of its
+gain G_est, and one noise stage adds the per-symbol noise that the
+matched filter of an orthogonal design makes of white antenna noise
+(white, circular, of variance G_est before the normalization). At beta =
+0 the fade stage needs only the path powers; at beta > 0 it draws the
+estimates first and the channels given them, carries the symbols over
+the channels and combines them with the estimates. The chunk is the one
 place that sums path powers into G_est and divides by it;
 :func:`ostbc.detect` slices the normalized input it is given.
 
@@ -201,20 +202,19 @@ def _simulate_chunk(cells: tuple, chunk_index: int) -> list[tuple[int, int, int]
     Draw order: from the curve's fade stream ``RngStream(fade seed,
     chunk_index)``, the data bits (eight per random byte); then, at beta =
     0, the path powers |h_ij|^2 ~ Exp(1) of shape (n_tx, n_rx, blocks), or,
-    at beta > 0, the channels CN(0, 1) and then the estimation errors CN(0,
-    beta), each of that shape. Then each cell draws from its own noise
+    at beta > 0, the unit estimates u ~ CN(0, 1) and then sqrt(beta) v ~
+    CN(0, beta), each of that shape. Then each cell draws from its own noise
     stream ``RngStream(cell.seed, chunk_index)`` the noise CN(0, 1) of shape
     (n_symbols, blocks), one per detected symbol. Each Gaussian array is
     one ziggurat draw, and so are the path powers.
 
     The fade stage works on effective channels: the weights of
     :meth:`ostbc.SpaceTimeCode.weights` scale the path powers by w_i^2, or
-    the drawn channels h and estimates h + e by w_i, once. beta is the
-    error variance of a unit-power link, and the effective estimate's error
-    variance is w_i^2 beta. The noise stage then adds n_k / (sqrt(P)
-    sqrt(G_est)) to each gain-normalized symbol. At beta >= 2 the estimates
-    are scaled by 2^-k, 2^k about sqrt(beta), so no |est_ij|^2 overflows;
-    the detector input, scaled back by 2^-k, keeps its bytes.
+    the channels h = (u + sqrt(beta) v) / sqrt(1+beta) and the unit
+    estimates u by w_i, once. beta is the error variance of a unit-power
+    link, and the effective estimate w_i sqrt(1+beta) u has error variance
+    w_i^2 beta. The noise stage then adds n_k / (sqrt(P) sqrt(G_est)) to
+    each gain-normalized symbol.
 
     The data bits run block by block, symbol by symbol, MSB first. One
     :func:`ostbc.detect` call per cell on the contiguous (blocks,
@@ -226,8 +226,8 @@ def _simulate_chunk(cells: tuple, chunk_index: int) -> list[tuple[int, int, int]
     Every array from the symbols to the decisions is a view on a workspace
     borrowed from the idle list and given back when the chunk ends, so the
     next chunk overwrites it. The path powers and each cell's noise reuse
-    the bytes of the channels; the bits, the signal and G_est that the
-    cells share are only read once the fade stage is done.
+    the bytes of the channels; the bits, the signal and sqrt(G_est) that
+    the cells share are only read once the fade stage is done.
     """
     with _idle_lock:
         work = _idle_workspaces.pop() if _idle_workspaces else Workspace()
@@ -248,16 +248,11 @@ def _simulate_chunk_in(work: Workspace, cells: tuple, chunk_index: int):
     tx_bits = rng.bits(first.bits_per_block * n)
     syms = ostbc.modulate(tx_bits, first.mod, work).reshape(n, code.n_symbols)
     w = code.weights(_db_to_linear(first.r_db))[:, None, None]
-    # The estimates are carried at 2^-k of their size, 2^k about sqrt(beta),
-    # and z comes out exactly 2^k times too large.
-    k = max(0, math.frexp(first.beta)[1] // 2)
-    signal, gain = _fade_stage(work, rng, code, w, first.beta, k, syms)
+    signal, root = _fade_stage(work, rng, code, w, first.beta, syms)
     counts = []
     for cell in cells:
-        z = _noise_stage(work, RngStream(cell.seed, chunk_index), signal, gain,
+        z = _noise_stage(work, RngStream(cell.seed, chunk_index), signal, root,
                          _db_to_linear(cell.gamma_db))
-        if k:  # a pass over z that most chunks need not pay for
-            np.ldexp(z.view(float), -k, out=z.view(float))
         rx_bits = ostbc.detect(z, first.mod, work)
         wrong = np.flatnonzero(np.not_equal(rx_bits, tx_bits, out=rx_bits.view(bool)))
         per_block = np.bincount(np.floor_divide(wrong, first.bits_per_block, out=wrong))
@@ -266,20 +261,27 @@ def _simulate_chunk_in(work: Workspace, cells: tuple, chunk_index: int):
 
 
 def _fade_stage(work: Workspace, rng: RngStream, code: ostbc.SpaceTimeCode, w, beta: float,
-                k: int, syms):
-    """The gain-normalized noiseless detector input and the gain G_est of each block.
+                syms):
+    """The gain-normalized noiseless detector input and sqrt(G_est) of each block.
 
     ``syms`` are the (n, n_symbols) symbols, and the detector input comes
     back in their layout and in their bytes. Each branch writes the (n_tx,
     n_rx, n) path powers into the bytes of ``"h"``, and one sum over the
-    paths gives G_est. At beta = 0 they are w_i^2 |h_ij|^2 with |h_ij|^2 ~
-    Exp(1), and the input is the symbols themselves, as the matched filter
-    returns G s_k exactly. At beta > 0 the effective channels w h and
-    estimates 2^-k w (h + e) carry the symbols through
-    :func:`ostbc.transmit` and :func:`ostbc.combine`, the path powers are
-    |est_ij|^2, and the (n_symbols, n) combiner output over G_est, exactly
-    2^k times its value at k = 0, is written transposed over the symbols,
-    in one pass over each of its real and imaginary parts.
+    paths gives their gain G, whose root comes back in its bytes. At beta =
+    0 they are w_i^2 |h_ij|^2 with |h_ij|^2 ~ Exp(1), G is G_est, and the
+    input is the symbols themselves, as the matched filter returns G s_k
+    exactly.
+
+    At beta > 0 the estimate is drawn first: with u and v CN(0, 1), est =
+    sqrt(1+beta) u and h = (u + sqrt(beta) v) / sqrt(1+beta) have the joint
+    law of h ~ CN(0, 1) and est = h + e, e ~ CN(0, beta). The effective
+    channels w h carry the symbols through :func:`ostbc.transmit`, and
+    :func:`ostbc.combine` takes w u, so the path powers are |w_i u_ij|^2
+    and G_est = (1+beta) G. The combiner output on w u is the one on w est
+    over sqrt(1+beta), so the input is that output over sqrt(1+beta) G,
+    written transposed over the symbols in one pass over each of its real
+    and imaginary parts, and sqrt(G_est) is sqrt(1+beta) sqrt(G). Neither
+    product overflows at any finite beta, where G_est itself can.
     """
     n = syms.shape[0]
     shape = (code.n_tx, code.n_rx, n)
@@ -287,25 +289,29 @@ def _fade_stage(work: Workspace, rng: RngStream, code: ostbc.SpaceTimeCode, w, b
         powers = rng.exponentials(shape, out=work.array("h", shape, float))
         np.multiply(np.square(w), powers, out=powers)
     else:
-        h = sample_circular_gaussian(rng, 1.0, shape, work.array("h", shape), work)
-        est = sample_circular_gaussian(rng, beta, shape, work.array("est", shape), work)
-        np.add(h, est, out=est)  # h + e
-        np.multiply(np.ldexp(w, -k), est, out=est)
-        np.multiply(w, h, out=h)
-        combined = ostbc.combine(code, ostbc.transmit(code, syms.T, h, work), est, work)
+        u = sample_circular_gaussian(rng, 1.0, shape, work.array("est", shape), work)
+        h = sample_circular_gaussian(rng, beta, shape, work.array("h", shape), work)
+        spread = math.sqrt(1.0 + beta)  # est = spread u
+        np.add(u, h, out=h)  # u + sqrt(beta) v
+        np.multiply(w / spread, h, out=h)
+        np.multiply(w, u, out=u)
+        combined = ostbc.combine(code, ostbc.transmit(code, syms.T, h, work), u, work)
         squares = work.array("h", (2,) + shape, float)
-        np.square(est.real, out=squares[0])
-        np.square(est.imag, out=squares[1])
+        np.square(u.real, out=squares[0])
+        np.square(u.imag, out=squares[1])
         powers = np.add(squares[0], squares[1], out=squares[0])
     gain = np.sum(powers.reshape(-1, n), axis=0, out=work.array("gain", (n,), float))
-    if beta > 0.0:
-        np.divide(combined.real, gain, out=syms.real.T)
-        np.divide(combined.imag, gain, out=syms.imag.T)
-    return syms, gain
+    if beta == 0.0:
+        return syms, np.sqrt(gain, out=gain)
+    (divisor,) = work.scratch(((n,), float))
+    np.multiply(gain, spread, out=divisor)  # G_est / sqrt(1+beta)
+    np.divide(combined.real, divisor, out=syms.real.T)
+    np.divide(combined.imag, divisor, out=syms.imag.T)
+    return syms, np.multiply(np.sqrt(gain, out=gain), spread, out=gain)
 
 
-def _noise_stage(work: Workspace, rng: RngStream, signal, gain, power: float):
-    """The detector input z_k = signal_k + n_k / (sqrt(P) sqrt(G)), n_k ~ CN(0, 1).
+def _noise_stage(work: Workspace, rng: RngStream, signal, root, power: float):
+    """The detector input z_k = signal_k + n_k / (sqrt(P) sqrt(G_est)), n_k ~ CN(0, 1).
 
     The matched filter of an orthogonal design turns white CN(0, 1)
     antenna noise into white, circular noise of variance G_est on each
@@ -313,26 +319,26 @@ def _noise_stage(work: Workspace, rng: RngStream, signal, gain, power: float):
     (n_symbols, n) draw therefore stands for all of the antenna noise of
     the (n, n_symbols) ``signal``. The stage makes one pass each: it draws
     the normals into the scratch, scales them by 1 / (sqrt(2) sqrt(P)
-    sqrt(G)) per block, writing them transposed into the bytes of ``"h"``,
-    which the fade stage is done with, and adds the signal, so the
-    detector reads a contiguous input. ``signal`` and ``gain`` are only
-    read, so every cell of a chunk sees the same fade.
+    ``root``) per block, with ``root`` the sqrt(G_est) of the fade stage,
+    writing them transposed into the bytes of ``"h"``, which the fade stage
+    is done with, and adds the signal, so the detector reads a contiguous
+    input. ``signal`` and ``root`` are only read, so every cell of a chunk
+    sees the same fade.
 
     It scales the pair itself rather than through
     :func:`~coop_ostbc.numerics.sample_circular_gaussian`, which takes a
-    variance, for two reasons. The per-block variance 1 / (P G) need not
-    be a float where its square root is (P of 1e-320 is a valid SNR), so
-    the square roots are taken apart and no P G product can overflow. And
-    the scalar variance 1 / P with a further per-block divide is one more
-    pass over the input: on a 2-core Xeon a 10k-block 4x2 stage took
-    1.07-1.28 ms here against 1.24-1.51 ms that way (medians of 200, five
-    rounds), about a tenth of a cell's noise, detect and count.
+    variance, for two reasons. The per-block variance 1 / (P G_est) need
+    not be a float where its square root is (P of 1e-320 is a valid SNR),
+    so the square roots are taken apart and no P G_est product can
+    overflow. And the scalar variance 1 / P with a further per-block divide
+    is one more pass over the input: on a 2-core Xeon a 10k-block 4x2 stage
+    took 1.07-1.28 ms here against 1.24-1.51 ms that way (medians of 200,
+    five rounds), about a tenth of a cell's noise, detect and count.
     """
     n, n_symbols = signal.shape
     normals, scale = work.scratch(((2, n_symbols, n), float), ((n,), float))
     x, y = rng.normal_pairs((n_symbols, n), out=normals)
-    np.sqrt(gain, out=scale)
-    np.divide(1.0 / (math.sqrt(2.0) * math.sqrt(power)), scale, out=scale)
+    np.divide(1.0 / (math.sqrt(2.0) * math.sqrt(power)), root, out=scale)
     z = work.array("h", signal.shape)
     np.multiply(x, scale, out=z.real.T)
     np.multiply(y, scale, out=z.imag.T)

@@ -8,10 +8,9 @@ per-axis slicer, its bit count and its closed-form constant.
 A :class:`SpaceTimeCode` lists the non-zero entries of its codeword X
 (rows index transmit antennas, columns index time slots) and the node,
 base station (BS) or relay (RS), that owns each antenna. One set of
-functions encodes, transmits and combines for every code in
-:data:`CODES`. :func:`transmit` reads that table and the symbols
-themselves, so the chain never builds X; :func:`encode` builds it for
-reference.
+functions transmits and combines for every code in :data:`CODES`.
+:func:`transmit` reads that table and the symbols themselves, so the
+chain never builds X.
 
 The per-node power split comes from :meth:`SpaceTimeCode.weights`, the
 one place that turns the linear RS-to-BS received-SNR ratio r into
@@ -34,9 +33,9 @@ after combining; with perfect estimates it needs neither layer.
 :func:`detect` slices the gain-normalized input it is given.
 
 Arrays may carry one trailing axis of fading blocks, which is the form
-the Monte Carlo engine uses: symbols (n_symbols, blocks), codewords
-(n_tx, n_slots, blocks), channels and their estimates (n_tx, n_rx,
-blocks), received samples (n_rx, n_slots, blocks).
+the Monte Carlo engine uses: symbols (n_symbols, blocks), channels and
+their estimates (n_tx, n_rx, blocks), received samples (n_rx, n_slots,
+blocks).
 
 Every layer of the chain takes the chunk's
 :class:`~coop_ostbc.numerics.Workspace` as its last argument, keeps its
@@ -45,8 +44,7 @@ temporaries in that workspace's scratch and allocates no result:
 return its ``"symbols"``, ``"received"``, ``"combined"`` and
 ``"decisions"`` arrays, each valid until the next call for that name. A
 Monte Carlo chunk borrows its workspace from the engine's idle list, so
-a warm chunk allocates almost nothing. :func:`encode`, the reference,
-returns a fresh codeword.
+a warm chunk allocates almost nothing.
 """
 
 from __future__ import annotations
@@ -69,7 +67,6 @@ __all__ = [
     "SpaceTimeCode",
     "CODES",
     "modulate",
-    "encode",
     "transmit",
     "combine",
     "detect",
@@ -251,18 +248,6 @@ def modulate(bits, mod: Modulation, work: Workspace) -> np.ndarray:
     # Every label indexes a point, so "clip" never clips; unlike the default
     # "raise", it writes straight into ``out`` without a buffer.
     return np.take(mod.points, labels, out=work.array("symbols", labels.shape), mode="clip")
-
-
-def encode(code: SpaceTimeCode, symbols) -> np.ndarray:
-    """Codeword X of shape (n_tx, n_slots[, blocks]) from (n_symbols[, blocks]) symbols."""
-    s = np.asarray(symbols, dtype=complex)
-    if s.shape[:1] != (code.n_symbols,):
-        raise ValueError(f"{code.name} takes {code.n_symbols} symbols, got shape {s.shape}")
-    x = np.zeros((code.n_tx, code.n_slots) + s.shape[1:], dtype=complex)
-    for i, t, k, conjugate, sign in code.entries:
-        entry = x[i, t, ...]  # a view, also when X has no block axis
-        np.multiply(sign, np.conjugate(s[k], out=entry) if conjugate else s[k], out=entry)
-    return x
 
 
 def _add_term(total, a, b, sign, first, product) -> None:

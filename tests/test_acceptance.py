@@ -26,10 +26,11 @@ from coop_ostbc.ostbc import (
     QPSK,
     combine,
     detect,
-    encode,
     modulate,
     transmit,
 )
+
+from codeword import encode
 
 FAST_BUDGET_S = 1.0
 SIM_BUDGET_S = 300.0

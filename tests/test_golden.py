@@ -9,6 +9,17 @@ a changed row. A change that is meant to move rows regenerates the pin:
 
     PYTHONPATH=src python -m coop_ostbc simulate <GOLDEN_ARGS> \\
         --output tests/data/golden_sweep.csv
+
+The same change regenerates ``tests/data/configs.sha256``, the sha256 of
+the three ``configs/`` figure sweeps at one worker, which CI checks:
+
+    out=$(mktemp -d)
+    for fig in fig1_imbalance fig2_estimation_errors fig3_ostbc_4x2; do
+        PYTHONPATH=src python -m coop_ostbc simulate --spec configs/$fig.json \\
+            --workers 1 --output "$out/$fig.w1.csv"
+    done
+    (cd "$out" && sha256sum fig1_imbalance.w1.csv fig2_estimation_errors.w1.csv \\
+        fig3_ostbc_4x2.w1.csv) > tests/data/configs.sha256
 """
 
 from pathlib import Path

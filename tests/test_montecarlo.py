@@ -37,10 +37,11 @@ from coop_ostbc.ostbc import (
     QPSK,
     combine,
     detect,
-    encode,
     modulate,
     transmit,
 )
+
+from codeword import encode
 
 
 def analytic(a_sq: float, r_db: float, gamma_db: float) -> float:
@@ -151,8 +152,12 @@ def z_score(a, b, bits_per_block):
         # At r = 10 dB and 30 dB the estimation leak is improper, yet the
         # thermal noise the chunk draws per symbol stays white.
         ("alamouti_2x1", QPSK, 30.0, 10.0, 0.05, 3301),
+        # QAM16's slicer is the one that reads the scale of its input, so
+        # this case sees a chunk that drops its 1/sqrt(1+beta).
+        ("ostbc_4x2", QAM16, 12.0, 5.0, 0.05, 3401),
     ],
-    ids=["alamouti_2x1-BPSK", "ostbc_4x2-QPSK", "ostbc_4x2-QAM16", "alamouti_2x1-QPSK-leak"],
+    ids=["alamouti_2x1-BPSK", "ostbc_4x2-QPSK", "ostbc_4x2-QAM16", "alamouti_2x1-QPSK-leak",
+         "ostbc_4x2-QAM16-leak"],
 )
 def test_chunk_agrees_with_the_full_chain_over_a_seed_block(scheme, mod, gamma_db, r_db,
                                                            beta, seed):
@@ -211,8 +216,9 @@ def test_extreme_cell_decides_both_bit_values_without_a_warning(tmp_path, monkey
 def test_any_finite_beta_decides_both_bit_values_without_a_warning(monkeypatch, scheme,
                                                                    mod, beta):
     # |est|^2 is about beta, past the largest float at beta = 1e308, so the
-    # chunk carries the estimates at 2^-k of their size. The estimate is
-    # then almost all error, and the BER is 1/2.
+    # chunk sums the powers of the unit draws u of est = sqrt(1+beta) u and
+    # carries sqrt(1+beta) apart. The estimate is then almost all error,
+    # and the BER is 1/2.
     point = SimPoint(scheme, mod, 10.0, 0.0, beta, seed=2018, max_bits=4_000)
     hits, bits = decided_bits(monkeypatch, lambda: coverage_hits(point, 0.5))
     assert hits >= COVERAGE_HITS
@@ -224,9 +230,9 @@ def fade_stream(point: SimPoint, chunk_index: int = 0) -> RngStream:
     return RngStream(point.curve[-1], chunk_index)
 
 
-def chunk_fade_stage(point: SimPoint, k: int = 0, chunk_index: int = 0):
-    """Chunk ``chunk_index`` of ``point``'s curve up to its fade stage, run with
-    estimates carried at 2^-k of their size: (work, signal, gain)."""
+def chunk_fade_stage(point: SimPoint, chunk_index: int = 0):
+    """Chunk ``chunk_index`` of ``point``'s curve up to its fade stage:
+    (work, signal, sqrt(G_est))."""
     code = CODES[point.scheme]
     rng = fade_stream(point, chunk_index)
     n = montecarlo._chunk_blocks(point)
@@ -234,22 +240,24 @@ def chunk_fade_stage(point: SimPoint, k: int = 0, chunk_index: int = 0):
     tx_bits = rng.bits(point.bits_per_block * n)
     syms = modulate(tx_bits, point.mod, work).reshape(n, code.n_symbols)
     w = code.weights(10.0 ** (point.r_db / 10.0))[:, None, None]
-    return (work,) + montecarlo._fade_stage(work, rng, code, w, point.beta, k, syms)
+    return (work,) + montecarlo._fade_stage(work, rng, code, w, point.beta, syms)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.05])
 @pytest.mark.parametrize("r_db", [-7.0, 0.0, 10.0])
 @pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
 def test_fade_stage_gain_is_the_imbalance_weighted_branch_sum(code, r_db, beta):
-    # G_est = sum_i w_i^2 sum_j |h_ij + e_ij|^2, with w_B^2 = 1/(1+r) and
+    # G_est = sum_i w_i^2 sum_j |est_ij|^2, with w_B^2 = 1/(1+r) and
     # w_R^2 = r/(1+r) split over each node's antennas, over the chunk's own
-    # draws: the path powers |h_ij|^2 at beta = 0, h and e at beta > 0. The
-    # signal is the symbols at beta = 0, where the matched filter returns
-    # G s exactly, and the combiner output over G_est at beta > 0, each laid
-    # out as (blocks, n_symbols) for the detector.
+    # draws: the path powers |h_ij|^2 at beta = 0; at beta > 0, u and then
+    # sqrt(beta) v, with est = sqrt(1+beta) u and h = (u + sqrt(beta) v) /
+    # sqrt(1+beta). The stage returns sqrt(G_est). The signal is the
+    # symbols at beta = 0, where the matched filter returns G s exactly,
+    # and the combiner output on the estimates over G_est at beta > 0, each
+    # laid out as (blocks, n_symbols) for the detector.
     point = SimPoint(code.name, QPSK, 10.0, r_db, beta, seed=2019, max_bits=6_000)
-    _, signal, gain = chunk_fade_stage(point)
-    n = gain.size
+    _, signal, root = chunk_fade_stage(point)
+    n = root.size
     r = 10.0 ** (r_db / 10.0)
     node_power = {"BS": 1.0 / (1.0 + r), "RS": r / (1.0 + r)}
     w_sq = np.array([node_power[node] / code.nodes.count(node) for node in code.nodes])
@@ -261,42 +269,19 @@ def test_fade_stage_gain_is_the_imbalance_weighted_branch_sum(code, r_db, beta):
         paths = replay.exponentials(shape)
         want_signal = syms
     else:
-        h = sample_circular_gaussian(replay, 1.0, shape)
-        est = h + sample_circular_gaussian(replay, beta, shape)
+        u = sample_circular_gaussian(replay, 1.0, shape)
+        h = (u + sample_circular_gaussian(replay, beta, shape)) / math.sqrt(1.0 + beta)
+        est = math.sqrt(1.0 + beta) * u
         paths = np.abs(est) ** 2
         w = np.sqrt(w_sq)[:, None, None]
         want_signal = combine(code, transmit(code, syms, w * h, Workspace()), w * est,
                               Workspace())
     expected = np.sum(w_sq[:, None, None] * paths, axis=(0, 1))
-    assert np.max(np.abs(gain - expected) / expected) < 1e-13
+    assert np.max(np.abs(root**2 - expected) / expected) < 1e-13
     if beta > 0.0:
         want_signal = want_signal / expected
     assert signal.flags.c_contiguous
     assert np.max(np.abs(signal - want_signal.T)) < 1e-12 * np.max(np.abs(want_signal))
-
-
-@pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
-def test_detector_input_does_not_depend_on_the_scale_of_the_estimates(code):
-    # Carried at 2^-k of their size, the estimates give exactly 2^k times
-    # the signal and 4^-k times G_est of k = 0, and the noise stage exactly
-    # 2^k times its detector input. At beta = 3 the chunk itself takes
-    # k = 1 and scales z back, so it must count what k = 0 decides.
-    point = SimPoint(code.name, QAM16, 10.0, 5.0, 3.0, seed=2020, max_bits=6_000)
-    inputs, signals, gains = [], [], []
-    for k in (0, 300):
-        work, signal, gain = chunk_fade_stage(point, k)
-        signals.append(np.ldexp(signal.view(float), -k))
-        gains.append(np.ldexp(gain, 2 * k))
-        z = montecarlo._noise_stage(work, RngStream(point.seed, 0), signal, gain, 10.0)
-        inputs.append(np.ldexp(z.view(float), -k).view(complex))
-    assert np.array_equal(*signals) and np.array_equal(*gains)
-    assert np.array_equal(*inputs)
-    tx_bits = fade_stream(point).bits(point.bits_per_block * inputs[0].shape[0])
-    wrong = np.flatnonzero(detect(inputs[0], QAM16, Workspace()) != tx_bits)
-    per_block = np.bincount(wrong // point.bits_per_block)
-    assert wrong.size > 0
-    assert _simulate_chunk((point,), 0) == [(tx_bits.size, wrong.size,
-                                             int(np.dot(per_block, per_block)))]
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.05])
@@ -316,13 +301,13 @@ def test_cells_of_a_curve_share_the_fade_and_draw_their_own_noise(monkeypatch, b
 
     monkeypatch.setattr(ostbc, "detect", recording_detect)
     counts = _simulate_chunk(cells, 1)
-    _, signal, gain = chunk_fade_stage(cells[0], chunk_index=1)
-    tx_bits = fade_stream(cells[0], 1).bits(cells[0].bits_per_block * gain.size)
+    _, signal, root = chunk_fade_stage(cells[0], chunk_index=1)
+    tx_bits = fade_stream(cells[0], 1).bits(cells[0].bits_per_block * root.size)
     assert len(inputs) == len(counts) == len(cells)
     for cell, z, (bits, errors, _) in zip(cells, inputs, counts):
         x, y = RngStream(cell.seed, 1).normal_pairs(signal.shape[::-1])
         power = 10.0 ** (cell.gamma_db / 10.0)
-        noise = (z - signal) * (math.sqrt(2.0 * power) * np.sqrt(gain))[:, None]
+        noise = (z - signal) * (math.sqrt(2.0 * power) * root)[:, None]
         assert np.max(np.abs(noise - (x + 1j * y).T)) < 1e-9
         wrong = np.flatnonzero(detect(z, QPSK, Workspace()) != tx_bits)
         assert (bits, errors) == (tx_bits.size, wrong.size) and errors > 0

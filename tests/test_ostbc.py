@@ -13,11 +13,12 @@ from coop_ostbc.ostbc import (
     SpaceTimeCode,
     combine,
     detect,
-    encode,
     modulate,
     modulation_by_name,
     transmit,
 )
+
+from codeword import encode
 
 ALL_MODS = (BPSK, QPSK, QAM16)
 A2 = CODES["alamouti_2x1"]
