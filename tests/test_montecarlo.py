@@ -284,6 +284,29 @@ def test_fade_stage_gain_is_the_imbalance_weighted_branch_sum(code, r_db, beta):
     assert np.max(np.abs(signal - want_signal.T)) < 1e-12 * np.max(np.abs(want_signal))
 
 
+@pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
+def test_chunk_counts_what_the_detector_decides_at_a_large_beta(code):
+    # At beta = 3 the estimate est = 2 u is half error. The fade stage's
+    # sqrt(G_est) is that of est, not of the unit draws u, and the chunk
+    # counts the errors that the QAM16 slicer, which reads the scale of its
+    # input, makes of the noise stage's output.
+    point = SimPoint(code.name, QAM16, 10.0, 5.0, 3.0, seed=2020, max_bits=6_000)
+    work, signal, root = chunk_fade_stage(point)
+    n = root.size
+    replay = fade_stream(point)
+    tx_bits = replay.bits(point.bits_per_block * n)
+    u = sample_circular_gaussian(replay, 1.0, (code.n_tx, code.n_rx, n))
+    w_sq = np.square(code.weights(10.0 ** (point.r_db / 10.0)))[:, None, None]
+    expected = np.sum(w_sq * np.abs(2.0 * u) ** 2, axis=(0, 1))
+    assert np.max(np.abs(root**2 - expected) / expected) < 1e-13
+    z = montecarlo._noise_stage(work, RngStream(point.seed, 0), signal, root, 10.0)
+    wrong = np.flatnonzero(detect(z, QAM16, Workspace()) != tx_bits)
+    per_block = np.bincount(wrong // point.bits_per_block)
+    assert wrong.size > 0
+    assert _simulate_chunk((point,), 0) == [(tx_bits.size, wrong.size,
+                                             int(np.dot(per_block, per_block)))]
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.05])
 def test_cells_of_a_curve_share_the_fade_and_draw_their_own_noise(monkeypatch, beta):
     # Chunk 1 of a three-cell curve: every cell counts against the bits of
