@@ -31,6 +31,7 @@ import math
 import os
 import re
 import sys
+from decimal import Decimal
 
 from . import analytic
 from .montecarlo import (
@@ -69,6 +70,9 @@ SPEC_KEYS = ("schemes", "modulations", "gamma_db", "r_db", "beta", "seed",
 GAP_TARGET_BER = 1e-2
 GAP_R_DB = (0.0, 10.0)
 SLOPE_GAMMA_DB = (40.0, 45.0, 50.0)
+# The most values one start:stop:step token may expand to; a larger token is
+# refused before any value is made.
+MAX_RANGE_VALUES = 10**6
 
 
 class UsageError(Exception):
@@ -102,7 +106,12 @@ def _parse_name_list(text: str) -> list[str]:
 
 
 def _parse_float_list(text: str) -> list[float]:
-    """Comma-separated floats; a start:stop:step token expands inclusively."""
+    """Comma-separated floats; a start:stop:step token expands inclusively.
+
+    A range is counted and expanded in decimal, so ``0:1:0.1`` gives the
+    values of the list ``0,0.1,...,1``, and it holds at most
+    :data:`MAX_RANGE_VALUES` values.
+    """
     values: list[float] = []
     for token in text.split(","):
         token = token.strip()
@@ -117,10 +126,13 @@ def _parse_float_list(text: str) -> list[float]:
                 raise UsageError(
                     f"range {token!r} needs a finite step > 0 and a finite value count"
                 )
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
-            if count < 1:
+            start, stop, step = (Decimal(p) for p in parts)
+            span = (stop - start) / step
+            if span < 0:
                 raise UsageError(f"empty range {token!r}")
-            values.extend(start + i * step for i in range(count))
+            if span >= MAX_RANGE_VALUES:
+                raise UsageError(f"range {token!r} has more than {MAX_RANGE_VALUES} values")
+            values.extend(float(start + i * step) for i in range(int(span) + 1))
         else:
             values.append(float(token))
     return values
@@ -394,7 +406,8 @@ def _add_grid_options(sub, include_sim: bool) -> None:
             "--workers",
             type=int,
             help="threads that share out the curves (cells that differ only in SNR), "
-            "and a curve's cells once no curve is left, at most one per CPU (default 1)",
+            "each split by its cells if there are fewer curves than threads, "
+            "at most one per CPU (default 1)",
         )
 
 

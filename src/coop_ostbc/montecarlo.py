@@ -32,10 +32,11 @@ description of a sweep from spec to CSV row. Each cell's seed is derived
 from the sweep seed and the cell parameters, and its fade seed from the
 same fields but the SNR, so a cell's estimate does not depend on which
 other cells are present in the grid. A sweep runs on ``workers`` threads
-(at most one per CPU) that take its curves one at a time; a thread that
-finds no curve left takes half of the open cells of a running one, and
-draws that curve's fades again for them. The estimates are therefore
-bit-identical for any worker count and equal those of :func:`run_point`.
+(at most one per CPU) that take its curves one at a time; where there are
+fewer curves than threads, each curve is split before its first chunk
+into tasks of every so-many-th cell, and each task draws the curve's
+fades for its own cells. The estimates are therefore bit-identical for
+any worker count and equal those of :func:`run_point`.
 
 Each chunk draws and runs in one :class:`~coop_ostbc.numerics.Workspace`
 (up to 6.3 MB for a 4x2 chunk at beta > 0, 1.9 MB at beta = 0) that it
@@ -54,6 +55,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -345,69 +347,32 @@ def _noise_stage(work: Workspace, rng: RngStream, signal, root, power: float):
     return np.add(z, signal, out=z)
 
 
-class _Tasks:
-    """The open cells of a sweep, run by ``threads`` threads that share them.
+def _run_cells(points, stop: threading.Event, cells: list) -> dict:
+    """Run chunks 0, 1, ... of some cells of one curve; return each cell's totals.
 
-    A task is some cells of one curve and the index of their next chunk;
-    at the start there is one task per curve. A thread takes a task and runs
-    it, one :func:`_simulate_chunk` call per chunk, for the cells whose
+    One :func:`_simulate_chunk` call per chunk runs the cells whose
     stopping rule did not hold after the chunk before: a cell stops after
     the first chunk at which its error count reaches ``min_errors`` or its
-    bit count reaches ``max_bits``. Before each chunk, while fewer tasks
-    wait than threads hold none, it hands every other one of its open cells
-    to a new task, so a curve runs on as many threads as have nothing else
-    to do, each drawing the curve's fades for its own cells. A cell's counts
-    are those of its chunks 0, 1, ..., whichever cells ran beside it, so the
-    split changes no estimate.
+    bit count reaches ``max_bits``. The totals map each cell's index to its
+    (bits, errors, squared block errors, chunks). ``stop`` is checked before
+    every chunk and set when a chunk raises, so a failing sweep stops its
+    other tasks at their next chunk.
     """
-
-    def __init__(self, points, threads: int):
-        self.points = points
-        self.threads = threads
-        self.totals = [(0, 0, 0, 0)] * len(points)  # bits, errors, squared block errors, chunks
-        curves: dict = {}
-        for i, point in enumerate(points):
-            curves.setdefault(point.curve, []).append(i)
-        self.waiting = [(cells, 0) for cells in curves.values()]
-        self.busy = 0
-        self.failed = False
-        self.changed = threading.Condition()
-
-    def work(self) -> None:
-        """Run tasks until none waits and no thread runs one that it could split."""
-        while True:
-            with self.changed:
-                while not self.waiting and self.busy and not self.failed:
-                    self.changed.wait()
-                if not self.waiting or self.failed:
-                    return
-                cells, chunk_index = self.waiting.pop(0)
-                self.busy += 1
-            try:
-                self._run(cells, chunk_index)
-            except BaseException:
-                self.failed = True  # the other threads stop at their next chunk
-                raise
-            finally:
-                with self.changed:
-                    self.busy -= 1
-                    self.changed.notify_all()
-
-    def _run(self, cells: list, chunk_index: int) -> None:
-        points, totals = self.points, self.totals
-        while cells and not self.failed:
-            with self.changed:
-                if len(cells) > 1 and len(self.waiting) < self.threads - self.busy:
-                    self.waiting.append((cells[1::2], chunk_index))
-                    cells = cells[::2]
-                    self.changed.notify()
+    totals = dict.fromkeys(cells, (0, 0, 0, 0))
+    chunk_index = 0
+    while cells and not stop.is_set():
+        try:
             counts = _simulate_chunk(tuple(points[i] for i in cells), chunk_index)
-            chunk_index += 1
-            for i, (bits, errors, sq_errors) in zip(cells, counts):
-                b, e, e2, _ = totals[i]
-                totals[i] = (b + bits, e + errors, e2 + sq_errors, chunk_index)
-            cells = [i for i in cells
-                     if totals[i][1] < points[i].min_errors and totals[i][0] < points[i].max_bits]
+        except BaseException:
+            stop.set()
+            raise
+        chunk_index += 1
+        for i, (bits, errors, sq_errors) in zip(cells, counts):
+            b, e, e2, _ = totals[i]
+            totals[i] = (b + bits, e + errors, e2 + sq_errors, chunk_index)
+        cells = [i for i in cells
+                 if totals[i][1] < points[i].min_errors and totals[i][0] < points[i].max_bits]
+    return totals
 
 
 def run_point(point: SimPoint) -> BerEstimate:
@@ -492,19 +457,29 @@ def analytic_ber(scheme: str, mod: ostbc.Modulation, r_db: float, beta: float,
 def run_sweep(points, workers: int) -> list[BerEstimate]:
     """Estimate every cell of ``points`` on ``workers`` threads (at most one per CPU).
 
-    The cells are grouped by :attr:`SimPoint.curve`, and the threads share
-    out the curves and, once there are fewer curves left than threads, the
-    cells of a curve (see :class:`_Tasks`), so every estimate is the one
-    that :func:`run_point` gives its cell. The estimates come back in
-    ``points`` order whatever order the cells finish in. Each chunk borrows
-    its workspace from the idle list that every sweep shares, and gives it
-    back when it ends: reusing the buffers spares allocating them again on
-    a heap that the freed ones would have left full of holes.
+    The cells are grouped by :attr:`SimPoint.curve`. Before the first
+    chunk each curve is split into ``shares`` tasks, every ``shares``-th
+    cell in each, with ``shares`` the threads per curve rounded up (1
+    unless there are fewer curves than threads), and the threads run the
+    tasks in curve order; each task draws its curve's fades for its own
+    cells. A cell's counts are those of its chunks 0, 1, ..., whichever
+    cells ran beside it, so every estimate is the one that
+    :func:`run_point` gives its cell. The estimates come back in ``points``
+    order whatever order the cells finish in. Each chunk borrows its
+    workspace from the idle list that every sweep shares, and gives it back
+    when it ends: reusing the buffers spares allocating them again on a
+    heap that the freed ones would have left full of holes.
     """
     threads = min(workers, _CPUS)
-    tasks = _Tasks(points, threads)
+    curves: dict = {}
+    for i, point in enumerate(points):
+        curves.setdefault(point.curve, []).append(i)
+    shares = -(-threads // max(len(curves), 1))  # ceil division
+    tasks = [cells[j::shares] for cells in curves.values() for j in range(shares)]
+    totals: dict = {}
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for run in [pool.submit(tasks.work) for _ in range(threads)]:
-            run.result()
+        for done in pool.map(partial(_run_cells, points, threading.Event()), tasks):
+            totals.update(done)
     return [BerEstimate.from_counts(bits, errors, sq_errors, point.bits_per_block, used)
-            for point, (bits, errors, sq_errors, used) in zip(points, tasks.totals)]
+            for point, (bits, errors, sq_errors, used)
+            in zip(points, (totals[i] for i in range(len(points))))]

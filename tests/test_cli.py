@@ -280,6 +280,11 @@ def test_bad_range_token_is_named_in_the_error(capsys, no_compute):
     for token in ("0:inf:1", "inf:0:1", "0:1:1e-320", "0:10:inf"):
         assert run(["simulate", "--gamma-db", token]) == 1
         assert f"range {token!r} needs a finite step > 0" in capsys.readouterr().err
+    # A token of more values than any sweep could hold is refused before it
+    # is expanded, by both commands.
+    for command in ("analytic", "simulate"):
+        assert run([command, "--gamma-db", "0:1e12:1"]) == 1
+        assert "range '0:1e12:1' has more than 1000000 values" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -526,3 +531,16 @@ def test_range_syntax_expands_inclusively(tmp_path):
     assert run(["analytic", "--gamma-db", "0:20:5", "--output", str(out)]) == 0
     snrs = [float(r["snr_db"]) for r in read_csv(out)]
     assert snrs == [0.0, 5.0, 10.0, 15.0, 20.0]
+    # A decimal step gives the values of the decimal list, so the cells have
+    # the SNRs and seeds that the list gives them (0.3 dB, not
+    # 0.30000000000000004 dB).
+    listed = ",".join(["0"] + [f"0.{i}" for i in range(1, 10)] + ["1"])
+    for command in (["analytic"], ["simulate", "--max-bits", "1000"]):
+        csvs = []
+        for gamma_db in ("0:1:0.1", listed):
+            out = tmp_path / f"{command[0]}{len(csvs)}.csv"
+            assert run(command + ["--modulation", "BPSK", "--r-db", "0", "--beta", "0",
+                                  "--gamma-db", gamma_db, "--output", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+        assert [r["snr_db"] for r in read_csv(out)] == listed.split(",")

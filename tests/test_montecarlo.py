@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from collections import Counter
 from statistics import NormalDist
 
 import numpy as np
@@ -387,10 +388,9 @@ def test_run_sweep_raises_at_its_first_chunk_before_any_draw(monkeypatch):
 
 
 def test_a_curve_splits_its_cells_across_threads_that_have_no_curve(monkeypatch):
-    # One curve on two threads: before its first chunk the thread that took
-    # it hands every other cell to the thread that has nothing to do, so
-    # chunk 0 runs in more than one call, each cell in one of them, and
-    # every estimate is still the one of its one-cell sweep.
+    # One curve on two threads: before its first chunk the curve becomes two
+    # tasks, every other cell each, so chunk 0 runs in two calls, and every
+    # estimate is still the one of its one-cell sweep.
     points = sweep_points(("alamouti_2x1",), ("BPSK",), (0.0, 4.0, 8.0, 12.0, 16.0, 20.0),
                           (5.0,), (0.05,), seed=2025, min_errors=100, max_bits=60_000)
     want = [run_point(p) for p in points]
@@ -405,55 +405,66 @@ def test_a_curve_splits_its_cells_across_threads_that_have_no_curve(monkeypatch)
     monkeypatch.setattr(montecarlo, "_simulate_chunk", recording)
     assert run_sweep(points, 2) == want
     first = [cells for chunk_index, cells in calls if chunk_index == 0]
-    assert (0.0, 8.0, 16.0) in first and len(first) > 1
-    assert sorted(sum(first, ())) == [p.gamma_db for p in points]
+    assert sorted(first) == [(0.0, 8.0, 16.0), (4.0, 12.0, 20.0)]
 
 
-def test_a_running_curve_hands_cells_on_at_their_next_chunk(monkeypatch):
-    # Two curves on two threads: a one-cell curve that stops in chunk 0,
-    # and one whose three cells run three chunks each. The short curve
-    # waits until the long one has started on the other thread, and the
-    # long curve's chunk 0 waits until that thread has nothing left to do,
-    # so before chunk 1 it hands every other open cell on, and those cells
-    # must go on from chunk 1, not start again.
-    long = sweep_points(("alamouti_2x1",), ("BPSK",), (16.0, 20.0, 24.0), (5.0,), (0.0,),
-                        seed=2026, min_errors=100, max_bits=60_000)
-    short = sweep_points(("alamouti_2x1",), ("BPSK",), (0.0,), (5.0,), (0.05,),
-                         seed=2026, min_errors=100, max_bits=60_000)
-    points = long + short
-    want = [run_point(p) for p in points]
-    long_started, idle = threading.Event(), threading.Event()
+def test_a_grid_of_enough_curves_makes_the_same_calls_on_any_thread_count(monkeypatch):
+    # With at least as many curves as threads no curve is split, so each
+    # curve makes the same chunk calls on two threads as on one.
+    points = sweep_points(("alamouti_2x1",), ("BPSK", "QPSK"), (0.0, 10.0, 20.0), (5.0,),
+                          (0.0, 0.05), seed=2026, min_errors=100, max_bits=60_000)
+    chunk = montecarlo._simulate_chunk
 
-    class Watched(threading.Condition):
-        def wait(self, timeout=None):
-            idle.set()
-            return super().wait(timeout)
+    def calls(threads):
+        made = []
 
-    tasks_init = montecarlo._Tasks.__init__
+        def recording(cells, chunk_index):
+            made.append((cells, chunk_index))
+            return chunk(cells, chunk_index)
 
-    def watched_init(self, *args):
-        tasks_init(self, *args)
-        self.changed = Watched()
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_CPUS", 2)
+            patch.setattr(montecarlo, "_simulate_chunk", recording)
+            run_sweep(points, threads)
+        return Counter(made)
 
+    one = calls(1)
+    assert len({cells[0].curve for cells, _ in one}) == 4
+    assert max(chunk_index for _, chunk_index in one) > 0
+    assert calls(2) == one
+
+
+def test_a_failing_chunk_stops_the_other_tasks_at_their_next_chunk(monkeypatch):
+    # Two curves on two threads. The beta = 0 curve's chunk 0 raises once
+    # the other curve's chunk 0 has started, and that chunk returns only
+    # after the raise, so the other task must see the failure before its
+    # chunk 1, which it would otherwise run: its cell runs two chunks.
+    points = sweep_points(("alamouti_2x1",), ("BPSK",), (20.0,), (5.0,), (0.0, 0.05),
+                          seed=2027, min_errors=100, max_bits=60_000)
+    assert run_point(points[1]).streams_used == 2
+    other_started, raised = threading.Event(), threading.Event()
     calls = []
     chunk = montecarlo._simulate_chunk
 
-    def recording(cells, chunk_index):
-        if cells[0].beta == 0.0 and chunk_index == 0:
-            long_started.set()
-            assert idle.wait(timeout=60)
-        elif chunk_index == 0:
-            assert long_started.wait(timeout=60)
-        calls.append((chunk_index, tuple(p.gamma_db for p in cells)))
+    class Failed(Exception):
+        pass
+
+    def failing(cells, chunk_index):
+        calls.append((cells[0].beta, chunk_index))
+        if cells[0].beta == 0.0:
+            assert other_started.wait(timeout=60)
+            raised.set()
+            raise Failed
+        other_started.set()
+        assert raised.wait(timeout=60)
+        time.sleep(0.05)  # lets the raise reach the failing task's handler
         return chunk(cells, chunk_index)
 
     monkeypatch.setattr(montecarlo, "_CPUS", 2)
-    monkeypatch.setattr(montecarlo._Tasks, "__init__", watched_init)
-    monkeypatch.setattr(montecarlo, "_simulate_chunk", recording)
-    assert run_sweep(points, 2) == want
-    assert [e.streams_used for e in want] == [3, 3, 3, 1]
-    assert (0, (16.0, 20.0, 24.0)) in calls
-    assert (1, (16.0, 24.0)) in calls and (1, (20.0,)) in calls
+    monkeypatch.setattr(montecarlo, "_simulate_chunk", failing)
+    with pytest.raises(Failed):
+        run_sweep(points, 2)
+    assert sorted(calls) == [(0.0, 0), (0.05, 0)]
 
 
 def test_interval_widens_by_the_design_effect_of_shared_fades():
