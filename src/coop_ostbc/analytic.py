@@ -1,4 +1,4 @@
-"""Closed-form error probability, its quadrature oracle, and slope fitting.
+"""Closed-form error probability, its quadrature oracle, and the imbalance penalty.
 
 For the two-node Alamouti scheme in independent Rayleigh fading with
 linear imbalance r and total SNR gamma, the average bit error probability
@@ -20,6 +20,10 @@ An independent check, :func:`ber_integral_oracle`, covers any code in
 over the code's weighted fading paths, with the weights from
 ``SpaceTimeCode.weights``, and integrates numerically. For
 ``alamouti_2x1`` it evaluates the same quantity as the closed form.
+
+At high SNR every code's error probability falls as gamma^-L, with
+L = n_tx n_rx its diversity order at any r, and imbalance shifts the
+curve by the SNR of :func:`imbalance_penalty_db`.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ __all__ = [
     "AnalyticPoint",
     "ber_closed_form",
     "ber_integral_oracle",
-    "diversity_slope",
+    "imbalance_penalty_db",
 ]
 
 
@@ -120,20 +124,15 @@ def ber_integral_oracle(code: SpaceTimeCode, p: AnalyticPoint, nodes: int = 64) 
     return integrate_half_pi(integrand, nodes) / math.pi
 
 
-def diversity_slope(points) -> float:
-    """Least-squares slope of -log10(pe) against log10(gamma).
+def imbalance_penalty_db(r: float) -> float:
+    """The SNR in dB that the linear imbalance r costs against r = 1 at high SNR.
 
-    ``points`` is a sequence of (gamma, pe) pairs with strictly
-    increasing gamma and pe > 0.
+    With w = code.weights(r), the high-SNR error probability is
+    proportional to prod_i w_i^(-2 n_rx) gamma^-L, and that product is
+    ((1+r)^2/r)^(L/2) times a constant of the code, for both codes. So
+    every code and modulation needs 5 log10((1+r)^2/(4r)) dB more SNR at
+    r than at balance. That is 10 log10(cosh(ln(r)/2)), which stays
+    finite for every positive float r; it is 0 at r = 1 and symmetric in
+    r <-> 1/r.
     """
-    pts = list(points)
-    if len(pts) < 2:
-        raise ValueError(f"need at least 2 points, got {len(pts)}")
-    gammas = np.array([float(g) for g, _ in pts])
-    pes = np.array([float(pe) for _, pe in pts])
-    if np.any(np.diff(gammas) <= 0.0):
-        raise ValueError("gamma values must be strictly increasing")
-    if np.any(pes <= 0.0):
-        raise ValueError("pe values must be positive for the log-log fit")
-    slope, _ = np.polyfit(np.log10(gammas), -np.log10(pes), 1)
-    return float(slope)
+    return 10.0 * math.log10(math.cosh(math.log(r) / 2.0))

@@ -2,7 +2,7 @@
 
 Subcommands
     analytic   closed-form BER over a (modulation, r, gamma) grid; on stderr,
-               the SNR gap that imbalance costs and the high-SNR diversity slope
+               the diversity order and the SNR that each r costs at high SNR
     simulate   Monte Carlo BER over the full grid, with confidence intervals;
                on stderr, how often the intervals hold the closed form and
                which cells stopped at max_bits short of min_errors
@@ -33,7 +33,7 @@ import re
 import sys
 from decimal import Decimal
 
-from . import analytic
+from . import analytic, ostbc
 from .montecarlo import (
     DEFAULT_MAX_BITS,
     DEFAULT_MIN_ERRORS,
@@ -43,7 +43,6 @@ from .montecarlo import (
     run_sweep,
     sweep_points,
 )
-from .ostbc import modulation_by_name
 
 __all__ = [
     "CSV_HEADER",
@@ -67,11 +66,8 @@ CSV_HEADER = [
 
 SPEC_KEYS = ("schemes", "modulations", "gamma_db", "r_db", "beta", "seed",
              "min_errors", "max_bits", "workers", "output")
-GAP_TARGET_BER = 1e-2
-GAP_R_DB = (0.0, 10.0)
-SLOPE_GAMMA_DB = (40.0, 45.0, 50.0)
-# The most values one start:stop:step token may expand to; a larger token is
-# refused before any value is made.
+# The most values one start:stop:step token may expand to, and the most cells
+# a grid may describe; a larger token or grid is refused before it is built.
 MAX_RANGE_VALUES = 10**6
 
 
@@ -195,15 +191,19 @@ def _points(spec: dict, **stop_rule) -> tuple[SimPoint, ...]:
                 raise UsageError(f"{key} holds an integer too large for a float") from None
         raise UsageError(f"{key} must be a list of numbers, got {values!r}")
 
-    schemes = spec.get("schemes", ["alamouti_2x1"])
-    modulations = spec.get("modulations", ["QPSK"])
+    def names(key, default) -> list:
+        values = spec.get(key, default)
+        if isinstance(values, str):
+            return [values]
+        if isinstance(values, list):
+            return values
+        raise UsageError(f"{key} must be a name or a list of names, got {values!r}")
+
+    schemes = names("schemes", ["alamouti_2x1"])
+    modulations = names("modulations", ["QPSK"])
     gamma_db = grid("gamma_db", [])
     r_db = grid("r_db", [0.0])
     beta = grid("beta", [0.0])
-    if isinstance(schemes, str):
-        schemes = [schemes]
-    if isinstance(modulations, str):
-        modulations = [modulations]
     if not gamma_db:
         raise UsageError("no SNR grid given; set --gamma-db or 'gamma_db' in the spec file")
     if gamma_db != sorted(gamma_db) or len(set(gamma_db)) != len(gamma_db):
@@ -213,6 +213,9 @@ def _points(spec: dict, **stop_rule) -> tuple[SimPoint, ...]:
         )
     seed = _integer(spec.get("seed", 1), "seed")
     try:
+        cells = math.prod(map(len, (schemes, modulations, gamma_db, r_db, beta)))
+        if cells > MAX_RANGE_VALUES:
+            raise UsageError(f"the grid has {cells} cells, more than {MAX_RANGE_VALUES}")
         return sweep_points(schemes, modulations, gamma_db, r_db, beta, seed, **stop_rule)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
@@ -258,60 +261,19 @@ def _cell(p: SimPoint) -> str:
             f"snr={_fmt(p.gamma_db)}dB")
 
 
-def snr_db_at_ber(mod_name: str, r_db: float, gamma_db_grid) -> float | None:
-    """Where the analytic curve crosses GAP_TARGET_BER, by log-linear interpolation.
-
-    None if it does not cross on the grid, or crosses onto a BER that
-    underflows to 0, which has no logarithm.
-    """
-    mod = modulation_by_name(mod_name)
-    grid = sorted(gamma_db_grid)
-    pes = [analytic_ber("alamouti_2x1", mod, r_db, 0.0, g) for g in grid]
-    for i in range(1, len(grid)):
-        hi_pe, lo_pe = pes[i - 1], pes[i]
-        if hi_pe >= GAP_TARGET_BER >= lo_pe > 0.0:
-            if hi_pe == lo_pe:
-                return grid[i]
-            frac = (math.log10(hi_pe) - math.log10(GAP_TARGET_BER)) / (
-                math.log10(hi_pe) - math.log10(lo_pe)
-            )
-            return grid[i - 1] + frac * (grid[i] - grid[i - 1])
-    return None
-
-
-def imbalance_gap_db(mod_name: str, gamma_db_grid) -> float | None:
-    """SNR penalty of r = 10 dB relative to r = 0 dB at the target BER."""
-    base = snr_db_at_ber(mod_name, GAP_R_DB[0], gamma_db_grid)
-    skew = snr_db_at_ber(mod_name, GAP_R_DB[1], gamma_db_grid)
-    if base is None or skew is None:
-        return None
-    return skew - base
-
-
 def analytic_report(points) -> str:
-    """The closed form's SNR gap at GAP_TARGET_BER between the GAP_R_DB
-    imbalances, per modulation, and its diversity slope over SLOPE_GAMMA_DB,
-    per modulation and imbalance of the grid."""
+    """The diversity order n_tx n_rx of each scheme of the grid, and for each
+    r of the grid the SNR that the imbalance costs against r = 0 dB at high
+    SNR, which is the same for every code and modulation."""
     lines = []
-    gamma_db_grid = sorted({p.gamma_db for p in points})
-    for mod_name in sorted({p.mod.name for p in points}):
-        gap = imbalance_gap_db(mod_name, gamma_db_grid)
-        value = "not computable on this grid" if gap is None else f"{gap:.2f} dB"
-        lines.append(
-            f"{mod_name}: SNR gap at BER {GAP_TARGET_BER:g} between "
-            f"r={GAP_R_DB[0]:g} dB and r={GAP_R_DB[1]:g} dB: {value}"
-        )
-    for mod_name, r_db in sorted({(p.mod.name, p.r_db) for p in points}):
-        mod = modulation_by_name(mod_name)
-        pts = [
-            (10.0 ** (g / 10.0), analytic_ber("alamouti_2x1", mod, r_db, 0.0, g))
-            for g in SLOPE_GAMMA_DB
-        ]
-        lines.append(
-            f"{mod_name} r={r_db:g} dB: analytic high-SNR diversity slope "
-            f"({SLOPE_GAMMA_DB[0]:g}-{SLOPE_GAMMA_DB[-1]:g} dB) "
-            f"{analytic.diversity_slope(pts):.3f}"
-        )
+    for scheme in sorted({p.scheme for p in points}):
+        code = ostbc.CODES[scheme]
+        lines.append(f"{scheme}: diversity order {code.n_tx * code.n_rx} = n_tx {code.n_tx} "
+                     f"x n_rx {code.n_rx}, at every r")
+    for r_db in sorted({p.r_db for p in points}):
+        penalty = analytic.imbalance_penalty_db(10.0 ** (r_db / 10.0))
+        lines.append(f"r={_fmt(r_db)}dB: high-SNR imbalance penalty against r=0dB "
+                     f"{penalty:.3f} dB")
     return "\n".join(lines)
 
 
@@ -341,14 +303,13 @@ def cmd_analytic(args) -> int:
     spec = _read_spec(args)
     points = _points(spec)
     column = _closed_form(points)
-    open_cells = [p for p, pe in zip(points, column) if pe is None]
-    if open_cells:
-        curve = (open_cells[0].scheme, open_cells[0].mod.name)
-        betas = dict.fromkeys(p.beta for p in open_cells if (p.scheme, p.mod.name) == curve)
-        raise UsageError(
-            f"no closed form for {curve[0]} {curve[1]} at beta "
-            f"{', '.join(map(_fmt, betas))}; use 'simulate' for it"
-        )
+    for p, pe in zip(points, column):
+        if pe is None:
+            raise UsageError(
+                f"no closed form for {p.scheme} {p.mod.name} r={_fmt(p.r_db)}dB "
+                f"beta={_fmt(p.beta)}: it covers alamouti_2x1 with BPSK or QPSK at beta = 0; "
+                f"use 'simulate' for it"
+            )
     _write_csv(spec.get("output"), list(map(_row, points, column)))
     print(analytic_report(points), file=sys.stderr)
     return 0

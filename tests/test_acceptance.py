@@ -15,7 +15,6 @@ from coop_ostbc.analytic import (
     AnalyticPoint,
     ber_closed_form,
     ber_integral_oracle,
-    diversity_slope,
 )
 from coop_ostbc.montecarlo import SimPoint, analytic_ber, run_point, run_sweep, sweep_points
 from coop_ostbc.numerics import RngStream, Workspace, sample_circular_gaussian, wilson_interval
@@ -31,6 +30,7 @@ from coop_ostbc.ostbc import (
 )
 
 from codeword import encode
+from fits import diversity_slope, snr_db_at_ber
 
 FAST_BUDGET_S = 1.0
 SIM_BUDGET_S = 300.0
@@ -103,7 +103,9 @@ def test_c03_symmetry_under_ratio_inversion():
 
 
 def test_c04_imbalance_does_not_change_diversity_order():
-    with _Criterion(4, "analytic slope over 40-50 dB in [1.95, 2.05]") as c:
+    with _Criterion(4, "analytic slope over 40-50 dB in [1.95, 2.05], within 0.05 of "
+                       "the diversity order n_tx n_rx") as c:
+        code = CODES["alamouti_2x1"]
         slopes = {}
         for r_db in (0.0, 5.0, 10.0):
             r = 10.0 ** (r_db / 10.0)
@@ -115,15 +117,21 @@ def test_c04_imbalance_does_not_change_diversity_order():
         c.detail = ", ".join(f"r={k:g}dB: {v:.4f}" for k, v in slopes.items())
         for slope in slopes.values():
             assert 1.95 <= slope <= 2.05
+            assert abs(slope - code.n_tx * code.n_rx) <= 0.05
     assert c.elapsed < FAST_BUDGET_S
 
 
 def test_c05_snr_penalty_of_10db_imbalance():
     with _Criterion(5, "QPSK gap at BER 1e-2 between r=0 and r=10 dB is 2.0+/-0.5 dB") as c:
-        grid = [0.25 * k for k in range(0, 101)]
-        gap = cli.imbalance_gap_db("QPSK", grid)
+
+        def snr_db(r):
+            return snr_db_at_ber(
+                lambda g: ber_closed_form(AnalyticPoint(1.0, r, 10.0 ** (g / 10.0))),
+                1e-2, 0.0, 50.0,
+            )
+
+        gap = snr_db(10.0) - snr_db(1.0)
         c.detail = f"gap {gap:.3f} dB"
-        assert gap is not None
         assert 1.5 <= gap <= 2.5
     assert c.elapsed < FAST_BUDGET_S
 

@@ -9,9 +9,11 @@ from coop_ostbc.analytic import (
     AnalyticPoint,
     ber_closed_form,
     ber_integral_oracle,
-    diversity_slope,
+    imbalance_penalty_db,
 )
 from coop_ostbc.ostbc import BPSK, CODES, QPSK
+
+from fits import diversity_slope, snr_db_at_ber
 
 A_SQ_BPSK = 2.0
 A_SQ_QPSK = 1.0
@@ -261,3 +263,61 @@ def test_slope_input_validation():
         diversity_slope([(2.0, 0.1), (1.0, 0.01)])
     with pytest.raises(ValueError):
         diversity_slope([(1.0, 0.1), (2.0, 0.0)])
+
+
+# --- the imbalance penalty -------------------------------------------------------
+
+
+def mp_snr_db_at_ber(a_sq, r, ber):
+    """The SNR in dB at which the 50-digit closed form reads ``ber``."""
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    target = mp.log(mp.mpf(ber))
+    return mp.findroot(
+        lambda x: mp.log(mp_closed_form(a_sq, r, mp.power(10, x / 10))) - target, (140, 160)
+    )
+
+
+@pytest.mark.parametrize("a_sq", [A_SQ_BPSK, A_SQ_QPSK])
+@pytest.mark.parametrize("r_db", [3.0, 10.0, 30.0, -30.0])
+def test_penalty_is_the_closed_form_gap_at_high_snr(a_sq, r_db):
+    # At BER 1e-30 the curves are 150 dB out, where the next term of the
+    # asymptote moves the gap by about 1e-15 dB.
+    r = 10.0 ** (r_db / 10.0)
+    gap = mp_snr_db_at_ber(a_sq, r, 1e-30) - mp_snr_db_at_ber(a_sq, 1.0, 1e-30)
+    assert abs(float(gap) - imbalance_penalty_db(r)) <= 1e-9
+
+
+def test_penalty_is_the_four_antenna_gap_at_high_snr():
+    # The rate-3/4 code loses the same SNR as the 2x1 code: its eight paths
+    # scale the high-SNR error probability by ((1+r)^2/r)^4 at diversity 8.
+    code = CODES["ostbc_4x2"]
+
+    def snr_db(r):
+        return snr_db_at_ber(
+            lambda g: ber_integral_oracle(code, AnalyticPoint(A_SQ_QPSK, r, 10.0 ** (g / 10.0))),
+            1e-40, 0.0, 100.0,
+        )
+
+    assert snr_db(10.0) - snr_db(1.0) == pytest.approx(imbalance_penalty_db(10.0), abs=0.01)
+
+
+def test_penalty_is_zero_at_balance_and_symmetric_in_the_ratio():
+    assert imbalance_penalty_db(1.0) == 0.0
+    for k in range(-1022, 1023, 7):  # powers of two, whose 1/r is exact
+        assert imbalance_penalty_db(2.0**k) == imbalance_penalty_db(2.0**-k)
+    rng = np.random.default_rng(23)
+    for r in 10.0 ** rng.uniform(-300, 300, 1000):
+        assert imbalance_penalty_db(r) == pytest.approx(imbalance_penalty_db(1.0 / r),
+                                                        rel=1e-13, abs=1e-15)
+
+
+def test_penalty_matches_50_digit_reference_over_the_float_range():
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    for r_db in EXTREME_DB + (-10.0, -1e-6, 1e-6, 3.0, 10.0):
+        r = 10.0 ** (r_db / 10.0)
+        got = imbalance_penalty_db(r)
+        ref = 10 * mp.log10(mp.cosh(mp.log(mp.mpf(r)) / 2))
+        assert math.isfinite(got) and got >= 0.0, r_db
+        assert abs(got - ref) <= 1e-14 * ref + 1e-15, r_db

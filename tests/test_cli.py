@@ -212,6 +212,8 @@ def test_analytic_does_not_read_the_simulation_keys(tmp_path, capsys, no_compute
         ({"gamma_db": [4], "r_db": [-4000]}, "r_db must be finite"),
         ({"gamma_db": [4], "modulations": [5]}, "unknown modulation 5"),
         ({"gamma_db": [4], "schemes": ["alamouti_2x1", 5]}, "unknown scheme 5"),
+        ({"gamma_db": [4], "schemes": None}, "schemes must be a name or a list of names"),
+        ({"gamma_db": [4], "modulations": 5}, "modulations must be a name or a list of names"),
         ({"gamma_db": [4], "workers": 0}, "workers must be >= 1"),
         ({"gamma_db": [4], "seed": 1.7}, "seed must be an integer"),
         ({"gamma_db": [4], "workers": 2.5}, "workers must be an integer"),
@@ -225,6 +227,7 @@ def test_analytic_does_not_read_the_simulation_keys(tmp_path, capsys, no_compute
     ],
     ids=["unknown-key", "string-grid", "scalar-grid", "nan-gamma", "inf-r", "nan-beta",
          "overflowing-gamma", "underflowing-r", "number-modulation", "number-scheme",
+         "null-schemes", "scalar-modulations",
          "zero-workers", "fractional-seed", "fractional-workers", "number-output",
          "bool-output", "bool-grid", "string-in-grid", "bool-workers", "string-seed",
          "string-max-bits"],
@@ -287,6 +290,19 @@ def test_bad_range_token_is_named_in_the_error(capsys, no_compute):
         assert "range '0:1e12:1' has more than 1000000 values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+def test_a_grid_of_too_many_cells_is_refused_before_it_is_built(monkeypatch, capsys,
+                                                                command):
+    # Each token holds at most 10**6 values, but together they describe 10**9
+    # cells; the count is refused before a single cell is made.
+    def sweep_points(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli, "sweep_points", sweep_points)
+    assert run([command, "--gamma-db", "0:999999:1", "--r-db", "0:999:1"]) == 1
+    assert "the grid has 1000000000 cells, more than 1000000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -325,10 +341,21 @@ def test_simulate_fills_the_closed_form_at_extreme_imbalance(tmp_path):
     assert 0.0 < float(row["ber_analytic"]) < 0.5
 
 
-@pytest.mark.parametrize("command", ["analytic"])
-def test_closed_form_commands_reject_ostbc_4x2(capsys, command):
-    assert run([command, "--scheme", "ostbc_4x2", "--gamma-db", "0,5"]) == 1
-    assert "simulate" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flags, cell",
+    [(["--scheme", "ostbc_4x2"], "ostbc_4x2 QPSK r=0dB beta=0"),
+     (["--modulation", "QAM16"], "alamouti_2x1 QAM16 r=0dB beta=0"),
+     (["--r-db", "0,3", "--beta", "0,0.1"], "alamouti_2x1 QPSK r=0dB beta=0.1")],
+    ids=["ostbc_4x2", "QAM16", "beta"],
+)
+def test_closed_form_commands_reject_ostbc_4x2(capsys, flags, cell):
+    # The refusal names the first cell without a closed form and the domain
+    # of the closed form, not only one of the reasons a cell may fall outside it.
+    assert run(["analytic", *flags, "--gamma-db", "0,5"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: no closed form for {cell}: it covers alamouti_2x1 with BPSK or QPSK at "
+        f"beta = 0; use 'simulate' for it\n"
+    )
 
 
 # --- reports on stderr ------------------------------------------------------------
@@ -339,7 +366,7 @@ QPSK_GRID = ["--modulation", "QPSK", "--gamma-db", "0:24:2", "--r-db", "0,10"]
 
 @pytest.mark.parametrize(
     "argv, report_line",
-    [(["analytic", *QPSK_GRID], "QPSK: SNR gap at BER 0.01"),
+    [(["analytic", *QPSK_GRID], "r=10dB: high-SNR imbalance penalty against r=0dB 2.404 dB"),
      (["simulate", *QPSK_GRID, "--seed", "4", "--min-errors", "50"], "coverage: ")],
     ids=["analytic", "simulate"],
 )
@@ -365,7 +392,8 @@ def test_simulate_reports_coverage(tmp_path, capsys):
     err = capsys.readouterr().err
     (coverage,) = [ln for ln in err.splitlines() if ln.startswith("coverage: ")]
     assert coverage.endswith(f"of the {2 * 13} cells with a closed form whose 95% CI holds it")
-    assert "SNR gap" not in err
+    assert "diversity order" not in err
+    assert "imbalance penalty" not in err
     rows = read_csv(out)
     assert len(rows) == 2 * len(range(0, 25, 2))
 
@@ -431,37 +459,40 @@ def test_simulate_reports_a_grid_without_closed_form(tmp_path, capsys):
     assert f"cells stopped at max_bits below min_errors: {len(short)}" in lines
 
 
-def test_analytic_reports_gap_and_slope(capsys):
-    assert run(["analytic", *QPSK_GRID]) == 0
-    err = capsys.readouterr().err
-    assert "QPSK: SNR gap at BER 0.01 between r=0 dB and r=10 dB: " in err
-    assert "not computable" not in err
-    assert "QPSK r=10 dB: analytic high-SNR diversity slope (40-50 dB) " in err
-    assert "coverage" not in err
+ORDER_LINE = "alamouti_2x1: diversity order 2 = n_tx 2 x n_rx 1, at every r"
+
+
+def penalty_line(r_db: str, value: str) -> str:
+    return f"r={r_db}dB: high-SNR imbalance penalty against r=0dB {value} dB"
+
+
+def test_analytic_reports_the_diversity_order_and_the_penalty_of_each_r(capsys):
+    assert run(["analytic", "--modulation", "QPSK", "--gamma-db", "0:24:2",
+                "--r-db", "10,0,-10"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        ORDER_LINE,
+        penalty_line("-10", "2.404"),
+        penalty_line("0", "0.000"),
+        penalty_line("10", "2.404"),
+    ]
 
 
 @pytest.mark.parametrize("gamma_db", ["0,2", "0,3000"], ids=["no-crossing", "underflow"])
-def test_analytic_gap_not_computable_on_narrow_grid(capsys, gamma_db):
-    # At 3000 dB the closed form underflows to 0, so a crossing cannot be
-    # interpolated in log10 and the gap is not computed.
+def test_analytic_report_does_not_depend_on_the_snr_grid(capsys, gamma_db):
+    # Neither grid brackets BER 1e-2, and at 3000 dB the closed form
+    # underflows to 0; the report holds the exact values all the same.
     rc = run(["analytic", "--modulation", "QPSK", "--gamma-db", gamma_db, "--r-db", "0,10"])
     assert rc == 0
-    assert "SNR gap at BER 0.01 between r=0 dB and r=10 dB: not computable" in (
-        capsys.readouterr().err)
+    assert capsys.readouterr().err.splitlines() == [
+        ORDER_LINE, penalty_line("0", "0.000"), penalty_line("10", "2.404")]
 
 
-def test_analytic_prints_one_gap_line_per_modulation(capsys):
-    rc = run(["analytic", "--modulation", "qpsk,QPSK", "--gamma-db", "0,2", "--r-db", "0"])
+def test_analytic_prints_one_line_per_r_and_per_scheme(capsys):
+    rc = run(["analytic", "--modulation", "qpsk,QPSK,BPSK", "--gamma-db", "0,2",
+              "--r-db", "-200,0,-200.0"])
     assert rc == 0
-    gap_lines = [ln for ln in capsys.readouterr().err.splitlines() if "SNR gap" in ln]
-    assert len(gap_lines) == 1
-    assert gap_lines[0].startswith("QPSK: ")
-
-
-def test_snr_at_target_is_log_linear():
-    # The closed-form QPSK balanced curve crosses 1e-2 near 11.47 dB.
-    got = cli.snr_db_at_ber("QPSK", 0.0, [float(g) for g in range(0, 26)])
-    assert got == pytest.approx(11.47, abs=0.05)
+    assert capsys.readouterr().err.splitlines() == [
+        ORDER_LINE, penalty_line("-200", "96.990"), penalty_line("0", "0.000")]
 
 
 def test_missing_input_is_io_error(tmp_path, capsys):

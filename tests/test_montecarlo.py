@@ -18,7 +18,6 @@ from coop_ostbc.analytic import (
     AnalyticPoint,
     ber_closed_form,
     ber_integral_oracle,
-    diversity_slope,
 )
 from coop_ostbc.montecarlo import (
     BerEstimate,
@@ -43,6 +42,7 @@ from coop_ostbc.ostbc import (
 )
 
 from codeword import encode
+from fits import diversity_slope
 
 
 def analytic(a_sq: float, r_db: float, gamma_db: float) -> float:
