@@ -124,15 +124,17 @@ def ber_integral_oracle(code: SpaceTimeCode, p: AnalyticPoint, nodes: int = 64) 
     return integrate_half_pi(integrand, nodes) / math.pi
 
 
-def imbalance_penalty_db(r: float) -> float:
-    """The SNR in dB that the linear imbalance r costs against r = 1 at high SNR.
+def imbalance_penalty_db(r_db: float) -> float:
+    """The SNR in dB that the imbalance ``r_db`` (in dB) costs against 0 dB at high SNR.
 
     With w = code.weights(r), the high-SNR error probability is
     proportional to prod_i w_i^(-2 n_rx) gamma^-L, and that product is
     ((1+r)^2/r)^(L/2) times a constant of the code, for both codes. So
     every code and modulation needs 5 log10((1+r)^2/(4r)) dB more SNR at
-    r than at balance. That is 10 log10(cosh(ln(r)/2)), which stays
-    finite for every positive float r; it is 0 at r = 1 and symmetric in
-    r <-> 1/r.
+    r than at balance: 10 log10(cosh(x)), x = ln(r)/2 = r_db ln(10)/20,
+    taken as (10/ln 10) log1p(2 sinh(x/2)^2) from r_db, as r is subnormal
+    below about -3077 dB, and accurate near 0 dB, where cosh(x) rounds to 1.
+    It is 0 at 0 dB and symmetric in r_db <-> -r_db.
     """
-    return 10.0 * math.log10(math.cosh(math.log(r) / 2.0))
+    half = r_db * math.log(10.0) / 40.0  # x/2
+    return 10.0 / math.log(10.0) * math.log1p(2.0 * math.sinh(half) ** 2)

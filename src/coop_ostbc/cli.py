@@ -271,7 +271,7 @@ def analytic_report(points) -> str:
         lines.append(f"{scheme}: diversity order {code.n_tx * code.n_rx} = n_tx {code.n_tx} "
                      f"x n_rx {code.n_rx}, at every r")
     for r_db in sorted({p.r_db for p in points}):
-        penalty = analytic.imbalance_penalty_db(10.0 ** (r_db / 10.0))
+        penalty = analytic.imbalance_penalty_db(r_db)
         lines.append(f"r={_fmt(r_db)}dB: high-SNR imbalance penalty against r=0dB "
                      f"{penalty:.3f} dB")
     return "\n".join(lines)

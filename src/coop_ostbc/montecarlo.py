@@ -39,7 +39,7 @@ fades for its own cells. The estimates are therefore bit-identical for
 any worker count and equal those of :func:`run_point`.
 
 Each chunk draws and runs in one :class:`~coop_ostbc.numerics.Workspace`
-(up to 6.3 MB for a 4x2 chunk at beta > 0, 1.9 MB at beta = 0) that it
+(up to 6.4 MB for a 4x2 chunk at beta > 0, 1.5 MB at beta = 0) that it
 borrows from one idle list and gives back when it ends, so a warm chunk
 reuses the buffers of an earlier one instead of allocating them afresh.
 The cells of a chunk run one after another in it. The list keeps at most
@@ -218,16 +218,16 @@ def _simulate_chunk(cells: tuple, chunk_index: int) -> list[tuple[int, int, int]
     w_i^2 beta. The noise stage then adds n_k / (sqrt(P) sqrt(G_est)) to
     each gain-normalized symbol.
 
-    The data bits run block by block, symbol by symbol, MSB first. One
-    :func:`ostbc.detect` call per cell on the contiguous (blocks,
-    n_symbols) detector input returns the decisions in that same order, so
-    the errors are one comparison against the transmitted bits, written
-    over the decisions, and the block of a wrong bit is its index over the
-    bits per block.
+    The data bits run block by block, symbol by symbol, MSB first, and are
+    moved once into the (n_symbols, blocks) layout of every later array.
+    One :func:`ostbc.detect` call per cell returns the decisions in that
+    layout, so the errors are one comparison against the moved bits,
+    written over the decisions, and a wrong bit's block is its index over
+    the bits per symbol, modulo the blocks.
 
     Every array from the symbols to the decisions is a view on a workspace
     borrowed from the idle list and given back when the chunk ends, so the
-    next chunk overwrites it. The path powers and each cell's noise reuse
+    next chunk overwrites it. The path powers and each cell's input reuse
     the bytes of the channels; the bits, the signal and sqrt(G_est) that
     the cells share are only read once the fade stage is done.
     """
@@ -247,17 +247,23 @@ def _simulate_chunk_in(work: Workspace, cells: tuple, chunk_index: int):
     code = ostbc.CODES[first.scheme]
     rng = RngStream(fade_seed, chunk_index)
     n = _chunk_blocks(first)
-    tx_bits = rng.bits(first.bits_per_block * n)
-    syms = ostbc.modulate(tx_bits, first.mod, work).reshape(n, code.n_symbols)
+    bps = first.mod.bits_per_symbol
+    # Drawn block-major, as the stream (and so every CSV byte) has them, the
+    # bits move once into the (n_symbols, n) layout, a symbol's bits as one item.
+    tx_bits = work.array("bits", (first.bits_per_block * n,), np.uint8)
+    np.copyto(tx_bits.view(f"V{bps}").reshape(code.n_symbols, n),
+              rng.bits(tx_bits.size).view(f"V{bps}").reshape(n, code.n_symbols).T)
+    syms = ostbc.modulate(tx_bits, first.mod, work).reshape(code.n_symbols, n)
     w = code.weights(_db_to_linear(first.r_db))[:, None, None]
     signal, root = _fade_stage(work, rng, code, w, first.beta, syms)
     counts = []
     for cell in cells:
-        z = _noise_stage(work, RngStream(cell.seed, chunk_index), signal, root,
-                         _db_to_linear(cell.gamma_db))
-        rx_bits = ostbc.detect(z, first.mod, work)
+        zr, zi = _noise_stage(work, RngStream(cell.seed, chunk_index), signal, root,
+                              _db_to_linear(cell.gamma_db))
+        rx_bits = ostbc.detect(zr, zi, first.mod, work)
         wrong = np.flatnonzero(np.not_equal(rx_bits, tx_bits, out=rx_bits.view(bool)))
-        per_block = np.bincount(np.floor_divide(wrong, first.bits_per_block, out=wrong))
+        np.floor_divide(wrong, bps, out=wrong)
+        per_block = np.bincount(np.remainder(wrong, n, out=wrong))
         counts.append((tx_bits.size, wrong.size, int(np.dot(per_block, per_block))))
     return counts
 
@@ -266,10 +272,10 @@ def _fade_stage(work: Workspace, rng: RngStream, code: ostbc.SpaceTimeCode, w, b
                 syms):
     """The gain-normalized noiseless detector input and sqrt(G_est) of each block.
 
-    ``syms`` are the (n, n_symbols) symbols, and the detector input comes
-    back in their layout and in their bytes. Each branch writes the (n_tx,
-    n_rx, n) path powers into the bytes of ``"h"``, and one sum over the
-    paths gives their gain G, whose root comes back in its bytes. At beta =
+    ``syms`` are the (n_symbols, n) symbols, and the detector input comes
+    back in their layout. Each branch writes the (n_tx, n_rx, n) path
+    powers into the bytes of ``"h"``, and one sum over the paths gives
+    their gain G, whose root comes back in its bytes. At beta =
     0 they are w_i^2 |h_ij|^2 with |h_ij|^2 ~ Exp(1), G is G_est, and the
     input is the symbols themselves, as the matched filter returns G s_k
     exactly.
@@ -280,12 +286,12 @@ def _fade_stage(work: Workspace, rng: RngStream, code: ostbc.SpaceTimeCode, w, b
     channels w h carry the symbols through :func:`ostbc.transmit`, and
     :func:`ostbc.combine` takes w u, so the path powers are |w_i u_ij|^2
     and G_est = (1+beta) G. The combiner output on w u is the one on w est
-    over sqrt(1+beta), so the input is that output over sqrt(1+beta) G,
-    written transposed over the symbols in one pass over each of its real
-    and imaginary parts, and sqrt(G_est) is sqrt(1+beta) sqrt(G). Neither
-    product overflows at any finite beta, where G_est itself can.
+    over sqrt(1+beta), so the input is that output, divided in place by
+    sqrt(1+beta) G with one real divide for each of its real and imaginary
+    parts, and sqrt(G_est) is sqrt(1+beta) sqrt(G). Neither product
+    overflows at any finite beta, where G_est itself can.
     """
-    n = syms.shape[0]
+    n = syms.shape[1]
     shape = (code.n_tx, code.n_rx, n)
     if beta == 0.0:
         powers = rng.exponentials(shape, out=work.array("h", shape, float))
@@ -297,7 +303,7 @@ def _fade_stage(work: Workspace, rng: RngStream, code: ostbc.SpaceTimeCode, w, b
         np.add(u, h, out=h)  # u + sqrt(beta) v
         np.multiply(w / spread, h, out=h)
         np.multiply(w, u, out=u)
-        combined = ostbc.combine(code, ostbc.transmit(code, syms.T, h, work), u, work)
+        combined = ostbc.combine(code, ostbc.transmit(code, syms, h, work), u, work)
         squares = work.array("h", (2,) + shape, float)
         np.square(u.real, out=squares[0])
         np.square(u.imag, out=squares[1])
@@ -307,25 +313,24 @@ def _fade_stage(work: Workspace, rng: RngStream, code: ostbc.SpaceTimeCode, w, b
         return syms, np.sqrt(gain, out=gain)
     (divisor,) = work.scratch(((n,), float))
     np.multiply(gain, spread, out=divisor)  # G_est / sqrt(1+beta)
-    np.divide(combined.real, divisor, out=syms.real.T)
-    np.divide(combined.imag, divisor, out=syms.imag.T)
-    return syms, np.multiply(np.sqrt(gain, out=gain), spread, out=gain)
+    np.divide(combined.real, divisor, out=combined.real)
+    np.divide(combined.imag, divisor, out=combined.imag)
+    return combined, np.multiply(np.sqrt(gain, out=gain), spread, out=gain)
 
 
 def _noise_stage(work: Workspace, rng: RngStream, signal, root, power: float):
-    """The detector input z_k = signal_k + n_k / (sqrt(P) sqrt(G_est)), n_k ~ CN(0, 1).
+    """The planes x, y of z_k = signal_k + n_k / (sqrt(P) sqrt(G_est)), n_k ~ CN(0, 1).
 
-    The matched filter of an orthogonal design turns white CN(0, 1)
-    antenna noise into white, circular noise of variance G_est on each
-    symbol, and the gain normalization divides it by sqrt(P) G_est. One
-    (n_symbols, n) draw therefore stands for all of the antenna noise of
-    the (n, n_symbols) ``signal``. The stage makes one pass each: it draws
-    the normals into the scratch, scales them by 1 / (sqrt(2) sqrt(P)
-    ``root``) per block, with ``root`` the sqrt(G_est) of the fade stage,
-    writing them transposed into the bytes of ``"h"``, which the fade stage
-    is done with, and adds the signal, so the detector reads a contiguous
-    input. ``signal`` and ``root`` are only read, so every cell of a chunk
-    sees the same fade.
+    The matched filter of an orthogonal design turns white CN(0, 1) antenna
+    noise into white, circular noise of variance G_est on each symbol, and
+    the gain normalization divides it by sqrt(P) G_est. One (n_symbols, n)
+    draw therefore stands for all of the antenna noise of the (n_symbols,
+    n) ``signal``. The stage draws the two rows of normals into the bytes
+    of ``"h"``, which the fade stage is done with, scales each in place by
+    1 / (sqrt(2) sqrt(P) ``root``) per block, ``root`` being the fade
+    stage's sqrt(G_est), and adds the real or the imaginary part of the
+    signal: the rows are the detector input. ``signal`` and ``root`` are
+    only read, so every cell of a chunk sees the same fade.
 
     It scales the pair itself rather than through
     :func:`~coop_ostbc.numerics.sample_circular_gaussian`, which takes a
@@ -334,17 +339,15 @@ def _noise_stage(work: Workspace, rng: RngStream, signal, root, power: float):
     so the square roots are taken apart and no P G_est product can
     overflow. And the scalar variance 1 / P with a further per-block divide
     is one more pass over the input: on a 2-core Xeon a 10k-block 4x2 stage
-    took 1.07-1.28 ms here against 1.24-1.51 ms that way (medians of 200,
+    took 1.19-1.21 ms here against 1.30-1.31 ms that way (medians of 200,
     five rounds), about a tenth of a cell's noise, detect and count.
     """
-    n, n_symbols = signal.shape
-    normals, scale = work.scratch(((2, n_symbols, n), float), ((n,), float))
-    x, y = rng.normal_pairs((n_symbols, n), out=normals)
+    (scale,) = work.scratch((root.shape, float))
+    x, y = rng.normal_pairs(signal.shape, out=work.array("h", (2,) + signal.shape, float))
     np.divide(1.0 / (math.sqrt(2.0) * math.sqrt(power)), root, out=scale)
-    z = work.array("h", signal.shape)
-    np.multiply(x, scale, out=z.real.T)
-    np.multiply(y, scale, out=z.imag.T)
-    return np.add(z, signal, out=z)
+    for plane, part in ((x, signal.real), (y, signal.imag)):
+        np.add(np.multiply(plane, scale, out=plane), part, out=plane)
+    return x, y
 
 
 def _run_cells(points, stop: threading.Event, cells: list) -> dict:

@@ -33,9 +33,9 @@ after combining; with perfect estimates it needs neither layer.
 :func:`detect` slices the gain-normalized input it is given.
 
 Arrays may carry one trailing axis of fading blocks, which is the form
-the Monte Carlo engine uses: symbols (n_symbols, blocks), channels and
-their estimates (n_tx, n_rx, blocks), received samples (n_rx, n_slots,
-blocks).
+the Monte Carlo engine uses: symbols and detector inputs (n_symbols,
+blocks), channels and their estimates (n_tx, n_rx, blocks), received
+samples (n_rx, n_slots, blocks).
 
 Every layer of the chain takes the chunk's
 :class:`~coop_ostbc.numerics.Workspace` as its last argument, keeps its
@@ -340,28 +340,23 @@ def combine(code: SpaceTimeCode, y, est, work: Workspace) -> np.ndarray:
     return combined
 
 
-def detect(z, mod: Modulation, work: Workspace) -> np.ndarray:
-    """Nearest-point decision on the gain-normalized detector input z, back to bits.
+def detect(zr, zi, mod: Modulation, work: Workspace) -> np.ndarray:
+    """Nearest-point decision on the gain-normalized detector input, back to bits.
 
-    Every constellation is a product of Gray-labelled levels on the real
-    and imaginary axes, so ``mod.slicer`` finds the nearest point one axis
-    at a time by comparing against the midpoints between adjacent levels:
-    BPSK on the real axis, QPSK on each axis, QAM16 as Gray 4-PAM on each
-    axis. A symbol exactly on a decision edge goes to the smallest bit
-    label, the point a search over all points taking the first minimum
-    would pick.
+    ``zr`` and ``zi`` are the real and imaginary parts of the input, one
+    value per symbol, as float arrays of one shape that the slicer
+    overwrites. Every constellation is a product of Gray-labelled levels
+    on the real and imaginary axes, so ``mod.slicer`` finds the nearest
+    point one axis at a time by comparing against the midpoints between
+    adjacent levels: BPSK on the real axis, QPSK on each axis, QAM16 as
+    Gray 4-PAM on each axis. A symbol exactly on a decision edge goes to
+    the smallest bit label, the point a search over all points taking the
+    first minimum would pick.
 
     Returns a flat uint8 bit vector, ``bits_per_symbol`` bits per symbol,
-    MSB first, with the symbols in C order of ``z``'s shape. The bits are
-    the ``"decisions"`` array of ``work``. The real and imaginary parts of
-    z are copied into its scratch, in C order, for the slicer to overwrite;
-    that copy is also the transpose of a strided ``z``, which slices
-    faster than the strided views would.
+    MSB first, with the symbols in C order of ``zr``'s shape. The bits are
+    the ``"decisions"`` array of ``work``.
     """
-    z = np.asarray(z, dtype=complex)
-    (parts,) = work.scratch(((2,) + z.shape, float))
-    np.copyto(parts[0, ...], z.real)
-    np.copyto(parts[1, ...], z.imag)
-    bits = work.array("decisions", z.shape + (mod.bits_per_symbol,), bool)
-    mod.slicer(parts[0, ...], parts[1, ...], bits)
+    bits = work.array("decisions", zr.shape + (mod.bits_per_symbol,), bool)
+    mod.slicer(zr, zi, bits)
     return bits.view(np.uint8).ravel()

@@ -31,6 +31,7 @@ from coop_ostbc.ostbc import (
 
 from codeword import encode
 from fits import diversity_slope, snr_db_at_ber
+from planes import planes
 
 FAST_BUDGET_S = 1.0
 SIM_BUDGET_S = 300.0
@@ -206,7 +207,7 @@ def test_c08_four_antenna_code_health_and_steeper_slope():
         z = combine(code, y, h, work) / (math.sqrt(power) * g_est)
         per_sym = bits.reshape(n, 3, QAM16.bits_per_symbol)
         for k in range(3):
-            assert np.array_equal(detect(z[k], QAM16, work), per_sym[:, k].ravel())
+            assert np.array_equal(detect(*planes(z[k]), QAM16, work), per_sym[:, k].ravel())
 
         # Slopes inside the 10-20 dB window, beta = 0, QPSK, balanced links.
         grid = (10.0, 12.0, 14.0)

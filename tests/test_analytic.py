@@ -285,12 +285,13 @@ def test_penalty_is_the_closed_form_gap_at_high_snr(a_sq, r_db):
     # asymptote moves the gap by about 1e-15 dB.
     r = 10.0 ** (r_db / 10.0)
     gap = mp_snr_db_at_ber(a_sq, r, 1e-30) - mp_snr_db_at_ber(a_sq, 1.0, 1e-30)
-    assert abs(float(gap) - imbalance_penalty_db(r)) <= 1e-9
+    assert abs(float(gap) - imbalance_penalty_db(r_db)) <= 1e-9
 
 
 def test_penalty_is_the_four_antenna_gap_at_high_snr():
     # The rate-3/4 code loses the same SNR as the 2x1 code: its eight paths
     # scale the high-SNR error probability by ((1+r)^2/r)^4 at diversity 8.
+    # Here r = 10, which is 10 dB.
     code = CODES["ostbc_4x2"]
 
     def snr_db(r):
@@ -303,21 +304,24 @@ def test_penalty_is_the_four_antenna_gap_at_high_snr():
 
 
 def test_penalty_is_zero_at_balance_and_symmetric_in_the_ratio():
-    assert imbalance_penalty_db(1.0) == 0.0
-    for k in range(-1022, 1023, 7):  # powers of two, whose 1/r is exact
-        assert imbalance_penalty_db(2.0**k) == imbalance_penalty_db(2.0**-k)
+    assert imbalance_penalty_db(0.0) == 0.0
+    assert imbalance_penalty_db(-0.0) == 0.0
     rng = np.random.default_rng(23)
-    for r in 10.0 ** rng.uniform(-300, 300, 1000):
-        assert imbalance_penalty_db(r) == pytest.approx(imbalance_penalty_db(1.0 / r),
-                                                        rel=1e-13, abs=1e-15)
+    near_0_db = 10.0 ** rng.uniform(-12, 0, 100)
+    for r_db in np.concatenate([rng.uniform(-3236, 3236, 1000), near_0_db]):
+        # r and 1/r are r_db and -r_db, with no rounding between them.
+        assert imbalance_penalty_db(r_db) == imbalance_penalty_db(-r_db) > 0.0
 
 
 def test_penalty_matches_50_digit_reference_over_the_float_range():
+    # The reference takes r_db itself, not its linear r: below about -3077 dB
+    # that r is subnormal, and -3236 dB rounds to 4.9e-324, which is
+    # -3233.06 dB and would read a penalty of 1613.521 dB.
     mp = mpmath.mp.clone()
     mp.dps = 50
     for r_db in EXTREME_DB + (-10.0, -1e-6, 1e-6, 3.0, 10.0):
-        r = 10.0 ** (r_db / 10.0)
-        got = imbalance_penalty_db(r)
-        ref = 10 * mp.log10(mp.cosh(mp.log(mp.mpf(r)) / 2))
+        got = imbalance_penalty_db(r_db)
+        ref = 10 * mp.log10(mp.cosh(mp.mpf(r_db) * mp.log(10) / 20))
         assert math.isfinite(got) and got >= 0.0, r_db
-        assert abs(got - ref) <= 1e-14 * ref + 1e-15, r_db
+        assert abs(got - ref) <= 1e-14 * ref, r_db
+    assert f"{imbalance_penalty_db(-3236.0):.3f}" == "1614.990"

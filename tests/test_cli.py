@@ -495,6 +495,15 @@ def test_analytic_prints_one_line_per_r_and_per_scheme(capsys):
         ORDER_LINE, penalty_line("-200", "96.990"), penalty_line("0", "0.000")]
 
 
+def test_analytic_reports_the_penalty_at_both_ends_of_the_r_range(capsys):
+    # At -3236 dB the linear r is subnormal, 4.9e-324, which is -3233.06 dB;
+    # a penalty taken from it would read 1613.521 dB.
+    rc = run(["analytic", "--modulation", "BPSK", "--gamma-db", "10", "--r-db", "-3236,3080"])
+    assert rc == 0
+    assert capsys.readouterr().err.splitlines() == [
+        ORDER_LINE, penalty_line("-3236", "1614.990"), penalty_line("3080", "1536.990")]
+
+
 def test_missing_input_is_io_error(tmp_path, capsys):
     for command in ("simulate", "analytic"):
         assert run([command, "--spec", str(tmp_path / "nope.json")]) == 3

@@ -43,6 +43,7 @@ from coop_ostbc.ostbc import (
 
 from codeword import encode
 from fits import diversity_slope
+from planes import planes
 
 
 def analytic(a_sq: float, r_db: float, gamma_db: float) -> float:
@@ -125,7 +126,7 @@ def full_chain_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     s_tilde = combine(code, y, w * est, work)
     g_est = np.sum(np.abs(w * est) ** 2, axis=(0, 1))
     z = s_tilde / (math.sqrt(power) * g_est)
-    wrong = np.flatnonzero(detect(z.T, point.mod, work) != tx_bits)
+    wrong = np.flatnonzero(detect(*planes(z.T), point.mod, work) != tx_bits)
     per_block = np.bincount(wrong // point.bits_per_block)
     return tx_bits.size, wrong.size, int(np.dot(per_block, per_block))
 
@@ -233,13 +234,14 @@ def fade_stream(point: SimPoint, chunk_index: int = 0) -> RngStream:
 
 def chunk_fade_stage(point: SimPoint, chunk_index: int = 0):
     """Chunk ``chunk_index`` of ``point``'s curve up to its fade stage:
-    (work, signal, sqrt(G_est))."""
+    (work, signal, sqrt(G_est)). The bits are drawn in the stream's block
+    order and their symbols laid out as (n_symbols, blocks)."""
     code = CODES[point.scheme]
     rng = fade_stream(point, chunk_index)
     n = montecarlo._chunk_blocks(point)
     work = Workspace()
     tx_bits = rng.bits(point.bits_per_block * n)
-    syms = modulate(tx_bits, point.mod, work).reshape(n, code.n_symbols)
+    syms = modulate(tx_bits, point.mod, work).reshape(n, code.n_symbols).T.copy()
     w = code.weights(10.0 ** (point.r_db / 10.0))[:, None, None]
     return (work,) + montecarlo._fade_stage(work, rng, code, w, point.beta, syms)
 
@@ -255,7 +257,7 @@ def test_fade_stage_gain_is_the_imbalance_weighted_branch_sum(code, r_db, beta):
     # sqrt(1+beta). The stage returns sqrt(G_est). The signal is the
     # symbols at beta = 0, where the matched filter returns G s exactly,
     # and the combiner output on the estimates over G_est at beta > 0, each
-    # laid out as (blocks, n_symbols) for the detector.
+    # laid out as (n_symbols, blocks) for the detector.
     point = SimPoint(code.name, QPSK, 10.0, r_db, beta, seed=2019, max_bits=6_000)
     _, signal, root = chunk_fade_stage(point)
     n = root.size
@@ -282,7 +284,7 @@ def test_fade_stage_gain_is_the_imbalance_weighted_branch_sum(code, r_db, beta):
     if beta > 0.0:
         want_signal = want_signal / expected
     assert signal.flags.c_contiguous
-    assert np.max(np.abs(signal - want_signal.T)) < 1e-12 * np.max(np.abs(want_signal))
+    assert np.max(np.abs(signal - want_signal)) < 1e-12 * np.max(np.abs(want_signal))
 
 
 @pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
@@ -290,7 +292,9 @@ def test_chunk_counts_what_the_detector_decides_at_a_large_beta(code):
     # At beta = 3 the estimate est = 2 u is half error. The fade stage's
     # sqrt(G_est) is that of est, not of the unit draws u, and the chunk
     # counts the errors that the QAM16 slicer, which reads the scale of its
-    # input, makes of the noise stage's output.
+    # input, makes of the noise stage's output. The replay decides and counts
+    # in the stream's block order, so the sum of the squared block errors
+    # checks the block that the chunk finds for each wrong bit.
     point = SimPoint(code.name, QAM16, 10.0, 5.0, 3.0, seed=2020, max_bits=6_000)
     work, signal, root = chunk_fade_stage(point)
     n = root.size
@@ -300,8 +304,8 @@ def test_chunk_counts_what_the_detector_decides_at_a_large_beta(code):
     w_sq = np.square(code.weights(10.0 ** (point.r_db / 10.0)))[:, None, None]
     expected = np.sum(w_sq * np.abs(2.0 * u) ** 2, axis=(0, 1))
     assert np.max(np.abs(root**2 - expected) / expected) < 1e-13
-    z = montecarlo._noise_stage(work, RngStream(point.seed, 0), signal, root, 10.0)
-    wrong = np.flatnonzero(detect(z, QAM16, Workspace()) != tx_bits)
+    x, y = montecarlo._noise_stage(work, RngStream(point.seed, 0), signal, root, 10.0)
+    wrong = np.flatnonzero(detect(x.T.copy(), y.T.copy(), QAM16, Workspace()) != tx_bits)
     per_block = np.bincount(wrong // point.bits_per_block)
     assert wrong.size > 0
     assert _simulate_chunk((point,), 0) == [(tx_bits.size, wrong.size,
@@ -319,22 +323,26 @@ def test_cells_of_a_curve_share_the_fade_and_draw_their_own_noise(monkeypatch, b
                          seed=2022, max_bits=24_000)
     inputs = []
 
-    def recording_detect(z, mod, work):
-        inputs.append(z.copy())
-        return detect(z, mod, work)
+    def recording_detect(zr, zi, mod, work):
+        inputs.append(zr + 1j * zi)
+        return detect(zr, zi, mod, work)
 
     monkeypatch.setattr(ostbc, "detect", recording_detect)
     counts = _simulate_chunk(cells, 1)
     _, signal, root = chunk_fade_stage(cells[0], chunk_index=1)
     tx_bits = fade_stream(cells[0], 1).bits(cells[0].bits_per_block * root.size)
     assert len(inputs) == len(counts) == len(cells)
-    for cell, z, (bits, errors, _) in zip(cells, inputs, counts):
-        x, y = RngStream(cell.seed, 1).normal_pairs(signal.shape[::-1])
+    for cell, z, (bits, errors, sq_errors) in zip(cells, inputs, counts):
+        x, y = RngStream(cell.seed, 1).normal_pairs(signal.shape)
         power = 10.0 ** (cell.gamma_db / 10.0)
-        noise = (z - signal) * (math.sqrt(2.0 * power) * root)[:, None]
-        assert np.max(np.abs(noise - (x + 1j * y).T)) < 1e-9
-        wrong = np.flatnonzero(detect(z, QPSK, Workspace()) != tx_bits)
-        assert (bits, errors) == (tx_bits.size, wrong.size) and errors > 0
+        noise = (z - signal) * (math.sqrt(2.0 * power) * root)
+        assert np.max(np.abs(noise - (x + 1j * y))) < 1e-9
+        # Decided and counted in the stream's block order.
+        wrong = np.flatnonzero(detect(*planes(z.T), QPSK, Workspace()) != tx_bits)
+        per_block = np.bincount(wrong // cell.bits_per_block)
+        assert (bits, errors, sq_errors) == (tx_bits.size, wrong.size,
+                                             int(np.dot(per_block, per_block)))
+        assert errors > 0
 
 
 def test_a_cells_row_is_the_same_alone_and_in_its_whole_curve(tmp_path):
@@ -583,21 +591,29 @@ def test_warm_chunk_allocates_little(monkeypatch):
 # held with a codeword array and a received-signal array of its own:
 # 11,640,000 bytes; with transmit and combine each weighting the channels
 # into a scratch array of their own: 7,400,000 bytes. The chunk now weights
-# its drawn channels once, in place: 6,280,000 bytes. A beta = 0 chunk needs
-# 1,800,000 bytes; its path powers and every chunk's per-symbol noise reuse
-# the bytes of the channels, since path powers and noise under names of
-# their own would grow a workspace that runs both fade stages to 7,400,000.
+# its drawn channels once, in place: 6,280,000 bytes; with the bits
+# reordered into the (n_symbols, blocks) layout of every later array, a
+# "bits" array of 120,000 bytes more: 6,400,000. Its path powers and every
+# chunk's per-cell detector input reuse the bytes of the channels, since
+# path powers and noise under names of their own would grow a workspace
+# that runs both fade stages to 7,400,000. A beta = 0 chunk needed
+# 1,880,000 bytes while detect staged a copy of its complex input in the
+# scratch (560,000 bytes), and needs 1,520,000 since the noise draw itself
+# is the detector's real and imaginary planes (a scratch of 80,000).
 WARM_CHUNK_WORKSPACE_BYTES = 6_600_000
+WARM_BETA_0_CHUNK_WORKSPACE_BYTES = 1_600_000
 
 
 def test_warm_chunk_workspace_holds_no_codeword_or_signal_copy(monkeypatch):
     monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
-    for beta in (0.0, 0.01):  # one workspace through both fade stages
+    # One workspace through both fade stages, beta = 0 first.
+    for beta, bound in ((0.0, WARM_BETA_0_CHUNK_WORKSPACE_BYTES),
+                        (0.01, WARM_CHUNK_WORKSPACE_BYTES)):
         point = SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, beta, seed=2016)
         _simulate_chunk((point,), 0)
         _simulate_chunk((point,), 1)
-    [work] = montecarlo._idle_workspaces
-    assert sum(flat.nbytes for flat in work._buffers.values()) <= WARM_CHUNK_WORKSPACE_BYTES
+        [work] = montecarlo._idle_workspaces
+        assert sum(flat.nbytes for flat in work._buffers.values()) <= bound
 
 
 def test_every_chunk_borrows_from_the_capped_idle_list(monkeypatch):

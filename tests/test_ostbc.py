@@ -19,6 +19,7 @@ from coop_ostbc.ostbc import (
 )
 
 from codeword import encode
+from planes import planes
 
 ALL_MODS = (BPSK, QPSK, QAM16)
 A2 = CODES["alamouti_2x1"]
@@ -86,7 +87,7 @@ def assert_zero_noise_bit_exact(code, mod, seed, r_db, gamma_db):
     z = s_tilde / (math.sqrt(p) * path_power_sum(h))
     per_sym = bits.reshape(n, code.n_symbols, mod.bits_per_symbol)
     for k in range(code.n_symbols):
-        assert np.array_equal(detect(z[k], mod, work), per_sym[:, k].ravel())
+        assert np.array_equal(detect(*planes(z[k]), mod, work), per_sym[:, k].ravel())
 
 
 # --- modulation ---------------------------------------------------------------
@@ -155,7 +156,7 @@ def test_roundtrip_modulate_detect_all_labels():
             dtype=np.uint8,
         )
         work = Workspace()
-        assert np.array_equal(detect(modulate(bits, mod, work), mod, work), bits)
+        assert np.array_equal(detect(*planes(modulate(bits, mod, work)), mod, work), bits)
 
 
 # --- imbalance weights --------------------------------------------------------
@@ -342,15 +343,15 @@ def test_combine_is_linear_in_received_vector():
 
 
 def test_detect_bpsk_positive_half_plane():
-    assert np.array_equal(detect(0.3 + 0.0j, BPSK, Workspace()), [0])
-    assert np.array_equal(detect(-0.3 + 0.0j, BPSK, Workspace()), [1])
+    assert np.array_equal(detect(*planes(0.3 + 0.0j), BPSK, Workspace()), [0])
+    assert np.array_equal(detect(*planes(-0.3 + 0.0j), BPSK, Workspace()), [1])
 
 
 def test_detect_tie_breaks_to_smallest_label():
     # The origin is equidistant from every QPSK point.
-    assert np.array_equal(detect(0.0j, QPSK, Workspace()), [0, 0])
+    assert np.array_equal(detect(*planes(0.0j), QPSK, Workspace()), [0, 0])
     # On the positive real axis the tie is between labels 00 and 01.
-    assert np.array_equal(detect(0.9 + 0.0j, QPSK, Workspace()), [0, 0])
+    assert np.array_equal(detect(*planes(0.9 + 0.0j), QPSK, Workspace()), [0, 0])
 
 
 def nearest_point_bits(z, mod):
@@ -378,7 +379,7 @@ def axis_values(levels):
 @pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
 def test_detect_matches_nearest_point_on_points_edges_and_crossings(mod):
     z = axis_values(mod.points.real)[:, None] + 1j * axis_values(mod.points.imag)[None, :]
-    assert np.array_equal(detect(z, mod, Workspace()), nearest_point_bits(z, mod))
+    assert np.array_equal(detect(*planes(z), mod, Workspace()), nearest_point_bits(z, mod))
 
 
 @pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
@@ -388,16 +389,17 @@ def test_detect_matches_nearest_point_on_random_symbols(mod):
     for _ in range(4):
         gain = 0.1 + uniforms.random((50_000, 1))
         z = sample_circular_gaussian(rng, 2.0, size=(50_000, 3)) / gain
-        assert np.array_equal(detect(z, mod, Workspace()), nearest_point_bits(z, mod))
-        # The chunk hands detect its (blocks, n_symbols) transpose.
-        assert np.array_equal(detect(z.T, mod, Workspace()), nearest_point_bits(z.T, mod))
+        assert np.array_equal(detect(*planes(z), mod, Workspace()), nearest_point_bits(z, mod))
+        # The chunk's layout, (n_symbols, blocks).
+        assert np.array_equal(detect(*planes(z.T), mod, Workspace()),
+                              nearest_point_bits(z.T, mod))
     for z in sample_circular_gaussian(rng, 2.0, size=20) / uniforms.random(20):
-        assert np.array_equal(detect(z, mod, Workspace()), nearest_point_bits(z, mod))
+        assert np.array_equal(detect(*planes(z), mod, Workspace()), nearest_point_bits(z, mod))
 
 
 def test_detect_fixed_points_qam16():
     for i, point in enumerate(QAM16.points):
-        bits = detect(point, QAM16, Workspace())
+        bits = detect(*planes(point), QAM16, Workspace())
         assert int("".join(map(str, bits)), 2) == i
 
 
@@ -530,7 +532,7 @@ def _layer_calls(work):
         "modulate": lambda: modulate(bits, QAM16, work),
         "transmit": lambda: transmit(O4, syms, h, work),
         "combine": lambda: combine(O4, y, h, work),
-        "detect": lambda: detect(syms, QAM16, work),
+        "detect": lambda: detect(*planes(syms), QAM16, work),
     }
 
 
