@@ -32,6 +32,7 @@ import os
 import re
 import sys
 from decimal import Decimal
+from typing import NamedTuple
 
 from . import analytic, ostbc
 from .montecarlo import (
@@ -101,14 +102,22 @@ def _parse_name_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
-def _parse_float_list(text: str) -> list[float]:
-    """Comma-separated floats; a start:stop:step token expands inclusively.
+class _Range(NamedTuple):
+    """A start:stop:step token, counted but not yet expanded."""
 
-    A range is counted and expanded in decimal, so ``0:1:0.1`` gives the
-    values of the list ``0,0.1,...,1``, and it holds at most
-    :data:`MAX_RANGE_VALUES` values.
+    start: Decimal
+    step: Decimal
+    count: int
+
+
+def _parse_float_list(text: str) -> list:
+    """Comma-separated floats; a start:stop:step token becomes a :class:`_Range`.
+
+    A range is counted in decimal and holds at most
+    :data:`MAX_RANGE_VALUES` values; :func:`_expand` gives its values, so
+    ``0:1:0.1`` gives those of the list ``0,0.1,...,1``.
     """
-    values: list[float] = []
+    values: list = []
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -128,10 +137,26 @@ def _parse_float_list(text: str) -> list[float]:
                 raise UsageError(f"empty range {token!r}")
             if span >= MAX_RANGE_VALUES:
                 raise UsageError(f"range {token!r} has more than {MAX_RANGE_VALUES} values")
-            values.extend(float(start + i * step) for i in range(int(span) + 1))
+            values.append(_Range(start, step, int(span) + 1))
         else:
             values.append(float(token))
     return values
+
+
+def _size(values) -> int:
+    """How many values an axis of floats and :class:`_Range` tokens holds."""
+    return sum(v.count if isinstance(v, _Range) else 1 for v in values)
+
+
+def _expand(values) -> list[float]:
+    """The floats of an axis of floats and :class:`_Range` tokens, in order."""
+    out: list[float] = []
+    for v in values:
+        if isinstance(v, _Range):
+            out.extend(float(v.start + i * v.step) for i in range(v.count))
+        else:
+            out.append(v)
+    return out
 
 
 def _load_spec_file(path: str) -> dict:
@@ -182,11 +207,12 @@ def _points(spec: dict, **stop_rule) -> tuple[SimPoint, ...]:
     Only ``simulate`` passes ``min_errors`` and ``max_bits``.
     """
 
-    def grid(key, default) -> list[float]:
+    def grid(key, default) -> list:
         values = spec.get(key, default)
-        if isinstance(values, list) and all(map(_is_number, values)):
+        if isinstance(values, list) and all(isinstance(v, _Range) or _is_number(v)
+                                            for v in values):
             try:
-                return [float(v) for v in values]
+                return [v if isinstance(v, _Range) else float(v) for v in values]
             except OverflowError:  # a JSON integer, since 1e400 parses as inf
                 raise UsageError(f"{key} holds an integer too large for a float") from None
         raise UsageError(f"{key} must be a list of numbers, got {values!r}")
@@ -201,21 +227,22 @@ def _points(spec: dict, **stop_rule) -> tuple[SimPoint, ...]:
 
     schemes = names("schemes", ["alamouti_2x1"])
     modulations = names("modulations", ["QPSK"])
-    gamma_db = grid("gamma_db", [])
-    r_db = grid("r_db", [0.0])
-    beta = grid("beta", [0.0])
-    if not gamma_db:
+    axes = {key: grid(key, default)
+            for key, default in (("gamma_db", []), ("r_db", [0.0]), ("beta", [0.0]))}
+    if not axes["gamma_db"]:
         raise UsageError("no SNR grid given; set --gamma-db or 'gamma_db' in the spec file")
+    seed = _integer(spec.get("seed", 1), "seed")
+    # Counted before any range is expanded, so an oversized grid costs nothing.
+    cells = len(schemes) * len(modulations) * math.prod(map(_size, axes.values()))
+    if cells > MAX_RANGE_VALUES:
+        raise UsageError(f"the grid has {cells} cells, more than {MAX_RANGE_VALUES}")
+    gamma_db, r_db, beta = map(_expand, axes.values())
     if gamma_db != sorted(gamma_db) or len(set(gamma_db)) != len(gamma_db):
         print(
             "warning: SNR grid was not strictly increasing; normalizing",
             file=sys.stderr,
         )
-    seed = _integer(spec.get("seed", 1), "seed")
     try:
-        cells = math.prod(map(len, (schemes, modulations, gamma_db, r_db, beta)))
-        if cells > MAX_RANGE_VALUES:
-            raise UsageError(f"the grid has {cells} cells, more than {MAX_RANGE_VALUES}")
         return sweep_points(schemes, modulations, gamma_db, r_db, beta, seed, **stop_rule)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None

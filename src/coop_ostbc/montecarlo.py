@@ -13,33 +13,35 @@ place that sums path powers into G_est and divides by it;
 
 Work is split into fixed-size chunks of fading blocks, and the unit of
 work is the curve: the cells that are equal in everything but
-``gamma_db`` and ``seed``, which share a fade seed. Chunk ``k`` of a
-curve draws the data bits and the fades once, from the fade stream
-``RngStream(fade_seed, k)``; then each cell that is still running draws
-its own noise from its noise stream ``RngStream(cell.seed, k)``, detects
-and counts. Only the noise scale depends on the SNR, so the cells of one
-curve see common fades (common random numbers) and their estimates are
-correlated, while each cell's estimate stays a pure function of its two
-seeds. A cell stops after the first chunk at which its cumulative error
-count reaches ``min_errors`` or its cumulative bit count reaches
-``max_bits``; a cell runs its chunks in index order until it stops.
+``gamma_db`` and ``seed``, which share a curve seed. Chunk ``k`` of a
+curve draws everything once, from its one stream ``RngStream(curve seed,
+k)``: the data bits, then the fades, then the raw noise. Each cell that
+is still running then scales that noise by its own SNR, detects and
+counts. Only the noise scale depends on the SNR, so the cells of one
+curve see common fades and common noise (common random numbers) and
+their estimates are correlated, while each cell's estimate stays a pure
+function of the curve seed and its own fields. A cell stops after the
+first chunk at which its cumulative error count reaches ``min_errors`` or
+its cumulative bit count reaches ``max_bits``; a cell runs its chunks in
+index order until it stops.
 :func:`run_point` runs one cell as a sweep of its own, on the same code
 path.
 
 :func:`sweep_points` turns a grid into its deduplicated cells, a
 :class:`SimPoint` tuple in report order, and that tuple is the only
 description of a sweep from spec to CSV row. Each cell's seed is derived
-from the sweep seed and the cell parameters, and its fade seed from the
-same fields but the SNR, so a cell's estimate does not depend on which
-other cells are present in the grid. A sweep runs on ``workers`` threads
-(at most one per CPU) that take its curves one at a time; where there are
-fewer curves than threads, each curve is split before its first chunk
-into tasks of every so-many-th cell, and each task draws the curve's
-fades for its own cells. The estimates are therefore bit-identical for
-any worker count and equal those of :func:`run_point`.
+from the sweep seed and the cell parameters, and its curve seed (the
+``fade_seed`` field) from the same fields but the SNR, so a cell's
+estimate does not depend on which other cells are present in the grid. A
+sweep runs on ``workers`` threads (at most one per CPU) that take its
+curves one at a time; where there are fewer curves than threads, each
+curve is split before its first chunk into tasks of every so-many-th
+cell, and each task draws the curve's bits, fades and noise for its own
+cells. The estimates are therefore bit-identical for any worker count
+and equal those of :func:`run_point`.
 
 Each chunk draws and runs in one :class:`~coop_ostbc.numerics.Workspace`
-(up to 6.4 MB for a 4x2 chunk at beta > 0, 1.5 MB at beta = 0) that it
+(up to 6.4 MB for a 4x2 chunk at beta > 0, 2.0 MB at beta = 0) that it
 borrows from one idle list and gives back when it ends, so a warm chunk
 reuses the buffers of an earlier one instead of allocating them afresh.
 The cells of a chunk run one after another in it. The list keeps at most
@@ -91,11 +93,12 @@ class SimPoint:
     ``gamma_db`` and ``r_db`` are in dB; the chain converts them to linear
     units, so each must have a finite, positive linear value.
 
-    ``seed`` keys the cell's noise, and ``fade_seed`` the data bits and
-    fades that it shares with the other cells of its :attr:`curve`. A cell
-    without a ``fade_seed`` is a curve of its own, whose fades come from a
-    seed derived from ``seed``; the two seeds may not be equal, since the
-    fades and the noise must be two streams.
+    The curve seed, the last item of :attr:`curve`, keys the data bits,
+    the fades and the noise that the cell shares with the other cells of
+    its curve: ``fade_seed``, or without it a seed derived from ``seed``,
+    so a cell without a ``fade_seed`` is a curve of its own. ``seed``
+    labels the cell: it is the CSV ``seed`` column that ``bench/checker.py``
+    checks, and it seeds a standalone cell's curve.
     """
 
     scheme: str
@@ -130,8 +133,6 @@ class SimPoint:
                 f"max_bits must be at least one symbol ({self.mod.bits_per_symbol} "
                 f"bits), got {self.max_bits}"
             )
-        if self.fade_seed == self.seed:
-            raise ValueError(f"fade_seed must differ from seed, got {self.seed} for both")
 
     @property
     def bits_per_block(self) -> int:
@@ -141,12 +142,12 @@ class SimPoint:
     def curve(self) -> tuple:
         """What the cells of one curve share: every field but gamma_db and seed.
 
-        The last item is the seed of the curve's bits and fades:
-        ``fade_seed``, or one derived from ``seed`` without it.
+        The last item is the curve seed, which keys its bits, fades and
+        noise: ``fade_seed``, or one derived from ``seed`` without it.
         """
-        fades = derive_seed(self.seed, "fades") if self.fade_seed is None else self.fade_seed
+        seed = derive_seed(self.seed, "fades") if self.fade_seed is None else self.fade_seed
         return (self.scheme, self.mod, self.r_db, self.beta, self.min_errors, self.max_bits,
-                fades)
+                seed)
 
 
 @dataclass(frozen=True)
@@ -201,14 +202,14 @@ def _simulate_chunk(cells: tuple, chunk_index: int) -> list[tuple[int, int, int]
     """Simulate chunk ``chunk_index`` of some cells of one curve; returns each
     cell's (bits, bit_errors, sum of squared block errors), in ``cells`` order.
 
-    Draw order: from the curve's fade stream ``RngStream(fade seed,
-    chunk_index)``, the data bits (eight per random byte); then, at beta =
+    Draw order, all from the curve's one stream ``RngStream(curve seed,
+    chunk_index)``: the data bits (eight per random byte); then, at beta =
     0, the path powers |h_ij|^2 ~ Exp(1) of shape (n_tx, n_rx, blocks), or,
     at beta > 0, the unit estimates u ~ CN(0, 1) and then sqrt(beta) v ~
-    CN(0, beta), each of that shape. Then each cell draws from its own noise
-    stream ``RngStream(cell.seed, chunk_index)`` the noise CN(0, 1) of shape
-    (n_symbols, blocks), one per detected symbol. Each Gaussian array is
-    one ziggurat draw, and so are the path powers.
+    CN(0, beta), each of that shape; then the raw noise CN(0, 1) of shape
+    (n_symbols, blocks), one per detected symbol, which every cell of the
+    chunk scales by its own SNR. Each Gaussian array is one ziggurat draw,
+    and so are the path powers.
 
     The fade stage works on effective channels: the weights of
     :meth:`ostbc.SpaceTimeCode.weights` scale the path powers by w_i^2, or
@@ -227,9 +228,10 @@ def _simulate_chunk(cells: tuple, chunk_index: int) -> list[tuple[int, int, int]
 
     Every array from the symbols to the decisions is a view on a workspace
     borrowed from the idle list and given back when the chunk ends, so the
-    next chunk overwrites it. The path powers and each cell's input reuse
-    the bytes of the channels; the bits, the signal and sqrt(G_est) that
-    the cells share are only read once the fade stage is done.
+    next chunk overwrites it. The path powers and the raw noise reuse the
+    bytes of the channels, and each cell's input those of the estimates;
+    the bits, the signal, sqrt(G_est) and the raw noise that the cells
+    share are only read once the fade stage is done.
     """
     with _idle_lock:
         work = _idle_workspaces.pop() if _idle_workspaces else Workspace()
@@ -243,9 +245,9 @@ def _simulate_chunk(cells: tuple, chunk_index: int) -> list[tuple[int, int, int]
 
 def _simulate_chunk_in(work: Workspace, cells: tuple, chunk_index: int):
     first = cells[0]  # its fields but gamma_db and seed are the curve's
-    *_, fade_seed = first.curve
+    *_, curve_seed = first.curve
     code = ostbc.CODES[first.scheme]
-    rng = RngStream(fade_seed, chunk_index)
+    rng = RngStream(curve_seed, chunk_index)
     n = _chunk_blocks(first)
     bps = first.mod.bits_per_symbol
     # Drawn block-major, as the stream (and so every CSV byte) has them, the
@@ -256,10 +258,10 @@ def _simulate_chunk_in(work: Workspace, cells: tuple, chunk_index: int):
     syms = ostbc.modulate(tx_bits, first.mod, work).reshape(code.n_symbols, n)
     w = code.weights(_db_to_linear(first.r_db))[:, None, None]
     signal, root = _fade_stage(work, rng, code, w, first.beta, syms)
+    noise = rng.normal_pairs(signal.shape, out=work.array("h", (2,) + signal.shape, float))
     counts = []
     for cell in cells:
-        zr, zi = _noise_stage(work, RngStream(cell.seed, chunk_index), signal, root,
-                              _db_to_linear(cell.gamma_db))
+        zr, zi = _noise_stage(work, noise, signal, root, _db_to_linear(cell.gamma_db))
         rx_bits = ostbc.detect(zr, zi, first.mod, work)
         wrong = np.flatnonzero(np.not_equal(rx_bits, tx_bits, out=rx_bits.view(bool)))
         np.floor_divide(wrong, bps, out=wrong)
@@ -318,19 +320,21 @@ def _fade_stage(work: Workspace, rng: RngStream, code: ostbc.SpaceTimeCode, w, b
     return combined, np.multiply(np.sqrt(gain, out=gain), spread, out=gain)
 
 
-def _noise_stage(work: Workspace, rng: RngStream, signal, root, power: float):
+def _noise_stage(work: Workspace, noise, signal, root, power: float):
     """The planes x, y of z_k = signal_k + n_k / (sqrt(P) sqrt(G_est)), n_k ~ CN(0, 1).
 
     The matched filter of an orthogonal design turns white CN(0, 1) antenna
     noise into white, circular noise of variance G_est on each symbol, and
     the gain normalization divides it by sqrt(P) G_est. One (n_symbols, n)
     draw therefore stands for all of the antenna noise of the (n_symbols,
-    n) ``signal``. The stage draws the two rows of normals into the bytes
-    of ``"h"``, which the fade stage is done with, scales each in place by
+    n) ``signal``. ``noise`` is the two rows of normals of that draw, which
+    the chunk makes once for all of its cells. The stage scales each row by
     1 / (sqrt(2) sqrt(P) ``root``) per block, ``root`` being the fade
-    stage's sqrt(G_est), and adds the real or the imaginary part of the
-    signal: the rows are the detector input. ``signal`` and ``root`` are
-    only read, so every cell of a chunk sees the same fade.
+    stage's sqrt(G_est), into a plane on the bytes of ``"est"``, which the
+    fade stage is done with, and adds the real or the imaginary part of the
+    signal in place: the planes are the detector input, which the slicer
+    may overwrite. ``noise``, ``signal`` and ``root`` are only read, so
+    every cell of a chunk sees the same fade and the same raw noise.
 
     It scales the pair itself rather than through
     :func:`~coop_ostbc.numerics.sample_circular_gaussian`, which takes a
@@ -339,15 +343,15 @@ def _noise_stage(work: Workspace, rng: RngStream, signal, root, power: float):
     so the square roots are taken apart and no P G_est product can
     overflow. And the scalar variance 1 / P with a further per-block divide
     is one more pass over the input: on a 2-core Xeon a 10k-block 4x2 stage
-    took 1.19-1.21 ms here against 1.30-1.31 ms that way (medians of 200,
-    five rounds), about a tenth of a cell's noise, detect and count.
+    took 0.123-0.124 ms here against 0.147-0.150 ms that way (medians of
+    200, five rounds).
     """
     (scale,) = work.scratch((root.shape, float))
-    x, y = rng.normal_pairs(signal.shape, out=work.array("h", (2,) + signal.shape, float))
+    planes = work.array("est", (2,) + signal.shape, float)
     np.divide(1.0 / (math.sqrt(2.0) * math.sqrt(power)), root, out=scale)
-    for plane, part in ((x, signal.real), (y, signal.imag)):
-        np.add(np.multiply(plane, scale, out=plane), part, out=plane)
-    return x, y
+    for plane, raw, part in zip(planes, noise, (signal.real, signal.imag)):
+        np.add(np.multiply(raw, scale, out=plane), part, out=plane)
+    return planes
 
 
 def _run_cells(points, stop: threading.Event, cells: list) -> dict:
@@ -398,8 +402,8 @@ def sweep_points(schemes, modulations, gamma_db, r_db, beta, seed: int,
     The cells are sorted by (scheme, modulation, r_db, beta, gamma_db).
     Each cell's seed is derived from ``seed`` and those five fields, and its
     fade seed from ``seed`` and the first four, so the cells of one curve
-    share their fades. Only empty axes are refused here; every cell check
-    is :class:`SimPoint`'s.
+    share their bits, fades and noise. Only empty axes are refused here;
+    every cell check is :class:`SimPoint`'s.
     """
     axes = {"schemes": schemes, "modulations": modulations, "gamma_db": gamma_db,
             "r_db": r_db, "beta": beta}

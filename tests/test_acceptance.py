@@ -156,10 +156,11 @@ def test_c06_simulation_reproduces_analytic_curves():
         )
         coverage = hits / len(points)
         c.detail = f"coverage {hits}/{len(points)} = {coverage:.3f}"
-        # 66 cells in 6 curves of 11 that share their fades, so misses
-        # cluster along a curve: over sweep seeds 5000-5399 this bound held
-        # for 92.2% of seeds, where the same grid with independent cells
-        # held for 95.3%. The seed is fixed, so the test is deterministic.
+        # 66 cells in 6 curves of 11 that share their fades and their noise,
+        # so misses cluster along a curve: over sweep seeds 5000-5399 this
+        # bound held for 88.5% of seeds, where it held for 92.2% while each
+        # cell drew its own noise and for 95.3% with independent cells. The
+        # seed is fixed, so the test is deterministic.
         assert coverage >= 0.9
     assert c.elapsed < SIM_BUDGET_S
 

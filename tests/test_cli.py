@@ -303,6 +303,28 @@ def test_a_grid_of_too_many_cells_is_refused_before_it_is_built(monkeypatch, cap
     assert "the grid has 1000000000 cells, more than 1000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+def test_a_grid_of_too_many_cells_is_refused_before_any_range_is_expanded(monkeypatch,
+                                                                          capsys, command):
+    # One token of 999,999 values and a list of two: the grid is refused from
+    # the tokens' value counts, before a single value of the range is made.
+    expanded = []
+
+    def counting_expand(values):
+        expanded.append(values)
+        return real_expand(values)
+
+    real_expand = cli._expand
+    monkeypatch.setattr(cli, "_expand", counting_expand)
+    assert run([command, "--gamma-db", "0:999999:1", "--r-db", "0,1"]) == 1
+    assert "the grid has 2000000 cells, more than 1000000" in capsys.readouterr().err
+    assert expanded == []
+    # A grid within the bound has each of its three axes expanded once.
+    monkeypatch.setattr(cli, "sweep_points", lambda *args, **kwargs: ())
+    assert run([command, "--gamma-db", "0:9:1", "--r-db", "0"]) == 0
+    assert len(expanded) == 3
+
+
 @pytest.mark.parametrize(
     "flags",
     [
