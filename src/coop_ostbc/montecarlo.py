@@ -259,6 +259,7 @@ def _simulate_chunk_in(work: Workspace, cells: tuple, chunk_index: int):
     w = code.weights(_db_to_linear(first.r_db))[:, None, None]
     signal, root = _fade_stage(work, rng, code, w, first.beta, syms)
     noise = rng.normal_pairs(signal.shape, out=work.array("h", (2,) + signal.shape, float))
+    noise = noise[:first.mod.axes]  # the rows of the axes that detect reads
     counts = []
     for cell in cells:
         zr, zi = _noise_stage(work, noise, signal, root, _db_to_linear(cell.gamma_db))
@@ -327,14 +328,16 @@ def _noise_stage(work: Workspace, noise, signal, root, power: float):
     noise into white, circular noise of variance G_est on each symbol, and
     the gain normalization divides it by sqrt(P) G_est. One (n_symbols, n)
     draw therefore stands for all of the antenna noise of the (n_symbols,
-    n) ``signal``. ``noise`` is the two rows of normals of that draw, which
-    the chunk makes once for all of its cells. The stage scales each row by
-    1 / (sqrt(2) sqrt(P) ``root``) per block, ``root`` being the fade
-    stage's sqrt(G_est), into a plane on the bytes of ``"est"``, which the
-    fade stage is done with, and adds the real or the imaginary part of the
-    signal in place: the planes are the detector input, which the slicer
-    may overwrite. ``noise``, ``signal`` and ``root`` are only read, so
-    every cell of a chunk sees the same fade and the same raw noise.
+    n) ``signal``. ``noise`` is the rows of normals of that draw that
+    :func:`ostbc.detect` reads, the real one for BPSK and both otherwise,
+    which the chunk makes once for all of its cells. The stage scales each
+    row by 1 / (sqrt(2) sqrt(P) ``root``) per block, ``root`` being the
+    fade stage's sqrt(G_est), into a plane on the bytes of ``"est"``, which
+    the fade stage is done with, and adds the real or the imaginary part of
+    the signal in place: the planes are the detector input, which the
+    detector may overwrite. An unread plane is left as it is. ``noise``,
+    ``signal`` and ``root`` are only read, so every cell of a chunk sees
+    the same fade and the same raw noise.
 
     It scales the pair itself rather than through
     :func:`~coop_ostbc.numerics.sample_circular_gaussian`, which takes a

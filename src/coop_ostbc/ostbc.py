@@ -1,9 +1,11 @@
 """Modulation mapping and the distributed space-time codes, written as data.
 
-Each :class:`Modulation` (:data:`BPSK`, :data:`QPSK`, :data:`QAM16`) is
-the one record of its constellation: its points by bit label, its
-per-axis slicer, its bit count and its closed-form constant.
-:func:`modulate` and :func:`detect` read nothing else.
+Each :class:`Modulation` (:data:`BPSK`, :data:`QPSK`, :data:`QAM16`)
+describes its constellation once, as Gray PAM on one or two axes: a
+name, the number of axes and the levels of an axis by Gray label. Its
+points, bit count, closed-form constant and the per-bit comparisons of
+:func:`detect` are worked out from those levels, and :func:`modulate`
+and :func:`detect` read nothing else.
 
 A :class:`SpaceTimeCode` lists the non-zero entries of its codeword X
 (rows index transmit antennas, columns index time slots) and the node,
@@ -49,10 +51,10 @@ a warm chunk allocates almost nothing.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -75,65 +77,56 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Modulation:
-    """One unit-average-energy, Gray-labelled constellation, as one record.
+    """One unit-average-energy constellation, as Gray PAM on each of its axes.
 
-    ``points[i]`` is the symbol whose bit label is the binary expansion
-    of ``i``, most significant bit first. ``slicer(zr, zi, bits)`` writes
-    the ``bits_per_symbol`` bit decisions of gain-normalized symbols with
-    real parts ``zr`` and imaginary parts ``zi`` along the last axis of the
-    bool array ``bits``, MSB first; it may overwrite ``zr`` and ``zi``.
-    ``a_sq``, the constant a^2 of the closed-form error analysis, is stored
-    exactly and exists only for BPSK (2) and QPSK (1). Equality, hashing
-    and repr read the name, the bit count and ``a_sq`` only.
+    ``levels[i]`` is the level, at unit symbol energy, of an axis whose
+    Gray label is ``i``: BPSK uses the real axis alone (``axes`` 1), QPSK
+    and QAM16 both. A symbol's bit label is its real axis' label followed
+    by its imaginary axis' label, MSB first. Worked out once per record:
+    ``bits_per_symbol``; ``points[i]``, the symbol whose bit label is the
+    binary expansion of ``i``; ``a_sq``, the constant a^2 = 2 level^2 of
+    the closed-form error analysis, exactly 2/axes on 2-PAM axes and None
+    otherwise; and ``bit_tests``, one ``(plane, index, fold, compare,
+    edge)`` per bit, which :func:`detect` runs as ``compare(z, edge)`` on
+    axis ``plane``, folded in place to |z| when ``fold`` is true, into
+    ``bits[index]``, the bit's column of its decisions. An axis' high
+    bit is its sign; the low bit of Gray 4-PAM tells the inner levels from
+    the outer ones, at the edge midway between them. Each comparison is
+    strict and puts bit 1 on the side of the levels whose label has it, so
+    a symbol exactly on an edge goes to the smaller label.
     """
 
     name: str
-    bits_per_symbol: int
-    a_sq: float | None
-    points: np.ndarray = field(repr=False, compare=False)
-    slicer: Callable = field(repr=False, compare=False)
+    axes: int
+    levels: tuple
+
+    @cached_property
+    def bits_per_symbol(self) -> int:
+        return self.axes * (len(self.levels).bit_length() - 1)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        labels = itertools.product(self.levels, repeat=self.axes)
+        return np.array([complex(*label) for label in labels])
+
+    @cached_property
+    def a_sq(self) -> float | None:
+        return 2.0 / self.axes if len(self.levels) == 2 else None
+
+    @cached_property
+    def bit_tests(self) -> tuple:
+        half = len(self.levels) // 2  # the first label whose high bit is 1
+        axis = [(False, np.greater if self.levels[half] > 0.0 else np.less, 0.0)]
+        if half == 2:  # labels 1 and 3 have the low bit
+            edge = (abs(self.levels[0]) + abs(self.levels[1])) / 2.0
+            axis.append((True, np.less if abs(self.levels[1]) < edge else np.greater, edge))
+        return tuple((plane, (..., plane * len(axis) + j), *test)
+                     for plane in range(self.axes) for j, test in enumerate(axis))
 
 
-# Gray 4-PAM levels by 2-bit label: 00 -> -3, 01 -> -1, 10 -> +3, 11 -> +1.
-_PAM4 = (-3, -1, 3, 1)
-# Midway between the QAM16 axis levels 1/sqrt(10) and 3/sqrt(10).
-_QAM16_EDGE = 2.0 / math.sqrt(10.0)
-
-
-# Each slicer compares strictly on the side that keeps the smaller bit label
-# when a symbol lies exactly on a decision edge.
-def _slice_bpsk(zr, zi, bits):
-    np.less(zr, 0.0, out=bits[..., 0])
-
-
-def _slice_qpsk(zr, zi, bits):
-    np.less(zr, 0.0, out=bits[..., 0])
-    np.less(zi, 0.0, out=bits[..., 1])
-
-
-def _slice_qam16(zr, zi, bits):
-    # Each axis is Gray 4-PAM: its high bit is the sign and its low bit
-    # marks the two inner levels.
-    for axis, z in enumerate((zr, zi)):
-        np.greater(z, 0.0, out=bits[..., 2 * axis])
-        np.less(np.abs(z, out=z), _QAM16_EDGE, out=bits[..., 2 * axis + 1])
-
-
-BPSK = Modulation(
-    "BPSK", 1, 2.0,
-    points=np.array([1 + 0j, -1 + 0j]),
-    slicer=_slice_bpsk,
-)
-QPSK = Modulation(
-    "QPSK", 2, 1.0,
-    points=np.array([complex(i, q) / math.sqrt(2.0) for i in (1, -1) for q in (1, -1)]),
-    slicer=_slice_qpsk,
-)
-QAM16 = Modulation(
-    "QAM16", 4, None,
-    points=np.array([complex(i, q) / math.sqrt(10.0) for i in _PAM4 for q in _PAM4]),
-    slicer=_slice_qam16,
-)
+BPSK = Modulation("BPSK", 1, (1.0, -1.0))
+QPSK = Modulation("QPSK", 2, tuple(level / math.sqrt(2.0) for level in (1, -1)))
+QAM16 = Modulation("QAM16", 2, tuple(level / math.sqrt(10.0) for level in (-3, -1, 3, 1)))
 
 _MODULATIONS = {m.name: m for m in (BPSK, QPSK, QAM16)}
 
@@ -344,19 +337,22 @@ def detect(zr, zi, mod: Modulation, work: Workspace) -> np.ndarray:
     """Nearest-point decision on the gain-normalized detector input, back to bits.
 
     ``zr`` and ``zi`` are the real and imaginary parts of the input, one
-    value per symbol, as float arrays of one shape that the slicer
-    overwrites. Every constellation is a product of Gray-labelled levels
-    on the real and imaginary axes, so ``mod.slicer`` finds the nearest
-    point one axis at a time by comparing against the midpoints between
-    adjacent levels: BPSK on the real axis, QPSK on each axis, QAM16 as
-    Gray 4-PAM on each axis. A symbol exactly on a decision edge goes to
-    the smallest bit label, the point a search over all points taking the
-    first minimum would pick.
+    value per symbol, as float arrays of one shape that the detector may
+    overwrite; a one-axis modulation never reads ``zi``. Every
+    constellation is Gray PAM on each of its axes, so the nearest point is
+    found one axis at a time, by running ``mod.bit_tests`` against the
+    midpoints between adjacent levels. A symbol exactly on a decision edge
+    goes to the smallest bit label, the point a search over all points
+    taking the first minimum would pick.
 
     Returns a flat uint8 bit vector, ``bits_per_symbol`` bits per symbol,
     MSB first, with the symbols in C order of ``zr``'s shape. The bits are
     the ``"decisions"`` array of ``work``.
     """
     bits = work.array("decisions", zr.shape + (mod.bits_per_symbol,), bool)
-    mod.slicer(zr, zi, bits)
+    for plane, index, fold, compare, edge in mod.bit_tests:
+        z = zi if plane else zr
+        # Each ufunc takes its output positionally, which numpy parses
+        # faster than out=: this loop runs once per cell and chunk.
+        compare(np.abs(z, z) if fold else z, edge, bits[index])
     return bits.view(np.uint8).ravel()

@@ -154,7 +154,7 @@ def z_score(a, b, bits_per_block):
         # At r = 10 dB and 30 dB the estimation leak is improper, yet the
         # thermal noise the chunk draws per symbol stays white.
         ("alamouti_2x1", QPSK, 30.0, 10.0, 0.05, 3301),
-        # QAM16's slicer is the one that reads the scale of its input, so
+        # QAM16's detector is the one that reads the scale of its input, so
         # this case sees a chunk that drops its 1/sqrt(1+beta).
         ("ostbc_4x2", QAM16, 12.0, 5.0, 0.05, 3401),
     ],
@@ -318,7 +318,7 @@ def test_fade_stage_gain_is_the_imbalance_weighted_branch_sum(code, r_db, beta):
 def test_chunk_counts_what_the_detector_decides_at_a_large_beta(code):
     # At beta = 3 the estimate est = 2 u is half error. The fade stage's
     # sqrt(G_est) is that of est, not of the unit draws u, and the chunk
-    # counts the errors that the QAM16 slicer, which reads the scale of its
+    # counts the errors that the QAM16 detector, which reads the scale of its
     # input, makes of the raw noise that the stream gives after the fades,
     # scaled to the cell's SNR. The replay decides and counts in the
     # stream's block order, so the sum of the squared block errors checks

@@ -10,6 +10,7 @@ from coop_ostbc.ostbc import (
     CODES,
     QAM16,
     QPSK,
+    Modulation,
     SpaceTimeCode,
     combine,
     detect,
@@ -22,6 +23,12 @@ from codeword import encode
 from planes import planes
 
 ALL_MODS = (BPSK, QPSK, QAM16)
+# One-axis Gray 4-PAM labelled the other way round from QAM16's axes: its
+# high bit marks the negative levels and its low bit the outer ones, so its
+# detector compares z < 0 and |z| > edge where QAM16's compares z > 0 and
+# |z| < edge.
+PAM4_OUTER = Modulation("PAM4_OUTER", 1, tuple(v / math.sqrt(5.0) for v in (1, 3, -1, -3)))
+DETECT_MODS = ALL_MODS + (PAM4_OUTER,)
 A2 = CODES["alamouti_2x1"]
 O4 = CODES["ostbc_4x2"]
 
@@ -120,12 +127,29 @@ def test_qam16_unit_average_energy():
     assert np.mean(np.abs(QAM16.points) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
+def test_derived_constants_are_the_exact_tables():
+    assert BPSK.a_sq == 2.0
+    assert QPSK.a_sq == 1.0
+    assert QAM16.a_sq is None
+    tables = {
+        BPSK: np.array([1 + 0j, -1 + 0j]),
+        QPSK: np.array([complex(i, q) / math.sqrt(2.0) for i in (1, -1) for q in (1, -1)]),
+        QAM16: np.array([complex(i, q) / math.sqrt(10.0)
+                         for i in (-3, -1, 3, 1) for q in (-3, -1, 3, 1)]),
+    }
+    for mod, table in tables.items():
+        assert np.array_equal(mod.points.view(np.uint64), table.view(np.uint64)), mod.name
+    assert [mod.bits_per_symbol for mod in DETECT_MODS] == [1, 2, 4, 2]
+    inner_edges = [edge for _, _, fold, _, edge in QAM16.bit_tests if fold]
+    assert inner_edges == [2.0 / math.sqrt(10.0)] * 2
+
+
+@pytest.mark.parametrize("mod", DETECT_MODS, ids=lambda m: m.name)
 def test_unit_average_energy(mod):
     assert np.mean(np.abs(mod.points) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
+@pytest.mark.parametrize("mod", DETECT_MODS, ids=lambda m: m.name)
 def test_gray_labelling_of_nearest_neighbours(mod):
     points = mod.points
     labels = np.arange(points.size)
@@ -149,7 +173,7 @@ def test_modulation_lookup():
 
 
 def test_roundtrip_modulate_detect_all_labels():
-    for mod in ALL_MODS:
+    for mod in DETECT_MODS:
         n = mod.points.size
         bits = np.array(
             [(i >> k) & 1 for i in range(n) for k in range(mod.bits_per_symbol - 1, -1, -1)],
@@ -376,13 +400,13 @@ def axis_values(levels):
     return np.concatenate([levels, edges, near, outside])
 
 
-@pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
+@pytest.mark.parametrize("mod", DETECT_MODS, ids=lambda m: m.name)
 def test_detect_matches_nearest_point_on_points_edges_and_crossings(mod):
     z = axis_values(mod.points.real)[:, None] + 1j * axis_values(mod.points.imag)[None, :]
     assert np.array_equal(detect(*planes(z), mod, Workspace()), nearest_point_bits(z, mod))
 
 
-@pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
+@pytest.mark.parametrize("mod", DETECT_MODS, ids=lambda m: m.name)
 def test_detect_matches_nearest_point_on_random_symbols(mod):
     rng = RngStream(41, mod.bits_per_symbol)
     uniforms = np.random.Generator(np.random.Philox(key=[42, mod.bits_per_symbol]))
