@@ -6,23 +6,28 @@ gain G_est, and one noise stage adds the per-symbol noise that the
 matched filter of an orthogonal design makes of white antenna noise
 (white, circular, of variance G_est before the normalization). At beta =
 0 the fade stage needs only the path powers; at beta > 0 it draws the
-estimates first and the channels given them, carries the symbols over
-the channels and combines them with the estimates. The chunk is the one
-place that sums path powers into G_est and divides by it;
-:func:`ostbc.detect` slices the normalized input it is given.
+estimates and the estimation errors, carries the symbols over the errors
+and combines them with the estimates. The chunk is the one place that
+sums path powers into G_est and divides by it; :func:`ostbc.detect`
+slices the normalized input it is given.
 
 Work is split into fixed-size chunks of fading blocks, and the unit of
-work is the curve: the cells that are equal in everything but
-``gamma_db`` and ``seed``, which share a curve seed. Chunk ``k`` of a
-curve draws everything once, from its one stream ``RngStream(curve seed,
-k)``: the data bits, then the fades, then the raw noise. Each cell that
-is still running then scales that noise by its own SNR, detects and
-counts. Only the noise scale depends on the SNR, so the cells of one
-curve see common fades and common noise (common random numbers) and
-their estimates are correlated, while each cell's estimate stays a pure
-function of the curve seed and its own fields. A cell stops after the
-first chunk at which its cumulative error count reaches ``min_errors`` or
-its cumulative bit count reaches ``max_bits``; a cell runs its chunks in
+work is the curve: the cells of one scheme, modulation and stopping rule
+that all have beta = 0, or all beta > 0, which share a curve seed. Chunk
+``k`` of a curve draws everything once, from its one stream
+``RngStream(curve seed, k)``: the data bits, then the raw fades, then the
+raw noise. Each imbalance r of the cells still running is then a branch:
+it weights the fades by its own per-antenna weights into its gain (and,
+at beta > 0, its leak of the estimation errors), each beta of the branch
+forms its signal from those, and each cell of that beta scales the noise
+by its own SNR, detects and counts. So the cells of one curve see common
+fades and common noise (common random numbers) across r, beta and the
+SNR, and their estimates are correlated, while each cell's estimate
+stays a pure function of the curve seed and its own fields. beta = 0 and
+beta > 0 stay apart because they draw different fades: one Exp(1) power
+per path against two CN(0, 1) draws. A cell stops after the first chunk
+at which its cumulative error count reaches ``min_errors`` or its
+cumulative bit count reaches ``max_bits``; a cell runs its chunks in
 index order until it stops.
 :func:`run_point` runs one cell as a sweep of its own, on the same code
 path.
@@ -31,17 +36,17 @@ path.
 :class:`SimPoint` tuple in report order, and that tuple is the only
 description of a sweep from spec to CSV row. Each cell's seed is derived
 from the sweep seed and the cell parameters, and its curve seed (the
-``fade_seed`` field) from the same fields but the SNR, so a cell's
-estimate does not depend on which other cells are present in the grid. A
-sweep runs on ``workers`` threads (at most one per CPU) that take its
-curves one at a time; where there are fewer curves than threads, each
-curve is split before its first chunk into tasks of every so-many-th
-cell, and each task draws the curve's bits, fades and noise for its own
-cells. The estimates are therefore bit-identical for any worker count
-and equal those of :func:`run_point`.
+``fade_seed`` field) from the sweep seed, the scheme, the modulation and
+whether beta is 0, so a cell's estimate does not depend on which other
+cells are present in the grid. A sweep runs on ``workers`` threads (at
+most one per CPU) that take its curves one at a time; where there are
+fewer curves than threads, each curve is split before its first chunk
+into tasks of every so-many-th cell, and each task draws the curve's
+bits, fades and noise for its own cells. The estimates are therefore
+bit-identical for any worker count and equal those of :func:`run_point`.
 
 Each chunk draws and runs in one :class:`~coop_ostbc.numerics.Workspace`
-(up to 6.4 MB for a 4x2 chunk at beta > 0, 2.0 MB at beta = 0) that it
+(up to 6.3 MB for a 4x2 chunk at beta > 0, 2.5 MB at beta = 0) that it
 borrows from one idle list and gives back when it ends, so a warm chunk
 reuses the buffers of an earlier one instead of allocating them afresh.
 The cells of a chunk run one after another in it. The list keeps at most
@@ -140,14 +145,16 @@ class SimPoint:
 
     @property
     def curve(self) -> tuple:
-        """What the cells of one curve share: every field but gamma_db and seed.
+        """What the cells of one curve share: the scheme, the modulation,
+        whether beta is 0, the stopping rule and the curve seed.
 
-        The last item is the curve seed, which keys its bits, fades and
-        noise: ``fade_seed``, or one derived from ``seed`` without it.
+        The cells of a curve differ in gamma_db, r_db and beta (all 0 or
+        all above), since one draw of bits, fades and noise serves them
+        all. The last item is the curve seed, which keys those draws:
+        ``fade_seed``, or one derived from ``seed`` without it.
         """
         seed = derive_seed(self.seed, "fades") if self.fade_seed is None else self.fade_seed
-        return (self.scheme, self.mod, self.r_db, self.beta, self.min_errors, self.max_bits,
-                seed)
+        return (self.scheme, self.mod, self.beta == 0.0, self.min_errors, self.max_bits, seed)
 
 
 @dataclass(frozen=True)
@@ -205,19 +212,29 @@ def _simulate_chunk(cells: tuple, chunk_index: int) -> list[tuple[int, int, int]
     Draw order, all from the curve's one stream ``RngStream(curve seed,
     chunk_index)``: the data bits (eight per random byte); then, at beta =
     0, the path powers |h_ij|^2 ~ Exp(1) of shape (n_tx, n_rx, blocks), or,
-    at beta > 0, the unit estimates u ~ CN(0, 1) and then sqrt(beta) v ~
-    CN(0, beta), each of that shape; then the raw noise CN(0, 1) of shape
-    (n_symbols, blocks), one per detected symbol, which every cell of the
-    chunk scales by its own SNR. Each Gaussian array is one ziggurat draw,
-    and so are the path powers.
+    at beta > 0, the unit estimates u ~ CN(0, 1) and then the unit errors
+    v ~ CN(0, 1), each of that shape; then the raw noise CN(0, 1) of shape
+    (n_symbols, blocks), one per detected symbol. Each Gaussian array is
+    one ziggurat draw, and so are the path powers. None of the draws
+    depends on r, beta or the SNR.
 
-    The fade stage works on effective channels: the weights of
-    :meth:`ostbc.SpaceTimeCode.weights` scale the path powers by w_i^2, or
-    the channels h = (u + sqrt(beta) v) / sqrt(1+beta) and the unit
-    estimates u by w_i, once. beta is the error variance of a unit-power
-    link, and the effective estimate w_i sqrt(1+beta) u has error variance
-    w_i^2 beta. The noise stage then adds n_k / (sqrt(P) sqrt(G_est)) to
-    each gain-normalized symbol.
+    The cells are then grouped into branches, one per r_db, and each
+    branch's cells by beta. A branch takes the weights w_i of
+    :meth:`ostbc.SpaceTimeCode.weights` at its r and forms its gain
+    G = sum_i w_i^2 sum_j P_ij from the raw path powers P (|h_ij|^2 at
+    beta = 0, |u_ij|^2 at beta > 0). At beta = 0 the signal is the symbols
+    and sqrt(G_est) is sqrt(G). At beta > 0 the channel is h = a (u +
+    sqrt(beta) v) and the estimate est = sqrt(1+beta) u, with a =
+    1/sqrt(1+beta): this is the joint law of h ~ CN(0, 1) and est = h + e,
+    e ~ CN(0, beta), and the effective estimate w_i est has error variance
+    w_i^2 beta. An orthogonal design gives combine(transmit(s, w u), w u)
+    = G s, so the combiner output on w est over G_est is a (a s + b L / G)
+    with b = sqrt(beta/(1+beta)) and the branch's leak L =
+    combine(transmit(s, w v), w u): one transmit and one combine per r,
+    and three passes over the symbols per beta. sqrt(G_est) is
+    sqrt(1+beta) sqrt(G). The
+    noise stage then adds n_k / (sqrt(P) sqrt(G_est)) to each
+    gain-normalized symbol, for each cell of that beta.
 
     The data bits run block by block, symbol by symbol, MSB first, and are
     moved once into the (n_symbols, blocks) layout of every later array.
@@ -228,10 +245,11 @@ def _simulate_chunk(cells: tuple, chunk_index: int) -> list[tuple[int, int, int]
 
     Every array from the symbols to the decisions is a view on a workspace
     borrowed from the idle list and given back when the chunk ends, so the
-    next chunk overwrites it. The path powers and the raw noise reuse the
-    bytes of the channels, and each cell's input those of the estimates;
-    the bits, the signal, sqrt(G_est) and the raw noise that the cells
-    share are only read once the fade stage is done.
+    next chunk overwrites it. The bits, the symbols, the fades, their path
+    powers and the raw noise that the branches share are only read once
+    drawn; a branch's gain, leak and received samples are its own, and
+    each beta's signal, sqrt(G_est) and cell planes go in the bytes of the
+    received samples, which the branch is done with after combining.
     """
     with _idle_lock:
         work = _idle_workspaces.pop() if _idle_workspaces else Workspace()
@@ -244,7 +262,7 @@ def _simulate_chunk(cells: tuple, chunk_index: int) -> list[tuple[int, int, int]
 
 
 def _simulate_chunk_in(work: Workspace, cells: tuple, chunk_index: int):
-    first = cells[0]  # its fields but gamma_db and seed are the curve's
+    first = cells[0]  # its scheme, modulation and stopping rule are the curve's
     *_, curve_seed = first.curve
     code = ostbc.CODES[first.scheme]
     rng = RngStream(curve_seed, chunk_index)
@@ -256,88 +274,113 @@ def _simulate_chunk_in(work: Workspace, cells: tuple, chunk_index: int):
     np.copyto(tx_bits.view(f"V{bps}").reshape(code.n_symbols, n),
               rng.bits(tx_bits.size).view(f"V{bps}").reshape(n, code.n_symbols).T)
     syms = ostbc.modulate(tx_bits, first.mod, work).reshape(code.n_symbols, n)
-    w = code.weights(_db_to_linear(first.r_db))[:, None, None]
-    signal, root = _fade_stage(work, rng, code, w, first.beta, syms)
-    noise = rng.normal_pairs(signal.shape, out=work.array("h", (2,) + signal.shape, float))
+    fades = _draw_fades(work, rng, code, first.beta == 0.0, n)
+    noise = rng.normal_pairs(syms.shape, out=work.array("noise", (2,) + syms.shape, float))
     noise = noise[:first.mod.axes]  # the rows of the axes that detect reads
-    counts = []
-    for cell in cells:
-        zr, zi = _noise_stage(work, noise, signal, root, _db_to_linear(cell.gamma_db))
-        rx_bits = ostbc.detect(zr, zi, first.mod, work)
-        wrong = np.flatnonzero(np.not_equal(rx_bits, tx_bits, out=rx_bits.view(bool)))
-        np.floor_divide(wrong, bps, out=wrong)
-        per_block = np.bincount(np.remainder(wrong, n, out=wrong))
-        counts.append((tx_bits.size, wrong.size, int(np.dot(per_block, per_block))))
+    branches: dict = {}
+    for position, cell in enumerate(cells):
+        branches.setdefault(cell.r_db, {}).setdefault(cell.beta, []).append(position)
+    counts = [None] * len(cells)
+    for r_db, betas in branches.items():
+        inputs = _branch(work, code, syms, fades, code.weights(_db_to_linear(r_db)), betas)
+        for positions, (signal, planes, root) in zip(betas.values(), inputs):
+            for position in positions:
+                power = _db_to_linear(cells[position].gamma_db)
+                zr, zi = _noise_stage(work, planes, noise, signal, root, power)
+                rx_bits = ostbc.detect(zr, zi, first.mod, work)
+                wrong = np.flatnonzero(np.not_equal(rx_bits, tx_bits, out=rx_bits.view(bool)))
+                np.floor_divide(wrong, bps, out=wrong)
+                per_block = np.bincount(np.remainder(wrong, n, out=wrong))
+                counts[position] = (tx_bits.size, wrong.size, int(np.dot(per_block, per_block)))
     return counts
 
 
-def _fade_stage(work: Workspace, rng: RngStream, code: ostbc.SpaceTimeCode, w, beta: float,
-                syms):
-    """The gain-normalized noiseless detector input and sqrt(G_est) of each block.
+def _draw_fades(work: Workspace, rng: RngStream, code: ostbc.SpaceTimeCode, beta_zero: bool,
+                n: int):
+    """The raw fades of a chunk, drawn once for all of its branches: (P, u, v).
 
-    ``syms`` are the (n_symbols, n) symbols, and the detector input comes
-    back in their layout. Each branch writes the (n_tx, n_rx, n) path
-    powers into the bytes of ``"h"``, and one sum over the paths gives
-    their gain G, whose root comes back in its bytes. At beta =
-    0 they are w_i^2 |h_ij|^2 with |h_ij|^2 ~ Exp(1), G is G_est, and the
-    input is the symbols themselves, as the matched filter returns G s_k
-    exactly.
-
-    At beta > 0 the estimate is drawn first: with u and v CN(0, 1), est =
-    sqrt(1+beta) u and h = (u + sqrt(beta) v) / sqrt(1+beta) have the joint
-    law of h ~ CN(0, 1) and est = h + e, e ~ CN(0, beta). The effective
-    channels w h carry the symbols through :func:`ostbc.transmit`, and
-    :func:`ostbc.combine` takes w u, so the path powers are |w_i u_ij|^2
-    and G_est = (1+beta) G. The combiner output on w u is the one on w est
-    over sqrt(1+beta), so the input is that output, divided in place by
-    sqrt(1+beta) G with one real divide for each of its real and imaginary
-    parts, and sqrt(G_est) is sqrt(1+beta) sqrt(G). Neither product
-    overflows at any finite beta, where G_est itself can.
+    ``P`` is the (n_tx, n) per-antenna sum over the rx antennas of the raw
+    path powers. At beta = 0 those are |h_ij|^2 ~ Exp(1), drawn into the
+    bytes of ``"h"`` and summed in place, and u and v are None. At beta > 0
+    they are |u_ij|^2 of the unit estimates u ~ CN(0, 1), drawn into
+    ``"est"``, and the unit errors v ~ CN(0, 1) follow in ``"h"``, each of
+    shape (n_tx, n_rx, n). No weight and no beta enters here.
     """
-    n = syms.shape[1]
     shape = (code.n_tx, code.n_rx, n)
-    if beta == 0.0:
-        powers = rng.exponentials(shape, out=work.array("h", shape, float))
-        np.multiply(np.square(w), powers, out=powers)
-    else:
-        u = sample_circular_gaussian(rng, 1.0, shape, work.array("est", shape), work)
-        h = sample_circular_gaussian(rng, beta, shape, work.array("h", shape), work)
-        spread = math.sqrt(1.0 + beta)  # est = spread u
-        np.add(u, h, out=h)  # u + sqrt(beta) v
-        np.multiply(w / spread, h, out=h)
-        np.multiply(w, u, out=u)
-        combined = ostbc.combine(code, ostbc.transmit(code, syms, h, work), u, work)
-        squares = work.array("h", (2,) + shape, float)
-        np.square(u.real, out=squares[0])
-        np.square(u.imag, out=squares[1])
-        powers = np.add(squares[0], squares[1], out=squares[0])
-    gain = np.sum(powers.reshape(-1, n), axis=0, out=work.array("gain", (n,), float))
-    if beta == 0.0:
-        return syms, np.sqrt(gain, out=gain)
-    (divisor,) = work.scratch(((n,), float))
-    np.multiply(gain, spread, out=divisor)  # G_est / sqrt(1+beta)
-    np.divide(combined.real, divisor, out=combined.real)
-    np.divide(combined.imag, divisor, out=combined.imag)
-    return combined, np.multiply(np.sqrt(gain, out=gain), spread, out=gain)
+    if beta_zero:
+        paths = rng.exponentials(shape, out=work.array("h", shape, float))
+        for j in range(1, code.n_rx):
+            np.add(paths[:, 0], paths[:, j], out=paths[:, 0])
+        return paths[:, 0], None, None
+    u = sample_circular_gaussian(rng, 1.0, shape, work.array("est", shape))
+    v = sample_circular_gaussian(rng, 1.0, shape, work.array("h", shape))
+    powers = work.array("powers", (code.n_tx, n), float)
+    (squares,) = work.scratch(((2, code.n_rx, n), float))
+    for paths, power in zip(u, powers):
+        np.square(paths.real, out=squares[0])
+        np.square(paths.imag, out=squares[1])
+        np.sum(squares.reshape(-1, n), axis=0, out=power)
+    return powers, u, v
 
 
-def _noise_stage(work: Workspace, noise, signal, root, power: float):
+def _branch(work: Workspace, code: ostbc.SpaceTimeCode, syms, fades, w, betas):
+    """Yield (signal, planes, sqrt(G_est)) for each beta of ``betas``, in
+    order, at the per-antenna weights ``w`` of one r.
+
+    The branch's gain G = sum_i w_i^2 P_i goes into ``"gain"``, where its
+    root is taken in place. At beta = 0 the signal is ``syms`` and
+    sqrt(G_est) that root. At beta > 0 the leak L of the unit errors v,
+    combined with the unit estimates u at the same weights, is divided by G
+    in place in ``"combined"``, two real divides for its real and imaginary
+    parts; each beta's signal a (a s + b L / G), with a = 1/sqrt(1+beta)
+    and b = sqrt(beta/(1+beta)), is formed by three passes as a b (s a/b +
+    L / G), and sqrt(G_est) as sqrt(1+beta) sqrt(G). Neither overflows at
+    any finite beta, where G_est itself can. ``planes``, for the noise
+    stage, and each beta's signal and root lie in the bytes of
+    ``"received"``, valid until the next beta; at beta = 0 ``planes`` alone
+    does.
+    """
+    powers, u, v = fades
+    gain = work.array("gain", syms.shape[1:], float)
+    (term,) = work.scratch((gain.shape, float))
+    np.multiply(powers[0], w[0] * w[0], out=gain)
+    for power, weight in zip(powers[1:], w[1:]):
+        np.add(gain, np.multiply(power, weight * weight, out=term), out=gain)
+    if u is None:
+        (planes,) = work.arrays("received", ((2,) + syms.shape, float))
+        yield syms, planes, np.sqrt(gain, out=gain)
+        return
+    leak = ostbc.combine(code, ostbc.transmit(code, syms, v, w, work), u, w, work)
+    np.divide(leak.real, gain, out=leak.real)
+    np.divide(leak.imag, gain, out=leak.imag)
+    np.sqrt(gain, out=gain)
+    for beta in betas:
+        signal, planes, root = work.arrays(
+            "received", (syms.shape, complex), ((2,) + syms.shape, float), (gain.shape, float))
+        a, b = 1.0 / math.sqrt(1.0 + beta), math.sqrt(beta / (1.0 + beta))
+        np.multiply(syms, a / b, out=signal)
+        np.add(signal, leak, out=signal)
+        np.multiply(signal, a * b, out=signal)
+        yield signal, planes, np.multiply(gain, math.sqrt(1.0 + beta), out=root)
+
+
+def _noise_stage(work: Workspace, planes, noise, signal, root, power: float):
     """The planes x, y of z_k = signal_k + n_k / (sqrt(P) sqrt(G_est)), n_k ~ CN(0, 1).
 
     The matched filter of an orthogonal design turns white CN(0, 1) antenna
     noise into white, circular noise of variance G_est on each symbol, and
-    the gain normalization divides it by sqrt(P) G_est. One (n_symbols, n)
-    draw therefore stands for all of the antenna noise of the (n_symbols,
-    n) ``signal``. ``noise`` is the rows of normals of that draw that
-    :func:`ostbc.detect` reads, the real one for BPSK and both otherwise,
-    which the chunk makes once for all of its cells. The stage scales each
-    row by 1 / (sqrt(2) sqrt(P) ``root``) per block, ``root`` being the
-    fade stage's sqrt(G_est), into a plane on the bytes of ``"est"``, which
-    the fade stage is done with, and adds the real or the imaginary part of
-    the signal in place: the planes are the detector input, which the
-    detector may overwrite. An unread plane is left as it is. ``noise``,
-    ``signal`` and ``root`` are only read, so every cell of a chunk sees
-    the same fade and the same raw noise.
+    the gain normalization divides it by sqrt(P) G_est. One (n_symbols,
+    n) draw therefore stands for all of the antenna noise of the
+    (n_symbols, n) ``signal``. ``noise`` is the rows of normals of that
+    draw that :func:`ostbc.detect` reads, the real one for BPSK and both
+    otherwise, which the chunk makes once for all of its cells. The stage
+    scales each row by 1 / (sqrt(2) sqrt(P) ``root``) per block, ``root``
+    being the branch's sqrt(G_est), into its plane of the (2, n_symbols,
+    n) float ``planes``, and adds the real or the imaginary part of the
+    signal in place: the planes are the detector input, which the detector
+    may overwrite. An unread plane is left as it is. ``noise``, ``signal``
+    and ``root`` are only read, so every cell of a branch sees the same
+    fade and the same raw noise.
 
     It scales the pair itself rather than through
     :func:`~coop_ostbc.numerics.sample_circular_gaussian`, which takes a
@@ -350,7 +393,6 @@ def _noise_stage(work: Workspace, noise, signal, root, power: float):
     200, five rounds).
     """
     (scale,) = work.scratch((root.shape, float))
-    planes = work.array("est", (2,) + signal.shape, float)
     np.divide(1.0 / (math.sqrt(2.0) * math.sqrt(power)), root, out=scale)
     for plane, raw, part in zip(planes, noise, (signal.real, signal.imag)):
         np.add(np.multiply(raw, scale, out=plane), part, out=plane)
@@ -404,9 +446,10 @@ def sweep_points(schemes, modulations, gamma_db, r_db, beta, seed: int,
 
     The cells are sorted by (scheme, modulation, r_db, beta, gamma_db).
     Each cell's seed is derived from ``seed`` and those five fields, and its
-    fade seed from ``seed`` and the first four, so the cells of one curve
-    share their bits, fades and noise. Only empty axes are refused here;
-    every cell check is :class:`SimPoint`'s.
+    fade seed from ``seed``, the scheme, the modulation and whether beta is
+    0, so the cells of one curve share their bits, fades and noise across
+    r_db, beta and gamma_db. Only empty axes are refused here; every cell
+    check is :class:`SimPoint`'s.
     """
     axes = {"schemes": schemes, "modulations": modulations, "gamma_db": gamma_db,
             "r_db": r_db, "beta": beta}
@@ -434,7 +477,7 @@ def sweep_points(schemes, modulations, gamma_db, r_db, beta, seed: int,
             seed=derive_seed(seed, scheme, mod.name, r, b, g),
             min_errors=min_errors,
             max_bits=max_bits,
-            fade_seed=derive_seed(seed, scheme, mod.name, r, b),
+            fade_seed=derive_seed(seed, scheme, mod.name, b == 0.0),
         )
         for scheme, mod, r, b, g in cells
     ]
@@ -471,8 +514,8 @@ def run_sweep(points, workers: int) -> list[BerEstimate]:
     chunk each curve is split into ``shares`` tasks, every ``shares``-th
     cell in each, with ``shares`` the threads per curve rounded up (1
     unless there are fewer curves than threads), and the threads run the
-    tasks in curve order; each task draws its curve's fades for its own
-    cells. A cell's counts are those of its chunks 0, 1, ..., whichever
+    tasks in curve order; each task draws its curve's bits, fades and noise
+    for its own cells, whatever their r_db, beta and gamma_db. A cell's counts are those of its chunks 0, 1, ..., whichever
     cells ran beside it, so every estimate is the one that
     :func:`run_point` gives its cell. The estimates come back in ``points``
     order whatever order the cells finish in. Each chunk borrows its

@@ -8,11 +8,10 @@ exponentials from its ziggurat ``standard_exponential``, data bits
 byte-packed from its raw bytes.
 
 A :class:`Workspace` keeps grow-only arrays for reuse from call to call.
-The draws take an ``out`` array for their result and a workspace whose
-scratch stages their normals, so a caller that keeps one workspace draws
-into the same memory every time: each Monte Carlo chunk borrows one from
-an idle list, capped at one per CPU, that keeps the working sets of
-earlier chunks.
+The draws take an ``out`` array for their result and fill it in place,
+so a caller that keeps one workspace draws into the same memory every
+time: each Monte Carlo chunk borrows one from an idle list, capped at one
+per CPU, that keeps the working sets of earlier chunks.
 """
 
 from __future__ import annotations
@@ -91,7 +90,8 @@ class Workspace:
     """Grow-only arrays reused call after call: named results and one shared scratch.
 
     :meth:`array` returns an array of the requested shape and dtype on the
-    bytes kept under ``name``; :meth:`scratch` lays out the temporaries of
+    bytes kept under ``name``, and :meth:`arrays` lays out several, one
+    after another, on them; :meth:`scratch` lays out the temporaries of
     one call on the bytes that every caller of it shares. Bytes are
     replaced only when they are too small, so each request returns the
     memory of the last one under its name, holding whatever that left
@@ -111,16 +111,21 @@ class Workspace:
             flat = self._buffers[name] = np.empty(nbytes, np.uint8)
         return flat[:nbytes].view(dtype).reshape(shape)
 
-    def scratch(self, *specs) -> list:
-        """One array per ``(shape, dtype)`` of ``specs``, each starting on a
-        64-byte step, which keeps every array aligned whatever its dtype."""
+    def arrays(self, name: str, *specs) -> list:
+        """One array per ``(shape, dtype)`` of ``specs`` on the bytes kept under
+        ``name``, each starting on a 64-byte step, which keeps every array
+        aligned whatever its dtype."""
         sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
         starts = [0]
         for size in sizes:
             starts.append(starts[-1] + -(-size // 64) * 64)
-        flat = self.array("scratch", (starts[-1],), np.uint8)
+        flat = self.array(name, (starts[-1],), np.uint8)
         return [flat[start:start + size].view(dtype).reshape(shape)
                 for (shape, dtype), start, size in zip(specs, starts, sizes)]
+
+    def scratch(self, *specs) -> list:
+        """:meth:`arrays` on the bytes that every caller shares."""
+        return self.arrays("scratch", *specs)
 
 
 @lru_cache(maxsize=16)
@@ -147,29 +152,27 @@ def integrate_half_pi(f: Callable, nodes: int = 64) -> float:
     return float(np.dot(weights, vals))
 
 
-def sample_circular_gaussian(rng: RngStream, variance: float, size, out=None,
-                             work: Workspace | None = None):
+def sample_circular_gaussian(rng: RngStream, variance: float, size, out=None):
     """Circularly-symmetric complex Gaussian draws of the given variance.
 
     Real and imaginary parts are independent N(0, variance/2); returns a
-    complex array of shape ``size``: ``out`` when it is given, else a fresh
-    one. The two rows of one ``normal_pairs`` draw are staged in the
-    scratch of ``work`` (of a fresh workspace without it) and scaled into
-    the real and imaginary parts; that copy keeps the stream the one draw
-    of shape (2, *size).
+    complex array of shape ``size``: ``out`` (C-contiguous) when it is
+    given, else a fresh one. One ``normal_pairs`` draw fills the float
+    view of that array, its two rows being the two halves of the view, so
+    the entries take their real and imaginary parts from consecutive
+    normals; the view is then scaled in place.
     """
     variance = float(variance)
     if not (math.isfinite(variance) and variance >= 0.0):
         raise ValueError(f"variance must be finite and >= 0, got {variance}")
     shape = tuple(np.atleast_1d(size))
-    work = Workspace() if work is None else work
-    (normals,) = work.scratch(((2, *shape), float))
-    re, im = rng.normal_pairs(shape, out=normals)
-    scale = math.sqrt(variance / 2.0)
     if out is None:
         out = np.empty(shape, dtype=complex)
-    np.multiply(re, scale, out=out.real)
-    np.multiply(im, scale, out=out.imag)
+    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
+    parts = out.view(float)
+    rng.normal_pairs(shape, out=parts.reshape((2,) + shape))
+    np.multiply(parts, math.sqrt(variance / 2.0), out=parts)
     return out
 
 

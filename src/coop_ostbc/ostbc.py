@@ -21,9 +21,11 @@ the RS with w_R = sqrt(r/(1+r)). A node with m antennas splits its
 weight equally, so each of its antennas has weight w_node / sqrt(m).
 Imbalance changes only the average power of each link, so the receiver
 sees the effective channel w_i h_ij. :func:`transmit` and
-:func:`combine` are plain OSTBC over the channels they are given; the
-Monte Carlo chunk weights its draws once and hands them effective
-channels.
+:func:`combine` take the raw channels and the weights and apply
+``sign * w_i`` per codeword entry, to the symbol that :func:`transmit`
+sends and to the conjugated factor of each :func:`combine` term, so the
+effective channels are never formed: a Monte Carlo chunk carries one
+draw of fades through every imbalance of its curve.
 
 :func:`transmit` carries the symbols over the channels at unit power and
 without noise. The matched filter of :func:`combine` turns white antenna
@@ -89,7 +91,9 @@ class Modulation:
     otherwise; and ``bit_tests``, one ``(plane, index, fold, compare,
     edge)`` per bit, which :func:`detect` runs as ``compare(z, edge)`` on
     axis ``plane``, folded in place to |z| when ``fold`` is true, into
-    ``bits[index]``, the bit's column of its decisions. An axis' high
+    ``bits[index]``, the bit's column of its decisions; each edge is a 0-d
+    float64 array, which numpy need not convert on every call as it
+    converts a Python float. An axis' high
     bit is its sign; the low bit of Gray 4-PAM tells the inner levels from
     the outer ones, at the edge midway between them. Each comparison is
     strict and puts bit 1 on the side of the levels whose label has it, so
@@ -116,10 +120,11 @@ class Modulation:
     @cached_property
     def bit_tests(self) -> tuple:
         half = len(self.levels) // 2  # the first label whose high bit is 1
-        axis = [(False, np.greater if self.levels[half] > 0.0 else np.less, 0.0)]
+        axis = [(False, np.greater if self.levels[half] > 0.0 else np.less, np.array(0.0))]
         if half == 2:  # labels 1 and 3 have the low bit
             edge = (abs(self.levels[0]) + abs(self.levels[1])) / 2.0
-            axis.append((True, np.less if abs(self.levels[1]) < edge else np.greater, edge))
+            axis.append((True, np.less if abs(self.levels[1]) < edge else np.greater,
+                         np.array(edge)))
         return tuple((plane, (..., plane * len(axis) + j), *test)
                      for plane in range(self.axes) for j, test in enumerate(axis))
 
@@ -243,32 +248,33 @@ def modulate(bits, mod: Modulation, work: Workspace) -> np.ndarray:
     return np.take(mod.points, labels, out=work.array("symbols", labels.shape), mode="clip")
 
 
-def _add_term(total, a, b, sign, first, product) -> None:
-    """Add ``sign * a * b`` into ``total``, subtracting it when sign is -1.
-
-    The first term of a sum is written, not added to zeros; negated, it
-    goes through the float64 view, which numpy negates several times
-    faster than the complex array. ``product`` is scratch for later terms.
-    """
-    if first:
-        np.multiply(a, b, out=total)
-        if sign < 0:
-            np.negative(total.view(float), out=total.view(float))
-    else:
-        accumulate = np.add if sign > 0 else np.subtract
-        accumulate(total, np.multiply(a, b, out=product), out=total)
+def _signed(out, x, c, conjugate: bool):
+    """``c * x``, or ``c * conj(x)``, into ``out``: one real multiply for each
+    of its real and imaginary parts, so the conjugation costs no pass."""
+    np.multiply(x.real, c, out=out.real)
+    np.multiply(x.imag, -c if conjugate else c, out=out.imag)
+    return out
 
 
-def transmit(code: SpaceTimeCode, symbols, channels, work: Workspace) -> np.ndarray:
-    """Noiseless received samples Y[j, t] = sum_i H[i, j] X[i, t] at unit power.
+def _check_weights(code: SpaceTimeCode, weights) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (code.n_tx,):
+        raise ValueError(f"{code.name} takes {code.n_tx} weights, got shape {w.shape}")
+    return w
+
+
+def transmit(code: SpaceTimeCode, symbols, channels, weights, work: Workspace) -> np.ndarray:
+    """Noiseless received samples Y[j, t] = sum_i w_i H[i, j] X[i, t] at unit power.
 
     X is not built: each slot sums the code's entries of that slot, in
-    table order, as ``sign * H[i, j] s_k`` or ``sign * H[i, j] conj(s_k)``
-    from the (n_symbols[, blocks]) ``symbols``, and a term with sign -1 is
-    subtracted. ``channels`` must be (n_tx, n_rx) with the symbols' block
-    axis. Y, of shape (n_rx, n_slots[, blocks]), is the ``"received"``
-    array of ``work``; the conjugated symbols and one product are the
-    scratch.
+    table order, as ``H[i, j] (sign w_i s_k)`` or ``H[i, j] (sign w_i
+    conj(s_k))`` from the (n_symbols[, blocks]) ``symbols``, so the
+    ``weights``, one per transmit antenna, scale the symbols and not the
+    channels. ``channels`` must be (n_tx, n_rx) with the symbols'
+    block axis. Y, of shape (n_rx, n_slots[, blocks]), is the
+    ``"received"`` array of ``work``; the scaled symbol and one rx
+    antenna's product are the scratch, so every pass is over one block
+    axis.
     """
     s = np.asarray(symbols, dtype=complex)
     if s.shape[:1] != (code.n_symbols,):
@@ -277,34 +283,38 @@ def transmit(code: SpaceTimeCode, symbols, channels, work: Workspace) -> np.ndar
     if h.shape != (code.n_tx, code.n_rx) + s.shape[1:]:
         raise ValueError(f"{code.name} carries symbols {s.shape} over channels of shape "
                          f"{(code.n_tx, code.n_rx) + s.shape[1:]}, got {h.shape}")
+    w = _check_weights(code, weights)
     blocks = s.shape[1:]
     # One flat block axis, even of length 1, keeps each slot's last axis
-    # contiguous for the float view that negates a first term.
+    # contiguous.
     s, h = s.reshape(code.n_symbols, -1), h.reshape(code.n_tx, code.n_rx, -1)
     received = work.array("received", (code.n_rx, code.n_slots, s.shape[1]))
-    conj_s, product = work.scratch((s.shape, complex), ((code.n_rx, s.shape[1]), complex))
-    np.conjugate(s, out=conj_s)
+    scaled, product = work.scratch((s.shape[1:], complex), (s.shape[1:], complex))
     for t in range(code.n_slots):
         terms = [entry for entry in code.entries if entry[1] == t]
         for n, (i, _, k, conjugate, sign) in enumerate(terms):
-            _add_term(received[:, t], h[i], conj_s[k] if conjugate else s[k], sign, n == 0,
-                      product)
+            _signed(scaled, s[k], sign * w[i], conjugate)
+            for j in range(code.n_rx):
+                np.multiply(h[i, j], scaled, out=product if n else received[j, t])
+                if n:
+                    np.add(received[j, t], product, out=received[j, t])
     return received.reshape((code.n_rx, code.n_slots) + blocks)
 
 
-def combine(code: SpaceTimeCode, y, est, work: Workspace) -> np.ndarray:
+def combine(code: SpaceTimeCode, y, est, weights, work: Workspace) -> np.ndarray:
     """Matched-filter combining with the estimated channels over all rx antennas.
 
     s~_k = sum over the entries of s_k and over rx antennas j of
-    sign * conj(est_ij) y_jt, or sign * est_ij conj(y_jt) for a conjugated
-    entry. Returns shape (n_symbols[, blocks]). With perfect estimates and
-    the noiseless samples of :func:`transmit`, s~_k = G * s_k with G =
-    sum_ij |est_ij|^2; white CN(0, 1) noise on y becomes white CN(0, G)
-    noise on each s~_k.
-    The result is the ``"combined"`` array of ``work``. Each symbol's terms
-    are summed per rx antenna, in table order, then over the rx antennas;
-    the conjugated factor, the product and that one symbol's per-antenna
-    sum are the scratch.
+    sign * w_i conj(est_ij) y_jt, or sign * w_i est_ij conj(y_jt) for a
+    conjugated entry, with ``weights`` the w_i, one per transmit antenna.
+    Returns shape (n_symbols[, blocks]). With perfect estimates and the
+    noiseless samples of :func:`transmit` at the same weights, s~_k = G *
+    s_k with G = sum_ij w_i^2 |est_ij|^2; white CN(0, 1) noise on y
+    becomes white CN(0, G) noise on each s~_k.
+    The result is the ``"combined"`` array of ``work``. Each symbol sums
+    its terms in table order, rx antenna by rx antenna; one antenna's
+    conjugated factor, scaled by sign * w_i, and its product are the
+    scratch, so every pass is over one block axis.
     """
     y = np.asarray(y, dtype=complex)
     est = np.asarray(est, dtype=complex)
@@ -314,22 +324,22 @@ def combine(code: SpaceTimeCode, y, est, work: Workspace) -> np.ndarray:
         or est.shape[2:] != y.shape[2:]
     ):
         raise ValueError(f"dimension mismatch for {code.name}: y {y.shape}, est {est.shape}")
+    w = _check_weights(code, weights)
     blocks = y.shape[2:]
-    rx = y.shape[:1] + blocks
     combined = work.array("combined", (code.n_symbols,) + blocks)
-    factor, product, per_rx = work.scratch((rx, complex), (rx, complex), (rx, complex))
+    factor, product = work.scratch((blocks, complex), (blocks, complex))
     for k in range(code.n_symbols):
-        terms = [entry for entry in code.entries if entry[2] == k]
-        for n, (i, t, _, conjugate, sign) in enumerate(terms):
+        total = combined[k, ...]
+        terms = [(j, entry) for entry in code.entries if entry[2] == k
+                 for j in range(code.n_rx)]
+        for n, (j, (i, t, _, conjugate, sign)) in enumerate(terms):
             # The product never overwrites a factor: numpy can round a
             # one-element complex product written over one of its own inputs
             # differently from the same product written elsewhere.
-            if conjugate:
-                a, b = est[i], np.conjugate(y[:, t], out=factor)
-            else:
-                a, b = np.conjugate(est[i], out=factor), y[:, t]
-            _add_term(per_rx, a, b, sign, n == 0, product)
-        np.sum(per_rx, axis=0, out=combined[k, ...])
+            a, b = (est[i, j, ...], y[j, t, ...]) if conjugate else (y[j, t, ...], est[i, j, ...])
+            np.multiply(a, _signed(factor, b, sign * w[i], True), out=product if n else total)
+            if n:
+                np.add(total, product, out=total)
     return combined
 
 

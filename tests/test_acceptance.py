@@ -156,11 +156,13 @@ def test_c06_simulation_reproduces_analytic_curves():
         )
         coverage = hits / len(points)
         c.detail = f"coverage {hits}/{len(points)} = {coverage:.3f}"
-        # 66 cells in 6 curves of 11 that share their fades and their noise,
-        # so misses cluster along a curve: over sweep seeds 5000-5399 this
-        # bound held for 88.5% of seeds, where it held for 92.2% while each
-        # cell drew its own noise and for 95.3% with independent cells. The
-        # seed is fixed, so the test is deterministic.
+        # 66 cells in 2 curves of 33, one per modulation across the three r,
+        # whose cells share their fades and their noise, so misses cluster
+        # within a curve: over sweep seeds 5000-5399 this bound held for
+        # 86.0% of seeds (mean 62.59 hits, standard deviation 3.97), where it
+        # held for 88.5% with one curve per r (62.69, 2.57), 92.2% while each
+        # cell drew its own noise and 95.3% with independent cells. The seed
+        # is fixed, so the test is deterministic.
         assert coverage >= 0.9
     assert c.elapsed < SIM_BUDGET_S
 
@@ -201,11 +203,11 @@ def test_c08_four_antenna_code_health_and_steeper_slope():
         bits = rng.bits(3 * QAM16.bits_per_symbol * n)
         work = Workspace()
         syms = modulate(bits, QAM16, work).reshape(n, 3).T
-        h = w[:, None, None] * sample_circular_gaussian(rng, 1.0, size=(4, 2, n))
-        y = transmit(code, syms, h, work)
+        h = sample_circular_gaussian(rng, 1.0, size=(4, 2, n))
+        y = transmit(code, syms, h, w, work)
         y *= math.sqrt(power)  # the noise-free link of the full chain
-        g_est = np.sum(np.abs(h) ** 2, axis=(0, 1))
-        z = combine(code, y, h, work) / (math.sqrt(power) * g_est)
+        g_est = np.sum(np.abs(w[:, None, None] * h) ** 2, axis=(0, 1))
+        z = combine(code, y, h, w, work) / (math.sqrt(power) * g_est)
         per_sym = bits.reshape(n, 3, QAM16.bits_per_symbol)
         for k in range(3):
             assert np.array_equal(detect(*planes(z[k]), QAM16, work), per_sym[:, k].ravel())
@@ -284,17 +286,16 @@ def test_c10_property_battery():
         # Real-scale linearity of the combiner.
         code = CODES["alamouti_2x1"]
         w = code.weights(2.0)
-        est = w[:, None] * np.array([[0.3 - 1.1j], [-0.7 + 0.2j]])
+        est = np.array([[0.3 - 1.1j], [-0.7 + 0.2j]])
         y = np.array([[0.9 + 0.1j, -0.4 + 1.3j]])
-        b = combine(code, y, est, Workspace())
-        a = combine(code, 3.5 * y, est, Workspace())
+        b = combine(code, y, est, w, Workspace())
+        a = combine(code, 3.5 * y, est, w, Workspace())
         assert np.allclose(a, 3.5 * b, rtol=1e-12, atol=0)
 
         # Perfect-CSI conditional scale equals the weighted branch sum.
         h = np.array([[1.2 - 0.3j], [0.5 + 0.8j]])
-        g = w[:, None] * h
-        yq = transmit(code, [1.0, 0.0], g, Workspace())
-        s0t, _ = combine(code, yq, g, Workspace())
+        yq = transmit(code, [1.0, 0.0], h, w, Workspace())
+        s0t, _ = combine(code, yq, h, w, Workspace())
         branch_sum = np.sum(w**2 * np.abs(h[:, 0]) ** 2)
         assert s0t == pytest.approx(branch_sum, rel=1e-12)
 

@@ -422,8 +422,13 @@ def test_simulate_reports_coverage(tmp_path, capsys):
 
 def test_simulate_names_each_cell_whose_interval_misses_the_closed_form(capsys):
     # With this seed and short stopping rule one of the 26 intervals misses;
-    # the report's lines are checked against the CSV's own columns.
-    grid = ["simulate", *QPSK_GRID, "--seed", "8", "--min-errors", "20", "--max-bits",
+    # the report's lines are checked against the CSV's own columns. The 26
+    # cells are one curve, so their misses come together: over sweep seeds
+    # 5000-5399, 19.0% of seeds give exactly one miss (25.75% while each r
+    # was a curve of its own) at a mean of 1.37 misses (1.23), 5.3% of the
+    # cells. Seed 8 gave one miss on the stream of one curve per r and six
+    # on this one; 30 is the first seed after it that gives one.
+    grid = ["simulate", *QPSK_GRID, "--seed", "30", "--min-errors", "20", "--max-bits",
             "40000"]
     assert run(grid) == 0
     captured = capsys.readouterr()

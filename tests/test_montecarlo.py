@@ -123,7 +123,7 @@ def full_chain_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
         est = h + sample_circular_gaussian(rng, point.beta, h.shape)
     noise = sample_circular_gaussian(rng, 1.0, (code.n_rx, code.n_slots, n))
     y = math.sqrt(power) * np.einsum("ijb,itb->jtb", w * h, encode(code, syms)) + noise
-    s_tilde = combine(code, y, w * est, work)
+    s_tilde = combine(code, y, est, w[:, 0, 0], work)
     g_est = np.sum(np.abs(w * est) ** 2, axis=(0, 1))
     z = s_tilde / (math.sqrt(power) * g_est)
     wrong = np.flatnonzero(detect(*planes(z.T), point.mod, work) != tx_bits)
@@ -235,20 +235,20 @@ def curve_stream(point: SimPoint, chunk_index: int = 0) -> RngStream:
 
 def replayed_draws(point: SimPoint, chunk_index: int = 0):
     """Chunk ``chunk_index`` of ``point``'s curve replayed in its stream's
-    order: the bits in block order, the unit estimates u (None at beta =
-    0), and the two rows of the raw noise, each of shape (n_symbols, blocks)."""
+    order: the bits in block order, the raw fades, and the two rows of the
+    raw noise, each of shape (n_symbols, blocks). The fades are the path
+    powers |h_ij|^2 at beta = 0, and the unit estimates u and the unit
+    errors v at beta > 0, each of shape (n_tx, n_rx, blocks)."""
     code = CODES[point.scheme]
     n = montecarlo._chunk_blocks(point)
     replay = curve_stream(point, chunk_index)
     tx_bits = replay.bits(point.bits_per_block * n)
     shape = (code.n_tx, code.n_rx, n)
-    u = None
     if point.beta == 0.0:
-        replay.exponentials(shape)
+        fades = (replay.exponentials(shape),)
     else:
-        u = sample_circular_gaussian(replay, 1.0, shape)
-        sample_circular_gaussian(replay, point.beta, shape)  # sqrt(beta) v
-    return tx_bits, u, replay.normal_pairs((code.n_symbols, n))
+        fades = tuple(sample_circular_gaussian(replay, 1.0, shape) for _ in "uv")
+    return tx_bits, fades, replay.normal_pairs((code.n_symbols, n))
 
 
 def cell_input(noise, signal, root, gamma_db: float):
@@ -259,59 +259,84 @@ def cell_input(noise, signal, root, gamma_db: float):
     return (x * scale + signal.real) + 1j * (y * scale + signal.imag)
 
 
-def chunk_fade_stage(point: SimPoint, chunk_index: int = 0):
-    """Chunk ``chunk_index`` of ``point``'s curve up to its fade stage:
-    (work, signal, sqrt(G_est)). The bits are drawn in the stream's block
-    order and their symbols laid out as (n_symbols, blocks)."""
-    code = CODES[point.scheme]
-    rng = curve_stream(point, chunk_index)
-    n = montecarlo._chunk_blocks(point)
+def chunk_branches(cells, chunk_index: int = 0):
+    """Chunk ``chunk_index`` of the curve of ``cells`` up to its noise stage:
+    {(r_db, beta): (signal, sqrt(G_est))} for every (r, beta) of ``cells``,
+    copied out of the workspace, from the chunk's own fade draw and
+    branches. The bits are drawn in the stream's block order and their
+    symbols laid out as (n_symbols, blocks)."""
+    first = cells[0]
+    code = CODES[first.scheme]
+    rng = curve_stream(first, chunk_index)
+    n = montecarlo._chunk_blocks(first)
     work = Workspace()
-    tx_bits = rng.bits(point.bits_per_block * n)
-    syms = modulate(tx_bits, point.mod, work).reshape(n, code.n_symbols).T.copy()
-    w = code.weights(10.0 ** (point.r_db / 10.0))[:, None, None]
-    return (work,) + montecarlo._fade_stage(work, rng, code, w, point.beta, syms)
+    tx_bits = rng.bits(first.bits_per_block * n)
+    syms = modulate(tx_bits, first.mod, work).reshape(n, code.n_symbols).T.copy()
+    fades = montecarlo._draw_fades(work, rng, code, first.beta == 0.0, n)
+    got = {}
+    for r_db in dict.fromkeys(cell.r_db for cell in cells):
+        betas = tuple(dict.fromkeys(cell.beta for cell in cells if cell.r_db == r_db))
+        w = code.weights(10.0 ** (r_db / 10.0))
+        for beta, (signal, _, root) in zip(betas, montecarlo._branch(work, code, syms, fades, w,
+                                                                     betas)):
+            assert signal.flags.c_contiguous
+            got[r_db, beta] = (signal.copy(), root.copy())
+    return got
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.05])
+def chunk_fade_stage(point: SimPoint, chunk_index: int = 0):
+    """(signal, sqrt(G_est)) of ``point``'s own r and beta in chunk
+    ``chunk_index`` of its curve."""
+    return chunk_branches((point,), chunk_index)[point.r_db, point.beta]
+
+
+def effective_link(code, point: SimPoint, fades):
+    """The replayed effective channels of a chunk: (w, h, est, G_est), with h
+    = (u + sqrt(beta) v) / sqrt(1+beta) and est = sqrt(1+beta) u at beta >
+    0, built from the unit draws with plain numpy, and G_est = sum_ij
+    w_i^2 |est_ij|^2 per block (|h_ij|^2 summed at beta = 0, where h and
+    est are None)."""
+    r = 10.0 ** (point.r_db / 10.0)
+    node_power = {"BS": 1.0 / (1.0 + r), "RS": r / (1.0 + r)}
+    w_sq = np.array([node_power[node] / code.nodes.count(node) for node in code.nodes])
+    if point.beta == 0.0:
+        (paths,) = fades
+        return np.sqrt(w_sq), None, None, np.sum(w_sq[:, None, None] * paths, axis=(0, 1))
+    u, v = fades
+    h = (u + math.sqrt(point.beta) * v) / math.sqrt(1.0 + point.beta)
+    est = math.sqrt(1.0 + point.beta) * u
+    return (np.sqrt(w_sq), h, est,
+            np.sum(w_sq[:, None, None] * np.abs(est) ** 2, axis=(0, 1)))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.05, 3.0])
 @pytest.mark.parametrize("r_db", [-7.0, 0.0, 10.0])
 @pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
 def test_fade_stage_gain_is_the_imbalance_weighted_branch_sum(code, r_db, beta):
     # G_est = sum_i w_i^2 sum_j |est_ij|^2, with w_B^2 = 1/(1+r) and
     # w_R^2 = r/(1+r) split over each node's antennas, over the chunk's own
-    # draws: the path powers |h_ij|^2 at beta = 0; at beta > 0, u and then
-    # sqrt(beta) v, with est = sqrt(1+beta) u and h = (u + sqrt(beta) v) /
-    # sqrt(1+beta). The stage returns sqrt(G_est). The signal is the
-    # symbols at beta = 0, where the matched filter returns G s exactly,
-    # and the combiner output on the estimates over G_est at beta > 0, each
-    # laid out as (n_symbols, blocks) for the detector.
+    # draws: the path powers |h_ij|^2 at beta = 0; at beta > 0, the unit
+    # draws u and v, with est = sqrt(1+beta) u and h = (u + sqrt(beta) v) /
+    # sqrt(1+beta). The branch returns sqrt(G_est). The signal is the
+    # symbols at beta = 0, where the matched filter returns G s exactly.
+    # At beta > 0 the branch forms it from the leak of v alone, as a (a s +
+    # b L / G); it must equal the full combiner output on the replayed
+    # effective channels, combine(transmit(s, w h), w est) / G_est, which
+    # holds only if that algebra, its shrinks a and b and the weights of
+    # both layers are right.
     point = SimPoint(code.name, QPSK, 10.0, r_db, beta, seed=2019, max_bits=6_000)
-    _, signal, root = chunk_fade_stage(point)
+    signal, root = chunk_fade_stage(point)
     n = root.size
-    r = 10.0 ** (r_db / 10.0)
-    node_power = {"BS": 1.0 / (1.0 + r), "RS": r / (1.0 + r)}
-    w_sq = np.array([node_power[node] / code.nodes.count(node) for node in code.nodes])
-    replay = curve_stream(point)
-    syms = modulate(replay.bits(point.bits_per_block * n), QPSK, Workspace())
-    syms = syms.reshape(n, code.n_symbols).T
-    shape = (code.n_tx, code.n_rx, n)
-    if beta == 0.0:
-        paths = replay.exponentials(shape)
-        want_signal = syms
-    else:
-        u = sample_circular_gaussian(replay, 1.0, shape)
-        h = (u + sample_circular_gaussian(replay, beta, shape)) / math.sqrt(1.0 + beta)
-        est = math.sqrt(1.0 + beta) * u
-        paths = np.abs(est) ** 2
-        w = np.sqrt(w_sq)[:, None, None]
-        want_signal = combine(code, transmit(code, syms, w * h, Workspace()), w * est,
-                              Workspace())
-    expected = np.sum(w_sq[:, None, None] * paths, axis=(0, 1))
+    tx_bits, fades, _ = replayed_draws(point)
+    syms = modulate(tx_bits, QPSK, Workspace()).reshape(n, code.n_symbols).T
+    w, h, est, expected = effective_link(code, point, fades)
     assert np.max(np.abs(root**2 - expected) / expected) < 1e-13
-    if beta > 0.0:
-        want_signal = want_signal / expected
-    assert signal.flags.c_contiguous
-    assert np.max(np.abs(signal - want_signal)) < 1e-12 * np.max(np.abs(want_signal))
+    if beta == 0.0:
+        assert np.array_equal(signal, syms)
+        return
+    y = transmit(code, syms, h, w, Workspace())
+    want = combine(code, y, est, w, Workspace()) / expected
+    assert np.max(np.abs(signal - want)) < 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
@@ -324,8 +349,8 @@ def test_chunk_counts_what_the_detector_decides_at_a_large_beta(code):
     # stream's block order, so the sum of the squared block errors checks
     # the block that the chunk finds for each wrong bit.
     point = SimPoint(code.name, QAM16, 10.0, 5.0, 3.0, seed=2020, max_bits=6_000)
-    _, signal, root = chunk_fade_stage(point)
-    tx_bits, u, noise = replayed_draws(point)
+    signal, root = chunk_fade_stage(point)
+    tx_bits, (u, _), noise = replayed_draws(point)
     w_sq = np.square(code.weights(10.0 ** (point.r_db / 10.0)))[:, None, None]
     expected = np.sum(w_sq * np.abs(2.0 * u) ** 2, axis=(0, 1))
     assert np.max(np.abs(root**2 - expected) / expected) < 1e-13
@@ -361,23 +386,27 @@ def recorded_inputs(monkeypatch, cells, chunk_index: int):
 
 @pytest.mark.parametrize("beta", [0.0, 0.05])
 def test_cells_of_a_curve_share_the_fade_and_the_noise(monkeypatch, beta):
-    # Chunk 1 of a three-cell curve makes one stream, the curve's, and
-    # draws from it the bits, the fades and then one raw noise. Every cell
-    # counts against those bits, and its detector input is the one signal
-    # over the one G_est plus that raw noise scaled to the cell's own SNR.
-    # A chunk that drew each cell's noise from a stream of its own, drew
-    # the noise before the fades, or let a cell's input overwrite the raw
-    # noise, fails the input check.
-    cells = sweep_points(("ostbc_4x2",), ("QPSK",), (2.0, 6.0, 10.0), (5.0,), (beta,),
+    # Chunk 1 of a curve of two r, one or two beta and three SNR values
+    # makes one stream, the curve's, and draws from it the bits, the fades
+    # and then one raw noise. Every cell counts against those bits, and its
+    # detector input is its branch's signal over its branch's G_est plus
+    # that raw noise scaled to the cell's own SNR. A chunk that drew each
+    # cell's noise from a stream of its own, drew the noise before the
+    # fades, let a cell's input overwrite the raw noise, or let one branch
+    # weight the fades that the next one reads, fails the input check.
+    betas = (beta,) if beta == 0.0 else (0.01, beta)
+    cells = sweep_points(("ostbc_4x2",), ("QPSK",), (2.0, 6.0, 10.0), (0.0, 5.0), betas,
                          seed=2022, max_bits=24_000)
+    assert len({cell.curve for cell in cells}) == 1
     counts, inputs, _, streams = recorded_inputs(monkeypatch, cells, 1)
     monkeypatch.undo()
-    _, signal, root = chunk_fade_stage(cells[0], chunk_index=1)
+    branches = chunk_branches(cells, chunk_index=1)
     tx_bits, _, noise = replayed_draws(cells[0], 1)
     assert streams == 1
+    assert len(branches) == 2 * len(betas)
     assert len(inputs) == len(counts) == len(cells)
     for cell, z, (bits, errors, sq_errors) in zip(cells, inputs, counts):
-        want = cell_input(noise, signal, root, cell.gamma_db)
+        want = cell_input(noise, *branches[cell.r_db, cell.beta], cell.gamma_db)
         assert np.max(np.abs(z - want)) <= 1e-12 * np.max(np.abs(want))
         # Decided and counted in the stream's block order.
         wrong = np.flatnonzero(detect(*planes(z.T), QPSK, Workspace()) != tx_bits)
@@ -404,7 +433,7 @@ def test_wrong_bits_nest_along_the_snr_axis(monkeypatch, scheme, mod, beta):
                          seed=2024)
     counts, _, decided, _ = recorded_inputs(monkeypatch, cells, 0)
     monkeypatch.undo()
-    _, signal, root = chunk_fade_stage(cells[0])
+    signal, root = chunk_fade_stage(cells[0])
     n = root.size
     tx_bits, _, _ = replayed_draws(cells[0])
     # The bits in the detector's (n_symbols, blocks, bits per symbol) order.
@@ -677,9 +706,17 @@ def test_warm_chunk_allocates_little(monkeypatch):
 # the chunk draws one raw noise for all of its cells, each cell's planes
 # take the bytes of the estimates, which a beta = 0 chunk has no other use
 # for: one (2, n_symbols, blocks) float array, 480,000 bytes, more at beta =
-# 0 and none at beta > 0.
+# 0 and none at beta > 0. Since one draw of fades serves every r of a curve,
+# the fades stay unweighted and the raw noise, read by every branch, has a
+# (2, n_symbols, blocks) float array of its own: 480,000 bytes more at beta =
+# 0 (2,480,000). At beta > 0 that array and the per-antenna path powers
+# (320,000) are paid for by the scratch, which falls from 1,280,000 to
+# 320,000: the normals are drawn into the fades' own bytes, and transmit
+# and combine work one rx antenna at a time. Each beta's signal, root and
+# cell planes take the bytes of the received samples after combining, so
+# the chunk holds 6,240,000 bytes.
 WARM_CHUNK_WORKSPACE_BYTES = 6_600_000
-WARM_BETA_0_CHUNK_WORKSPACE_BYTES = 1_600_000 + 480_000
+WARM_BETA_0_CHUNK_WORKSPACE_BYTES = 1_600_000 + 480_000 + 480_000
 
 
 def test_warm_chunk_workspace_holds_no_codeword_or_signal_copy(monkeypatch):
@@ -824,7 +861,7 @@ def test_single_cell_sweep_equals_run_point():
         0.0,
         seed=derive_seed(77, "alamouti_2x1", "QPSK", 5.0, 0.0, 6.0),
         min_errors=120,
-        fade_seed=derive_seed(77, "alamouti_2x1", "QPSK", 5.0, 0.0),
+        fade_seed=derive_seed(77, "alamouti_2x1", "QPSK", True),
     )
     assert points == (point,)
     assert estimates[0] == run_point(point)
@@ -870,19 +907,23 @@ def test_sweep_attaches_analytic_only_where_defined():
     assert by_key[("QAM16", 0.0)] is None
 
 
-def test_sweep_result_independent_of_grid_composition():
-    base = dict(
-        schemes=("alamouti_2x1",),
-        modulations=("BPSK",),
-        r_db=(0.0,),
-        beta=(0.0,),
-        seed=11,
-        min_errors=60,
-    )
-    alone = run_sweep(sweep_points(gamma_db=(5.0,), **base), 1)
-    joined_points = sweep_points(gamma_db=(2.0, 5.0), **base)
-    joined = dict(zip((p.gamma_db for p in joined_points), run_sweep(joined_points, 1)))
-    assert joined[5.0] == alone[0]
+def test_sweep_result_independent_of_grid_composition(monkeypatch):
+    # A curve holds every r and beta (all 0, or all above) of its scheme and
+    # modulation, so a cell shares its draws with cells of other r, beta and
+    # SNR, and on two threads the curve is split into tasks of every other
+    # cell; none of it may change the cell's estimate.
+    base = dict(schemes=("alamouti_2x1",), modulations=("BPSK",), seed=11, min_errors=60,
+                max_bits=200_000)
+    grid = sweep_points(gamma_db=(2.0, 5.0, 12.0), r_db=(0.0, 5.0, 10.0),
+                        beta=(0.0, 0.01, 0.05), **base)
+    assert len({p.curve for p in grid}) == 2
+    monkeypatch.setattr(montecarlo, "_CPUS", 2)
+    for workers in (1, 2):
+        joined = dict(zip(((p.r_db, p.beta, p.gamma_db) for p in grid), run_sweep(grid, workers)))
+        for r_db, beta in ((5.0, 0.0), (5.0, 0.01), (10.0, 0.05)):
+            alone = run_sweep(sweep_points(gamma_db=(5.0,), r_db=(r_db,), beta=(beta,), **base),
+                              workers)
+            assert joined[r_db, beta, 5.0] == alone[0]
 
 
 def test_sweep_spec_rejects_empty_axes():
@@ -982,12 +1023,14 @@ def test_confidence_intervals_cover_closed_form():
     )
     # 11 cells of one curve, 95% intervals. The cells share their fades and
     # their noise, so their misses are correlated; over sweep seeds
-    # 5000-5399 this bound held for 84.75% of seeds (89.0% while each cell
-    # drew its own noise, as it would for 11 independent cells:
-    # P(Binomial(11, 0.948) >= 10) = 0.89). The mean hit count stayed
-    # 10.43, and its standard deviation rose from 0.73 to 0.98. The seed is
-    # fixed, so the test is deterministic; a new stream may need a new
-    # seed, not a looser bound.
+    # 5000-5399 this bound held for 86.0% of seeds on the stream of one
+    # curve per scheme, modulation and beta = 0 (84.75% with one curve per
+    # r, the same 11 cells on other draws; 89.0% while each cell drew its
+    # own noise, as it would for 11 independent cells:
+    # P(Binomial(11, 0.948) >= 10) = 0.89). The mean hit count is 10.44
+    # (10.43), and its standard deviation 0.92 (0.98; 0.73 with each cell's
+    # own noise). The seed is fixed, so the test is deterministic; a new
+    # stream may need a new seed, not a looser bound.
     assert hits >= 10
 
 

@@ -103,11 +103,24 @@ def test_normal_pairs_are_one_standard_normal_draw_bit_for_bit(size):
 @SIZES
 @pytest.mark.parametrize("variance", [1.0, 0.05, 4.0])
 def test_circular_gaussian_is_the_textbook_draw_bit_for_bit(size, variance):
-    # CN(0, v) is sqrt(v/2) (x + j y) with x, y independent N(0, 1).
-    got = sample_circular_gaussian(RngStream(78, 9), variance, size)
-    x, y = reference_normal_pairs(78, 9, size)
-    want = math.sqrt(variance / 2.0) * (x + 1j * y)
-    assert same_bits(got, want)
+    # CN(0, v) is sqrt(v/2) (x + j y) with x, y independent N(0, 1): the
+    # (2, *size) draw, read as the flat sequence of its normals, gives each
+    # entry its real and then its imaginary part, and is scaled in place.
+    shape = (size,) if isinstance(size, int) else size
+    out = np.empty(shape, complex)
+    got = sample_circular_gaussian(RngStream(78, 9), variance, size, out=out)
+    normals = reference_normal_pairs(78, 9, size).reshape(-1, 2)
+    want = math.sqrt(variance / 2.0) * normals
+    assert got is out and got.shape == shape
+    assert same_bits(got.real.ravel(), want[:, 0]) and same_bits(got.imag.ravel(), want[:, 1])
+    assert same_bits(sample_circular_gaussian(RngStream(78, 9), variance, size), got)
+
+
+@pytest.mark.parametrize("out", [np.empty(8, complex), np.empty(14), np.empty(14, complex)[::2]],
+                         ids=["shape", "dtype", "strided"])
+def test_circular_gaussian_refuses_an_out_it_cannot_fill_in_place(out):
+    with pytest.raises(ValueError, match="out"):
+        sample_circular_gaussian(RngStream(1), 1.0, 7, out=out)
 
 
 def test_rng_bits_unpack_the_stream_bytes_msb_first():

@@ -54,12 +54,18 @@ def effective(code, h, r):
     return code.weights(r).reshape((-1,) + (1,) * (h.ndim - 1)) * h
 
 
-def received(code, s, h, p, noise, work):
+def unit(code):
+    """Weights of one on every transmit antenna: the calls on effective channels."""
+    return np.ones(code.n_tx)
+
+
+def received(code, s, h, w, p, noise, work):
     """The full chain's link and AWGN: sqrt(P) Y + noise, with Y the noiseless
-    samples of :func:`transmit` at unit power and ``noise`` per rx antenna and
-    slot. The Monte Carlo chunk draws per-symbol noise instead; this is the
-    reference its noise stage stands for."""
-    y = transmit(code, s, h, work)
+    samples of :func:`transmit` at unit power over ``h`` at the weights ``w``,
+    and ``noise`` per rx antenna and slot. The Monte Carlo chunk draws
+    per-symbol noise instead; this is the reference its noise stage stands
+    for."""
+    y = transmit(code, s, h, w, work)
     y *= math.sqrt(p)
     y += noise
     return y
@@ -88,10 +94,10 @@ def assert_zero_noise_bit_exact(code, mod, seed, r_db, gamma_db):
     work = Workspace()
     syms = modulate(bits, mod, work).reshape(n, code.n_symbols).T
     h = sample_circular_gaussian(rng, 1.0, size=(code.n_tx, code.n_rx, n))
-    h = effective(code, h, 10.0 ** (r_db / 10.0))
+    w = code.weights(10.0 ** (r_db / 10.0))
     noise = np.zeros((code.n_rx, code.n_slots, n), complex)
-    s_tilde = combine(code, received(code, syms, h, p, noise, work), h, work)
-    z = s_tilde / (math.sqrt(p) * path_power_sum(h))
+    s_tilde = combine(code, received(code, syms, h, w, p, noise, work), h, w, work)
+    z = s_tilde / (math.sqrt(p) * path_power_sum(effective(code, h, 10.0 ** (r_db / 10.0))))
     per_sym = bits.reshape(n, code.n_symbols, mod.bits_per_symbol)
     for k in range(code.n_symbols):
         assert np.array_equal(detect(*planes(z[k]), mod, work), per_sym[:, k].ravel())
@@ -266,7 +272,7 @@ def test_encode_rejects_wrong_symbol_count():
 
 def test_transmit_hand_example():
     # Balanced links, unit channels, P = 2, (s0, s1) = (1, 0) gives (1, 1).
-    y = received(A2, [1.0, 0.0], effective(A2, pair(1.0, 1.0), 1.0), 2.0,
+    y = received(A2, [1.0, 0.0], pair(1.0, 1.0), A2.weights(1.0), 2.0,
                  np.zeros((1, 2), complex), Workspace())
     assert y[0, 0] == pytest.approx(1.0, rel=1e-15)
     assert y[0, 1] == pytest.approx(1.0, rel=1e-15)
@@ -276,7 +282,7 @@ def test_transmit_dead_relay_reduces_to_single_antenna():
     r = 2.0
     p = 5.0
     s0, s1 = 0.6 + 0.3j, -0.2 + 0.9j
-    y = received(A2, [s0, s1], effective(A2, pair(1.5 - 0.5j, 0.0), r), p,
+    y = received(A2, [s0, s1], pair(1.5 - 0.5j, 0.0), A2.weights(r), p,
                  np.zeros((1, 2), complex), Workspace())
     scale = math.sqrt(p / (1.0 + r)) * (1.5 - 0.5j)
     assert y[0, 0] == pytest.approx(scale * s0, rel=1e-12)
@@ -285,7 +291,7 @@ def test_transmit_dead_relay_reduces_to_single_antenna():
 
 def test_transmit_rejects_wrong_symbol_count():
     with pytest.raises(ValueError):
-        transmit(A2, [1.0, 0.0, 0.0], pair(1.0, 1.0), Workspace())
+        transmit(A2, [1.0, 0.0, 0.0], pair(1.0, 1.0), unit(A2), Workspace())
 
 
 @pytest.mark.parametrize("symbols, channels", [
@@ -296,23 +302,33 @@ def test_transmit_rejects_wrong_symbol_count():
 ], ids=["rx", "tx", "blocks", "symbol-blocks"])
 def test_transmit_rejects_channels_that_do_not_fit(symbols, channels):
     with pytest.raises(ValueError, match="channels"):
-        transmit(O4, symbols, channels, Workspace())
+        transmit(O4, symbols, channels, unit(O4), Workspace())
+
+
+@pytest.mark.parametrize("weights", [np.ones(3), np.ones(5), np.ones((4, 1))],
+                         ids=["too few", "too many", "2-d"])
+def test_transmit_and_combine_reject_weights_that_do_not_fit(weights):
+    with pytest.raises(ValueError, match="weights"):
+        transmit(O4, np.ones((3, 5)), np.ones((4, 2, 5)), weights, Workspace())
+    with pytest.raises(ValueError, match="weights"):
+        combine(O4, np.ones((2, 4, 5)), np.ones((4, 2, 5)), weights, Workspace())
 
 
 def test_combine_hand_example():
     s0 = (1 + 1j) / math.sqrt(2)
     s1 = (1 - 1j) / math.sqrt(2)
-    h = effective(A2, pair(1.0, 1.0j), 1.0)
-    y = transmit(A2, [s0, s1], h, Workspace())
-    s0t, s1t = combine(A2, y, h, Workspace())
-    g = path_power_sum(h)
+    h, w = pair(1.0, 1.0j), A2.weights(1.0)
+    y = transmit(A2, [s0, s1], h, w, Workspace())
+    s0t, s1t = combine(A2, y, h, w, Workspace())
+    g = path_power_sum(effective(A2, h, 1.0))
     assert g == pytest.approx(1.0, rel=1e-15)
     assert s0t / g == pytest.approx(s0, rel=1e-12)
     assert s1t / g == pytest.approx(s1, rel=1e-12)
 
 
 def test_combine_zero_estimates_give_zero():
-    s0t, s1t = combine(A2, alamouti_y(1.0 + 2.0j, 3.0 - 1.0j), pair(0.0, 0.0), Workspace())
+    s0t, s1t = combine(A2, alamouti_y(1.0 + 2.0j, 3.0 - 1.0j), pair(0.0, 0.0), unit(A2),
+                       Workspace())
     assert s0t == 0 and s1t == 0
 
 
@@ -326,7 +342,7 @@ def test_combine_is_the_imbalance_aware_alamouti_matrix():
         [[w_b * np.conj(hb), w_r * hr], [w_r * np.conj(hr), -w_b * hb]]
     )
     expected = matrix @ np.array([y0, np.conj(y1)])
-    got = combine(A2, alamouti_y(y0, y1), effective(A2, pair(hb, hr), 0.3), Workspace())
+    got = combine(A2, alamouti_y(y0, y1), pair(hb, hr), A2.weights(0.3), Workspace())
     assert np.allclose(got, expected, rtol=1e-14, atol=0)
 
 
@@ -335,10 +351,10 @@ def test_combine_recovers_symbols_with_perfect_csi():
     n = 10_000
     p = 3.0
     s = sample_circular_gaussian(rng, 1.0, size=(2, n))
-    h = effective(A2, sample_circular_gaussian(rng, 1.0, size=(2, 1, n)), 4.2)
-    y = received(A2, s, h, p, np.zeros((1, 2, n), complex), Workspace())
-    s_tilde = combine(A2, y, h, Workspace())
-    g = math.sqrt(p) * path_power_sum(h)
+    h, w = sample_circular_gaussian(rng, 1.0, size=(2, 1, n)), A2.weights(4.2)
+    y = received(A2, s, h, w, p, np.zeros((1, 2, n), complex), Workspace())
+    s_tilde = combine(A2, y, h, w, Workspace())
+    g = math.sqrt(p) * path_power_sum(effective(A2, h, 4.2))
     assert np.max(np.abs(s_tilde / g - s)) < 1e-12
 
 
@@ -347,19 +363,19 @@ def test_combine_is_linear_in_received_vector():
     # linear over the reals in y and complex-linear in that product input
     # (a complex scale on raw y cannot commute through the conjugation).
     rng = RngStream(33)
-    est = effective(A2, sample_circular_gaussian(rng, 1.0, size=(2, 1)), 0.5)
+    est, w = sample_circular_gaussian(rng, 1.0, size=(2, 1)), A2.weights(0.5)
     y = alamouti_y(0.4 - 0.2j, -1.1 + 0.8j)
     # Each result is the "combined" array of its workspace, so the two
     # results compared need a workspace each.
-    b = combine(A2, y, est, Workspace())
+    b = combine(A2, y, est, w, Workspace())
 
     for alpha in (2.5, -0.3):
-        a = combine(A2, alpha * y, est, Workspace())
+        a = combine(A2, alpha * y, est, w, Workspace())
         assert np.allclose(a, alpha * b, rtol=1e-12, atol=0)
 
     alpha = 1.7 - 2.2j
     scaled = alamouti_y(alpha * y[0, 0], np.conj(alpha) * y[0, 1])
-    a = combine(A2, scaled, est, Workspace())
+    a = combine(A2, scaled, est, w, Workspace())
     assert np.allclose(a, alpha * b, rtol=1e-12, atol=0)
 
 
@@ -452,26 +468,27 @@ def test_ostbc4_zero_input_gives_zero_matrix():
 def test_ostbc4_single_path_gain():
     h = np.zeros((4, 2), dtype=complex)
     h[0, 0] = 1.0
-    h = effective(O4, h, 1.0)
+    w = O4.weights(1.0)
     s = (0.3 + 0.4j, -0.8 + 0.1j, 0.5 - 0.5j)
-    y = transmit(O4, s, h, Workspace())
-    outs = combine(O4, y, h, Workspace())
+    y = transmit(O4, s, h, w, Workspace())
+    outs = combine(O4, y, h, w, Workspace())
     for k in range(3):  # w_B^2 = 1/2 at r = 1, split over the BS's two antennas
         assert outs[k] == pytest.approx(0.25 * s[k], rel=1e-12)
 
 
 def test_ostbc4_zero_channels_give_zero_output():
-    outs = combine(O4, np.zeros((2, 4), complex), np.zeros((4, 2), complex), Workspace())
+    outs = combine(O4, np.zeros((2, 4), complex), np.zeros((4, 2), complex), unit(O4),
+                   Workspace())
     assert np.all(outs == 0)
 
 
 def test_ostbc4_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        combine(O4, np.zeros((2, 3), complex), np.zeros((4, 2), complex), Workspace())
+        combine(O4, np.zeros((2, 3), complex), np.zeros((4, 2), complex), unit(O4), Workspace())
     with pytest.raises(ValueError):
-        combine(O4, np.zeros((2, 4), complex), np.zeros((3, 2), complex), Workspace())
+        combine(O4, np.zeros((2, 4), complex), np.zeros((3, 2), complex), unit(O4), Workspace())
     with pytest.raises(ValueError):
-        combine(O4, np.zeros((2, 4), complex), np.zeros((4, 3), complex), Workspace())
+        combine(O4, np.zeros((2, 4), complex), np.zeros((4, 3), complex), unit(O4), Workspace())
 
 
 @pytest.mark.parametrize("mod", ALL_MODS, ids=lambda m: m.name)
@@ -494,27 +511,28 @@ def test_zero_noise_perfect_csi_is_bit_exact(code, mod):
     assert_zero_noise_bit_exact(code, mod, seed=41, r_db=10.0, gamma_db=3.0)
 
 
-def noise_map(code, est):
-    """combine's real-linear map from the real and imaginary parts of the
-    (n_rx, n_slots) received samples to those of the n_symbols outputs: one
-    (2 n_symbols, 2 n_rx n_slots) matrix per block of ``est``, built column
-    by column from basis vectors."""
+def noise_map(code, est, w):
+    """combine's real-linear map, at the weights ``w``, from the real and
+    imaginary parts of the (n_rx, n_slots) received samples to those of the
+    n_symbols outputs: one (2 n_symbols, 2 n_rx n_slots) matrix per block of
+    ``est``, built column by column from basis vectors."""
     columns = []
     for j in range(code.n_rx):
         for t in range(code.n_slots):
             for unit in (1.0, 1.0j):
                 y = np.zeros((code.n_rx, code.n_slots) + est.shape[2:], complex)
                 y[j, t] = unit
-                s = combine(code, y, est, Workspace())
+                s = combine(code, y, est, w, Workspace())
                 columns.append(np.concatenate([s.real, s.imag]))
     return np.stack(columns, axis=1)
 
 
-def whitening_error(code, est):
-    """Largest deviation of M M^T from G_est I, relative to G_est, over the blocks."""
-    m = noise_map(code, est)
+def whitening_error(code, est, w):
+    """Largest deviation of M M^T from G_est I, relative to G_est, over the
+    blocks, with G_est that of the effective estimates w_i est_ij."""
+    m = noise_map(code, est, w)
     mmt = np.einsum("ac...,bc...->ab...", m, m)
-    g = path_power_sum(est)
+    g = path_power_sum(w[:, None, None] * est)
     eye = np.eye(2 * code.n_symbols).reshape(mmt.shape[:2] + (1,) * (est.ndim - 2))
     return np.max(np.abs(mmt - g * eye) / g)
 
@@ -525,16 +543,16 @@ def test_combine_whitens_antenna_noise_to_the_gain(code):
     # combine turns it into noise of covariance M M^T / 2. For an orthogonal
     # design that is G_est I / 2: white, circular noise of variance G_est on
     # each symbol, which the chunk's per-symbol noise stage draws directly.
-    est = effective(code, sample_circular_gaussian(RngStream(45), 1.0,
-                                                   (code.n_tx, code.n_rx, 200)), 3.0)
-    assert whitening_error(code, est) < 1e-12
+    est = sample_circular_gaussian(RngStream(45), 1.0, (code.n_tx, code.n_rx, 200))
+    w = code.weights(3.0)
+    assert whitening_error(code, est, w) < 1e-12
     # A code table with one sign flipped is no longer orthogonal, and the
     # check must see it.
     for e, (i, t, k, conjugate, sign) in enumerate(code.entries):
         entries = list(code.entries)
         entries[e] = (i, t, k, conjugate, -sign)
         flipped = SpaceTimeCode(code.name, tuple(entries), code.nodes, code.n_rx)
-        assert whitening_error(flipped, est) > 1e-3
+        assert whitening_error(flipped, est, w) > 1e-3
 
 
 # --- where results live ------------------------------------------------------
@@ -546,7 +564,7 @@ def _layer_calls(work):
     n = 50
     bits = RngStream(7).bits(O4.n_symbols * QAM16.bits_per_symbol * n)
     syms = modulate(bits, QAM16, Workspace()).reshape(n, O4.n_symbols).T
-    h = effective(O4, sample_circular_gaussian(RngStream(8), 1.0, (O4.n_tx, O4.n_rx, n)), 2.0)
+    h, w = sample_circular_gaussian(RngStream(8), 1.0, (O4.n_tx, O4.n_rx, n)), O4.weights(2.0)
     y = sample_circular_gaussian(RngStream(9), 1.0, (O4.n_rx, O4.n_slots, n))
     return {
         "normal_pairs": lambda: RngStream(1).normal_pairs(n),
@@ -554,8 +572,8 @@ def _layer_calls(work):
         "exponentials": lambda: RngStream(1).exponentials(n),
         "encode": lambda: encode(O4, syms),
         "modulate": lambda: modulate(bits, QAM16, work),
-        "transmit": lambda: transmit(O4, syms, h, work),
-        "combine": lambda: combine(O4, y, h, work),
+        "transmit": lambda: transmit(O4, syms, h, w, work),
+        "combine": lambda: combine(O4, y, h, w, work),
         "detect": lambda: detect(*planes(syms), QAM16, work),
     }
 
@@ -591,19 +609,28 @@ def transmit_from_codeword(code, s, h, p, noise):
     """Y from the codeword of ``s``, one table entry at a time, each added,
     then scaled by sqrt(P) and put over the noise.
 
-    :func:`transmit` builds no codeword and subtracts the terms with sign -1
-    instead; carried over the same link by :func:`received`, it must equal
-    this bit for bit.
+    :func:`transmit` builds no codeword and folds each entry's sign into the
+    symbol it sends instead; carried over the same effective channels at
+    unit weights by :func:`received`, it must equal this bit for bit.
+
+    Each rx antenna's product is taken over one flat block axis, even of
+    length 1, as :func:`transmit` takes it: numpy's complex product of an
+    array and a scalar, or of two arrays of another shape, can round one
+    ulp away from it (seen on 10 of 16 seeds of a one-block 2x1 sum).
     """
-    x = encode(code, s)
+    blocks = h.shape[2:]
+    x = encode(code, s).reshape((code.n_tx, code.n_slots, -1))
+    h = h.reshape((code.n_tx, code.n_rx, -1))
     y = np.empty((code.n_rx, code.n_slots) + h.shape[2:], complex)
     started = set()
     for i, t, *_ in code.entries:
-        if t in started:
-            y[:, t] += h[i] * x[i, t]
-        else:
-            started.add(t)
-            y[:, t] = h[i] * x[i, t]
+        for j in range(code.n_rx):
+            if t in started:
+                y[j, t] += h[i, j] * x[i, t]
+            else:
+                y[j, t] = h[i, j] * x[i, t]
+        started.add(t)
+    y = y.reshape((code.n_rx, code.n_slots) + blocks)
     y *= math.sqrt(p)
     y += noise
     return y
@@ -618,6 +645,29 @@ def test_transmit_over_the_noise_equals_the_codeword_sum_bit_for_bit(code, p, bl
     h = effective(code, sample_circular_gaussian(rng, 1.0, (code.n_tx, code.n_rx) + blocks), 2.5)
     noise = sample_circular_gaussian(rng, 1.0, (code.n_rx, code.n_slots) + blocks)
     want = transmit_from_codeword(code, s, h, p, noise)
-    got = received(code, s, h, p, noise, Workspace())
+    got = received(code, s, h, unit(code), p, noise, Workspace())
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("r", [0.01, 1.0, 10.0])
+@pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
+def test_weights_act_as_the_effective_channels(code, r):
+    # transmit and combine apply sign * w_i per codeword entry, to the sent
+    # symbol and to the conjugated factor; that must be the same calls at
+    # unit weights on the effective channels w_i h_ij, to rounding.
+    rng = RngStream(46)
+    n = 300
+    s = sample_circular_gaussian(rng, 1.0, (code.n_symbols, n))
+    h = sample_circular_gaussian(rng, 1.0, (code.n_tx, code.n_rx, n))
+    y = sample_circular_gaussian(rng, 1.0, (code.n_rx, code.n_slots, n))
+    w = code.weights(r)
+    pairs = [
+        (transmit(code, s, h, w, Workspace()), transmit(code, s, effective(code, h, r),
+                                                        unit(code), Workspace())),
+        (combine(code, y, h, w, Workspace()), combine(code, y, effective(code, h, r),
+                                                      unit(code), Workspace())),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
