@@ -1,5 +1,8 @@
 """Closed-form error probability, its quadrature oracle, and the imbalance penalty.
 
+:func:`cell_ber` is the theory value of a simulation cell: the closed
+form below where it covers the cell, else None.
+
 For the two-node Alamouti scheme in independent Rayleigh fading with
 linear imbalance r and total SNR gamma, the average bit error probability
 (BPSK and Gray-mapped QPSK, perfect channel estimates) is
@@ -33,13 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import integrate_half_pi
-from .ostbc import SpaceTimeCode
+from .ostbc import CODES, Modulation, SpaceTimeCode
 
 __all__ = [
     "AnalyticPoint",
     "ber_closed_form",
     "ber_integral_oracle",
+    "cell_ber",
     "imbalance_penalty_db",
 ]
 
@@ -100,6 +103,24 @@ def ber_closed_form(p: AnalyticPoint) -> float:
     return math.ldexp(0.5 * f_m * f_n * (1.0 + 1.0 / (mu_m + mu_n)), x_m + x_n)
 
 
+def cell_ber(scheme: str, mod: Modulation, r_db: float, beta: float,
+             gamma_db: float) -> float | None:
+    """Closed-form BER of a simulation cell, or None where the closed form does not cover it.
+
+    It is derived for one transmit antenna at each node and one receive
+    antenna, a modulation with an ``a_sq`` (BPSK, QPSK) and perfect
+    channel estimates. ``r_db`` and ``gamma_db`` are in dB, as a
+    ``montecarlo.SimPoint`` holds them, and become linear exactly as the
+    simulator converts them; each must have a finite, positive linear value.
+    """
+    code = CODES[scheme]
+    if (code.nodes != ("BS", "RS") or code.n_rx != 1 or mod.a_sq is None
+            or beta != 0.0):
+        return None
+    return ber_closed_form(AnalyticPoint(mod.a_sq, 10.0 ** (r_db / 10.0),
+                                         10.0 ** (gamma_db / 10.0)))
+
+
 def ber_integral_oracle(code: SpaceTimeCode, p: AnalyticPoint, nodes: int = 64) -> float:
     """Quadrature of the averaged error probability of ``code`` with perfect CSI.
 
@@ -111,17 +132,17 @@ def ber_integral_oracle(code: SpaceTimeCode, p: AnalyticPoint, nodes: int = 64) 
         Pe = (1/pi) Int_0^{pi/2} prod_i (1 + a^2 gamma w_i^2 / (2 sin^2 t))^(-n_rx) dt.
 
     It has no special case at r = 1, and for ``alamouti_2x1`` it is the
-    cross-check on the closed form.
+    cross-check on the closed form. The integral is a ``nodes``-point
+    Gauss-Legendre rule with its nodes mapped to [0, pi/2], where the
+    integrand stays in [0, 1] for any valid point.
     """
     if nodes < 16:
         raise ValueError(f"oracle needs at least 16 nodes, got {nodes}")
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    theta = 0.25 * math.pi * (x + 1.0)
     path_snr = p.a_sq * p.gamma * code.weights(p.r)[:, None] ** 2 / 2.0
-
-    def integrand(theta):
-        factors = 1.0 / (1.0 + path_snr / np.sin(theta) ** 2)
-        return np.prod(factors, axis=0) ** code.n_rx
-
-    return integrate_half_pi(integrand, nodes) / math.pi
+    factors = 1.0 / (1.0 + path_snr / np.sin(theta) ** 2)
+    return float(np.dot(0.25 * math.pi * w, np.prod(factors, axis=0) ** code.n_rx)) / math.pi
 
 
 def imbalance_penalty_db(r_db: float) -> float:

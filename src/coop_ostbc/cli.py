@@ -13,7 +13,7 @@ so stdout parses as the CSV.
 Sweeps are configured from a JSON file (--spec) and/or flags; flags
 override the file. ``montecarlo.sweep_points`` turns them into the grid
 cells, ``SimPoint`` values that hold the SNR and the imbalance in dB;
-the simulator and ``analytic_ber`` convert them to linear units, and
+the simulator and ``analytic.cell_ber`` convert them to linear units, and
 ``analytic.AnalyticPoint`` takes linear units. The imbalance convention
 is r = (RS-UE SNR) / (BS-UE SNR), so r > 1 means the relay link is the
 stronger one; the error-rate analysis is symmetric under r <-> 1/r.
@@ -40,7 +40,6 @@ from .montecarlo import (
     DEFAULT_MIN_ERRORS,
     BerEstimate,
     SimPoint,
-    analytic_ber,
     run_sweep,
     sweep_points,
 )
@@ -249,8 +248,8 @@ def _points(spec: dict, **stop_rule) -> tuple[SimPoint, ...]:
 
 
 def _closed_form(points) -> list[float | None]:
-    """The closed-form column of ``points``: one ``analytic_ber`` call per cell."""
-    return [analytic_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db) for p in points]
+    """The closed-form column of ``points``: one ``analytic.cell_ber`` call per cell."""
+    return [analytic.cell_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db) for p in points]
 
 
 def _row(point: SimPoint, pe: float | None,

@@ -67,7 +67,7 @@ from itertools import product
 
 import numpy as np
 
-from . import analytic, ostbc
+from . import ostbc
 from .numerics import RngStream, Workspace, sample_circular_gaussian, wilson_interval
 
 __all__ = [
@@ -485,26 +485,6 @@ def sweep_points(schemes, modulations, gamma_db, r_db, beta, seed: int,
     # reported by SimPoint, not by a failed comparison during the sort.
     points.sort(key=lambda p: (p.scheme, p.mod.name, p.r_db, p.beta, p.gamma_db))
     return tuple(points)
-
-
-def analytic_ber(scheme: str, mod: ostbc.Modulation, r_db: float, beta: float,
-                 gamma_db: float) -> float | None:
-    """Closed-form BER of a cell, or None where the closed form does not cover it.
-
-    It is derived for one transmit antenna at each node and one receive
-    antenna, a modulation with an ``a_sq`` (BPSK, QPSK) and perfect
-    channel estimates.
-    """
-    code = ostbc.CODES[scheme]
-    if (code.nodes != ("BS", "RS") or code.n_rx != 1 or mod.a_sq is None
-            or beta != 0.0):
-        return None
-    point = analytic.AnalyticPoint(
-        a_sq=mod.a_sq,
-        r=_db_to_linear(r_db),
-        gamma=_db_to_linear(gamma_db),
-    )
-    return analytic.ber_closed_form(point)
 
 
 def run_sweep(points, workers: int) -> list[BerEstimate]:

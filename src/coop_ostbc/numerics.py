@@ -17,16 +17,13 @@ per CPU, that keeps the working sets of earlier chunks.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from statistics import NormalDist
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "RngStream",
     "Workspace",
-    "integrate_half_pi",
     "sample_circular_gaussian",
     "wilson_interval",
 ]
@@ -126,30 +123,6 @@ class Workspace:
     def scratch(self, *specs) -> list:
         """:meth:`arrays` on the bytes that every caller shares."""
         return self.arrays("scratch", *specs)
-
-
-@lru_cache(maxsize=16)
-def _leggauss_half_pi(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    theta = 0.25 * math.pi * (x + 1.0)
-    weights = 0.25 * math.pi * w
-    return theta, weights
-
-
-def integrate_half_pi(f: Callable, nodes: int = 64) -> float:
-    """Gauss-Legendre estimate of the integral of f over [0, pi/2].
-
-    ``f`` is called once, on the numpy array of all node angles.
-    Deterministic for a given node count.
-    """
-    nodes = int(nodes)
-    if nodes < 2:
-        raise ValueError(f"need at least 2 quadrature nodes, got {nodes}")
-    theta, weights = _leggauss_half_pi(nodes)
-    vals = np.asarray(f(theta), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise FloatingPointError("integrand returned a non-finite value")
-    return float(np.dot(weights, vals))
 
 
 def sample_circular_gaussian(rng: RngStream, variance: float, size, out=None):

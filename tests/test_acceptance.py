@@ -15,8 +15,9 @@ from coop_ostbc.analytic import (
     AnalyticPoint,
     ber_closed_form,
     ber_integral_oracle,
+    cell_ber,
 )
-from coop_ostbc.montecarlo import SimPoint, analytic_ber, run_point, run_sweep, sweep_points
+from coop_ostbc.montecarlo import SimPoint, run_point, run_sweep, sweep_points
 from coop_ostbc.numerics import RngStream, Workspace, sample_circular_gaussian, wilson_interval
 from coop_ostbc.ostbc import (
     BPSK,
@@ -151,7 +152,7 @@ def test_c06_simulation_reproduces_analytic_curves():
         hits = sum(
             1
             for p, est in zip(points, run_sweep(points, 1))
-            if est.ci_lo <= analytic_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db)
+            if est.ci_lo <= cell_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db)
             <= est.ci_hi
         )
         coverage = hits / len(points)

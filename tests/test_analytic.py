@@ -1,16 +1,23 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import product
 
 import mpmath
 import numpy as np
 import pytest
 
+import coop_ostbc
+from coop_ostbc import montecarlo
 from coop_ostbc.analytic import (
     AnalyticPoint,
     ber_closed_form,
     ber_integral_oracle,
+    cell_ber,
     imbalance_penalty_db,
 )
+from coop_ostbc.montecarlo import sweep_points
 from coop_ostbc.ostbc import BPSK, CODES, QPSK
 
 from fits import diversity_slope, snr_db_at_ber
@@ -150,6 +157,49 @@ def test_oracle_is_finite_and_continuous_at_balanced_ratio():
 def test_oracle_rejects_too_few_nodes():
     with pytest.raises(ValueError):
         ber_integral_oracle(A2, AnalyticPoint(1.0, 1.0, 1.0), nodes=8)
+
+
+# --- the theory value of a simulation cell ------------------------------------
+
+
+def test_sweep_attaches_analytic_only_where_defined():
+    points = sweep_points(
+        schemes=("alamouti_2x1", "ostbc_4x2"),
+        modulations=("BPSK", "QPSK", "QAM16"),
+        gamma_db=(3.0,),
+        r_db=(0.0,),
+        beta=(0.0, 0.05),
+        seed=3,
+        min_errors=20,
+        max_bits=50_000,
+    )
+    covered = {(p.scheme, p.mod.name, p.beta)
+               for p in points if cell_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db) is not None}
+    assert len(points) == 12
+    assert covered == {("alamouti_2x1", "BPSK", 0.0), ("alamouti_2x1", "QPSK", 0.0)}
+
+
+@pytest.mark.parametrize("mod", [BPSK, QPSK], ids=lambda m: m.name)
+@pytest.mark.parametrize("r_db, gamma_db", [(0.0, 10.0), (3.0, 20.0), (-200.0, 3.0),
+                                            (-3236.0, 250.0)])
+def test_cell_ber_is_the_closed_form_at_the_cells_linear_values(mod, r_db, gamma_db):
+    # The cell's dB values become linear as the simulator converts them; at
+    # -3236 dB the linear r is subnormal.
+    linear = montecarlo._db_to_linear
+    want = ber_closed_form(AnalyticPoint(mod.a_sq, linear(r_db), linear(gamma_db)))
+    assert cell_ber("alamouti_2x1", mod, r_db, 0.0, gamma_db).hex() == want.hex()
+
+
+def test_importing_the_simulator_loads_no_closed_form():
+    # The theory column is built by cli through cell_ber; the simulator
+    # itself needs nothing of analytic.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coop_ostbc.__file__)))
+    probe = ("import sys, coop_ostbc.montecarlo; "
+             "print(' '.join(sorted(m for m in sys.modules if m.startswith('coop_ostbc'))))")
+    loaded = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert "coop_ostbc.montecarlo" in loaded
+    assert "coop_ostbc.analytic" not in loaded
 
 
 def mrc_rayleigh(branches: int, g: float) -> float:

@@ -18,12 +18,12 @@ from coop_ostbc.analytic import (
     AnalyticPoint,
     ber_closed_form,
     ber_integral_oracle,
+    cell_ber,
 )
 from coop_ostbc.montecarlo import (
     BerEstimate,
     SimPoint,
     _simulate_chunk,
-    analytic_ber,
     derive_seed,
     run_point,
     run_sweep,
@@ -89,7 +89,7 @@ def test_interval_covers_the_reference_over_a_seed_block(scheme, mod, gamma_db, 
     # The 2x1 closed form, and the 4x2 code's MGF quadrature, at r = 5 dB.
     point = SimPoint(scheme, mod, gamma_db, 5.0, 0.0, seed=seed, min_errors=500)
     if scheme == "alamouti_2x1":
-        reference = analytic_ber(scheme, mod, 5.0, 0.0, gamma_db)
+        reference = cell_ber(scheme, mod, 5.0, 0.0, gamma_db)
     else:
         reference = ber_integral_oracle(
             CODES[scheme],
@@ -263,8 +263,8 @@ def chunk_branches(cells, chunk_index: int = 0):
     """Chunk ``chunk_index`` of the curve of ``cells`` up to its noise stage:
     {(r_db, beta): (signal, sqrt(G_est))} for every (r, beta) of ``cells``,
     copied out of the workspace, from the chunk's own fade draw and
-    branches. The bits are drawn in the stream's block order and their
-    symbols laid out as (n_symbols, blocks)."""
+    branches at weights of this test's choosing. The bits are drawn in the
+    stream's block order and their symbols laid out as (n_symbols, blocks)."""
     first = cells[0]
     code = CODES[first.scheme]
     rng = curve_stream(first, chunk_index)
@@ -284,10 +284,22 @@ def chunk_branches(cells, chunk_index: int = 0):
     return got
 
 
-def chunk_fade_stage(point: SimPoint, chunk_index: int = 0):
-    """(signal, sqrt(G_est)) of ``point``'s own r and beta in chunk
-    ``chunk_index`` of its curve."""
-    return chunk_branches((point,), chunk_index)[point.r_db, point.beta]
+def chunk_fade_stage(monkeypatch, point: SimPoint, chunk_index: int = 0):
+    """The (signal, sqrt(G_est)) that ``_simulate_chunk((point,),
+    chunk_index)`` hands its noise stage, copied as the chunk passes them,
+    so the weights are the ones that the chunk itself takes for its r."""
+    handed = []
+    noise_stage = montecarlo._noise_stage
+
+    def recording_noise_stage(work, planes, noise, signal, root, power):
+        handed.append((signal.copy(), root.copy()))
+        return noise_stage(work, planes, noise, signal, root, power)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_noise_stage", recording_noise_stage)
+        _simulate_chunk((point,), chunk_index)
+    (stage,) = handed
+    return stage
 
 
 def effective_link(code, point: SimPoint, fades):
@@ -312,7 +324,7 @@ def effective_link(code, point: SimPoint, fades):
 @pytest.mark.parametrize("beta", [0.0, 0.05, 3.0])
 @pytest.mark.parametrize("r_db", [-7.0, 0.0, 10.0])
 @pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
-def test_fade_stage_gain_is_the_imbalance_weighted_branch_sum(code, r_db, beta):
+def test_fade_stage_gain_is_the_imbalance_weighted_branch_sum(monkeypatch, code, r_db, beta):
     # G_est = sum_i w_i^2 sum_j |est_ij|^2, with w_B^2 = 1/(1+r) and
     # w_R^2 = r/(1+r) split over each node's antennas, over the chunk's own
     # draws: the path powers |h_ij|^2 at beta = 0; at beta > 0, the unit
@@ -325,7 +337,7 @@ def test_fade_stage_gain_is_the_imbalance_weighted_branch_sum(code, r_db, beta):
     # holds only if that algebra, its shrinks a and b and the weights of
     # both layers are right.
     point = SimPoint(code.name, QPSK, 10.0, r_db, beta, seed=2019, max_bits=6_000)
-    signal, root = chunk_fade_stage(point)
+    signal, root = chunk_fade_stage(monkeypatch, point)
     n = root.size
     tx_bits, fades, _ = replayed_draws(point)
     syms = modulate(tx_bits, QPSK, Workspace()).reshape(n, code.n_symbols).T
@@ -340,7 +352,7 @@ def test_fade_stage_gain_is_the_imbalance_weighted_branch_sum(code, r_db, beta):
 
 
 @pytest.mark.parametrize("code", CODES.values(), ids=lambda c: c.name)
-def test_chunk_counts_what_the_detector_decides_at_a_large_beta(code):
+def test_chunk_counts_what_the_detector_decides_at_a_large_beta(monkeypatch, code):
     # At beta = 3 the estimate est = 2 u is half error. The fade stage's
     # sqrt(G_est) is that of est, not of the unit draws u, and the chunk
     # counts the errors that the QAM16 detector, which reads the scale of its
@@ -349,10 +361,9 @@ def test_chunk_counts_what_the_detector_decides_at_a_large_beta(code):
     # stream's block order, so the sum of the squared block errors checks
     # the block that the chunk finds for each wrong bit.
     point = SimPoint(code.name, QAM16, 10.0, 5.0, 3.0, seed=2020, max_bits=6_000)
-    signal, root = chunk_fade_stage(point)
-    tx_bits, (u, _), noise = replayed_draws(point)
-    w_sq = np.square(code.weights(10.0 ** (point.r_db / 10.0)))[:, None, None]
-    expected = np.sum(w_sq * np.abs(2.0 * u) ** 2, axis=(0, 1))
+    signal, root = chunk_fade_stage(monkeypatch, point)
+    tx_bits, fades, noise = replayed_draws(point)
+    *_, expected = effective_link(code, point, fades)
     assert np.max(np.abs(root**2 - expected) / expected) < 1e-13
     z = cell_input(noise, signal, root, point.gamma_db)
     wrong = np.flatnonzero(detect(*planes(z.T), QAM16, Workspace()) != tx_bits)
@@ -433,7 +444,7 @@ def test_wrong_bits_nest_along_the_snr_axis(monkeypatch, scheme, mod, beta):
                          seed=2024)
     counts, _, decided, _ = recorded_inputs(monkeypatch, cells, 0)
     monkeypatch.undo()
-    signal, root = chunk_fade_stage(cells[0])
+    signal, root = chunk_fade_stage(monkeypatch, cells[0])
     n = root.size
     tx_bits, _, _ = replayed_draws(cells[0])
     # The bits in the detector's (n_symbols, blocks, bits per symbol) order.
@@ -865,8 +876,7 @@ def test_single_cell_sweep_equals_run_point():
     )
     assert points == (point,)
     assert estimates[0] == run_point(point)
-    ber_analytic = analytic_ber(point.scheme, point.mod, point.r_db, point.beta,
-                                point.gamma_db)
+    ber_analytic = cell_ber(point.scheme, point.mod, point.r_db, point.beta, point.gamma_db)
     assert ber_analytic == pytest.approx(analytic(1.0, 5.0, 6.0), rel=1e-15)
 
 
@@ -885,26 +895,6 @@ def test_sweep_cells_dedupes_and_sorts():
     assert sorted({p.gamma_db for p in points}) == [0.0, 4.0]
     for p in points:
         assert p.seed == derive_seed(1, p.scheme, p.mod.name, p.r_db, p.beta, p.gamma_db)
-
-
-def test_sweep_attaches_analytic_only_where_defined():
-    points = sweep_points(
-        schemes=("alamouti_2x1",),
-        modulations=("QPSK", "QAM16"),
-        gamma_db=(3.0,),
-        r_db=(0.0,),
-        beta=(0.0, 0.05),
-        seed=3,
-        min_errors=20,
-        max_bits=50_000,
-    )
-    by_key = {
-        (p.mod.name, p.beta): analytic_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db)
-        for p in points
-    }
-    assert by_key[("QPSK", 0.0)] is not None
-    assert by_key[("QPSK", 0.05)] is None
-    assert by_key[("QAM16", 0.0)] is None
 
 
 def test_sweep_result_independent_of_grid_composition(monkeypatch):

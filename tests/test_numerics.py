@@ -4,46 +4,16 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+from coop_ostbc import montecarlo
 from coop_ostbc.numerics import (
     RngStream,
-    integrate_half_pi,
+    Workspace,
     sample_circular_gaussian,
     wilson_interval,
 )
 from coop_ostbc.ostbc import CODES
 
 N_STAT = 10**6
-
-
-def test_integrate_constant():
-    assert integrate_half_pi(lambda t: np.ones_like(t), 16) == pytest.approx(
-        math.pi / 2, rel=1e-15
-    )
-
-
-def test_integrate_sin_squared():
-    assert integrate_half_pi(lambda t: np.sin(t) ** 2, 16) == pytest.approx(
-        math.pi / 4, rel=1e-14
-    )
-
-
-@pytest.mark.parametrize("m", [0.01, 1.0, 100.0])
-def test_integrate_branch_gain_identity(m):
-    # Int_0^{pi/2} dt / (1/sin^2 t + 1/M) has the closed value
-    # (pi/2) M (1 - 1/sqrt(1 + 1/M)).
-    got = integrate_half_pi(lambda t: 1.0 / (1.0 / np.sin(t) ** 2 + 1.0 / m), 64)
-    expected = (math.pi / 2) * m * (1.0 - 1.0 / math.sqrt(1.0 + 1.0 / m))
-    assert got == pytest.approx(expected, rel=1e-10)
-
-
-def test_integrate_rejects_too_few_nodes():
-    with pytest.raises(ValueError):
-        integrate_half_pi(lambda t: t, 1)
-
-
-def test_integrate_propagates_non_finite_integrand():
-    with np.errstate(divide="ignore"), pytest.raises(FloatingPointError):
-        integrate_half_pi(lambda t: 1.0 / (t - t), 16)
 
 
 def test_rng_identical_ids_replay_identically():
@@ -192,21 +162,24 @@ def test_circular_gaussian_rejects_negative_variance():
 
 
 # --- the link, estimation-error and noise model -------------------------------
-# A chunk at beta > 0 draws the channels as CN(0, 1) entries of shape (n_tx,
-# n_rx, blocks) and their estimates as ``hhat = h + e`` with ``e ~ CN(0,
-# beta)`` of the same shape. At beta = 0 it draws only the path powers
-# |h_ij|^2, Exp(1) entries of that shape. At either, the noise is CN(0, 1) per
-# detected symbol, of shape (n_symbols, blocks): the matched filter of an
-# orthogonal design makes white antenna noise white per symbol. The Gaussians
-# go through sample_circular_gaussian.
+# A chunk at beta > 0 draws the unit estimates u ~ CN(0, 1) and then the unit
+# errors v ~ CN(0, 1), each of shape (n_tx, n_rx, blocks), through
+# montecarlo._draw_fades; the link is h = (u + sqrt(beta) v) / sqrt(1+beta)
+# and its estimate hhat = sqrt(1+beta) u, the joint law of a unit-power link
+# and hhat = h + e with e ~ CN(0, beta). At beta = 0 it draws only the path
+# powers |h_ij|^2, Exp(1) entries of that shape. At either, the noise is
+# CN(0, 1) per detected symbol, of shape (n_symbols, blocks): the matched
+# filter of an orthogonal design makes white antenna noise white per symbol.
 
 
 def sample_channel(rng, n, code=CODES["alamouti_2x1"]):
     return sample_circular_gaussian(rng, 1.0, size=(code.n_tx, code.n_rx, n))
 
 
-def estimate(rng, h, beta):
-    return h + sample_circular_gaussian(rng, beta, size=h.shape)
+def link_and_estimate(seed, beta, n=N_STAT, code=CODES["alamouti_2x1"]):
+    """(h, hhat) built from the u and v that a beta > 0 chunk draws."""
+    _, u, v = montecarlo._draw_fades(Workspace(), RngStream(seed), code, False, n)
+    return (u + math.sqrt(beta) * v) / math.sqrt(1.0 + beta), math.sqrt(1.0 + beta) * u
 
 
 def test_link_gains_have_unit_power():
@@ -226,35 +199,30 @@ def test_channel_sampling_is_deterministic():
 
 
 def test_perfect_estimation_is_exact():
-    # The simulator skips the error draw at beta = 0; a zero-variance draw
-    # would leave the estimates equal to the true gains as well.
-    rng = RngStream(104)
-    h = sample_channel(rng, 1000)
-    assert np.array_equal(estimate(rng, h, 0.0), h)
+    # At beta = 0 the law makes the link and its estimate both the unit draw
+    # u, so the beta = 0 chunk, which draws only the path powers, loses nothing.
+    h, est = link_and_estimate(104, 0.0, 1000)
+    assert np.array_equal(est, h)
 
 
 def test_estimate_variance_grows_by_beta():
-    rng = RngStream(105)
-    h = sample_channel(rng, N_STAT)
-    est = estimate(rng, h, 1.0)
+    _, est = link_and_estimate(105, 1.0)
     assert 1.98 <= np.mean(np.abs(est[0, 0]) ** 2) <= 2.02
 
 
 def test_estimate_keeps_unit_cross_correlation():
-    # Additive independent error leaves E[h hhat*] = E|h|^2 = 1.
-    rng = RngStream(106)
-    h = sample_channel(rng, N_STAT)
-    est = estimate(rng, h, 0.5)
+    # An estimate that is the link plus an independent error keeps
+    # E[h hhat*] = E|h|^2 = 1.
+    h, est = link_and_estimate(106, 0.5)
     assert abs(np.mean(h[0, 0] * est[0, 0].conj()) - 1.0) < 0.01
 
 
 @pytest.mark.parametrize("beta", [0.25, 0.5, 1.0])
 def test_regression_form_consistency(beta):
-    # The additive-error draw reproduces E[h hhat*]/Var(hhat) = 1/(1+beta),
-    # the regression coefficient of h on its estimate.
-    rng = RngStream(107)
-    h = sample_channel(rng, N_STAT)
-    est = estimate(rng, h, beta)
+    # The link keeps unit power whatever beta, and E[h hhat*]/Var(hhat) =
+    # 1/(1+beta) is the regression coefficient of h on its estimate.
+    h, est = link_and_estimate(107, beta)
+    assert abs(np.mean(np.abs(h[0, 0]) ** 2) - 1.0) < 0.01
     ratio = np.mean(h[0, 0] * est[0, 0].conj()) / np.mean(np.abs(est[0, 0]) ** 2)
     assert abs(ratio - 1.0 / (1.0 + beta)) < 0.01
 
