@@ -42,7 +42,11 @@ cells are present in the grid. A sweep runs on ``workers`` threads (at
 most one per CPU) that take its curves one at a time; where there are
 fewer curves than threads, each curve is split before its first chunk
 into tasks of every so-many-th cell, and each task draws the curve's
-bits, fades and noise for its own cells. The estimates are therefore
+bits, fades and noise for its own cells. From chunk 1 on, a task offers
+its next chunk to the pool before it runs its current one, so a thread
+with no task left runs that chunk ahead (a lookahead), and the task
+keeps its counts for the cells still open; there is none past the
+cells' ``max_bits`` nor on one thread. The estimates are therefore
 bit-identical for any worker count and equal those of :func:`run_point`.
 
 Each chunk draws and runs in one :class:`~coop_ostbc.numerics.Workspace`
@@ -399,7 +403,7 @@ def _noise_stage(work: Workspace, planes, noise, signal, root, power: float):
     return planes
 
 
-def _run_cells(points, stop: threading.Event, cells: list) -> dict:
+def _run_cells(points, stop: threading.Event, pool, cells: list) -> dict:
     """Run chunks 0, 1, ... of some cells of one curve; return each cell's totals.
 
     One :func:`_simulate_chunk` call per chunk runs the cells whose
@@ -409,22 +413,53 @@ def _run_cells(points, stop: threading.Event, cells: list) -> dict:
     (bits, errors, squared block errors, chunks). ``stop`` is checked before
     every chunk and set when a chunk raises, so a failing sweep stops its
     other tasks at their next chunk.
+
+    With a ``pool`` (a sweep on more than one thread), the task offers
+    chunk k+1 of its open cells to the pool before it runs chunk k of them
+    itself. The pool's queue is first in, first out and holds every task
+    before any lookahead, so only a thread with no task left takes it. If
+    none has after chunk k, the lookahead is cancelled and the task runs
+    chunk k+1 as it would alone; if one has, the task keeps the counts of
+    the cells still open after chunk k, a subset of those the lookahead
+    ran, and goes on to chunk k+2. A cell's counts in a chunk depend only
+    on its curve seed, the chunk index and its own fields, so the totals
+    are those of a task without a pool. There is no lookahead during
+    chunk 0, after which most cells of a wide sweep stop, nor of a chunk
+    past the cells' ``max_bits``. A task whose cells have all stopped
+    returns without waiting for its lookahead, whose result (or error) is
+    dropped, and every exit cancels a lookahead that no thread has taken.
     """
     totals = dict.fromkeys(cells, (0, 0, 0, 0))
-    chunk_index = 0
-    while cells and not stop.is_set():
-        try:
-            counts = _simulate_chunk(tuple(points[i] for i in cells), chunk_index)
-        except BaseException:
-            stop.set()
-            raise
-        chunk_index += 1
-        for i, (bits, errors, sq_errors) in zip(cells, counts):
-            b, e, e2, _ = totals[i]
-            totals[i] = (b + bits, e + errors, e2 + sq_errors, chunk_index)
-        cells = [i for i in cells
-                 if totals[i][1] < points[i].min_errors and totals[i][0] < points[i].max_bits]
+    chunk_index, ahead = 0, None
+    try:
+        while cells and not stop.is_set():
+            if ahead is not None and not ahead.cancel():
+                taken = dict(zip(ran_ahead, ahead.result()))
+                counts, ahead = [taken[i] for i in cells], None
+            else:
+                run = tuple(points[i] for i in cells)
+                ahead = None
+                if pool is not None and 0 < chunk_index < _chunks_to_max_bits(run[0]) - 1:
+                    ahead, ran_ahead = pool.submit(_simulate_chunk, run, chunk_index + 1), cells
+                counts = _simulate_chunk(run, chunk_index)
+            chunk_index += 1
+            for i, (bits, errors, sq_errors) in zip(cells, counts):
+                b, e, e2, _ = totals[i]
+                totals[i] = (b + bits, e + errors, e2 + sq_errors, chunk_index)
+            cells = [i for i in cells
+                     if totals[i][1] < points[i].min_errors and totals[i][0] < points[i].max_bits]
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        if ahead is not None:
+            ahead.cancel()
     return totals
+
+
+def _chunks_to_max_bits(point: SimPoint) -> int:
+    """The chunks after which the cells of ``point``'s curve reach ``max_bits``."""
+    return -(-point.max_bits // (_chunk_blocks(point) * point.bits_per_block))
 
 
 def run_point(point: SimPoint) -> BerEstimate:
@@ -495,8 +530,13 @@ def run_sweep(points, workers: int) -> list[BerEstimate]:
     cell in each, with ``shares`` the threads per curve rounded up (1
     unless there are fewer curves than threads), and the threads run the
     tasks in curve order; each task draws its curve's bits, fades and noise
-    for its own cells, whatever their r_db, beta and gamma_db. A cell's counts are those of its chunks 0, 1, ..., whichever
-    cells ran beside it, so every estimate is the one that
+    for its own cells, whatever their r_db, beta and gamma_db. On more than
+    one thread the tasks get the pool, to which each offers a one-chunk
+    lookahead from its chunk 1 on (see :func:`_run_cells`); the pool queue
+    holds every task first, so only a thread that has no task left runs
+    one, and no more chunks run at once than there are threads. A cell's
+    counts are those of its chunks 0, 1, ..., whichever cells ran beside
+    it and whichever thread ran them, so every estimate is the one that
     :func:`run_point` gives its cell. The estimates come back in ``points``
     order whatever order the cells finish in. Each chunk borrows its
     workspace from the idle list that every sweep shares, and gives it back
@@ -511,7 +551,8 @@ def run_sweep(points, workers: int) -> list[BerEstimate]:
     tasks = [cells[j::shares] for cells in curves.values() for j in range(shares)]
     totals: dict = {}
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for done in pool.map(partial(_run_cells, points, threading.Event()), tasks):
+        run = partial(_run_cells, points, threading.Event(), pool if threads > 1 else None)
+        for done in pool.map(run, tasks):
             totals.update(done)
     return [BerEstimate.from_counts(bits, errors, sq_errors, point.bits_per_block, used)
             for point, (bits, errors, sq_errors, used)

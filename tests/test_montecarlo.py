@@ -530,11 +530,23 @@ def test_a_curve_splits_its_cells_across_threads_that_have_no_curve(monkeypatch)
     assert sorted(first) == [(0.0, 8.0, 16.0), (4.0, 12.0, 20.0)]
 
 
-def test_a_grid_of_enough_curves_makes_the_same_calls_on_any_thread_count(monkeypatch):
-    # With at least as many curves as threads no curve is split, so each
-    # curve makes the same chunk calls on two threads as on one.
+def test_a_grid_of_enough_curves_covers_its_one_thread_calls_on_two(monkeypatch):
+    # With at least as many curves as threads no curve is split. On one
+    # thread each curve runs chunk k of the cells still open before it, and
+    # nothing else. On two threads a free thread may also run a lookahead:
+    # chunk k+1 of the cells open before chunk k, which may be a chunk that
+    # no cell reaches once they stop at min_errors in chunk k. So a two-thread
+    # call holds every cell that the one-thread call of its curve and index
+    # holds, and only cells of the one-thread call before it.
     points = sweep_points(("alamouti_2x1",), ("BPSK", "QPSK"), (0.0, 10.0, 20.0), (5.0,),
                           (0.0, 0.05), seed=2026, min_errors=100, max_bits=60_000)
+    want = [run_point(p) for p in points]
+    curves: dict = {}
+    for point, estimate in zip(points, want):
+        curves.setdefault(point.curve, []).append((point, estimate.streams_used))
+    expected = Counter((tuple(p for p, used in cells if used > k), k)
+                       for cells in curves.values()
+                       for k in range(max(used for _, used in cells)))
     chunk = montecarlo._simulate_chunk
 
     def calls(threads):
@@ -547,13 +559,19 @@ def test_a_grid_of_enough_curves_makes_the_same_calls_on_any_thread_count(monkey
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "_CPUS", 2)
             patch.setattr(montecarlo, "_simulate_chunk", recording)
-            run_sweep(points, threads)
+            assert run_sweep(points, threads) == want
         return Counter(made)
 
     one = calls(1)
-    assert len({cells[0].curve for cells, _ in one}) == 4
-    assert max(chunk_index for _, chunk_index in one) > 0
-    assert calls(2) == one
+    assert one == expected
+    assert len(curves) == 4 and max(chunk_index for _, chunk_index in one) > 0
+    opened = {(cells[0].curve, chunk_index): set(cells) for cells, chunk_index in one}
+    two = calls(2)
+    assert max(two.values()) == 1
+    for cells, chunk_index in two:
+        curve = cells[0].curve
+        assert opened.get((curve, chunk_index), set()) <= set(cells)
+        assert set(cells) <= opened[(curve, max(chunk_index - 1, 0))]
 
 
 def test_a_failing_chunk_stops_the_other_tasks_at_their_next_chunk(monkeypatch):
@@ -587,6 +605,154 @@ def test_a_failing_chunk_stops_the_other_tasks_at_their_next_chunk(monkeypatch):
     with pytest.raises(Failed):
         run_sweep(points, 2)
     assert sorted(calls) == [(0.0, 0), (0.05, 0)]
+
+
+def lookahead_grid():
+    # One curve of 2x1 BPSK cells at 0 and 13 dB, r = -10 and 0 dB, whose
+    # two tasks on two threads are its 0 dB cells and its 13 dB cells. The
+    # 0 dB cells stop at min_errors in chunk 0, so their thread is then
+    # free; the 13 dB cells stop at min_errors after chunk 1 (r = -10 dB,
+    # the first cell of its task) and chunk 3 (r = 0 dB), far below the
+    # max_bits of 10 chunks.
+    points = sweep_points(("alamouti_2x1",), ("BPSK",), (0.0, 13.0), (-10.0, 0.0), (0.0,),
+                          seed=2031, min_errors=100, max_bits=200_000)
+    want = [run_point(p) for p in points]
+    assert [(p.r_db, p.gamma_db, e.streams_used) for p, e in zip(points, want)] == [
+        (-10.0, 0.0, 1), (-10.0, 13.0, 2), (0.0, 0.0, 1), (0.0, 13.0, 4)]
+    assert all(e.errors >= 100 for e in want)
+    return points, want
+
+
+def holding(patch, holds, fail=None):
+    """Record each chunk call as (chunk index, thread, cells); chunk k of
+    ``holds`` waits until a call of chunk ``holds[k]`` has started, and a
+    call of chunk ``fail`` raises ``Failed`` once it has started."""
+    started = {j: threading.Event() for j in holds.values()}
+    calls = []
+    chunk = montecarlo._simulate_chunk
+
+    def recording(cells, chunk_index):
+        calls.append((chunk_index, threading.get_ident(), cells))
+        if chunk_index in started:
+            started[chunk_index].set()
+        if chunk_index == fail:
+            raise Failed(chunk_index)
+        if chunk_index in holds:
+            assert started[holds[chunk_index]].wait(timeout=60)
+        return chunk(cells, chunk_index)
+
+    patch.setattr(montecarlo, "_CPUS", 2)
+    patch.setattr(montecarlo, "_simulate_chunk", recording)
+    return calls
+
+
+class Failed(Exception):
+    pass
+
+
+def test_a_free_thread_runs_the_next_chunk_while_the_task_runs_its_chunk(monkeypatch):
+    # The 13 dB task's chunk 1 returns only once chunk 2 has started, and
+    # only the free thread can start it: as the lookahead of both 13 dB
+    # cells, of which the task keeps the counts of the r = 0 dB cell alone.
+    points, want = lookahead_grid()
+    calls = holding(monkeypatch, {1: 2})
+    assert run_sweep(points, 2) == want
+    [(_, task, ran)] = [call for call in calls if call[0] == 1]
+    [(_, other, ahead)] = [call for call in calls if call[0] == 2]
+    assert other != task
+    assert ran == ahead == (points[1], points[3])
+    assert [call[2] for call in calls if call[0] == 3] == [(points[3],)]
+
+
+def test_no_lookahead_during_chunk_0_past_max_bits_or_on_one_thread(monkeypatch):
+    # A 30 dB cell that stops at max_bits after K = 2 chunks, on two threads:
+    # its curve's second task is empty, so one thread is free for the whole
+    # sweep. Each chunk sleeps long enough for a lookahead to start on that
+    # thread: none may start during chunk 0, and none of chunk K at all.
+    [point] = sweep_points(("alamouti_2x1",), ("BPSK",), (30.0,), (0.0,), (0.0,), seed=2032,
+                           max_bits=40_000)
+    want = run_point(point)
+    assert want.streams_used == 2 and want.bits == 40_000 and want.errors < 100
+    calls, running = [], set()
+    chunk = montecarlo._simulate_chunk
+
+    def sleeping(cells, chunk_index):
+        calls.append((chunk_index, frozenset(running)))
+        running.add(chunk_index)
+        try:
+            time.sleep(0.1)
+            return chunk(cells, chunk_index)
+        finally:
+            running.discard(chunk_index)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_CPUS", 2)
+        patch.setattr(montecarlo, "_simulate_chunk", sleeping)
+        assert run_sweep((point,), 2) == [want]
+    assert calls == [(0, frozenset()), (1, frozenset())]
+    # One thread never offers a lookahead, in a sweep or in run_point; two do.
+    points, want = lookahead_grid()
+    submitted = []
+
+    class Recorded(montecarlo.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recorded)
+    monkeypatch.setattr(montecarlo, "_CPUS", 2)
+    assert run_sweep(points, 1) == want
+    assert [run_point(p) for p in points] == want
+    # The one-thread sweep's one task and each run_point's, and nothing else.
+    assert len(submitted) == 1 + len(points) and montecarlo._simulate_chunk not in submitted
+    assert run_sweep(points, 2) == want
+    assert montecarlo._simulate_chunk in submitted
+
+
+def test_a_lookahead_fails_a_sweep_only_at_a_chunk_that_a_cell_reaches(monkeypatch):
+    points, _ = lookahead_grid()
+    # No cell reaches chunk 4. On two threads, chunks 1 and 3 wait until
+    # chunks 2 and 4 have started, so the free thread runs chunk 4 as a
+    # lookahead of the r = 0 dB, 13 dB cell, and its error is dropped.
+    with monkeypatch.context() as patch:
+        holding(patch, {}, fail=4)
+        one = run_sweep(points, 1)
+    with monkeypatch.context() as patch:
+        calls = holding(patch, {1: 2, 3: 4}, fail=4)
+        assert run_sweep(points, 2) == one
+    assert [call[2] for call in calls if call[0] == 4] == [(points[3],)]
+    # The r = 0 dB, 13 dB cell reaches chunk 2: run by the task on one thread
+    # and as a lookahead on two, its error fails the sweep.
+    for threads, holds in ((1, {}), (2, {1: 2})):
+        with monkeypatch.context() as patch:
+            calls = holding(patch, holds, fail=2)
+            with pytest.raises(Failed):
+                run_sweep(points, threads)
+        assert sorted(call[0] for call in calls) == [0] * threads + [1, 2]
+
+
+def test_lookaheads_keep_every_estimate_under_fast_thread_switches(monkeypatch):
+    # Four threads on however many CPUs, switching every microsecond, over
+    # curves that stop at min_errors and at max_bits after chunks 1 to 9:
+    # tasks, lookaheads and their cancellations interleave in every order,
+    # and a count taken from the wrong chunk or cell would move an estimate.
+    points, _ = lookahead_grid()
+    points += sweep_points(("alamouti_2x1", "ostbc_4x2"), ("BPSK", "QPSK"), (8.0, 14.0, 20.0),
+                           (5.0,), (0.0, 0.05), seed=2033, min_errors=100, max_bits=200_000)
+    want = [run_point(p) for p in points]
+    assert max(e.streams_used for e in want) > 3
+    monkeypatch.setattr(montecarlo, "_CPUS", 4)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread = threading.Thread(target=lambda: got.extend(run_sweep(points, 4) for _ in range(3)))
+        thread.start()
+        thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert got == [want] * 3
 
 
 def test_interval_widens_by_the_design_effect_of_shared_fades():
