@@ -393,9 +393,8 @@ def _add_grid_options(sub, include_sim: bool) -> None:
             "--workers",
             type=int,
             help="threads that share out the curves (cells of one scheme, modulation "
-            "and stopping rule, with beta all 0 or all above 0), "
-            "each split by its cells if there are fewer curves than threads, "
-            "at most one per CPU (default 1)",
+            "and stopping rule, with beta all 0 or all above 0), a free thread "
+            "running a curve's next chunk ahead, at most one per CPU (default 1)",
         )
 
 

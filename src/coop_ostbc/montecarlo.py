@@ -39,15 +39,13 @@ from the sweep seed and the cell parameters, and its curve seed (the
 ``fade_seed`` field) from the sweep seed, the scheme, the modulation and
 whether beta is 0, so a cell's estimate does not depend on which other
 cells are present in the grid. A sweep runs on ``workers`` threads (at
-most one per CPU) that take its curves one at a time; where there are
-fewer curves than threads, each curve is split before its first chunk
-into tasks of every so-many-th cell, and each task draws the curve's
-bits, fades and noise for its own cells. From chunk 1 on, a task offers
-its next chunk to the pool before it runs its current one, so a thread
-with no task left runs that chunk ahead (a lookahead), and the task
-keeps its counts for the cells still open; there is none past the
-cells' ``max_bits`` nor on one thread. The estimates are therefore
-bit-identical for any worker count and equal those of :func:`run_point`.
+most one per CPU) that take its curves one at a time, each curve a task
+of its own. From chunk 1 on, a curve offers its next chunk to the pool
+before it runs its current one, so a thread with no curve left runs that
+chunk ahead (a lookahead), and the curve keeps its counts for the cells
+still open; there is none past the cells' ``max_bits`` nor on one
+thread. The estimates are therefore bit-identical for any worker count
+and equal those of :func:`run_point`.
 
 Each chunk draws and runs in one :class:`~coop_ostbc.numerics.Workspace`
 (up to 6.3 MB for a 4x2 chunk at beta > 0, 2.5 MB at beta = 0) that it
@@ -403,8 +401,8 @@ def _noise_stage(work: Workspace, planes, noise, signal, root, power: float):
     return planes
 
 
-def _run_cells(points, stop: threading.Event, pool, cells: list) -> dict:
-    """Run chunks 0, 1, ... of some cells of one curve; return each cell's totals.
+def _run_curve(points, stop: threading.Event, pool, cells: list) -> dict:
+    """Run chunks 0, 1, ... of the cells of one curve; return each cell's totals.
 
     One :func:`_simulate_chunk` call per chunk runs the cells whose
     stopping rule did not hold after the chunk before: a cell stops after
@@ -412,20 +410,20 @@ def _run_cells(points, stop: threading.Event, pool, cells: list) -> dict:
     bit count reaches ``max_bits``. The totals map each cell's index to its
     (bits, errors, squared block errors, chunks). ``stop`` is checked before
     every chunk and set when a chunk raises, so a failing sweep stops its
-    other tasks at their next chunk.
+    other curves at their next chunk.
 
-    With a ``pool`` (a sweep on more than one thread), the task offers
+    With a ``pool`` (a sweep on more than one thread), the curve offers
     chunk k+1 of its open cells to the pool before it runs chunk k of them
-    itself. The pool's queue is first in, first out and holds every task
-    before any lookahead, so only a thread with no task left takes it. If
-    none has after chunk k, the lookahead is cancelled and the task runs
-    chunk k+1 as it would alone; if one has, the task keeps the counts of
+    itself. The pool's queue is first in, first out and holds every curve
+    before any lookahead, so only a thread with no curve left takes it. If
+    none has after chunk k, the lookahead is cancelled and the curve runs
+    chunk k+1 as it would alone; if one has, the curve keeps the counts of
     the cells still open after chunk k, a subset of those the lookahead
     ran, and goes on to chunk k+2. A cell's counts in a chunk depend only
     on its curve seed, the chunk index and its own fields, so the totals
-    are those of a task without a pool. There is no lookahead during
+    are those of a curve run without a pool. There is no lookahead during
     chunk 0, after which most cells of a wide sweep stop, nor of a chunk
-    past the cells' ``max_bits``. A task whose cells have all stopped
+    past the cells' ``max_bits``. A curve whose cells have all stopped
     returns without waiting for its lookahead, whose result (or error) is
     dropped, and every exit cancels a lookahead that no thread has taken.
     """
@@ -525,34 +523,30 @@ def sweep_points(schemes, modulations, gamma_db, r_db, beta, seed: int,
 def run_sweep(points, workers: int) -> list[BerEstimate]:
     """Estimate every cell of ``points`` on ``workers`` threads (at most one per CPU).
 
-    The cells are grouped by :attr:`SimPoint.curve`. Before the first
-    chunk each curve is split into ``shares`` tasks, every ``shares``-th
-    cell in each, with ``shares`` the threads per curve rounded up (1
-    unless there are fewer curves than threads), and the threads run the
-    tasks in curve order; each task draws its curve's bits, fades and noise
-    for its own cells, whatever their r_db, beta and gamma_db. On more than
-    one thread the tasks get the pool, to which each offers a one-chunk
-    lookahead from its chunk 1 on (see :func:`_run_cells`); the pool queue
-    holds every task first, so only a thread that has no task left runs
-    one, and no more chunks run at once than there are threads. A cell's
-    counts are those of its chunks 0, 1, ..., whichever cells ran beside
-    it and whichever thread ran them, so every estimate is the one that
-    :func:`run_point` gives its cell. The estimates come back in ``points``
-    order whatever order the cells finish in. Each chunk borrows its
-    workspace from the idle list that every sweep shares, and gives it back
-    when it ends: reusing the buffers spares allocating them again on a
-    heap that the freed ones would have left full of holes.
+    The cells are grouped by :attr:`SimPoint.curve`, and the threads run
+    the curves in order, one task each; a curve draws its bits, fades and
+    noise once per chunk for all of its cells, whatever their r_db, beta
+    and gamma_db. On more than one thread the curves get the pool, to which
+    each offers a one-chunk lookahead from its chunk 1 on (see
+    :func:`_run_curve`); the pool queue holds every curve first, so only a
+    thread that has no curve left runs one, and no more chunks run at once
+    than there are threads. A cell's counts are those of its chunks 0, 1,
+    ..., whichever cells ran beside it and whichever thread ran them, so
+    every estimate is the one that :func:`run_point` gives its cell. The
+    estimates come back in ``points`` order whatever order the cells finish
+    in. Each chunk borrows its workspace from the idle list that every
+    sweep shares, and gives it back when it ends: reusing the buffers
+    spares allocating them again on a heap that the freed ones would have
+    left full of holes.
     """
     threads = min(workers, _CPUS)
     curves: dict = {}
     for i, point in enumerate(points):
         curves.setdefault(point.curve, []).append(i)
-    shares = -(-threads // max(len(curves), 1))  # ceil division
-    tasks = [cells[j::shares] for cells in curves.values() for j in range(shares)]
     totals: dict = {}
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        run = partial(_run_cells, points, threading.Event(), pool if threads > 1 else None)
-        for done in pool.map(run, tasks):
+        run = partial(_run_curve, points, threading.Event(), pool if threads > 1 else None)
+        for done in pool.map(run, curves.values()):
             totals.update(done)
     return [BerEstimate.from_counts(bits, errors, sq_errors, point.bits_per_block, used)
             for point, (bits, errors, sq_errors, used)

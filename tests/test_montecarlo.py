@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import os
 import sys
 import threading
 import time
@@ -509,35 +508,42 @@ def test_run_sweep_raises_at_its_first_chunk_before_any_draw(monkeypatch):
     assert streams == []
 
 
-def test_a_curve_splits_its_cells_across_threads_that_have_no_curve(monkeypatch):
-    # One curve on two threads: before its first chunk the curve becomes two
-    # tasks, every other cell each, so chunk 0 runs in two calls, and every
-    # estimate is still the one of its one-cell sweep.
+def test_a_lone_curve_is_one_task_on_two_threads(monkeypatch):
+    # One curve on two threads is still one task: chunk 0 runs every cell in
+    # one call. The second thread is free from the start, so from chunk 1 on
+    # it may run a lookahead, chunk k+1 of the cells open before chunk k;
+    # each call of chunk k therefore holds only cells that ran chunk k-1, and
+    # every cell that runs chunk k is in one of them. Every estimate is still
+    # the one of its one-cell sweep.
     points = sweep_points(("alamouti_2x1",), ("BPSK",), (0.0, 4.0, 8.0, 12.0, 16.0, 20.0),
                           (5.0,), (0.05,), seed=2025, min_errors=100, max_bits=60_000)
     want = [run_point(p) for p in points]
+    used = dict(zip(points, (e.streams_used for e in want)))
+    assert len({p.curve for p in points}) == 1 and max(used.values()) > 1
     calls = []
     chunk = montecarlo._simulate_chunk
 
     def recording(cells, chunk_index):
-        calls.append((chunk_index, tuple(p.gamma_db for p in cells)))
+        calls.append((chunk_index, cells))
         return chunk(cells, chunk_index)
 
     monkeypatch.setattr(montecarlo, "_CPUS", 2)
     monkeypatch.setattr(montecarlo, "_simulate_chunk", recording)
     assert run_sweep(points, 2) == want
-    first = [cells for chunk_index, cells in calls if chunk_index == 0]
-    assert sorted(first) == [(0.0, 8.0, 16.0), (4.0, 12.0, 20.0)]
+    assert [cells for chunk_index, cells in calls if chunk_index == 0] == [points]
+    for k in range(1, max(used.values())):
+        held = [set(cells) for chunk_index, cells in calls if chunk_index == k]
+        assert all(used[p] >= k for cells in held for p in cells)
+        assert {p for p in points if used[p] > k} <= set().union(*held)
 
 
 def test_a_grid_of_enough_curves_covers_its_one_thread_calls_on_two(monkeypatch):
-    # With at least as many curves as threads no curve is split. On one
-    # thread each curve runs chunk k of the cells still open before it, and
-    # nothing else. On two threads a free thread may also run a lookahead:
-    # chunk k+1 of the cells open before chunk k, which may be a chunk that
-    # no cell reaches once they stop at min_errors in chunk k. So a two-thread
-    # call holds every cell that the one-thread call of its curve and index
-    # holds, and only cells of the one-thread call before it.
+    # On one thread each curve runs chunk k of the cells still open before
+    # it, and nothing else. On two threads a free thread may also run a
+    # lookahead: chunk k+1 of the cells open before chunk k, which may be a
+    # chunk that no cell reaches once they stop at min_errors in chunk k. So
+    # a two-thread call holds every cell that the one-thread call of its
+    # curve and index holds, and only cells of the one-thread call before it.
     points = sweep_points(("alamouti_2x1",), ("BPSK", "QPSK"), (0.0, 10.0, 20.0), (5.0,),
                           (0.0, 0.05), seed=2026, min_errors=100, max_bits=60_000)
     want = [run_point(p) for p in points]
@@ -577,7 +583,7 @@ def test_a_grid_of_enough_curves_covers_its_one_thread_calls_on_two(monkeypatch)
 def test_a_failing_chunk_stops_the_other_tasks_at_their_next_chunk(monkeypatch):
     # Two curves on two threads. The beta = 0 curve's chunk 0 raises once
     # the other curve's chunk 0 has started, and that chunk returns only
-    # after the raise, so the other task must see the failure before its
+    # after the raise, so the other curve must see the failure before its
     # chunk 1, which it would otherwise run: its cell runs two chunks.
     points = sweep_points(("alamouti_2x1",), ("BPSK",), (20.0,), (5.0,), (0.0, 0.05),
                           seed=2027, min_errors=100, max_bits=60_000)
@@ -597,7 +603,7 @@ def test_a_failing_chunk_stops_the_other_tasks_at_their_next_chunk(monkeypatch):
             raise Failed
         other_started.set()
         assert raised.wait(timeout=60)
-        time.sleep(0.05)  # lets the raise reach the failing task's handler
+        time.sleep(0.05)  # lets the raise reach the failing curve's handler
         return chunk(cells, chunk_index)
 
     monkeypatch.setattr(montecarlo, "_CPUS", 2)
@@ -608,12 +614,11 @@ def test_a_failing_chunk_stops_the_other_tasks_at_their_next_chunk(monkeypatch):
 
 
 def lookahead_grid():
-    # One curve of 2x1 BPSK cells at 0 and 13 dB, r = -10 and 0 dB, whose
-    # two tasks on two threads are its 0 dB cells and its 13 dB cells. The
-    # 0 dB cells stop at min_errors in chunk 0, so their thread is then
-    # free; the 13 dB cells stop at min_errors after chunk 1 (r = -10 dB,
-    # the first cell of its task) and chunk 3 (r = 0 dB), far below the
-    # max_bits of 10 chunks.
+    # One curve of 2x1 BPSK cells at 0 and 13 dB, r = -10 and 0 dB: on two
+    # threads it is one task, and the second thread is free from the start.
+    # The 0 dB cells stop at min_errors after chunk 0; the 13 dB cells stop
+    # at min_errors after chunk 1 (r = -10 dB) and chunk 3 (r = 0 dB), far
+    # below the max_bits of 10 chunks.
     points = sweep_points(("alamouti_2x1",), ("BPSK",), (0.0, 13.0), (-10.0, 0.0), (0.0,),
                           seed=2031, min_errors=100, max_bits=200_000)
     want = [run_point(p) for p in points]
@@ -651,9 +656,9 @@ class Failed(Exception):
 
 
 def test_a_free_thread_runs_the_next_chunk_while_the_task_runs_its_chunk(monkeypatch):
-    # The 13 dB task's chunk 1 returns only once chunk 2 has started, and
-    # only the free thread can start it: as the lookahead of both 13 dB
-    # cells, of which the task keeps the counts of the r = 0 dB cell alone.
+    # The curve's chunk 1 returns only once chunk 2 has started, and only
+    # the free thread can start it: as the lookahead of both 13 dB cells,
+    # of which the curve keeps the counts of the r = 0 dB cell alone.
     points, want = lookahead_grid()
     calls = holding(monkeypatch, {1: 2})
     assert run_sweep(points, 2) == want
@@ -666,9 +671,9 @@ def test_a_free_thread_runs_the_next_chunk_while_the_task_runs_its_chunk(monkeyp
 
 def test_no_lookahead_during_chunk_0_past_max_bits_or_on_one_thread(monkeypatch):
     # A 30 dB cell that stops at max_bits after K = 2 chunks, on two threads:
-    # its curve's second task is empty, so one thread is free for the whole
-    # sweep. Each chunk sleeps long enough for a lookahead to start on that
-    # thread: none may start during chunk 0, and none of chunk K at all.
+    # its curve is the one task, so one thread is free for the whole sweep.
+    # Each chunk sleeps long enough for a lookahead to start on that thread:
+    # none may start during chunk 0, and none of chunk K at all.
     [point] = sweep_points(("alamouti_2x1",), ("BPSK",), (30.0,), (0.0,), (0.0,), seed=2032,
                            max_bits=40_000)
     want = run_point(point)
@@ -703,7 +708,7 @@ def test_no_lookahead_during_chunk_0_past_max_bits_or_on_one_thread(monkeypatch)
     monkeypatch.setattr(montecarlo, "_CPUS", 2)
     assert run_sweep(points, 1) == want
     assert [run_point(p) for p in points] == want
-    # The one-thread sweep's one task and each run_point's, and nothing else.
+    # The one-thread sweep's one curve and each run_point's, and nothing else.
     assert len(submitted) == 1 + len(points) and montecarlo._simulate_chunk not in submitted
     assert run_sweep(points, 2) == want
     assert montecarlo._simulate_chunk in submitted
@@ -721,20 +726,20 @@ def test_a_lookahead_fails_a_sweep_only_at_a_chunk_that_a_cell_reaches(monkeypat
         calls = holding(patch, {1: 2, 3: 4}, fail=4)
         assert run_sweep(points, 2) == one
     assert [call[2] for call in calls if call[0] == 4] == [(points[3],)]
-    # The r = 0 dB, 13 dB cell reaches chunk 2: run by the task on one thread
+    # The r = 0 dB, 13 dB cell reaches chunk 2: run by its curve on one thread
     # and as a lookahead on two, its error fails the sweep.
     for threads, holds in ((1, {}), (2, {1: 2})):
         with monkeypatch.context() as patch:
             calls = holding(patch, holds, fail=2)
             with pytest.raises(Failed):
                 run_sweep(points, threads)
-        assert sorted(call[0] for call in calls) == [0] * threads + [1, 2]
+        assert sorted(call[0] for call in calls) == [0, 1, 2]
 
 
 def test_lookaheads_keep_every_estimate_under_fast_thread_switches(monkeypatch):
     # Four threads on however many CPUs, switching every microsecond, over
     # curves that stop at min_errors and at max_bits after chunks 1 to 9:
-    # tasks, lookaheads and their cancellations interleave in every order,
+    # curves, lookaheads and their cancellations interleave in every order,
     # and a count taken from the wrong chunk or cell would move an estimate.
     points, _ = lookahead_grid()
     points += sweep_points(("alamouti_2x1", "ostbc_4x2"), ("BPSK", "QPSK"), (8.0, 14.0, 20.0),
@@ -929,31 +934,68 @@ def test_every_chunk_borrows_from_the_capped_idle_list(monkeypatch):
     assert len(made) == 1 and montecarlo._idle_workspaces == made
 
 
+def six_one_chunk_curves(seed: int):
+    # 2x1 BPSK, QPSK and QAM16 at beta 0 and 0.05: six curves of one cell
+    # that each stop at max_bits after one chunk.
+    points = sweep_points(("alamouti_2x1",), ("BPSK", "QPSK", "QAM16"), (0.0,), (0.0,),
+                          (0.0, 0.05), seed=seed, min_errors=20, max_bits=20_000)
+    assert len({p.curve for p in points}) == 6
+    return points
+
+
+def overlapping(patch, seconds: float = 0.05):
+    """Hold every chunk for ``seconds`` inside its workspace, so the chunks
+    that a sweep's threads can run at once do; returns [peak] of those
+    running at once."""
+    peak, running, lock = [0], [0], threading.Lock()
+    chunk_in = montecarlo._simulate_chunk_in
+
+    def held(work, cells, chunk_index):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        try:
+            time.sleep(seconds)
+            return chunk_in(work, cells, chunk_index)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    patch.setattr(montecarlo, "_simulate_chunk_in", held)
+    return peak
+
+
 def test_a_sweep_wider_than_the_cpus_makes_no_more_workspaces_than_cpus(monkeypatch):
-    # Each new workspace takes a moment to make, so cells started at once
-    # beside it would find the idle list empty and make one each.
+    # Six curves on six workers and two CPUs: two chunks run at once, each
+    # holding its workspace, and no more; more threads would start more
+    # chunks at once, each finding the idle list empty and making one.
+    points = six_one_chunk_curves(2020)
+    want = [run_point(p) for p in points]
     made = []
 
     class Recorded(Workspace):
         def __init__(self):
-            time.sleep(0.05)
             super().__init__()
             made.append(self)
 
     monkeypatch.setattr(montecarlo, "Workspace", Recorded)
     monkeypatch.setattr(montecarlo, "_CPUS", 2)
     monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
-    points = sweep_points(("alamouti_2x1",), ("BPSK",), (0.0, 2.0, 4.0, 6.0, 8.0, 10.0),
-                          (0.0,), (0.0,), seed=2020, min_errors=20, max_bits=20_000)
-    assert run_sweep(points, 6) == [run_point(p) for p in points]
-    assert len(made) <= 2
+    peak = overlapping(monkeypatch)
+    assert run_sweep(points, 6) == want
+    assert peak == [2] and len(made) == 2
 
 
 def test_idle_workspaces_are_at_most_one_per_cpu(monkeypatch):
-    points = sweep_points(("alamouti_2x1",), ("BPSK",), (0.0, 2.0, 4.0, 6.0), (0.0,), (0.0,),
-                          seed=2018, min_errors=20, max_bits=20_000)
+    # Two CPUs run two chunks at once and leave two workspaces idle; on one
+    # CPU the next sweep's chunk gives its workspace back to a list that
+    # already holds the other, which must drop one.
+    points = six_one_chunk_curves(2018)
+    monkeypatch.setattr(montecarlo, "_CPUS", 2)
+    monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
+    peak = overlapping(monkeypatch)
     run_sweep(points, 4)
-    assert len(montecarlo._idle_workspaces) <= os.cpu_count()
+    assert peak == [2] and len(montecarlo._idle_workspaces) == 2
     monkeypatch.setattr(montecarlo, "_CPUS", 1)
     run_sweep(points, 4)
     assert len(montecarlo._idle_workspaces) == 1
@@ -1066,8 +1108,8 @@ def test_sweep_cells_dedupes_and_sorts():
 def test_sweep_result_independent_of_grid_composition(monkeypatch):
     # A curve holds every r and beta (all 0, or all above) of its scheme and
     # modulation, so a cell shares its draws with cells of other r, beta and
-    # SNR, and on two threads the curve is split into tasks of every other
-    # cell; none of it may change the cell's estimate.
+    # SNR, and on two threads a free thread may run its chunks ahead; none
+    # of it may change the cell's estimate.
     base = dict(schemes=("alamouti_2x1",), modulations=("BPSK",), seed=11, min_errors=60,
                 max_bits=200_000)
     grid = sweep_points(gamma_db=(2.0, 5.0, 12.0), r_db=(0.0, 5.0, 10.0),
