@@ -40,6 +40,7 @@ from .montecarlo import (
     DEFAULT_MIN_ERRORS,
     BerEstimate,
     SimPoint,
+    derive_seed,
     run_sweep,
     sweep_points,
 )
@@ -252,16 +253,20 @@ def _closed_form(points) -> list[float | None]:
     return [analytic.cell_ber(p.scheme, p.mod, p.r_db, p.beta, p.gamma_db) for p in points]
 
 
-def _row(point: SimPoint, pe: float | None,
-         estimate: BerEstimate | None = None) -> list[str]:
-    """One CSV row; without an estimate the six simulation columns stay empty."""
+def _row(point: SimPoint, pe: float | None, estimate: BerEstimate | None = None,
+         seed: int | None = None) -> list[str]:
+    """One CSV row; without an estimate the six simulation columns stay empty.
+
+    A simulated row's ``seed`` labels it: the sweep seed mixed with the row's five fields.
+    """
     row = [point.scheme, point.mod.name, _fmt(point.r_db), _fmt(point.beta),
            _fmt(point.gamma_db), _fmt_prob(pe)]
     if estimate is None:
         return row + [""] * 6
     return row + [_fmt_prob(estimate.ber), _fmt_prob(estimate.ci_lo),
                   _fmt_prob(estimate.ci_hi), str(estimate.bits), str(estimate.errors),
-                  str(point.seed)]
+                  str(derive_seed(seed, point.scheme, point.mod.name, point.r_db,
+                                  point.beta, point.gamma_db))]
 
 
 def _write_csv(path: str | None, rows) -> None:
@@ -353,7 +358,8 @@ def cmd_simulate(args) -> int:
     )
     column = _closed_form(points)
     estimates = run_sweep(points, workers)
-    _write_csv(spec.get("output"), list(map(_row, points, column, estimates)))
+    seed = _integer(spec.get("seed", 1), "seed")  # as _points read it
+    _write_csv(spec.get("output"), [_row(*cell, seed) for cell in zip(points, column, estimates)])
     print(simulation_report(points, column, estimates), file=sys.stderr)
     return 0
 

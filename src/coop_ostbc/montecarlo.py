@@ -25,35 +25,32 @@ fades and common noise (common random numbers) across r, beta and the
 SNR, and their estimates are correlated, while each cell's estimate
 stays a pure function of the curve seed and its own fields. beta = 0 and
 beta > 0 stay apart because they draw different fades: one Exp(1) power
-per path against two CN(0, 1) draws. A cell stops after the first chunk
-at which its cumulative error count reaches ``min_errors`` or its
-cumulative bit count reaches ``max_bits``; a cell runs its chunks in
-index order until it stops.
-:func:`run_point` runs one cell as a sweep of its own, on the same code
-path.
+per path against two CN(0, 1) draws. Every chunk of a curve holds the
+same number of bits, so ``max_bits`` is a count K of chunks for the
+whole curve. A cell stops after the first chunk at which its cumulative
+error count reaches ``min_errors`` or its chunk count reaches K; a cell
+runs its chunks in index order until it stops.
 
 :func:`sweep_points` turns a grid into its deduplicated cells, a
 :class:`SimPoint` tuple in report order, and that tuple is the only
-description of a sweep from spec to CSV row. Each cell's seed is derived
-from the sweep seed and the cell parameters, and its curve seed (the
-``fade_seed`` field) from the sweep seed, the scheme, the modulation and
+description of a sweep from spec to CSV row. Each cell's seed is its
+curve seed, derived from the sweep seed, the scheme, the modulation and
 whether beta is 0, so a cell's estimate does not depend on which other
-cells are present in the grid. A sweep runs on ``workers`` threads (at
-most one per CPU) that take its curves one at a time, each curve a task
-of its own. From chunk 1 on, a curve offers its next chunk to the pool
-before it runs its current one, so a thread with no curve left runs that
-chunk ahead (a lookahead), and the curve keeps its counts for the cells
-still open; there is none past the cells' ``max_bits`` nor on one
-thread. The estimates are therefore bit-identical for any worker count
-and equal those of :func:`run_point`.
+cells are present in the grid, and a sweep of one cell gives the
+estimate that its curve gives it. A sweep runs on ``workers`` threads
+(at most one per CPU) that take its curves one at a time, each curve a
+task of its own. From chunk 1 on, a curve offers its next chunk to the
+pool before it runs its current one, so a thread with no curve left runs
+that chunk ahead (a lookahead), and the curve keeps its counts for the
+cells still open; there is none past chunk K - 1 nor on one thread. The
+estimates are therefore bit-identical for any worker count.
 
 Each chunk draws and runs in one :class:`~coop_ostbc.numerics.Workspace`
 (up to 6.3 MB for a 4x2 chunk at beta > 0, 2.5 MB at beta = 0) that it
 borrows from one idle list and gives back when it ends, so a warm chunk
 reuses the buffers of an earlier one instead of allocating them afresh.
 The cells of a chunk run one after another in it. The list keeps at most
-one workspace per CPU, for the chunks of every sweep and of direct
-:func:`run_point` calls alike.
+one workspace per CPU, for the chunks of every sweep in the process.
 """
 
 from __future__ import annotations
@@ -75,7 +72,6 @@ from .numerics import RngStream, Workspace, sample_circular_gaussian, wilson_int
 __all__ = [
     "SimPoint",
     "BerEstimate",
-    "run_point",
     "derive_seed",
     "sweep_points",
     "run_sweep",
@@ -95,17 +91,15 @@ def _db_to_linear(db: float) -> float:
 
 @dataclass(frozen=True)
 class SimPoint:
-    """One Monte Carlo cell: scheme, modulation, SNR, imbalance, beta, seeds.
+    """One Monte Carlo cell: scheme, modulation, SNR, imbalance, beta, curve seed.
 
     ``gamma_db`` and ``r_db`` are in dB; the chain converts them to linear
     units, so each must have a finite, positive linear value.
 
-    The curve seed, the last item of :attr:`curve`, keys the data bits,
-    the fades and the noise that the cell shares with the other cells of
-    its curve: ``fade_seed``, or without it a seed derived from ``seed``,
-    so a cell without a ``fade_seed`` is a curve of its own. ``seed``
-    labels the cell: it is the CSV ``seed`` column that ``bench/checker.py``
-    checks, and it seeds a standalone cell's curve.
+    ``seed`` is the curve seed, the last item of :attr:`curve`: it keys
+    the data bits, the fades and the noise that the cell shares with the
+    other cells of its curve. It is not the CSV ``seed`` column, which the
+    command line derives from the sweep seed and the cell's fields.
     """
 
     scheme: str
@@ -116,7 +110,6 @@ class SimPoint:
     seed: int
     min_errors: int = DEFAULT_MIN_ERRORS
     max_bits: int = DEFAULT_MAX_BITS
-    fade_seed: int | None = None
 
     def __post_init__(self):
         if self.scheme not in ostbc.CODES:
@@ -152,11 +145,9 @@ class SimPoint:
 
         The cells of a curve differ in gamma_db, r_db and beta (all 0 or
         all above), since one draw of bits, fades and noise serves them
-        all. The last item is the curve seed, which keys those draws:
-        ``fade_seed``, or one derived from ``seed`` without it.
+        all. The last item, the curve seed ``seed``, keys those draws.
         """
-        seed = derive_seed(self.seed, "fades") if self.fade_seed is None else self.fade_seed
-        return (self.scheme, self.mod, self.beta == 0.0, self.min_errors, self.max_bits, seed)
+        return (self.scheme, self.mod, self.beta == 0.0, self.min_errors, self.max_bits, self.seed)
 
 
 @dataclass(frozen=True)
@@ -207,9 +198,11 @@ _CPUS = os.cpu_count() or 1
 _idle_lock = threading.Lock()
 
 
-def _simulate_chunk(cells: tuple, chunk_index: int) -> list[tuple[int, int, int]]:
+def _simulate_chunk(cells: tuple, chunk_index: int) -> list[tuple[int, int]]:
     """Simulate chunk ``chunk_index`` of some cells of one curve; returns each
-    cell's (bits, bit_errors, sum of squared block errors), in ``cells`` order.
+    cell's (bit_errors, sum of squared block errors), in ``cells`` order.
+    Every chunk of a curve holds ``_chunk_blocks`` blocks of the curve's
+    ``bits_per_block`` bits, so it returns no bit count.
 
     Draw order, all from the curve's one stream ``RngStream(curve seed,
     chunk_index)``: the data bits (eight per random byte); then, at beta =
@@ -293,7 +286,7 @@ def _simulate_chunk_in(work: Workspace, cells: tuple, chunk_index: int):
                 wrong = np.flatnonzero(np.not_equal(rx_bits, tx_bits, out=rx_bits.view(bool)))
                 np.floor_divide(wrong, bps, out=wrong)
                 per_block = np.bincount(np.remainder(wrong, n, out=wrong))
-                counts[position] = (tx_bits.size, wrong.size, int(np.dot(per_block, per_block)))
+                counts[position] = (wrong.size, int(np.dot(per_block, per_block)))
     return counts
 
 
@@ -404,13 +397,16 @@ def _noise_stage(work: Workspace, planes, noise, signal, root, power: float):
 def _run_curve(points, stop: threading.Event, pool, cells: list) -> dict:
     """Run chunks 0, 1, ... of the cells of one curve; return each cell's totals.
 
-    One :func:`_simulate_chunk` call per chunk runs the cells whose
-    stopping rule did not hold after the chunk before: a cell stops after
-    the first chunk at which its error count reaches ``min_errors`` or its
-    bit count reaches ``max_bits``. The totals map each cell's index to its
-    (bits, errors, squared block errors, chunks). ``stop`` is checked before
-    every chunk and set when a chunk raises, so a failing sweep stops its
-    other curves at their next chunk.
+    The cells share their stopping rule and their chunk size, so the curve
+    reaches ``max_bits`` after the same chunk count K for every cell,
+    counted once from the first cell. One :func:`_simulate_chunk` call per
+    chunk runs the cells whose stopping rule did not hold after the chunk
+    before: a cell stops after the first chunk at which its error count
+    reaches ``min_errors`` or after chunk K - 1. The totals map each cell's
+    index to its (errors, squared block errors, chunks); its bits are its
+    chunks times the bits of one chunk. ``stop`` is checked before every
+    chunk and set when a chunk raises, so a failing sweep stops its other
+    curves at their next chunk.
 
     With a ``pool`` (a sweep on more than one thread), the curve offers
     chunk k+1 of its open cells to the pool before it runs chunk k of them
@@ -422,12 +418,13 @@ def _run_curve(points, stop: threading.Event, pool, cells: list) -> dict:
     ran, and goes on to chunk k+2. A cell's counts in a chunk depend only
     on its curve seed, the chunk index and its own fields, so the totals
     are those of a curve run without a pool. There is no lookahead during
-    chunk 0, after which most cells of a wide sweep stop, nor of a chunk
-    past the cells' ``max_bits``. A curve whose cells have all stopped
-    returns without waiting for its lookahead, whose result (or error) is
-    dropped, and every exit cancels a lookahead that no thread has taken.
+    chunk 0, after which most cells of a wide sweep stop, nor of chunk K
+    or later. A curve whose cells have all stopped returns without
+    waiting for its lookahead, whose result (or error) is dropped, and
+    every exit cancels a lookahead that no thread has taken.
     """
-    totals = dict.fromkeys(cells, (0, 0, 0, 0))
+    max_chunks = _chunks_to_max_bits(points[cells[0]])
+    totals = dict.fromkeys(cells, (0, 0, 0))
     chunk_index, ahead = 0, None
     try:
         while cells and not stop.is_set():
@@ -437,15 +434,15 @@ def _run_curve(points, stop: threading.Event, pool, cells: list) -> dict:
             else:
                 run = tuple(points[i] for i in cells)
                 ahead = None
-                if pool is not None and 0 < chunk_index < _chunks_to_max_bits(run[0]) - 1:
+                if pool is not None and 0 < chunk_index < max_chunks - 1:
                     ahead, ran_ahead = pool.submit(_simulate_chunk, run, chunk_index + 1), cells
                 counts = _simulate_chunk(run, chunk_index)
             chunk_index += 1
-            for i, (bits, errors, sq_errors) in zip(cells, counts):
-                b, e, e2, _ = totals[i]
-                totals[i] = (b + bits, e + errors, e2 + sq_errors, chunk_index)
+            for i, (errors, sq_errors) in zip(cells, counts):
+                e, e2, _ = totals[i]
+                totals[i] = (e + errors, e2 + sq_errors, chunk_index)
             cells = [i for i in cells
-                     if totals[i][1] < points[i].min_errors and totals[i][0] < points[i].max_bits]
+                     if totals[i][0] < points[i].min_errors and chunk_index < max_chunks]
     except BaseException:
         stop.set()
         raise
@@ -460,13 +457,14 @@ def _chunks_to_max_bits(point: SimPoint) -> int:
     return -(-point.max_bits // (_chunk_blocks(point) * point.bits_per_block))
 
 
-def run_point(point: SimPoint) -> BerEstimate:
-    """Estimate the BER of one point with the adaptive stopping rule: a sweep of one cell."""
-    return run_sweep((point,), 1)[0]
-
-
 def derive_seed(master_seed: int, *fields) -> int:
-    """Stable 64-bit seed for one grid cell, mixed from the sweep seed."""
+    """Stable 64-bit seed mixed from the sweep seed and ``fields``.
+
+    :func:`sweep_points` mixes a curve seed from the scheme, the
+    modulation name and whether beta is 0; the command line labels each
+    CSV row with one mixed from the scheme, the modulation name, r_db,
+    beta and gamma_db.
+    """
     text = "|".join([str(int(master_seed))] + [repr(f) for f in fields])
     digest = hashlib.blake2b(text.encode("ascii"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
@@ -475,14 +473,13 @@ def derive_seed(master_seed: int, *fields) -> int:
 def sweep_points(schemes, modulations, gamma_db, r_db, beta, seed: int,
                  min_errors: int = DEFAULT_MIN_ERRORS,
                  max_bits: int = DEFAULT_MAX_BITS) -> tuple[SimPoint, ...]:
-    """The deduplicated cells of a grid, each with its seeds and stopping rule.
+    """The deduplicated cells of a grid, each with its curve seed and stopping rule.
 
     The cells are sorted by (scheme, modulation, r_db, beta, gamma_db).
-    Each cell's seed is derived from ``seed`` and those five fields, and its
-    fade seed from ``seed``, the scheme, the modulation and whether beta is
-    0, so the cells of one curve share their bits, fades and noise across
-    r_db, beta and gamma_db. Only empty axes are refused here; every cell
-    check is :class:`SimPoint`'s.
+    Each cell's seed is its curve seed, derived from ``seed``, the scheme,
+    the modulation and whether beta is 0, so the cells of one curve share
+    their bits, fades and noise across r_db, beta and gamma_db. Only empty
+    axes are refused here; every cell check is :class:`SimPoint`'s.
     """
     axes = {"schemes": schemes, "modulations": modulations, "gamma_db": gamma_db,
             "r_db": r_db, "beta": beta}
@@ -507,10 +504,9 @@ def sweep_points(schemes, modulations, gamma_db, r_db, beta, seed: int,
             gamma_db=g,
             r_db=r,
             beta=b,
-            seed=derive_seed(seed, scheme, mod.name, r, b, g),
+            seed=derive_seed(seed, scheme, mod.name, b == 0.0),
             min_errors=min_errors,
             max_bits=max_bits,
-            fade_seed=derive_seed(seed, scheme, mod.name, b == 0.0),
         )
         for scheme, mod, r, b, g in cells
     ]
@@ -532,12 +528,13 @@ def run_sweep(points, workers: int) -> list[BerEstimate]:
     thread that has no curve left runs one, and no more chunks run at once
     than there are threads. A cell's counts are those of its chunks 0, 1,
     ..., whichever cells ran beside it and whichever thread ran them, so
-    every estimate is the one that :func:`run_point` gives its cell. The
-    estimates come back in ``points`` order whatever order the cells finish
-    in. Each chunk borrows its workspace from the idle list that every
-    sweep shares, and gives it back when it ends: reusing the buffers
-    spares allocating them again on a heap that the freed ones would have
-    left full of holes.
+    every estimate is the one that a sweep of its cell alone gives. A
+    cell's bits are its chunks times the bits of one chunk. The estimates
+    come back in ``points`` order whatever order the cells finish in. Each
+    chunk borrows its workspace from the idle list that every sweep
+    shares, and gives it back when it ends: reusing the buffers spares
+    allocating them again on a heap that the freed ones would have left
+    full of holes.
     """
     threads = min(workers, _CPUS)
     curves: dict = {}
@@ -548,6 +545,7 @@ def run_sweep(points, workers: int) -> list[BerEstimate]:
         run = partial(_run_curve, points, threading.Event(), pool if threads > 1 else None)
         for done in pool.map(run, curves.values()):
             totals.update(done)
-    return [BerEstimate.from_counts(bits, errors, sq_errors, point.bits_per_block, used)
-            for point, (bits, errors, sq_errors, used)
+    return [BerEstimate.from_counts(used * _chunk_blocks(point) * point.bits_per_block, errors,
+                                    sq_errors, point.bits_per_block, used)
+            for point, (errors, sq_errors, used)
             in zip(points, (totals[i] for i in range(len(points))))]

@@ -180,13 +180,9 @@ class SpaceTimeCode:
         """Per-antenna amplitude weights for the linear imbalance r.
 
         w_B^2 = 1/(1+r) and w_R^2 = r/(1+r), so the node powers add up to
-        one; each node splits its weight equally over its antennas. For
-        r >= 1, w_R^2 is 1 - w_B^2, the form the pinned sweeps were drawn
-        with; below 1 that difference cancels, down to 0 for r < 2^-53.
+        one; each node splits its weight equally over its antennas.
         """
-        w_b_sq = 1.0 / (1.0 + r)
-        w_r_sq = 1.0 - w_b_sq if r >= 1.0 else r / (1.0 + r)
-        node_weight = {"BS": math.sqrt(w_b_sq), "RS": math.sqrt(w_r_sq)}
+        node_weight = {"BS": math.sqrt(1.0 / (1.0 + r)), "RS": math.sqrt(r / (1.0 + r))}
         return np.array(
             [node_weight[n] * math.sqrt(1.0 / self.nodes.count(n)) for n in self.nodes]
         )

@@ -17,7 +17,7 @@ from coop_ostbc.analytic import (
     ber_integral_oracle,
     cell_ber,
 )
-from coop_ostbc.montecarlo import SimPoint, run_point, run_sweep, sweep_points
+from coop_ostbc.montecarlo import BerEstimate, SimPoint, run_sweep, sweep_points
 from coop_ostbc.numerics import RngStream, Workspace, sample_circular_gaussian, wilson_interval
 from coop_ostbc.ostbc import (
     BPSK,
@@ -36,6 +36,11 @@ from planes import planes
 
 FAST_BUDGET_S = 1.0
 SIM_BUDGET_S = 300.0
+
+
+def run_alone(point: SimPoint) -> BerEstimate:
+    """``point``'s estimate from a one-thread sweep of that cell alone."""
+    return run_sweep((point,), 1)[0]
 
 
 class _Criterion:
@@ -172,11 +177,11 @@ def test_c07_estimation_errors_create_an_error_floor():
     with _Criterion(
         7, "beta=0.05 floor: >=10x the beta=0 BER at 30 dB, flat 25->35 dB"
     ) as c:
-        clean = run_point(
+        clean = run_alone(
             SimPoint("alamouti_2x1", QPSK, 30.0, 0.0, 0.0, seed=70001, min_errors=100)
         )
         floor = {
-            g: run_point(
+            g: run_alone(
                 SimPoint("alamouti_2x1", QPSK, g, 0.0, 0.05, seed=70001, min_errors=300)
             )
             for g in (25.0, 30.0, 35.0)
@@ -220,7 +225,7 @@ def test_c08_four_antenna_code_health_and_steeper_slope():
         for scheme, min_errors in (("alamouti_2x1", 200), ("ostbc_4x2", 100)):
             pts = []
             for g_db in grid:
-                est = run_point(
+                est = run_alone(
                     SimPoint(scheme, QPSK, g_db, 0.0, 0.0, seed=80002, min_errors=min_errors)
                 )
                 assert est.errors > 0

@@ -175,6 +175,23 @@ def test_analytic_and_simulate_share_the_row_format(tmp_path):
         assert all(row[6:])
 
 
+def test_each_simulated_row_is_labelled_by_the_sweep_seed_and_its_own_fields(tmp_path):
+    # The seed column labels a row: the sweep seed mixed with the row's
+    # scheme, modulation, r_db, beta and SNR, as floats. It is not the curve
+    # seed, which the cells of a curve share and which keys their draws.
+    out = tmp_path / "s.csv"
+    assert run(["simulate", "--scheme", "alamouti_2x1,ostbc_4x2", "--modulation", "BPSK,QPSK",
+                "--r-db", "0,10", "--beta", "0,0.05", "--gamma-db", "0,6", "--seed", "3",
+                "--min-errors", "1", "--max-bits", "2000", "--output", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 2**5
+    for row in rows:
+        assert int(row["seed"]) == montecarlo.derive_seed(
+            3, row["scheme"], row["modulation"], float(row["r_db"]), float(row["beta"]),
+            float(row["snr_db"]))
+    assert len({row["seed"] for row in rows}) == len(rows)
+
+
 # --- spec validation --------------------------------------------------------------
 
 

@@ -24,7 +24,6 @@ from coop_ostbc.montecarlo import (
     SimPoint,
     _simulate_chunk,
     derive_seed,
-    run_point,
     run_sweep,
     sweep_points,
 )
@@ -45,6 +44,11 @@ from fits import diversity_slope
 from planes import planes
 
 
+def run_alone(point: SimPoint) -> BerEstimate:
+    """``point``'s estimate from a one-thread sweep of that cell alone."""
+    return run_sweep((point,), 1)[0]
+
+
 def analytic(a_sq: float, r_db: float, gamma_db: float) -> float:
     return ber_closed_form(
         AnalyticPoint(a_sq, 10.0 ** (r_db / 10.0), 10.0 ** (gamma_db / 10.0))
@@ -63,14 +67,14 @@ def coverage_hits(point: SimPoint, reference: float) -> int:
     """How many of the cells with seeds point.seed, point.seed + 1, ... cover reference."""
     hits = 0
     for seed in range(point.seed, point.seed + COVERAGE_SEEDS):
-        est = run_point(dataclasses.replace(point, seed=seed))
+        est = run_alone(dataclasses.replace(point, seed=seed))
         hits += est.ci_lo <= reference <= est.ci_hi
     return hits
 
 
 def test_simulated_ber_matches_closed_form_at_10db():
     point = SimPoint("alamouti_2x1", BPSK, 10.0, 0.0, 0.0, seed=2001, min_errors=500)
-    est = run_point(point)
+    est = run_alone(point)
     assert est.errors >= 500
     assert coverage_hits(point, analytic(2.0, 0.0, 10.0)) >= COVERAGE_HITS
 
@@ -97,7 +101,7 @@ def test_interval_covers_the_reference_over_a_seed_block(scheme, mod, gamma_db, 
     assert coverage_hits(point, reference) >= COVERAGE_HITS
 
 
-def full_chain_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
+def full_chain_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int]:
     """The reference for ``_simulate_chunk``: one chunk of the full chain,
     bits -> symbols -> codeword -> Rayleigh links -> AWGN -> combine -> detect.
 
@@ -105,8 +109,8 @@ def full_chain_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     estimation errors CN(0, beta) of that shape when beta > 0 and the
     antenna noise CN(0, 1) (n_rx, n_slots, n), builds the codeword with
     :func:`encode`, divides the combiner output by sqrt(P) G_est with its own
-    G_est = sum_ij |w_i est_ij|^2, and counts like the chunk: (bits, errors,
-    sum of the squared per-block errors).
+    G_est = sum_ij |w_i est_ij|^2, and counts like the chunk: (errors, sum
+    of the squared per-block errors) over its n blocks.
     """
     code = CODES[point.scheme]
     rng = RngStream(point.seed, chunk_index)
@@ -127,7 +131,7 @@ def full_chain_chunk(point: SimPoint, chunk_index: int) -> tuple[int, int, int]:
     z = s_tilde / (math.sqrt(power) * g_est)
     wrong = np.flatnonzero(detect(*planes(z.T), point.mod, work) != tx_bits)
     per_block = np.bincount(wrong // point.bits_per_block)
-    return tx_bits.size, wrong.size, int(np.dot(per_block, per_block))
+    return wrong.size, int(np.dot(per_block, per_block))
 
 
 def ber_and_variance(bits, errors, sq_errors, bits_per_block):
@@ -137,10 +141,11 @@ def ber_and_variance(bits, errors, sq_errors, bits_per_block):
     return errors / bits, between / blocks / bits_per_block**2
 
 
-def z_score(a, b, bits_per_block):
-    """Two-sample z statistic between the counts ``a`` and ``b`` of two estimators."""
-    ber_a, var_a = ber_and_variance(*a, bits_per_block)
-    ber_b, var_b = ber_and_variance(*b, bits_per_block)
+def z_score(bits, a, b, bits_per_block):
+    """Two-sample z statistic between the (errors, squared block errors) ``a``
+    and ``b`` of two estimators over ``bits`` bits each."""
+    ber_a, var_a = ber_and_variance(bits, *a, bits_per_block)
+    ber_b, var_b = ber_and_variance(bits, *b, bits_per_block)
     return (ber_a - ber_b) / math.sqrt(var_a + var_b)
 
 
@@ -168,17 +173,19 @@ def test_chunk_agrees_with_the_full_chain_over_a_seed_block(scheme, mod, gamma_d
     # as it bounds the coverage blocks. The totals over the block must agree
     # too, at the 0.1% level.
     point = SimPoint(scheme, mod, gamma_db, r_db, beta, seed=seed)
+    bits = 10_000 * point.bits_per_block  # one chunk of each
+    assert montecarlo._chunk_blocks(point) == 10_000
     z95 = NormalDist().inv_cdf(0.975)
     hits = 0
-    totals = np.zeros((2, 3), dtype=np.int64)
+    totals = np.zeros((2, 2), dtype=np.int64)
     for s in range(seed, seed + COVERAGE_SEEDS):
         cell = dataclasses.replace(point, seed=s)
         [reduced], full = _simulate_chunk((cell,), 0), full_chain_chunk(cell, 1)
-        assert reduced[0] == full[0] == 10_000 * point.bits_per_block
-        hits += abs(z_score(reduced, full, point.bits_per_block)) <= z95
+        hits += abs(z_score(bits, reduced, full, point.bits_per_block)) <= z95
         totals += (reduced, full)
     assert hits >= COVERAGE_HITS
-    assert abs(z_score(*totals, point.bits_per_block)) <= NormalDist().inv_cdf(1 - 0.0005)
+    assert (abs(z_score(COVERAGE_SEEDS * bits, *totals, point.bits_per_block))
+            <= NormalDist().inv_cdf(1 - 0.0005))
 
 
 def decided_bits(monkeypatch, run):
@@ -368,8 +375,7 @@ def test_chunk_counts_what_the_detector_decides_at_a_large_beta(monkeypatch, cod
     wrong = np.flatnonzero(detect(*planes(z.T), QAM16, Workspace()) != tx_bits)
     per_block = np.bincount(wrong // point.bits_per_block)
     assert wrong.size > 0
-    assert _simulate_chunk((point,), 0) == [(tx_bits.size, wrong.size,
-                                             int(np.dot(per_block, per_block)))]
+    assert _simulate_chunk((point,), 0) == [(wrong.size, int(np.dot(per_block, per_block)))]
 
 
 def recorded_inputs(monkeypatch, cells, chunk_index: int):
@@ -415,14 +421,13 @@ def test_cells_of_a_curve_share_the_fade_and_the_noise(monkeypatch, beta):
     assert streams == 1
     assert len(branches) == 2 * len(betas)
     assert len(inputs) == len(counts) == len(cells)
-    for cell, z, (bits, errors, sq_errors) in zip(cells, inputs, counts):
+    for cell, z, (errors, sq_errors) in zip(cells, inputs, counts):
         want = cell_input(noise, *branches[cell.r_db, cell.beta], cell.gamma_db)
         assert np.max(np.abs(z - want)) <= 1e-12 * np.max(np.abs(want))
         # Decided and counted in the stream's block order.
         wrong = np.flatnonzero(detect(*planes(z.T), QPSK, Workspace()) != tx_bits)
         per_block = np.bincount(wrong // cell.bits_per_block)
-        assert (bits, errors, sq_errors) == (tx_bits.size, wrong.size,
-                                             int(np.dot(per_block, per_block)))
+        assert (errors, sq_errors) == (wrong.size, int(np.dot(per_block, per_block)))
         assert errors > 0
 
 
@@ -449,13 +454,13 @@ def test_wrong_bits_nest_along_the_snr_axis(monkeypatch, scheme, mod, beta):
     # The bits in the detector's (n_symbols, blocks, bits per symbol) order.
     tx = tx_bits.reshape(n, -1, mod.bits_per_symbol).transpose(1, 0, 2).ravel()
     noiseless = detect(*planes(signal), mod, Workspace())
-    assert [int(np.sum(d != tx)) for d in decided] == [errors for _, errors, _ in counts]
+    assert [int(np.sum(d != tx)) for d in decided] == [errors for errors, _ in counts]
     if beta == 0.0:
         assert np.array_equal(noiseless, tx)
     for lower, higher in zip(decided, decided[1:]):
         assert not np.any((higher != noiseless) & (lower == noiseless))
         assert not np.any((higher != tx) & (lower == tx) & (noiseless == tx))
-    assert counts[0][1] > counts[-1][1]
+    assert counts[0][0] > counts[-1][0]
 
 
 def test_a_cells_row_is_the_same_alone_and_in_its_whole_curve(tmp_path):
@@ -517,7 +522,7 @@ def test_a_lone_curve_is_one_task_on_two_threads(monkeypatch):
     # the one of its one-cell sweep.
     points = sweep_points(("alamouti_2x1",), ("BPSK",), (0.0, 4.0, 8.0, 12.0, 16.0, 20.0),
                           (5.0,), (0.05,), seed=2025, min_errors=100, max_bits=60_000)
-    want = [run_point(p) for p in points]
+    want = [run_alone(p) for p in points]
     used = dict(zip(points, (e.streams_used for e in want)))
     assert len({p.curve for p in points}) == 1 and max(used.values()) > 1
     calls = []
@@ -546,7 +551,7 @@ def test_a_grid_of_enough_curves_covers_its_one_thread_calls_on_two(monkeypatch)
     # curve and index holds, and only cells of the one-thread call before it.
     points = sweep_points(("alamouti_2x1",), ("BPSK", "QPSK"), (0.0, 10.0, 20.0), (5.0,),
                           (0.0, 0.05), seed=2026, min_errors=100, max_bits=60_000)
-    want = [run_point(p) for p in points]
+    want = [run_alone(p) for p in points]
     curves: dict = {}
     for point, estimate in zip(points, want):
         curves.setdefault(point.curve, []).append((point, estimate.streams_used))
@@ -587,7 +592,7 @@ def test_a_failing_chunk_stops_the_other_tasks_at_their_next_chunk(monkeypatch):
     # chunk 1, which it would otherwise run: its cell runs two chunks.
     points = sweep_points(("alamouti_2x1",), ("BPSK",), (20.0,), (5.0,), (0.0, 0.05),
                           seed=2027, min_errors=100, max_bits=60_000)
-    assert run_point(points[1]).streams_used == 2
+    assert run_alone(points[1]).streams_used == 2
     other_started, raised = threading.Event(), threading.Event()
     calls = []
     chunk = montecarlo._simulate_chunk
@@ -621,7 +626,7 @@ def lookahead_grid():
     # below the max_bits of 10 chunks.
     points = sweep_points(("alamouti_2x1",), ("BPSK",), (0.0, 13.0), (-10.0, 0.0), (0.0,),
                           seed=2031, min_errors=100, max_bits=200_000)
-    want = [run_point(p) for p in points]
+    want = [run_alone(p) for p in points]
     assert [(p.r_db, p.gamma_db, e.streams_used) for p, e in zip(points, want)] == [
         (-10.0, 0.0, 1), (-10.0, 13.0, 2), (0.0, 0.0, 1), (0.0, 13.0, 4)]
     assert all(e.errors >= 100 for e in want)
@@ -676,7 +681,7 @@ def test_no_lookahead_during_chunk_0_past_max_bits_or_on_one_thread(monkeypatch)
     # none may start during chunk 0, and none of chunk K at all.
     [point] = sweep_points(("alamouti_2x1",), ("BPSK",), (30.0,), (0.0,), (0.0,), seed=2032,
                            max_bits=40_000)
-    want = run_point(point)
+    want = run_alone(point)
     assert want.streams_used == 2 and want.bits == 40_000 and want.errors < 100
     calls, running = [], set()
     chunk = montecarlo._simulate_chunk
@@ -695,7 +700,7 @@ def test_no_lookahead_during_chunk_0_past_max_bits_or_on_one_thread(monkeypatch)
         patch.setattr(montecarlo, "_simulate_chunk", sleeping)
         assert run_sweep((point,), 2) == [want]
     assert calls == [(0, frozenset()), (1, frozenset())]
-    # One thread never offers a lookahead, in a sweep or in run_point; two do.
+    # One thread never offers a lookahead, in a sweep of many cells or of one; two do.
     points, want = lookahead_grid()
     submitted = []
 
@@ -707,8 +712,8 @@ def test_no_lookahead_during_chunk_0_past_max_bits_or_on_one_thread(monkeypatch)
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recorded)
     monkeypatch.setattr(montecarlo, "_CPUS", 2)
     assert run_sweep(points, 1) == want
-    assert [run_point(p) for p in points] == want
-    # The one-thread sweep's one curve and each run_point's, and nothing else.
+    assert [run_alone(p) for p in points] == want
+    # The one-thread sweep's one curve and each one-cell sweep's, and nothing else.
     assert len(submitted) == 1 + len(points) and montecarlo._simulate_chunk not in submitted
     assert run_sweep(points, 2) == want
     assert montecarlo._simulate_chunk in submitted
@@ -744,7 +749,7 @@ def test_lookaheads_keep_every_estimate_under_fast_thread_switches(monkeypatch):
     points, _ = lookahead_grid()
     points += sweep_points(("alamouti_2x1", "ostbc_4x2"), ("BPSK", "QPSK"), (8.0, 14.0, 20.0),
                            (5.0,), (0.0, 0.05), seed=2033, min_errors=100, max_bits=200_000)
-    want = [run_point(p) for p in points]
+    want = [run_alone(p) for p in points]
     assert max(e.streams_used for e in want) > 3
     monkeypatch.setattr(montecarlo, "_CPUS", 4)
     got = []
@@ -785,10 +790,10 @@ def test_interval_stays_in_the_unit_range_at_the_edges(errors):
 
 def test_chunk_counts_the_squared_errors_of_each_block():
     point = SimPoint("ostbc_4x2", QAM16, 4.0, 0.0, 0.05, seed=2012)
-    [(bits, errors, sq_errors)] = _simulate_chunk((point,), 0)
+    [(errors, sq_errors)] = _simulate_chunk((point,), 0)
     # Each of the errors sits in a block of 12 bits: errors <= sum e_b^2 <= 12 errors,
     # and the squares exceed the counts as soon as a block holds two errors.
-    assert bits == 12 * 10_000 and errors > 0
+    assert point.bits_per_block == 12 and errors > 0
     assert errors < sq_errors <= 12 * errors
 
 
@@ -812,18 +817,18 @@ def test_chunks_reuse_one_threads_buffers_at_every_size(monkeypatch):
     alone = [_on_new_buffers(monkeypatch, lambda c=c: _simulate_chunk(*c)) for c in chunks]
     in_turn = _on_new_buffers(monkeypatch, lambda: [_simulate_chunk(*c) for c in chunks])
     assert chunks[3][0][0].max_bits // chunks[3][0][0].bits_per_block < 10_000
-    assert all(errors > 0 for [(_, errors, _)] in alone)
+    assert all(errors > 0 for [(errors, _)] in alone)
     assert in_turn == alone
 
 
 def test_concurrent_sweeps_never_share_a_workspace():
     # Sweeps started at once from several threads, and threads that run
-    # cells directly beside them, borrow workspaces from, and give them back
+    # one-cell sweeps beside them, borrow workspaces from, and give them back
     # to, one list; a workspace lent to two chunks at once would mix them
     # and change the estimates.
     points = sweep_points(("alamouti_2x1", "ostbc_4x2"), ("BPSK", "QAM16"), (0.0, 6.0),
                           (0.0,), (0.0, 0.05), seed=2017, min_errors=50, max_bits=40_000)
-    want = [run_point(p) for p in points]
+    want = [run_alone(p) for p in points]
     assert run_sweep(points, 3) == want  # leaves workspaces to borrow
     got = [None] * 6
 
@@ -831,7 +836,7 @@ def test_concurrent_sweeps_never_share_a_workspace():
         got[i] = run_sweep(points, 3)
 
     def direct(i):
-        got[i] = [run_point(p) for p in points]
+        got[i] = [run_alone(p) for p in points]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -914,8 +919,8 @@ def test_warm_chunk_workspace_holds_no_codeword_or_signal_copy(monkeypatch):
 
 
 def test_every_chunk_borrows_from_the_capped_idle_list(monkeypatch):
-    # A cell run outside a sweep gives its workspace back to the idle list
-    # too, and the next cell borrows that one, so the cap bounds every
+    # A one-cell sweep on one thread gives its workspace back to the idle
+    # list too, and the next sweep borrows that one, so the cap bounds every
     # workspace that chunks leave behind.
     made = []
 
@@ -928,9 +933,9 @@ def test_every_chunk_borrows_from_the_capped_idle_list(monkeypatch):
     monkeypatch.setattr(montecarlo, "_CPUS", 1)
     monkeypatch.setattr(montecarlo, "_idle_workspaces", [])
     point = SimPoint("ostbc_4x2", QAM16, 10.0, 5.0, 0.01, seed=2019, max_bits=24_000)
-    run_point(point)
+    run_alone(point)
     assert len(made) == 1 and montecarlo._idle_workspaces == made
-    run_point(point)
+    run_alone(point)
     assert len(made) == 1 and montecarlo._idle_workspaces == made
 
 
@@ -970,7 +975,7 @@ def test_a_sweep_wider_than_the_cpus_makes_no_more_workspaces_than_cpus(monkeypa
     # holding its workspace, and no more; more threads would start more
     # chunks at once, each finding the idle list empty and making one.
     points = six_one_chunk_curves(2020)
-    want = [run_point(p) for p in points]
+    want = [run_alone(p) for p in points]
     made = []
 
     class Recorded(Workspace):
@@ -1003,36 +1008,57 @@ def test_idle_workspaces_are_at_most_one_per_cpu(monkeypatch):
 
 def test_noise_dominated_limit_is_half():
     point = SimPoint("alamouti_2x1", QPSK, -100.0, 0.0, 0.0, seed=2002)
-    est = run_point(point)
+    est = run_alone(point)
     assert est.ber == pytest.approx(0.5, abs=0.02)
 
 
 def test_estimation_errors_dominate_at_high_snr():
-    clean = run_point(
+    clean = run_alone(
         SimPoint("alamouti_2x1", QPSK, 30.0, 0.0, 0.0, seed=2003, min_errors=100)
     )
-    noisy_csi = run_point(
+    noisy_csi = run_alone(
         SimPoint("alamouti_2x1", QPSK, 30.0, 0.0, 0.1, seed=2003, min_errors=300)
     )
     assert noisy_csi.ber > 10.0 * clean.ber
 
 
-def test_run_point_is_deterministic_and_worker_invariant():
-    # A point runs its chunks serially, so it has no worker count; the
-    # worker invariance of whole sweeps is checked through the CLI
+def test_a_lone_cell_is_deterministic():
+    # The worker invariance of whole sweeps is checked through the CLI
     # (test_golden, test_simulate_workers_do_not_change_bytes, c09).
     point = SimPoint("alamouti_2x1", QPSK, 8.0, 3.0, 0.02, seed=2004, min_errors=150)
-    assert run_point(point) == run_point(point)
+    assert run_alone(point) == run_alone(point)
 
 
-def test_run_point_respects_max_bits():
+def test_a_lone_cell_respects_max_bits():
     point = SimPoint(
         "alamouti_2x1", QPSK, 40.0, 0.0, 0.0, seed=2005, min_errors=10**9,
         max_bits=1000,
     )
-    est = run_point(point)
+    est = run_alone(point)
     assert est.streams_used == 1
     assert est.bits == 1000
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_cell_stops_after_the_first_chunk_that_meets_its_stopping_rule(monkeypatch,
+                                                                         threads):
+    # 2x1 QPSK chunks hold 40,000 bits, so max_bits = 100,001 is K = 3
+    # chunks, the third one past max_bits. The 40 dB cell never reaches
+    # min_errors and runs exactly K chunks; the 0 and 10 dB cells stop after
+    # the first chunk at which their cumulative errors reach min_errors,
+    # counted here from the chunks themselves. A stop one chunk early or late
+    # on either rule moves a chunk count and the bits with it, on one thread
+    # and with the lookahead of two.
+    points = sweep_points(("alamouti_2x1",), ("QPSK",), (0.0, 10.0, 40.0), (0.0,), (0.0,),
+                          seed=2005, min_errors=1_000, max_bits=100_001)
+    # errors[k][i]: cell i's errors over chunks 0 to k.
+    errors = np.cumsum([[e for e, _ in _simulate_chunk(points, k)] for k in range(3)], axis=0)
+    used = [next((k + 1 for k in range(3) if errors[k][i] >= 1_000), 3) for i in range(3)]
+    assert used == [1, 2, 3]
+    monkeypatch.setattr(montecarlo, "_CPUS", 2)
+    for i, est in enumerate(run_sweep(points, threads)):
+        assert (est.streams_used, est.bits) == (used[i], used[i] * 40_000)
+        assert est.errors == errors[used[i] - 1][i]
 
 
 def test_sim_point_validation():
@@ -1054,36 +1080,38 @@ def test_sim_point_validation():
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SimPoint("alamouti_2x1", QPSK, beta=0.0, seed=1, **kwargs)
     SimPoint("alamouti_2x1", QPSK, 3000.0, -3000.0, 0.0, seed=1)
-    # A cell built without a fade seed is a curve of its own.
-    alone = SimPoint("alamouti_2x1", QPSK, 0.0, 0.0, 0.0, seed=7)
-    assert alone.curve[-1] != alone.seed
-    assert dataclasses.replace(alone, seed=8).curve != alone.curve
+    # A cell's seed is its curve seed, the last item of its curve.
+    cell = SimPoint("alamouti_2x1", QPSK, 0.0, 0.0, 0.0, seed=7)
+    assert cell.curve[-1] == cell.seed == 7
+    assert dataclasses.replace(cell, seed=8).curve[-1] == 8
 
 
-def test_single_cell_sweep_equals_run_point():
+def test_a_hand_built_cell_with_its_sweeps_curve_seed_gives_the_sweeps_estimate():
+    # The cell at 6 dB and r = 5 dB of a sweep of two r and three SNRs, built
+    # by hand with the sweep's curve seed for 2x1 QPSK at beta = 0: alone,
+    # it is a curve of one cell on the same stream, so it gives the estimate
+    # that the sweep gives it.
     points = sweep_points(
         schemes=("alamouti_2x1",),
         modulations=("QPSK",),
-        gamma_db=(6.0,),
-        r_db=(5.0,),
+        gamma_db=(2.0, 6.0, 10.0),
+        r_db=(0.0, 5.0),
         beta=(0.0,),
         seed=77,
         min_errors=120,
     )
     estimates = run_sweep(points, 1)
-    assert len(estimates) == 1
     point = SimPoint(
         "alamouti_2x1",
         QPSK,
         6.0,
         5.0,
         0.0,
-        seed=derive_seed(77, "alamouti_2x1", "QPSK", 5.0, 0.0, 6.0),
+        seed=derive_seed(77, "alamouti_2x1", "QPSK", True),
         min_errors=120,
-        fade_seed=derive_seed(77, "alamouti_2x1", "QPSK", True),
     )
-    assert points == (point,)
-    assert estimates[0] == run_point(point)
+    assert {p.seed for p in points} == {point.seed} and point in points
+    assert estimates[points.index(point)] == run_alone(point)
     ber_analytic = cell_ber(point.scheme, point.mod, point.r_db, point.beta, point.gamma_db)
     assert ber_analytic == pytest.approx(analytic(1.0, 5.0, 6.0), rel=1e-15)
 
@@ -1102,7 +1130,7 @@ def test_sweep_cells_dedupes_and_sorts():
     assert cells == sorted(set(cells))
     assert sorted({p.gamma_db for p in points}) == [0.0, 4.0]
     for p in points:
-        assert p.seed == derive_seed(1, p.scheme, p.mod.name, p.r_db, p.beta, p.gamma_db)
+        assert p.seed == derive_seed(1, p.scheme, p.mod.name, True)
 
 
 def test_sweep_result_independent_of_grid_composition(monkeypatch):
@@ -1174,7 +1202,7 @@ def test_ber_not_significantly_decreasing_in_beta():
     estimates = []
     for beta in (0.0, 0.02, 0.1):
         estimates.append(
-            run_point(
+            run_alone(
                 SimPoint(
                     "alamouti_2x1", QPSK, 12.0, 0.0, beta, seed=2007, min_errors=300
                 )
@@ -1187,7 +1215,7 @@ def test_ber_not_significantly_decreasing_in_beta():
 def test_empirical_diversity_slope_matches_analysis():
     points = []
     for gamma_db in (20.0, 25.0, 30.0):
-        est = run_point(
+        est = run_alone(
             SimPoint(
                 "alamouti_2x1",
                 BPSK,
@@ -1234,13 +1262,13 @@ def test_confidence_intervals_cover_closed_form():
 
 def test_ostbc4_point_runs_and_improves_on_alamouti():
     kwargs = dict(gamma_db=10.0, r_db=0.0, beta=0.0, seed=2010, min_errors=200)
-    small = run_point(SimPoint("ostbc_4x2", QPSK, **kwargs))
-    big = run_point(SimPoint("alamouti_2x1", QPSK, **kwargs))
+    small = run_alone(SimPoint("ostbc_4x2", QPSK, **kwargs))
+    big = run_alone(SimPoint("alamouti_2x1", QPSK, **kwargs))
     assert small.ber < big.ber / 5.0
 
 
 def test_qam16_runs_through_the_pipeline():
-    est = run_point(
+    est = run_alone(
         SimPoint("alamouti_2x1", QAM16, 10.0, 0.0, 0.0, seed=2011, min_errors=200)
     )
     assert 0.0 < est.ber < 0.5
